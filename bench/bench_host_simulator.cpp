@@ -21,8 +21,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "chrysalis/kernel.hpp"
 #include "scope/trace_check.hpp"
@@ -193,81 +191,6 @@ HostRow measure_timed_refs(bool fastpath) {
   return row;
 }
 
-// --- Parallel host-engine sweep (host_shards in {1, 2, 4, 8}) -------------
-//
-// One fiber per node of a 128-node machine, each issuing a local/remote
-// mix of timed references: the workload shape the sharded engine exists
-// for.  shards=1 is the serial baseline; the other rows record delivered
-// parallel throughput plus the window-barrier overhead.  host_cores is in
-// the row because these are host numbers: on a 1-core CI box every shard
-// count time-slices one core and the sweep measures protocol overhead,
-// not speedup.
-
-struct ParRow {
-  std::uint32_t shards = 0;
-  std::uint32_t threads = 0;
-  double events_per_sec = 0;
-  double timed_refs_per_sec = 0;
-  double barrier_overhead_pct = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t messages = 0;
-};
-
-ParRow measure_parallel(std::uint32_t shards) {
-  constexpr std::uint32_t kNodes = 128;
-  constexpr int kRefsPerFiber = 1500;
-  sim::MachineConfig cfg = sim::butterfly1(kNodes);
-  cfg.host_shards = shards;
-  sim::Machine m(cfg);
-  std::vector<sim::PhysAddr> a(kNodes);
-  for (std::uint32_t n = 0; n < kNodes; ++n) a[n] = m.alloc(n, 8);
-  for (std::uint32_t n = 0; n < kNodes; ++n) {
-    m.spawn(n, [&m, &a, n] {
-      for (int i = 0; i < kRefsPerFiber; ++i) {
-        // 1 in 4 references stays node-local, the rest scatter.
-        const std::uint32_t t = (i % 4 == 0) ? n : (n + 17u * i) % kNodes;
-        benchmark::DoNotOptimize(m.read<std::uint32_t>(a[t]));
-        m.charge(100);
-      }
-    });
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  m.run();
-  const double dt = host_seconds_since(t0);
-
-  ParRow row;
-  row.shards = shards;
-  const sim::ParallelRunStats& ps = m.parallel_stats();
-  row.threads = ps.threads != 0 ? ps.threads : 1;
-  row.timed_refs_per_sec =
-      static_cast<double>(kNodes) * kRefsPerFiber / dt;
-  const sim::HostPerf hp = m.host_perf();
-  row.events_per_sec =
-      static_cast<double>(hp.events_dispatched + hp.fastpath_charges) / dt;
-  row.windows = ps.windows;
-  row.messages = ps.messages;
-  if (ps.run_wall_ns > 0 && ps.threads > 0)
-    row.barrier_overhead_pct =
-        100.0 * static_cast<double>(ps.barrier_wait_ns) /
-        (static_cast<double>(ps.run_wall_ns) * ps.threads);
-  return row;
-}
-
-void emit_par_row(const ParRow& r, sim::json::Writer& w) {
-  w.begin_object()
-      .kv("label", "parallel-shards-" + std::to_string(r.shards))
-      .kv("shards", r.shards)
-      .kv("threads", r.threads)
-      .kv("host_cores",
-          static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
-      .kv("events_per_sec", r.events_per_sec)
-      .kv("timed_refs_per_sec", r.timed_refs_per_sec)
-      .kv("barrier_overhead_pct", r.barrier_overhead_pct)
-      .kv("windows", r.windows)
-      .kv("messages", r.messages)
-      .end_object();
-}
-
 /// Re-serialize a parsed JsonValue (keeps prior runs byte-meaningful when
 /// the file is rewritten with a new row appended).
 void emit_value(const scope::JsonValue& v, sim::json::Writer& w) {
@@ -356,11 +279,6 @@ void append_json_rows() {
   }
   emit_row(off, 0, w);
   emit_row(on, speedup, w);
-  std::vector<ParRow> par;
-  for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    par.push_back(measure_parallel(shards));
-    emit_par_row(par.back(), w);
-  }
   w.end_array().end_object();
 
   std::ofstream out(path, std::ios::trunc);
@@ -380,15 +298,6 @@ void append_json_rows() {
       path.c_str(), events_per_sec, switches_per_sec, on.timed_refs_per_sec,
       off.timed_refs_per_sec, on.host_ns_per_event, off.host_ns_per_event,
       speedup);
-  std::printf("  parallel sweep (host cores: %u)\n",
-              std::thread::hardware_concurrency());
-  for (const ParRow& r : par)
-    std::printf(
-        "    shards=%u threads=%u  refs/sec %.3g  events/sec %.3g  "
-        "windows %llu  messages %llu  barrier %.1f%%\n",
-        r.shards, r.threads, r.timed_refs_per_sec, r.events_per_sec,
-        static_cast<unsigned long long>(r.windows),
-        static_cast<unsigned long long>(r.messages), r.barrier_overhead_pct);
 }
 
 }  // namespace

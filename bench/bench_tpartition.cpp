@@ -33,7 +33,8 @@
 //   part 4 (replay): part 3 runs twice with the same seeds; elapsed time,
 //                    every counter, and the content hash must be equal —
 //                    the partition machinery sits inside the deterministic
-//                    envelope (Instant Replay holds).
+//                    envelope (Instant Replay holds).  The rerun's row is
+//                    labelled "split_replay".
 //
 // Fully deterministic: fixed fault plans, seeded PRNGs, simulated time.
 // Output: human tables, one JSON line per run, and the row set again in
@@ -44,10 +45,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "scope/trace_check.hpp"
 #include "serve/serve.hpp"
 #include "sim/json.hpp"
 
@@ -72,7 +76,7 @@ bridge::DiskParams serving_disk() {
 }
 
 struct Scenario {
-  const char* part;    // "clean" | "card" | "split"
+  const char* part;    // "clean" | "card" | "split" | "split_replay"
   double offered;      // total offered load, ops per simulated second
   sim::Time duration;  // measurement window
   bool card_fail;      // kill one stage-0 switch card mid-run
@@ -329,10 +333,7 @@ std::string row_json(const Scenario& sc, RunResult& r) {
       .kv("minority_acks", r.minority_acks)
       .kv("verified", r.verified)
       .kv("verify_fail", r.verify_fail)
-      .kv("alt_routed", r.alt_routed)
       .kv("suspects", r.suspects)
-      .kv("suspects_unreachable", r.suspects_unreachable)
-      .kv("unreachable_restored", r.unreachable_restored)
       .kv("dirty_logged", r.counters.dirty_logged)
       .kv("reconciled", r.counters.reconciled)
       .kv("quorum_rejects", r.counters.quorum_rejects)
@@ -441,7 +442,9 @@ int main() {
            rs2.counters.reconciled == rs.counters.reconciled &&
            rs2.counters.quorum_rejects == rs.counters.quorum_rejects,
        "replay: partition counters must be equal");
-  emit(split, rs2);
+  Scenario replay = split;
+  replay.part = "split_replay";
+  emit(replay, rs2);
 
   // --- BENCH_partition.json ------------------------------------------------
   const char* out_path = std::getenv("BFLY_PARTITION_OUT");
@@ -454,6 +457,18 @@ int main() {
     std::fprintf(f, "]}\n");
     std::fclose(f);
     std::printf("\nwrote %s (%zu rows)\n", out_path, g_rows.size());
+    // Read the artifact back: a malformed file (say, a key written twice)
+    // fails the bench like any other gate.
+    std::ifstream in(out_path);
+    std::stringstream text;
+    text << in.rdbuf();
+    scope::JsonValue doc;
+    std::string err;
+    if (!scope::json_parse(text.str(), &doc, &err)) {
+      std::fprintf(stderr, "GATE FAILED: %s does not parse: %s\n", out_path,
+                   err.c_str());
+      ++g_violations;
+    }
   } else {
     std::fprintf(stderr, "could not write %s\n", out_path);
     ++g_violations;

@@ -16,8 +16,6 @@
 #                        barrier, idle counters, observer contract) plus
 #                        the tsync weak-scaling bench's self-gates at
 #                        256/1K nodes (label sync-smoke)
-#   3c. parsim smoke   — the parallel host engine's A/B determinism suite
-#                        and host-thread primitive tests (label parsim-smoke)
 #   4. scope smoke     — a traced Gauss run exports a Chrome trace, then
 #                        the standalone validator re-checks the file on
 #                        disk (parses, monotone timestamps, balanced B/E)
@@ -25,9 +23,10 @@
 #                        min-time, printing the BENCH_host_sim.json row.
 #                        NON-GATING: CI machines have wildly variable
 #                        throughput, so a slow run only warns
-#   5b. parsim tsan    — test_parsim_core (the fiber-free mailbox/barrier/
-#                        driver suite) rebuilt under ThreadSanitizer.
-#                        NON-GATING while the stage beds in
+#   5b. perfbench contract — perfbench/selfcheck.py runs every benchmark
+#                        workload in smoke mode and checks the output
+#                        contract (named metrics with units, unique keys,
+#                        passing checks, provenance).  Gating
 #   6. asan preset     — ASan+UBSan build, full ctest suite
 #   7. lint            — clang-tidy over src/ against the compile database
 #                        (skips with a notice when clang-tidy isn't installed;
@@ -64,9 +63,6 @@ ctest --preset default -L sched-fuzz-smoke --output-on-failure --verbose
 step "sync smoke (MCS/tree-barrier/counter suites + tsync scaling gates)"
 ctest --preset default -L sync-smoke --output-on-failure
 
-step "parsim smoke (parallel host engine: A/B determinism + primitives)"
-ctest --preset default -L parsim-smoke --output-on-failure
-
 step "scope smoke (traced Gauss -> Chrome trace -> validator)"
 ./build/tools/trace_gauss build/scope_ci_trace.json build/scope_ci_metrics.json
 ./build/tools/trace_validate build/scope_ci_trace.json
@@ -81,17 +77,8 @@ else
   echo "perf smoke failed (non-gating; host throughput varies in CI)"
 fi
 
-step "parsim tsan smoke (mailbox/barrier/driver under TSan, non-gating)"
-# Only the fiber-free test_parsim_core binary runs under TSan: ThreadSanitizer
-# does not understand ucontext fiber switches, so the Machine-level suites
-# stay on the ASan preset below.  Non-gating while the stage beds in — a TSan
-# finding prints loudly but does not fail the job.
-if cmake --preset tsan && cmake --build --preset tsan -j "$JOBS" &&
-    ./build-tsan/tests/test_parsim_core; then
-  :
-else
-  echo "parsim tsan smoke failed (non-gating; see output above)"
-fi
+step "perfbench contract (every workload in smoke mode, gating)"
+python3 perfbench/selfcheck.py
 
 step "configure + build (asan preset)"
 cmake --preset asan

@@ -94,6 +94,10 @@ class Parser {
       skip_ws();
       if (pos_ >= s_.size() || s_[pos_] != ':') return fail("expected ':'");
       ++pos_;
+      // A repeated key is malformed output, not a last-one-wins merge: the
+      // map would silently keep only one of the values.
+      if (out->obj.count(key) != 0)
+        return fail("duplicate object key \"" + key + "\"");
       skip_ws();
       JsonValue v;
       if (!value(&v)) return false;

@@ -24,19 +24,16 @@
 namespace bfly::sim {
 
 namespace {
-// One engine context per host thread: the parallel engine (src/parsim) runs
-// one shard's event loop per worker thread, and every fiber is resumed only
-// from its owning shard's thread, so thread_local keeps each worker's
-// engine/fiber switch state private.  The serial engine uses exactly one
-// thread and pays only the (negligible) TLS addressing cost.
-thread_local Fiber* g_current = nullptr;
-thread_local ucontext_t g_engine_ctx;
+// The running fiber and the engine context every fiber switches back to.
+// Engines run on a single host thread, so one saved context serves them all.
+Fiber* g_current = nullptr;
+ucontext_t g_engine_ctx;
 #if defined(BFLY_ASAN_FIBERS)
 // The engine runs on the host thread's own stack; its bounds are learned
 // from the first finish_switch_fiber on arrival in a fiber.
-thread_local void* g_engine_fake_stack = nullptr;
-thread_local const void* g_engine_stack_bottom = nullptr;
-thread_local std::size_t g_engine_stack_size = 0;
+void* g_engine_fake_stack = nullptr;
+const void* g_engine_stack_bottom = nullptr;
+std::size_t g_engine_stack_size = 0;
 #endif
 
 // Called first thing on arrival in a fiber; the departed context is always

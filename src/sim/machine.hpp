@@ -21,7 +21,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -37,27 +36,7 @@
 #include "sim/switch_fabric.hpp"
 #include "sim/time.hpp"
 
-namespace bfly::parsim {
-struct Msg;
-enum class RefOp : std::uint8_t;
-}  // namespace bfly::parsim
-
 namespace bfly::sim {
-
-struct ParsimRun;      // per-run parallel-engine state (machine.cpp)
-struct ParsimAdapter;  // Machine <-> parsim::Driver glue (machine.cpp)
-
-/// Host-side accounting for the last parallel run (shards == 0 when the
-/// last run executed serially, including forfeited runs).  Observational,
-/// like HostPerf; feeds the bench_host_simulator shard-sweep rows.
-struct ParallelRunStats {
-  std::uint32_t shards = 0;
-  std::uint32_t threads = 0;
-  std::uint64_t windows = 0;           ///< conservative windows executed
-  std::uint64_t messages = 0;          ///< cross-shard messages delivered
-  std::uint64_t barrier_wait_ns = 0;   ///< host ns in barriers, all threads
-  std::uint64_t run_wall_ns = 0;       ///< host wall ns of the driver loop
-};
 
 class Machine {
  public:
@@ -71,18 +50,11 @@ class Machine {
   Machine& operator=(const Machine&) = delete;
 
   const MachineConfig& config() const { return cfg_; }
-  /// The serial engine.  During a parallel run (host_shards > 1, not
-  /// forfeited) this engine is idle — layers that post host timers through
-  /// it (the Kernel, moviola's watchdog) always run forfeited, so they
-  /// never observe the difference.
   Engine& engine() { return engine_; }
-  Time now() const { return par_active_ ? par_now() : engine_.now(); }
+  Time now() const { return engine_.now(); }
   std::uint32_t nodes() const { return cfg_.nodes; }
-  /// Deterministic RNG stream.  Under a parallel run each shard has its own
-  /// stream (seeded from cfg.seed and the shard index), so draws stay
-  /// deterministic per shard — but a workload that mixes rng() draws across
-  /// nodes is shard-count-dependent; keep rng() use node-local.
-  Rng& rng() { return par_active_ ? par_rng() : rng_; }
+  /// Deterministic RNG stream (seeded from cfg.seed).
+  Rng& rng() { return rng_; }
   MachineStats& stats() { return stats_; }
   SwitchFabric& fabric() { return fabric_; }
 
@@ -125,41 +97,20 @@ class Machine {
   /// definition not quiescent.  This is the trigger condition for
   /// bfly::moviola's deadlock analysis.
   bool quiescent() const {
-    if (par_active_) return live_count_ != 0 && par_pending_fiber_events() == 0;
     return live_count_ != 0 && engine_.pending_fiber_events() == 0;
   }
   /// Fibers spawned and not yet finished.
   std::size_t live_fibers() const { return live_count_; }
 
   /// Host-side substrate cost of the run so far (events, switches,
-  /// switch-free charges).  Observational; see sim/stats.hpp.  Parallel
-  /// runs merge per-shard counters at run end, so read this between runs.
+  /// switch-free charges).  Observational; see sim/stats.hpp.
   HostPerf host_perf() const {
-    return HostPerf{engine_.events_dispatched() + par_events_, fiber_resumes_,
+    return HostPerf{engine_.events_dispatched(), fiber_resumes_,
                     fastpath_charges_, fastpath_};
   }
   /// True when charge() may take the switch-free fast path this run
   /// (config flag minus the BFLY_NO_FASTPATH environment override).
   bool fastpath_enabled() const { return fastpath_; }
-
-  // --- Parallel host engine (src/parsim; see DESIGN.md §4f) -------------------
-
-  /// Shard owning node `n` under the stable block partition: n * k / nodes
-  /// for k effective shards.  Identity (always 0) when host_shards == 1.
-  std::uint32_t shard_of(NodeId n) const {
-    return static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(n) * eff_shards_ / cfg_.nodes);
-  }
-  /// Effective shard count (config/env clamped to [1, nodes]).
-  std::uint32_t host_shards() const { return eff_shards_; }
-  /// Why the last run() executed serially, or nullptr when it actually ran
-  /// parallel.  "host_shards=1" for a plain serial machine; otherwise one of
-  /// the forfeit-matrix conditions (fault plan, observers, host timers, ...)
-  /// — the same family of conditions that forfeits the charge fast path.
-  const char* parallel_forfeit() const { return par_forfeit_; }
-  /// Window/barrier accounting for the last parallel run (shards == 0 when
-  /// the last run was serial or forfeited).
-  const ParallelRunStats& parallel_stats() const { return par_stats_; }
 
   // --- Faults ----------------------------------------------------------------
 
@@ -264,15 +215,6 @@ class Machine {
   template <typename T>
   T read(PhysAddr a) {
     static_assert(sizeof(T) <= 8);
-    if (par_active_) {
-      // Split-phase under the parallel engine: the home shard applies the
-      // reference (and captures the value) at its simulated arrival time.
-      const std::uint64_t v =
-          par_word_op(a, word_count(sizeof(T)), sizeof(T), par_read_op(), 0);
-      T out;
-      std::memcpy(&out, &v, sizeof(T));
-      return out;
-    }
     reference(a, word_count(sizeof(T)), MemOp::kRead);
     T v;
     std::memcpy(&v, raw(a, sizeof(T)), sizeof(T));
@@ -282,12 +224,6 @@ class Machine {
   template <typename T>
   void write(PhysAddr a, T v) {
     static_assert(sizeof(T) <= 8);
-    if (par_active_) {
-      std::uint64_t w = 0;
-      std::memcpy(&w, &v, sizeof(T));
-      par_word_op(a, word_count(sizeof(T)), sizeof(T), par_write_op(), w);
-      return;
-    }
     reference(a, word_count(sizeof(T)), MemOp::kWrite);
     std::memcpy(raw(a, sizeof(T)), &v, sizeof(T));
   }
@@ -485,13 +421,6 @@ class Machine {
     // part of the deterministic contract (do_kill unwinds in spawn order).
     FiberCtl* live_prev = nullptr;
     FiberCtl* live_next = nullptr;
-    // Parallel-engine fields: owning shard (== shard_of(node), cached for
-    // cross-shard wakeup routing) and the landing area a split-phase reply
-    // fills in before resuming the fiber.
-    std::uint32_t shard = 0;
-    std::uint64_t reply_value = 0;
-    Time reply_queue = 0;
-    std::vector<std::uint8_t> reply_blob;
   };
   struct FreeBlock {
     std::uint32_t offset;
@@ -554,7 +483,6 @@ class Machine {
   FiberCtl* current_ctl() const {
     Fiber* f = Fiber::current();
     if (f == nullptr) return nullptr;
-    if (par_active_) return par_current_ctl(f);
     if (cur_ctl_ != nullptr && cur_ctl_->fiber.get() == f) return cur_ctl_;
     auto it = fibers_.find(f);
     return it == fibers_.end() ? nullptr
@@ -589,43 +517,6 @@ class Machine {
   void check_reach(NodeId req, NodeId home);
   void fire_heal(std::size_t idx);
 
-  // --- Parallel host engine internals (machine.cpp; see DESIGN.md §4f) ------
-  friend struct ParsimRun;
-  friend struct ParsimAdapter;
-  /// nullptr when the machine may run parallel right now; otherwise the
-  /// forfeit reason (stable string literal).
-  const char* parallel_forfeit_reason() const;
-  Time par_run();
-  Time par_now() const;
-  Rng& par_rng();
-  FiberCtl* par_current_ctl(Fiber* f) const;
-  std::size_t par_pending_fiber_events() const;
-  /// Debug guard for satellite invariant: Machine per-node internals are
-  /// only touched from the owning shard's worker thread.
-  void par_assert_owner(NodeId n) const;
-  void par_charge(Time ns);
-  void par_wakeup(Fiber* f, Time delay);
-  /// Local-module completion: serial reference_finish specialized to
-  /// req == home on the calling shard's engine.
-  Time par_local_finish(NodeId node, std::uint32_t words, Time* queue_ns);
-  /// Split-phase single reference (read/write/atomic).  Returns the value
-  /// captured by the home shard at arrival time.
-  std::uint64_t par_word_op(PhysAddr a, std::uint32_t words,
-                            std::uint32_t bytes, parsim::RefOp op,
-                            std::uint64_t operand);
-  static parsim::RefOp par_read_op();
-  static parsim::RefOp par_write_op();
-  void par_access_words(PhysAddr a, std::uint32_t n);
-  void par_block_read(void* host_dst, PhysAddr src, std::size_t bytes);
-  void par_block_write(PhysAddr dst, const void* host_src, std::size_t bytes);
-  void par_block_copy(PhysAddr dst, PhysAddr src, std::size_t bytes);
-  void par_send(std::uint32_t dst_shard, parsim::Msg&& m);
-  /// Apply + answer one delivered message on the owning shard (the tagged
-  /// branch of fiber_event).
-  void par_deliver(parsim::Msg* m);
-  std::uint64_t par_apply_word(PhysAddr a, parsim::RefOp op,
-                               std::uint64_t operand, std::uint32_t bytes);
-
   MachineConfig cfg_;
   FaultPlan faults_;
   Engine engine_;
@@ -646,19 +537,6 @@ class Machine {
   bool fastpath_ = true;  // cfg.host_fastpath minus BFLY_NO_FASTPATH
   std::uint64_t fiber_resumes_ = 0;
   std::uint64_t fastpath_charges_ = 0;
-
-  // Parallel host engine state.  par_active_ is true only inside a
-  // non-forfeited parallel run(); every hot-path branch on it predicts
-  // perfectly in serial mode.  fiber_mu_ guards fibers_ / the live list /
-  // live_count_ during parallel runs only (spawn, reap, wakeup lookup);
-  // serial mode never locks it.
-  std::uint32_t eff_shards_ = 1;       // min(max(host_shards, 1), nodes)
-  bool par_active_ = false;
-  const char* par_forfeit_ = "host_shards=1";
-  std::uint64_t par_events_ = 0;       // shard events merged at run end
-  ParallelRunStats par_stats_;
-  std::unique_ptr<ParsimRun> par_;     // live only during a parallel run
-  mutable std::mutex fiber_mu_;
 
   bool fault_checks_ = false;  // any fault possible this run
   bool combining_ = false;     // switch combining armed (fetch_add hot path)

@@ -132,6 +132,18 @@ TEST(TraceCheck, ParsesAndRejectsJson) {
   EXPECT_FALSE(json_parse("", &v, &err));
 }
 
+TEST(TraceCheck, RejectsDuplicateObjectKeys) {
+  JsonValue v;
+  std::string err;
+  EXPECT_FALSE(json_parse("{\"a\":1,\"dup\":2,\"dup\":3}", &v, &err));
+  EXPECT_NE(err.find("duplicate object key \"dup\""), std::string::npos)
+      << err;
+  // Nested objects are checked too; the same key in sibling objects is fine.
+  EXPECT_FALSE(json_parse("{\"r\":[{\"k\":1,\"k\":1}]}", &v, &err));
+  EXPECT_TRUE(json_parse("{\"r\":[{\"k\":1},{\"k\":2}],\"k\":3}", &v, &err))
+      << err;
+}
+
 TEST(TraceCheck, ValidatorFlagsBrokenTraces) {
   const char* good =
       "{\"traceEvents\":["

@@ -150,6 +150,101 @@ TEST(Fastpath, ContendedWorkloadIdenticalOnAndOff) {
   EXPECT_EQ(run_one(true), run_one(false));
 }
 
+struct MeshOut {
+  Time elapsed = 0;
+  std::vector<std::uint8_t> memory;  // journals + counters + cells + blocks
+  std::vector<std::uint64_t> stats;  // every NodeStats field, node by node
+  std::uint64_t fastpath_charges = 0;
+};
+
+// 64 fibers, one per node, all hammering each other's counters, cells and
+// block buffers with every reference kind, plus one cross-node park/wakeup.
+MeshOut run_mesh(bool fast) {
+  constexpr std::uint32_t kNodes = 64;
+  constexpr std::uint32_t kRounds = 6;
+  Machine m(cfg_fast(kNodes, fast));
+  std::vector<PhysAddr> counter(kNodes), cell(kNodes), block(kNodes),
+      journal(kNodes);
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    counter[n] = m.alloc(n, 8);
+    cell[n] = m.alloc(n, 8);
+    block[n] = m.alloc(n, 64);
+    journal[n] = m.alloc(n, 4 * (kRounds + 2));
+  }
+
+  Fiber* sleeper = m.spawn_parked(0, [&] {
+    m.poke<std::uint32_t>(journal[0].plus(4 * kRounds),
+                          static_cast<std::uint32_t>(m.now() & 0xffffffffu));
+  });
+
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    m.spawn(n, [&, n] {
+      std::uint32_t acc = n;
+      for (std::uint32_t i = 0; i < kRounds; ++i) {
+        m.charge(50 * ((n + i) % 9 + 1));
+        acc ^= m.fetch_add_u32(counter[(n * 5 + i * 11) % kNodes], n + 1);
+        acc += m.read<std::uint32_t>(cell[(n + i * 17) % kNodes]);
+        m.write<std::uint32_t>(cell[n], acc + i);
+        if (i == 2) {
+          std::uint8_t buf[64];
+          for (std::uint32_t j = 0; j < 64; ++j)
+            buf[j] = static_cast<std::uint8_t>(acc + j);
+          m.block_write(block[(n + 9) % kNodes], buf, 64);
+        }
+        if (i == 3) {
+          std::uint8_t buf[64];
+          m.block_read(buf, block[(n + 13) % kNodes], 64);
+          acc += buf[0] + buf[63];
+        }
+        if (i == 4) m.block_copy(block[(n + 3) % kNodes], block[n], 64);
+        m.access_words(cell[(n + i * 7) % kNodes], 3, /*write=*/i % 2 == 1);
+        acc ^= m.fetch_or_u32(counter[(n + i) % kNodes], 1u << (n % 31));
+        m.poke<std::uint32_t>(
+            journal[n].plus(4 * i),
+            acc ^ static_cast<std::uint32_t>(m.now() & 0xffffffffu));
+      }
+      if (n == kNodes - 1) {
+        m.charge(2 * kMillisecond);  // sleeper is parked by now
+        m.wakeup(sleeper);
+      }
+      m.charge(1000);
+    });
+  }
+
+  MeshOut out;
+  out.elapsed = m.run();
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    std::uint8_t buf[64];
+    auto grab = [&](PhysAddr a, std::size_t bytes) {
+      m.peek_bytes(buf, a, bytes);
+      out.memory.insert(out.memory.end(), buf, buf + bytes);
+    };
+    grab(journal[n], 4 * (kRounds + 2));
+    grab(counter[n], 8);
+    grab(cell[n], 8);
+    grab(block[n], 64);
+  }
+  for (const NodeStats& ns : m.stats().node)
+    out.stats.insert(out.stats.end(),
+                     {ns.local_refs, ns.remote_refs, ns.serviced_remote,
+                      ns.stall_ns, ns.queue_ns, ns.compute_ns,
+                      ns.block_words});
+  out.fastpath_charges = m.host_perf().fastpath_charges;
+  return out;
+}
+
+TEST(Fastpath, ContendedMeshIdenticalOnAndOff) {
+  // Every reference kind under cross-node contention: elapsed time, memory
+  // and per-node stats must be bit-identical with the fast path on and off.
+  const MeshOut on = run_mesh(true);
+  const MeshOut off = run_mesh(false);
+  EXPECT_GT(on.fastpath_charges, 0u);  // the fast path actually fired
+  EXPECT_EQ(off.fastpath_charges, 0u);
+  EXPECT_EQ(on.elapsed, off.elapsed);
+  EXPECT_EQ(on.memory, off.memory);
+  EXPECT_EQ(on.stats, off.stats);
+}
+
 TEST(Fastpath, DeadlockDetectionUnaffected) {
   Machine m(cfg_fast(4, true));
   m.spawn(0, [&] {
