@@ -4,6 +4,8 @@
 # Exits nonzero on the first failure (set -e), so a red step fails the
 # whole job.  Steps:
 #   1. default preset  — Release build, full ctest suite
+#      (first, on x86-64: libbfly_sim.a must not reference swapcontext, or
+#       the hand-written fiber switch was compiled out)
 #   2. fault smoke     — the fault-injection and recovery benches (fast
 #                        mode, fixed seeds) rerun verbosely so a hang or
 #                        crash in the kill/restart paths is easy to read
@@ -44,6 +46,15 @@ step() { printf '\n=== %s ===\n' "$*"; }
 step "configure + build (default preset)"
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
+
+step "fiber switch (x86-64: libbfly_sim must not call swapcontext)"
+if [ "$(uname -m)" = x86_64 ]; then
+  undefined_syms="$(nm -u build/src/sim/libbfly_sim.a)"
+  if grep -qw swapcontext <<<"$undefined_syms"; then
+    echo "libbfly_sim.a calls swapcontext: the x86-64 fiber switch is compiled out"
+    exit 1
+  fi
+fi
 
 step "test (default preset)"
 ctest --preset default -j "$JOBS"

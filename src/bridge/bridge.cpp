@@ -236,17 +236,18 @@ void BridgeFs::server_loop(std::uint32_t s) {
         stop = true;
         break;
     }
+    // The reply is a charged enqueue, and the client may abandon the
+    // request during that charge too: check both before and after it.
+    if (!rq.abandoned) m_.charge(m_.config().dq_enqueue_ns);
     if (rq.abandoned) {
       complete_abandoned(rid);
-      sv.current_rid = kNoRid;
-      if (stop) break;
-      continue;
+    } else {
+      k_.dq_enqueue_uncharged(rq.reply_dq, rid);
+      // Mark replied only after the charged enqueue completes: if the node
+      // dies mid-enqueue the token was not delivered, and the death
+      // observer must still fail-reply this rid.
+      rq.replied = true;
     }
-    k_.dq_enqueue(rq.reply_dq, rid);
-    // Mark replied only after the charged enqueue completes: if the node
-    // dies mid-enqueue the token was not delivered, and the death observer
-    // must still fail-reply this rid.
-    rq.replied = true;
     sv.current_rid = kNoRid;
     if (stop) break;
   }
@@ -441,7 +442,11 @@ bool BridgeFs::abandon_request(std::uint32_t rid) {
 
 void BridgeFs::release_reply_queue(chrys::Oid dq) {
   if (abandoned_on_dq_.count(dq) > 0) {
-    dq_deferred_.insert(dq);  // last abandoned completion deletes it
+    // The last abandoned completion deletes it.  Until then the bridge owns
+    // it: the client may exit first, and its exit must not reclaim a queue
+    // a server is about to reply on.
+    k_.give_to_system(dq);
+    dq_deferred_.insert(dq);
     return;
   }
   k_.delete_object(dq);

@@ -140,7 +140,8 @@ class BridgeFs {
   // buffers may be gone) and the slot is reclaimed internally.  When the
   // caller is done with a reply queue it calls release_reply_queue instead
   // of deleting the Oid directly, so a queue with abandoned requests still
-  // in flight survives until the last one drains.
+  // in flight survives until the last one drains, even past the exit of the
+  // process that created it.
 
   /// Submit a block read.  No data-return transfer is charged here; the
   /// caller charges it after a successful reply (see read_block_for).

@@ -7,9 +7,14 @@
 // switching back to the engine context; the engine resumes it from a timed
 // event.  This lets the ported Butterfly APIs (event_wait, dequeue, ...)
 // look exactly like the originals: plain blocking calls.
+//
+// On x86-64 a switch is a few dozen instructions of hand-written assembly
+// (fiber.cpp); other targets fall back to ucontext's swapcontext.
 #pragma once
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -25,6 +30,15 @@ namespace bfly::sim {
 /// swallowed by Fiber::run_body.  User code should never catch it (catching
 /// by value or by `...` and continuing would keep a dead node's code alive).
 struct FiberKill {};
+
+/// A switched-out context.  On x86-64 it is the saved stack pointer: the
+/// callee-saved registers and FP control words sit in the frame it points
+/// at.
+#if defined(__x86_64__)
+using FiberContext = void*;
+#else
+using FiberContext = ucontext_t;
+#endif
 
 class Fiber {
  public:
@@ -55,8 +69,11 @@ class Fiber {
   void set_name(std::string n) { name_ = std::move(n); }
 
  private:
+  [[noreturn]] static void entry(Fiber* self);
+#if !defined(__x86_64__)
   static void trampoline(unsigned hi, unsigned lo);
-  void run_body();
+#endif
+  [[noreturn]] void run_body();
 
   std::function<void()> body_;
   std::unique_ptr<char[]> stack_;
@@ -65,7 +82,7 @@ class Fiber {
   // switched out (see the fiber-switch annotations in fiber.cpp).  Unused
   // (but harmless) in non-sanitized builds.
   void* asan_fake_stack_ = nullptr;
-  ucontext_t ctx_{};
+  FiberContext ctx_{};
   State state_ = State::kCreated;
   std::string name_;
 };

@@ -495,5 +495,53 @@ TEST(BridgeDeadline, AbandonedRequestsDoNotStrandTheServerOrTheSlots) {
   });
 }
 
+TEST(BridgeDeadline, ClientExitAfterAbandoningMidReplyStrandsNoServer) {
+  // A client process owns its reply queue, abandons a budgeted read and
+  // exits.  If the abandon lands while the server is inside its charged
+  // reply enqueue, the client's exit must not reclaim the queue under the
+  // server (which would fault it and leave shutdown waiting forever).  The
+  // sweep steps the budget in quarters of the enqueue charge from timeouts
+  // to successes, so one abandon lands mid-enqueue.
+  Machine m(butterfly1(8));
+  chrys::Kernel k(m);
+  const Time step = m.config().dq_enqueue_ns / 4;
+  int timeouts = 0;
+  int successes = 0;
+  k.create_process(7, [&] {
+    BridgeFs fs(k, 2);
+    const FileId f = fs.create("data");
+    std::vector<std::uint8_t> blk(kBlockSize, 9);
+    fs.write_block(f, 0, blk.data());
+    // Every read of block 0 from an idle server takes the same time; a
+    // client's exit and the server's return to idle fit in the delay.
+    Time took = 0;
+    auto run_client = [&](Time budget) {
+      bool ok = false;
+      k.create_process(6, [&] {
+        std::vector<std::uint8_t> back(kBlockSize);
+        const Time t0 = m.now();
+        ok = fs.read_block_for(f, 0, back.data(), budget);
+        took = m.now() - t0;
+      });
+      k.delay(100 * sim::kMillisecond);
+      return ok;
+    };
+    ASSERT_TRUE(run_client(0));
+    const Time round_trip = took;
+    // The reply lands well inside the last tenth of the round trip.
+    for (Time b = round_trip - round_trip / 10; b <= round_trip; b += step) {
+      if (run_client(b))
+        ++successes;
+      else
+        ++timeouts;
+    }
+    fs.shutdown();
+  });
+  m.run();
+  EXPECT_GT(timeouts, 0);
+  EXPECT_GT(successes, 0);
+  ASSERT_FALSE(m.deadlocked());
+}
+
 }  // namespace
 }  // namespace bfly::bridge

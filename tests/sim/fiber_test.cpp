@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cfenv>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "sim/machine.hpp"
 
 namespace bfly::sim {
@@ -52,6 +60,103 @@ TEST(Fiber, DeepStackUse) {
   Fiber f([&] { result = fib(18); }, 192 * 1024);
   f.resume();
   EXPECT_EQ(result, 2584);
+}
+
+TEST(Fiber, FloatingPointEnvironmentIsPerFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  int inside_after_resume = -1;
+  Fiber f(
+      [&] {
+        std::fesetround(FE_UPWARD);
+        Fiber::yield_to_engine();
+        inside_after_resume = std::fegetround();
+        std::fesetround(FE_TONEAREST);
+      },
+      64 * 1024);
+  f.resume();
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  f.resume();
+  EXPECT_EQ(inside_after_resume, FE_UPWARD);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_TRUE(f.finished());
+}
+
+// Records whether an alignas(16) local at `depth` further frames down is
+// 16-byte aligned.  The address goes through a volatile so the compiler
+// cannot assume the alignment it was asked for.
+[[gnu::noinline]] bool aligned_at_depth(int depth) {
+  alignas(16) char probe[16] = {};
+  volatile std::uintptr_t addr = reinterpret_cast<std::uintptr_t>(probe);
+  const bool here = addr % 16 == 0;
+  return depth == 0 ? here : here && aligned_at_depth(depth - 1);
+}
+
+TEST(Fiber, StackIsSixteenByteAlignedAtEntryAndAfterResume) {
+  std::vector<bool> checks;
+  Fiber f(
+      [&] {
+        for (int round = 0; round < 3; ++round) {
+          for (int depth = 0; depth < 4; ++depth)
+            checks.push_back(aligned_at_depth(depth));
+          Fiber::yield_to_engine();
+        }
+      },
+      64 * 1024);
+  while (!f.finished()) f.resume();
+  ASSERT_EQ(checks.size(), 12u);
+  for (bool ok : checks) EXPECT_TRUE(ok);
+}
+
+TEST(Fiber, ExceptionThrownAfterYieldIsCaughtInTheSameBody) {
+  std::string caught;
+  Fiber f(
+      [&] {
+        try {
+          Fiber::yield_to_engine();
+          throw std::runtime_error("after yield");
+        } catch (const std::runtime_error& e) {
+          caught = e.what();
+        }
+      },
+      64 * 1024);
+  f.resume();
+  EXPECT_TRUE(caught.empty());
+  f.resume();
+  EXPECT_EQ(caught, "after yield");
+  EXPECT_TRUE(f.finished());
+}
+
+TEST(Fiber, LocalsSurviveInterleavedRoundRobinSwitches) {
+  constexpr int kFibers = 64;
+  constexpr int kRounds = 1000;
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  std::vector<int> mismatches(kFibers, 0);
+  for (int i = 0; i < kFibers; ++i) {
+    fibers.push_back(std::make_unique<Fiber>(
+        [&mismatches, i] {
+          std::uint64_t counter = 0;
+          double scaled = i * 0.5;
+          std::array<int, 8> pattern{};
+          pattern.fill(i);
+          for (int r = 0; r < kRounds; ++r) {
+            Fiber::yield_to_engine();
+            if (counter != static_cast<std::uint64_t>(r) ||
+                scaled != i * 0.5 + r ||
+                pattern[r % 8] != i + r / 8)
+              ++mismatches[i];
+            ++counter;
+            scaled += 1.0;
+            ++pattern[r % 8];
+          }
+        },
+        64 * 1024));
+  }
+  for (int r = 0; r <= kRounds; ++r)
+    for (auto& f : fibers) f->resume();
+  for (int i = 0; i < kFibers; ++i) {
+    EXPECT_TRUE(fibers[i]->finished()) << i;
+    EXPECT_EQ(mismatches[i], 0) << i;
+  }
 }
 
 TEST(MachineFiber, ChargeAdvancesTime) {
