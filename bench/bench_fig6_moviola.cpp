@@ -12,6 +12,7 @@
 #include "apps/sort.hpp"
 #include "bench_common.hpp"
 #include "chrysalis/kernel.hpp"
+#include "moviola/wait_graph.hpp"
 #include "replay/instant_replay.hpp"
 #include "replay/moviola.hpp"
 
@@ -42,7 +43,9 @@ int main() {
   {
     sim::Machine m(sim::butterfly1(16));
     chrys::Kernel k(m);
-    // Minimal in-place reconstruction: 4 processes in a receive cycle.
+    moviola::Detector detector(m, &k);
+    // Minimal in-place reconstruction: 4 processes in a ring, one exchange
+    // per round.
     std::vector<chrys::Oid> boxes(4);
     k.create_process(0, [&] {
       for (auto& b : boxes) {
@@ -51,15 +54,21 @@ int main() {
       }
       for (std::uint32_t w = 0; w < 4; ++w) {
         k.create_process(w % m.nodes(), [&k, &boxes, w] {
-          // Everyone receives first; the sends below are never reached.
+          // Round 1 is correct: send, then receive.  It shows the detector
+          // who feeds each mailbox.
+          k.dq_enqueue(boxes[(w + 1) % 4], w);
+          (void)k.dq_dequeue(boxes[w]);
+          // Round 2 has the bug: everyone receives first; the sends below
+          // are never reached.
           const std::uint32_t v = k.dq_dequeue(boxes[w]);
           k.dq_enqueue(boxes[(w + 1) % 4], v);
         }, "sorter-" + std::to_string(w));
       }
     });
     m.run();
+    detector.analyze();
     std::printf("Moviola deadlock view of the wait cycle:\n%s\n",
-                replay::Moviola::deadlock_report(k, m).c_str());
+                detector.report().c_str());
   }
 
   // --- A correct run, with its event partial order -------------------------

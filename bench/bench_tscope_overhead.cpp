@@ -5,7 +5,7 @@
 // host time — but that price has two distinct parts since the charge()
 // fast path landed (DESIGN.md §4d):
 //
-//   * attaching any TraceSink forfeits the switch-free fast path (traced
+//   * attaching any probe forfeits the switch-free fast path (traced
 //     runs ride the always-yield slow path, whose interleaving the hooks
 //     can observe), and
 //   * the hooks themselves: the calls, the event-log appends, the

@@ -94,6 +94,7 @@ struct RunResult {
   serve::ServeCounters counters;
   std::uint64_t suspects = 0;
   std::string fault_json;
+  std::string serve_json;  // final counters, read with fault_json
   bool deadlocked = true;
 };
 
@@ -213,6 +214,7 @@ RunResult run_serving(const Scenario& sc) {
       rfs.stop_repair();
       for (int i = 0; i < 100 && !rfs.repair_idle(); ++i)
         k.delay(10 * sim::kMillisecond);
+      r.serve_json = rfs.counters().json();
     }
     fs.shutdown();
   });
@@ -270,6 +272,7 @@ std::string row_json(const Scenario& sc, RunResult& r) {
       .kv("setup_s", bench::seconds(r.setup))
       .kv("elapsed_s", bench::seconds(r.elapsed))
       .raw(r.fault_json)
+      .raw(r.serve_json)
       .end_object();
   return jw.str();
 }

@@ -11,6 +11,11 @@
 #                        crash in the kill/restart paths is easy to read
 #      (the chaos and partition smokes rerun the serving and switch-fault
 #       benches the same way: fast mode, fixed seeds, self-gating)
+#   2b. bench smoke    — every other paper bench (fig5, fig6, tref, tprim,
+#                        though, tcont, tamdahl, trpc, treplay, tbridge,
+#                        tspeedup, tscope_overhead, ablation) runs once in
+#                        fast mode; gated on the exit code (label
+#                        bench-smoke)
 #   3. sched-fuzz smoke— the moviola deadlock detector rides a reduced
 #                        PCT schedule sweep (10 seeds x 4 workloads); any
 #                        finding, lint or wedge on any seed is a failure
@@ -67,6 +72,9 @@ ctest --preset default -L chaos-smoke --output-on-failure --verbose
 
 step "partition smoke (tpartition bench: dead card + split-brain gates, fast mode)"
 ctest --preset default -L partition-smoke --output-on-failure --verbose
+
+step "bench smoke (every other paper bench, fast mode, exit code)"
+ctest --preset default -L bench-smoke --output-on-failure
 
 step "sched-fuzz smoke (moviola detector over PCT schedule seeds)"
 ctest --preset default -L sched-fuzz-smoke --output-on-failure --verbose

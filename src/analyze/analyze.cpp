@@ -24,12 +24,10 @@ const char* op_name(sim::MemOp op) {
 Analyzer::Analyzer(sim::Machine& m) : Analyzer(m, Options()) {}
 
 Analyzer::Analyzer(sim::Machine& m, Options opt) : m_(m), opt_(opt) {
-  m_.set_observer(this);
+  m_.attach(this);
 }
 
-Analyzer::~Analyzer() {
-  if (m_.observer() == this) m_.set_observer(nullptr);
-}
+Analyzer::~Analyzer() { m_.detach(this); }
 
 void Analyzer::join(Clock& into, const Clock& from) {
   if (from.size() > into.size()) into.resize(from.size(), 0);
@@ -120,8 +118,10 @@ void Analyzer::sync_word_access(std::uint32_t actor, std::uint64_t chan) {
   ++ac.clock[actor];
 }
 
-void Analyzer::on_access(sim::Fiber* f, sim::NodeId requester, sim::PhysAddr a,
-                         std::uint32_t words, sim::MemOp op) {
+void Analyzer::on_reference(sim::Fiber* f, sim::NodeId requester,
+                            sim::PhysAddr a, std::uint32_t words,
+                            sim::MemOp op, sim::Time /*queue_ns*/,
+                            sim::Time /*at*/) {
   const std::uint32_t actor =
       f != nullptr ? actor_of(f) : kNoActor;
   const bool remote = requester != a.node;
@@ -226,23 +226,21 @@ bool Analyzer::suppressed(const std::string& object) const {
 
 // --- Lock-order lint ---------------------------------------------------------
 
-void Analyzer::on_lock_acquire(sim::Fiber* f, std::uint64_t lock) {
+void Analyzer::on_lock(sim::Fiber* f, std::uint64_t lock, bool held) {
   if (f == nullptr) return;
   Actor& ac = actors_[actor_of(f)];
-  for (const std::uint64_t held : ac.held_locks) {
-    if (held == lock) continue;
-    auto& out = lock_edges_[held];
+  if (!held) {
+    auto it = std::find(ac.held_locks.rbegin(), ac.held_locks.rend(), lock);
+    if (it != ac.held_locks.rend()) ac.held_locks.erase(std::next(it).base());
+    return;
+  }
+  for (const std::uint64_t prior : ac.held_locks) {
+    if (prior == lock) continue;
+    auto& out = lock_edges_[prior];
     if (std::find(out.begin(), out.end(), lock) == out.end())
       out.push_back(lock);
   }
   ac.held_locks.push_back(lock);
-}
-
-void Analyzer::on_lock_release(sim::Fiber* f, std::uint64_t lock) {
-  if (f == nullptr) return;
-  Actor& ac = actors_[actor_of(f)];
-  auto it = std::find(ac.held_locks.rbegin(), ac.held_locks.rend(), lock);
-  if (it != ac.held_locks.rend()) ac.held_locks.erase(std::next(it).base());
 }
 
 std::vector<LockCycleReport> Analyzer::lock_cycles() const {
@@ -319,9 +317,10 @@ std::vector<HotWordReport> Analyzer::hot_words() const {
 
 // --- Symbolization -----------------------------------------------------------
 
-void Analyzer::on_label(sim::PhysAddr a, std::size_t bytes, std::string name) {
+void Analyzer::on_label(sim::PhysAddr a, std::size_t bytes,
+                        const std::string& name) {
   labels_[word_key(a.node, a.offset)] =
-      Label{static_cast<std::uint32_t>(bytes), std::move(name)};
+      Label{static_cast<std::uint32_t>(bytes), name};
 }
 
 std::string Analyzer::symbolize(sim::PhysAddr a) const {

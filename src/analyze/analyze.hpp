@@ -1,7 +1,7 @@
 // bfly::analyze — happens-before race detection and contention lints over
 // the simulated memory stream.
 //
-// The Analyzer is a sim::MemObserver: it watches every timed memory
+// The Analyzer is a sim::Probe: it watches every timed memory
 // reference and every synchronization edge the runtimes publish (see
 // sim/observe.hpp) and maintains
 //
@@ -69,7 +69,7 @@ struct HotWordReport {
   double occupancy = 0.0;  ///< remote_words * module_service_ns / elapsed
 };
 
-class Analyzer final : public sim::MemObserver {
+class Analyzer final : public sim::Probe {
  public:
   struct Options {
     /// Remote occupancy fraction above which a word is reported hot.
@@ -81,7 +81,7 @@ class Analyzer final : public sim::MemObserver {
     std::size_t max_races = 64;
   };
 
-  /// Attaches to `m` (replacing any previous observer) for its lifetime.
+  /// Attaches to `m` as a probe for its lifetime.
   explicit Analyzer(sim::Machine& m);
   Analyzer(sim::Machine& m, Options opt);
   ~Analyzer() override;
@@ -111,16 +111,17 @@ class Analyzer final : public sim::MemObserver {
   /// back to "node N +0xOFF".
   std::string symbolize(sim::PhysAddr a) const;
 
-  // --- MemObserver ----------------------------------------------------------
-  void on_access(sim::Fiber* f, sim::NodeId requester, sim::PhysAddr a,
-                 std::uint32_t words, sim::MemOp op) override;
+  // --- sim::Probe ----------------------------------------------------------
+  void on_reference(sim::Fiber* f, sim::NodeId requester, sim::PhysAddr a,
+                    std::uint32_t words, sim::MemOp op, sim::Time queue_ns,
+                    sim::Time at) override;
   void on_spawn(sim::Fiber* parent, sim::Fiber* child) override;
   void on_free(sim::PhysAddr a, std::size_t bytes) override;
   void on_release(sim::Fiber* f, std::uint64_t chan) override;
   void on_acquire(sim::Fiber* f, std::uint64_t chan) override;
-  void on_lock_acquire(sim::Fiber* f, std::uint64_t lock) override;
-  void on_lock_release(sim::Fiber* f, std::uint64_t lock) override;
-  void on_label(sim::PhysAddr a, std::size_t bytes, std::string name) override;
+  void on_lock(sim::Fiber* f, std::uint64_t lock, bool held) override;
+  void on_label(sim::PhysAddr a, std::size_t bytes,
+                const std::string& name) override;
 
  private:
   static constexpr std::uint32_t kNoActor = 0xffffffffu;

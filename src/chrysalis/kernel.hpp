@@ -133,7 +133,7 @@ class Kernel {
   /// who is ready-but-never-dispatched.
   std::string sched_snapshot() const;
   /// The process running `f`'s code, or kNoObject for a non-process fiber
-  /// (moviola maps wait-observer fibers back to kernel objects with this).
+  /// (moviola maps the fibers it watches back to kernel objects).
   Oid process_of(sim::Fiber* f) const;
 
   // --- Schedule exploration (PCT-style; see src/moviola) ---------------------

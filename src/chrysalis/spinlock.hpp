@@ -56,7 +56,7 @@ class SpinLock {
     }
     ++acquisitions_;
     ++m_.stats().lock_acquisitions;
-    m_.observe_lock_acquire(sim::chan_of(cell_));
+    m_.observe_lock(sim::chan_of(cell_), true);
   }
 
   bool try_acquire() {
@@ -64,7 +64,7 @@ class SpinLock {
       if (m_.test_and_set(cell_) == 0) {
         ++acquisitions_;
         ++m_.stats().lock_acquisitions;
-        m_.observe_lock_acquire(sim::chan_of(cell_));
+        m_.observe_lock(sim::chan_of(cell_), true);
         return true;
       }
     } catch (const sim::MemoryFaultError&) {
@@ -78,7 +78,7 @@ class SpinLock {
   void release() {
     // A transient memory fault on the release write would leave the lock
     // held forever and wedge every spinner; the PNC retries the store.
-    m_.observe_lock_release(sim::chan_of(cell_));
+    m_.observe_lock(sim::chan_of(cell_), false);
     for (;;) {
       try {
         m_.write<std::uint32_t>(cell_, 0);

@@ -24,12 +24,10 @@ const char* to_string(StuckKind k) {
 
 Detector::Detector(sim::Machine& m, chrys::Kernel* kernel)
     : m_(m), kernel_(kernel) {
-  m_.set_wait_observer(this);
+  m_.attach(this);
 }
 
-Detector::~Detector() {
-  if (m_.wait_observer() == this) m_.set_wait_observer(nullptr);
-}
+Detector::~Detector() { m_.detach(this); }
 
 void Detector::on_block(sim::Fiber* f, std::uint64_t chan,
                         sim::WaitKind kind) {
@@ -72,7 +70,7 @@ void Detector::on_spin(sim::Fiber* f, std::uint64_t lock) {
   ++s.streak;
 }
 
-void Detector::on_hold(sim::Fiber* f, std::uint64_t lock, bool held) {
+void Detector::on_lock(sim::Fiber* f, std::uint64_t lock, bool held) {
   if (held) {
     lock_holder_[lock] = f;
     if (f != nullptr) {
@@ -125,11 +123,11 @@ void Detector::append_charged_hook_lint() {
   if (charged_hook_reported_ || m_.hook_charges() == 0) return;
   charged_hook_reported_ = true;
   std::ostringstream os;
-  os << "observer hooks charged simulated time " << m_.hook_charges()
+  os << "probe hooks charged simulated time " << m_.hook_charges()
      << " time(s): instrumented runs are no longer event-identical to bare "
         "runs";
   lints_.push_back(
-      LintReport{LintReport::Kind::kChargedHook, "<observer>", os.str()});
+      LintReport{LintReport::Kind::kChargedHook, "<probe>", os.str()});
 }
 
 std::vector<StuckReport> Detector::analyze() {

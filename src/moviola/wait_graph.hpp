@@ -1,7 +1,7 @@
 // bfly::moviola — wait-for-graph deadlock analysis over the simulator's
 // blocking edges.
 //
-// The Detector is a sim::WaitObserver: it watches every blocking wait,
+// The Detector is a sim::Probe: it watches every blocking wait,
 // wakeup, post and spin probe the synchronization layers publish (see
 // sim/observe.hpp) and maintains
 //
@@ -33,7 +33,7 @@
 //
 // Everything here is host-side and uncharged; attaching a Detector leaves
 // the simulated run event-identical to a bare one (the machine forfeits
-// the charge() fast path while any observer is attached, and the moviola
+// the charge() fast path while any probe is attached, and the moviola
 // tests assert log equality through Instant Replay).
 #pragma once
 
@@ -74,17 +74,17 @@ struct StuckReport {
 struct LintReport {
   enum class Kind : std::uint8_t {
     kBlockUnderLock,  ///< blocking kernel call while holding a spin lock
-    kChargedHook,     ///< observer hook charged simulated time
+    kChargedHook,     ///< probe hook charged simulated time
   };
   Kind kind = Kind::kBlockUnderLock;
   std::string actor;   ///< fiber name ("<host>" for engine context)
   std::string detail;  ///< symbolized description
 };
 
-/// Wait-for-graph deadlock detector.  Attach to a Machine (one per
-/// machine); pass the Kernel when you want reports cross-checked against
+/// Wait-for-graph deadlock detector.  Attaches to a Machine as a probe for
+/// its lifetime; pass the Kernel when you want reports cross-checked against
 /// Kernel::blocked_processes() and symbolized with process names.
-class Detector final : public sim::WaitObserver {
+class Detector final : public sim::Probe {
  public:
   explicit Detector(sim::Machine& m, chrys::Kernel* kernel = nullptr);
   ~Detector() override;
@@ -92,12 +92,12 @@ class Detector final : public sim::WaitObserver {
   Detector(const Detector&) = delete;
   Detector& operator=(const Detector&) = delete;
 
-  // --- sim::WaitObserver ------------------------------------------------------
+  // --- sim::Probe -------------------------------------------------------------
   void on_block(sim::Fiber* f, std::uint64_t chan, sim::WaitKind kind) override;
   void on_wake(sim::Fiber* f, std::uint64_t chan, sim::WakeReason why) override;
   void on_post(sim::Fiber* f, std::uint64_t chan, sim::PostOutcome out) override;
   void on_spin(sim::Fiber* f, std::uint64_t lock) override;
-  void on_hold(sim::Fiber* f, std::uint64_t lock, bool held) override;
+  void on_lock(sim::Fiber* f, std::uint64_t lock, bool held) override;
 
   // --- Analysis ---------------------------------------------------------------
 

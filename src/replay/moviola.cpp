@@ -121,26 +121,4 @@ std::string Moviola::to_dot() const {
   return os.str();
 }
 
-std::string Moviola::deadlock_report(chrys::Kernel& k, sim::Machine& m) {
-  std::ostringstream os;
-  const auto blocked = k.blocked_processes();
-  os << (m.deadlocked() ? "DEADLOCK" : "running") << ": " << blocked.size()
-     << " blocked process(es)\n";
-  for (const auto& b : blocked) {
-    os << "  " << b.name << " (oid " << b.process << ") waiting on ";
-    if (b.waiting_on == chrys::kNoObject) {
-      os << "<nothing recorded>";
-    } else {
-      os << (k.object_alive(b.waiting_on)
-                 ? (k.object_kind(b.waiting_on) == chrys::ObjKind::kEvent
-                        ? "event "
-                        : "dual queue ")
-                 : "dead object ")
-         << b.waiting_on;
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
 }  // namespace bfly::replay

@@ -11,15 +11,15 @@
 // per-actor program-order chains plus the version dependences between
 // accesses to shared objects (write creating version v happens-before every
 // read of v; reads of v happen-before the write replacing v).  It exports
-// Graphviz DOT for display, computes the critical path, and renders a
-// deadlock report from a Chrysalis kernel snapshot (the Figure 6 view).
+// Graphviz DOT for display and computes the critical path.  The Figure 6
+// deadlock view (who is blocked on what) is moviola::Detector's report,
+// built from the same run's wait-for edges (src/moviola).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "chrysalis/kernel.hpp"
 #include "replay/instant_replay.hpp"
 
 namespace bfly::replay {
@@ -61,10 +61,6 @@ class Moviola {
   /// Graphviz rendering of the partial order (one horizontal rank per
   /// actor, dashed cross-actor dependences).
   std::string to_dot() const;
-
-  /// The Figure 6 view: which processes are blocked, on what, and whether
-  /// the machine as a whole has deadlocked.
-  static std::string deadlock_report(chrys::Kernel& k, sim::Machine& m);
 
  private:
   const Log& log_;

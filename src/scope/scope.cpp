@@ -10,12 +10,10 @@ Tracer::Tracer(sim::Machine& m, ScopeOptions opt)
       next_tid_(m.nodes() + 1, 1),  // last slot: host context
       series_(m.nodes()) {
   if (opt_.bin_ns == 0) opt_.bin_ns = sim::kMillisecond;
-  m_.set_trace_sink(this);
+  m_.attach(this);
 }
 
-Tracer::~Tracer() {
-  if (m_.trace_sink() == this) m_.set_trace_sink(nullptr);
-}
+Tracer::~Tracer() { m_.detach(this); }
 
 std::uint32_t Tracer::track_for(sim::Fiber* f, sim::NodeId node) {
   auto it = track_ix_.find(f);
@@ -80,9 +78,10 @@ void Tracer::on_instant(sim::Fiber* f, sim::NodeId node, const char* cat,
   ++instant_count_;
 }
 
-void Tracer::on_reference(sim::NodeId requester, sim::NodeId home,
-                          std::uint32_t words, sim::Time queue_ns,
-                          sim::MemOp /*op*/, sim::Time at) {
+void Tracer::on_reference(sim::Fiber* /*f*/, sim::NodeId requester,
+                          sim::PhysAddr a, std::uint32_t words,
+                          sim::MemOp /*op*/, sim::Time queue_ns, sim::Time at) {
+  const sim::NodeId home = a.node;
   ++refs_seen_;
   const std::size_t bin = at / opt_.bin_ns;
   if (bin > max_bin_) max_bin_ = bin;

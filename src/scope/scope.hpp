@@ -1,6 +1,6 @@
 // bfly::scope — uncharged tracing, metrics, and critical-path profiling.
 //
-// A Tracer is a sim::TraceSink: it records the span/instant annotations the
+// A Tracer is a sim::Probe: it records the span/instant annotations the
 // runtime layers emit (Chrysalis process lifecycle, Uniform System task
 // execution, SMP sends, NET stream writes, Bridge requests, rescue
 // heartbeats/checkpoints) plus every timed memory reference, all against the
@@ -24,7 +24,7 @@
 //                        speedup bound; report() renders it as text.
 //
 // Span categories/names arrive as string literals from the annotation sites
-// and are borrowed, not copied (see sim::TraceSink).  The event log is
+// and are borrowed, not copied (see sim::Probe).  The event log is
 // time-ordered by construction — the simulation engine's clock never moves
 // backwards — which is what makes the exported trace's timestamps monotone.
 #pragma once
@@ -88,24 +88,23 @@ struct CriticalPathReport {
   sim::Time idle_ns = 0;         ///< remainder: idle + untracked overheads
 };
 
-class Tracer final : public sim::TraceSink {
+class Tracer final : public sim::Probe {
  public:
-  /// Attaches to `m` for the Tracer's lifetime (one sink per machine, like
-  /// analyze::Analyzer's observer slot).
+  /// Attaches to `m` as a probe for the Tracer's lifetime.
   explicit Tracer(sim::Machine& m, ScopeOptions opt = {});
   ~Tracer() override;
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // --- TraceSink -----------------------------------------------------------
+  // --- sim::Probe ----------------------------------------------------------
   void on_span_begin(sim::Fiber* f, sim::NodeId node, const char* cat,
                      const char* name, std::uint64_t arg) override;
   void on_span_end(sim::Fiber* f, sim::NodeId node) override;
   void on_instant(sim::Fiber* f, sim::NodeId node, const char* cat,
                   const char* name, std::uint64_t arg) override;
-  void on_reference(sim::NodeId requester, sim::NodeId home,
-                    std::uint32_t words, sim::Time queue_ns, sim::MemOp op,
+  void on_reference(sim::Fiber* f, sim::NodeId requester, sim::PhysAddr a,
+                    std::uint32_t words, sim::MemOp op, sim::Time queue_ns,
                     sim::Time at) override;
 
   // --- Introspection (tests) -----------------------------------------------

@@ -153,7 +153,6 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
       const sim::Time back = cfg_.retry.backoff_jittered(attempt - 1, rng_);
       if (m_.now() + back >= deadline_at) break;  // no budget for a retry
       ++counters_.retries;
-      ++m_.stats().serve_retries;
       m_.trace_instant("serve", "retry", attempt);
       k_.delay(back);
     }
@@ -173,7 +172,6 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
         const std::uint32_t s = server_of_replica(f, b, r);
         if (fs_.queue_depth(s) >= cfg_.queue_limit) {
           ++counters_.sheds;
-          ++m_.stats().serve_sheds;
           m_.trace_instant("serve", "shed", s);
           m_.charge(kShedCost);
           continue;
@@ -225,7 +223,6 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
         const std::uint32_t ws = server_of_replica(f, b, wr);
         if (!is_primary) {
           ++counters_.hedge_wins;
-          ++m_.stats().serve_hedge_wins;
           std::memcpy(out, scratch.data(), bridge::kBlockSize);
         }
         fs_.finish_request(tok);
@@ -251,7 +248,6 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
                                scratch.data(), dq);
         hedge_out = true;
         ++counters_.hedges;
-        ++m_.stats().serve_hedges;
         m_.trace_instant("serve", "hedge", b);
         continue;
       }
@@ -269,7 +265,6 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
       if (primary_out) settle(dq, prid);
       if (hedge_out) settle(dq, hrid);
       ++counters_.timeouts;
-      ++m_.stats().serve_timeouts;
       m_.trace_instant("serve", "timeout", b);
       fs_.release_reply_queue(dq);
       return Status::kTimeout;
@@ -325,7 +320,6 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
         if (!arms[r]) continue;
         if (dirty_.insert(key(f, b, r)).second) {
           ++counters_.dirty_logged;
-          ++m_.stats().serve_dirty_logged;
         }
       }
     };
@@ -337,7 +331,6 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
       // write the client was told failed.
       if (committed > 0) log_dirty(committed_arm);
       ++counters_.quorum_rejects;
-      ++m_.stats().serve_quorum_rejects;
       m_.trace_instant("serve", "no_quorum", b);
       return Status::kNoQuorum;
     }
@@ -351,7 +344,6 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
       const sim::Time back = cfg_.retry.backoff_jittered(attempt - 1, rng_);
       if (m_.now() + back >= deadline_at) break;
       ++counters_.retries;
-      ++m_.stats().serve_retries;
       m_.trace_instant("serve", "retry", attempt);
       k_.delay(back);
     }
@@ -379,7 +371,6 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
       const std::uint32_t s = server_of_replica(f, b, r);
       if (fs_.queue_depth(s) >= cfg_.queue_limit) {
         ++counters_.sheds;
-        ++m_.stats().serve_sheds;
         m_.trace_instant("serve", "shed", s);
         m_.charge(kShedCost);
         any_shed_last = true;
@@ -432,7 +423,6 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
       for (std::size_t i = 0; i < rids.size(); ++i)
         if (outstanding[i]) settle(dq, rids[i]);
       ++counters_.timeouts;
-      ++m_.stats().serve_timeouts;
       m_.trace_instant("serve", "timeout", b);
       fs_.release_reply_queue(dq);
       // Partial success still serves readers; abandoned arms may or may
@@ -538,7 +528,6 @@ void ReplicatedFs::reconcile() {
     if (healed) {
       for (std::size_t kki = i; kki < end; ++kki) dirty_.erase(keys[kki]);
       ++counters_.reconciled;
-      ++m_.stats().serve_reconciled;
       m_.trace_instant("serve", "reconcile", b);
     }
     i = end;
@@ -629,7 +618,6 @@ bool ReplicatedFs::do_repair(const RepairJob& j) {
     }
     redirect_[key(j.file, j.block, j.replica)] = phys;
     ++counters_.rereplications;
-    ++m_.stats().serve_rereplications;
     m_.trace_instant("serve", "rereplicate", j.block);
     return true;
   }

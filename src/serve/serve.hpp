@@ -95,8 +95,7 @@ enum class Status {
   kNoQuorum,   ///< partition: a majority of non-dead replicas is unreachable
 };
 
-/// Host-side counters mirrored into sim::MachineStats (serve_* fields) so
-/// benches export them via fault_json().
+/// Host-side counters of one ReplicatedFs (read them with counters()).
 struct ServeCounters {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -111,6 +110,22 @@ struct ServeCounters {
   std::uint64_t quorum_rejects = 0;   ///< writes refused on the minority side
   std::uint64_t dirty_logged = 0;     ///< replica arms logged for heal-time fix
   std::uint64_t reconciled = 0;       ///< blocks re-converged after a heal
+
+  /// The serving counters as a braceless JSON fragment (serve_* keys), for
+  /// bench rows that append it after sim::MachineStats::fault_json().
+  std::string json() const {
+    sim::json::Writer w(sim::json::Writer::kFragment);
+    w.kv("serve_retries", retries)
+        .kv("serve_hedges", hedges)
+        .kv("serve_hedge_wins", hedge_wins)
+        .kv("serve_sheds", sheds)
+        .kv("serve_timeouts", timeouts)
+        .kv("serve_rereplications", rereplications)
+        .kv("serve_quorum_rejects", quorum_rejects)
+        .kv("serve_dirty_logged", dirty_logged)
+        .kv("serve_reconciled", reconciled);
+    return w.take();
+  }
 };
 
 class ReplicatedFs {

@@ -124,8 +124,8 @@ struct MachineConfig {
   /// observably interleave, warp the clock instead of context-switching
   /// through the engine (see DESIGN.md "Host performance model").  Purely a
   /// host optimization — simulated behaviour is bit-for-bit identical, which
-  /// the fast-path determinism suite asserts.  BFLY_NO_FASTPATH=1 in the
-  /// environment forces it off regardless, for A/B comparison runs.
+  /// the fast-path determinism suite asserts.  Set it false for A/B
+  /// comparison runs.
   bool host_fastpath = true;
 
   /// RNG seed for any randomized machine behaviour (fully deterministic).

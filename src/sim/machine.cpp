@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <exception>
 
 namespace bfly::sim {
@@ -18,10 +17,6 @@ Machine::Machine(MachineConfig cfg, FaultPlan faults)
       node_dead_(cfg.nodes, 0) {
   engine_.set_fiber_handler(&Machine::fiber_event, this);
   fastpath_ = cfg_.host_fastpath;
-  if (const char* v = std::getenv("BFLY_NO_FASTPATH");
-      v != nullptr && v[0] != '\0' && v[0] != '0') {
-    fastpath_ = false;
-  }
   combining_ = fabric_.combining();
   if (combining_) fabric_.set_stats(&stats_);
   if (faults_.any()) {
@@ -103,10 +98,7 @@ Fiber* Machine::spawn_parked(NodeId node, std::function<void()> body,
   assert(ok);
   (void)ok;
   live_link(&it->second);
-  if (observer_) {
-    HookScope h(this);
-    observer_->on_spawn(Fiber::current(), f);
-  }
+  notify([&](Probe& p) { p.on_spawn(Fiber::current(), f); });
   return f;
 }
 
@@ -221,25 +213,24 @@ void Machine::charge(Time ns) {
   // control straight back — the engine would pop our fresh resume event
   // first (strictly earlier beats every pending time; a tie would lose on
   // sequence number, hence "strictly") and no other fiber, fault, or
-  // observer-visible action can run in between.  So warp the clock and keep
+  // probe-visible action can run in between.  So warp the clock and keep
   // going: no heap traffic, no context switch.  Disabled whenever anything
   // could legitimately interleave or watch: pending kills/faults
-  // (fault_checks_), a requested engine stop, or attached instrumentation
-  // (observers/trace sinks deliberately ride the battle-tested slow path;
-  // the uncharged harnesses then cross-check the two).  The skipped
+  // (fault_checks_), a requested engine stop, or any attached probe
+  // (instrumented runs deliberately ride the battle-tested slow path; the
+  // uncharged harnesses then cross-check the two).  The skipped
   // post_fiber_at also never burns an engine sequence number, which is
   // unobservable: relative order among the *other* events is unchanged.
-  if (fastpath_ && !fault_checks_ && observer_ == nullptr &&
-      trace_ == nullptr && wait_observer_ == nullptr &&
+  if (fastpath_ && !fault_checks_ && probes_.empty() &&
       !engine_.stop_requested() &&
       (engine_.empty() || at < engine_.next_time())) {
     engine_.warp_to(at);
     ++fastpath_charges_;
     return;
   }
-  // A charge from inside an observer hook breaks the uncharged contract
-  // (hooks run only when an observer is attached, which forfeits the fast
-  // path above — so this check is complete here).
+  // A charge from inside a probe hook breaks the uncharged contract (hooks
+  // run only when a probe is attached, which forfeits the fast path above —
+  // so this check is complete here).
   if (hook_depth_ != 0) ++hook_charges_;
   schedule_resume(c, at);
   Fiber::yield_to_engine();
@@ -495,10 +486,7 @@ PhysAddr Machine::alloc(NodeId node, std::size_t bytes, std::size_t align) {
 
 void Machine::free(PhysAddr addr, std::size_t bytes) {
   if (addr.node >= cfg_.nodes) return;
-  if (observer_) {
-    HookScope h(this);
-    observer_->on_free(addr, bytes);
-  }
+  notify([&](Probe& p) { p.on_free(addr, bytes); });
   const auto size = static_cast<std::uint32_t>((bytes + 7) & ~std::size_t{7});
   Node& nd = node_[addr.node];
   nd.allocated -= std::min<std::size_t>(nd.allocated, size);
@@ -577,7 +565,6 @@ void Machine::reference(PhysAddr a, std::uint32_t words, MemOp op) {
     check_target(a.node);
     if (has_cuts_) check_reach(req, a.node);
   }
-  observe_access(a, words, op, req);
   Time q = 0;
   const Time finish = reference_finish(req, a.node, words, &q);
   NodeStats& s = stats_.node[req];
@@ -588,7 +575,7 @@ void Machine::reference(PhysAddr a, std::uint32_t words, MemOp op) {
     ++stats_.node[a.node].serviced_remote;
   }
   s.queue_ns += q;
-  trace_reference(req, a.node, words, q, op);
+  observe_reference(req, a, words, op, q);
   const Time d = finish - engine_.now();
   s.stall_ns += d;
   charge(d);
@@ -615,7 +602,6 @@ void Machine::combining_fetch_add_reference(PhysAddr a) {
     check_target(a.node);
     if (has_cuts_) check_reach(req, a.node);
   }
-  observe_access(a, 1, MemOp::kAtomic, req);
   const std::uint64_t key = chan_of(a);
   NodeStats& s = stats_.node[req];
   Time fin = 0;
@@ -624,7 +610,7 @@ void Machine::combining_fetch_add_reference(PhysAddr a) {
                           &fin)) {
     // Follower: merged at a switch stage; never touches the home module.
     ++s.remote_refs;
-    trace_reference(req, a.node, 1, 0, MemOp::kAtomic);
+    observe_reference(req, a, 1, MemOp::kAtomic, 0);
     const Time d = fin > engine_.now() ? fin - engine_.now() : 0;
     s.stall_ns += d;
     charge(d);
@@ -640,7 +626,7 @@ void Machine::combining_fetch_add_reference(PhysAddr a) {
       ++stats_.node[a.node].serviced_remote;
     }
     s.queue_ns += q;
-    trace_reference(req, a.node, 1, q, MemOp::kAtomic);
+    observe_reference(req, a, 1, MemOp::kAtomic, q);
     if (req != a.node) fabric_.record_add(key, finish);
     const Time d = finish - engine_.now();
     s.stall_ns += d;
@@ -702,8 +688,6 @@ void Machine::block_copy(PhysAddr dst, PhysAddr src, std::size_t bytes) {
     }
   }
   const std::uint32_t words = word_count(bytes);
-  observe_access(src, words, MemOp::kRead, req);
-  observe_access(dst, words, MemOp::kWrite, req);
   Time q = 0;
   // Head of the transfer pays full reference latency to the source...
   const Time head = reference_finish(req, src.node, 1, &q);
@@ -721,8 +705,8 @@ void Machine::block_copy(PhysAddr dst, PhysAddr src, std::size_t bytes) {
   s.queue_ns += q;
   if (src.node != req || dst.node != req) ++s.remote_refs;
   else ++s.local_refs;
-  trace_reference(req, src.node, words, q, MemOp::kRead);
-  trace_reference(req, dst.node, words, 0, MemOp::kWrite);
+  observe_reference(req, src, words, MemOp::kRead, q);
+  observe_reference(req, dst, words, MemOp::kWrite, 0);
 
   const Time total = (head - engine_.now()) + stream;
   s.stall_ns += total;
@@ -745,7 +729,6 @@ void Machine::block_read(void* host_dst, PhysAddr src, std::size_t bytes) {
     if (has_cuts_) check_reach(req, src.node);
   }
   const std::uint32_t words = word_count(bytes);
-  observe_access(src, words, MemOp::kRead, req);
   Time q = 0;
   const Time head = reference_finish(req, src.node, 1, &q);
   const Time stream = static_cast<Time>(words) * cfg_.block_word_ns;
@@ -757,7 +740,7 @@ void Machine::block_read(void* host_dst, PhysAddr src, std::size_t bytes) {
   s.queue_ns += q;
   if (src.node != req) ++s.remote_refs;
   else ++s.local_refs;
-  trace_reference(req, src.node, words, q, MemOp::kRead);
+  observe_reference(req, src, words, MemOp::kRead, q);
   const Time total = (head - engine_.now()) + stream;
   s.stall_ns += total;
   charge(total);
@@ -775,7 +758,6 @@ void Machine::block_write(PhysAddr dst, const void* host_src,
     if (has_cuts_) check_reach(req, dst.node);
   }
   const std::uint32_t words = word_count(bytes);
-  observe_access(dst, words, MemOp::kWrite, req);
   Time q = 0;
   const Time head = reference_finish(req, dst.node, 1, &q);
   const Time stream = static_cast<Time>(words) * cfg_.block_word_ns;
@@ -787,7 +769,7 @@ void Machine::block_write(PhysAddr dst, const void* host_src,
   s.queue_ns += q;
   if (dst.node != req) ++s.remote_refs;
   else ++s.local_refs;
-  trace_reference(req, dst.node, words, q, MemOp::kWrite);
+  observe_reference(req, dst, words, MemOp::kWrite, q);
   const Time total = (head - engine_.now()) + stream;
   s.stall_ns += total;
   charge(total);
@@ -804,9 +786,6 @@ void Machine::access_words(PhysAddr a, std::uint32_t n, bool write) {
     check_target(a.node);
     if (has_cuts_) check_reach(req, a.node);
   }
-  // Aggregate traffic: counted for contention lints, never race-checked
-  // (these calls model reference volume, not individual data accesses).
-  observe_access(a, n, MemOp::kAggregate, req);
   // n back-to-back single-word references; the requester is latency-bound,
   // so each starts when the previous completes.  Only the first can queue
   // behind foreign traffic (an approximation that keeps this O(1)).
@@ -822,7 +801,9 @@ void Machine::access_words(PhysAddr a, std::uint32_t n, bool write) {
     stats_.node[a.node].serviced_remote += n;
   }
   s.queue_ns += q;
-  trace_reference(req, a.node, n, q, MemOp::kAggregate);
+  // Aggregate traffic: counted for contention lints, never race-checked
+  // (these calls model reference volume, not individual data accesses).
+  observe_reference(req, a, n, MemOp::kAggregate, q);
   const Time total = q + static_cast<Time>(n) * per;
   s.stall_ns += total;
   charge(total);

@@ -83,7 +83,7 @@ class Machine {
   /// edges recorded by the synchronization layers.
   bool deadlocked() const { return live_count_ != 0; }
   std::vector<Fiber*> blocked_fibers() const;
-  /// True while `f` has not finished or been reclaimed.  Wait observers
+  /// True while `f` has not finished or been reclaimed.  Probes
   /// hold raw Fiber pointers across kill-unwinds (which skip the wake
   /// hooks); this lets them prune the dead before dereferencing.  A reused
   /// address can alias a new fiber — fine for diagnosis, as the new
@@ -109,7 +109,7 @@ class Machine {
                     fastpath_charges_, fastpath_};
   }
   /// True when charge() may take the switch-free fast path this run
-  /// (config flag minus the BFLY_NO_FASTPATH environment override).
+  /// (MachineConfig::host_fastpath).
   bool fastpath_enabled() const { return fastpath_; }
 
   // --- Faults ----------------------------------------------------------------
@@ -256,127 +256,72 @@ class Machine {
   /// (used by tight inner loops; contention is accounted in aggregate).
   void access_words(PhysAddr a, std::uint32_t n, bool write = false);
 
-  // --- Observation (correctness tooling; see sim/observe.hpp) -----------------
-  // All hooks are host-side and uncharged: attaching an observer leaves the
-  // simulated event stream byte-identical to a bare run.
+  // --- Probes (see sim/observe.hpp) -------------------------------------------
+  // Every hook is host-side and uncharged: attaching probes leaves the
+  // simulated event stream byte-identical to a bare run.  Annotation sites
+  // pass string literals and integers only, so an unobserved run does no
+  // work beyond one emptiness test and allocates nothing.
 
-  void set_observer(MemObserver* o) { observer_ = o; }
-  MemObserver* observer() const { return observer_; }
+  /// Add `p` to the probe list; probes are called in attach order.
+  void attach(Probe* p) { probes_.push_back(p); }
+  /// Remove `p` from the probe list (no-op if it is not attached).
+  void detach(Probe* p) { std::erase(probes_, p); }
 
   /// Publish a happens-before release/acquire edge on `chan` for the
-  /// calling context.  No-ops without an observer; synchronization layers
-  /// call these from the fiber performing the operation.
+  /// calling context.  Synchronization layers call these from the fiber
+  /// performing the operation.
   void observe_release(std::uint64_t chan) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_release(Fiber::current(), chan);
-    }
+    notify([&](Probe& p) { p.on_release(Fiber::current(), chan); });
   }
   void observe_acquire(std::uint64_t chan) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_acquire(Fiber::current(), chan);
-    }
+    notify([&](Probe& p) { p.on_acquire(Fiber::current(), chan); });
   }
-  /// Lock-order events for acquisition-graph lints.
-  void observe_lock_acquire(std::uint64_t lock) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_lock_acquire(Fiber::current(), lock);
-    }
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_hold(Fiber::current(), lock, true);
-    }
-  }
-  void observe_lock_release(std::uint64_t lock) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_lock_release(Fiber::current(), lock);
-    }
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_hold(Fiber::current(), lock, false);
-    }
+  /// The calling fiber acquired (`held`) or released spin lock `lock`.
+  void observe_lock(std::uint64_t lock, bool held) {
+    notify([&](Probe& p) { p.on_lock(Fiber::current(), lock, held); });
   }
   /// Name a range of physical memory for diagnostic reports.
-  void label_memory(PhysAddr a, std::size_t bytes, std::string name) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_label(a, bytes, std::move(name));
-    }
+  void label_memory(PhysAddr a, std::size_t bytes, const std::string& name) {
+    notify([&](Probe& p) { p.on_label(a, bytes, name); });
   }
-
-  // --- Wait observation (deadlock analysis; see sim/observe.hpp and
-  // src/moviola).  Same uncharged contract as the hooks above. ---------------
-
-  void set_wait_observer(WaitObserver* o) { wait_observer_ = o; }
-  WaitObserver* wait_observer() const { return wait_observer_; }
-
   /// The calling fiber is about to block on `chan`.
   void observe_block(std::uint64_t chan, WaitKind kind) {
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_block(Fiber::current(), chan, kind);
-    }
+    notify([&](Probe& p) { p.on_block(Fiber::current(), chan, kind); });
   }
   /// The calling fiber returned from a blocking wait on `chan`.
   void observe_wake(std::uint64_t chan, WakeReason why) {
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_wake(Fiber::current(), chan, why);
-    }
+    notify([&](Probe& p) { p.on_wake(Fiber::current(), chan, why); });
   }
   /// A post to `chan` with the given delivery outcome.
   void observe_post(std::uint64_t chan, PostOutcome out) {
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_post(Fiber::current(), chan, out);
-    }
+    notify([&](Probe& p) { p.on_post(Fiber::current(), chan, out); });
   }
   /// One failed spin probe on `lock` by the calling fiber.
   void observe_spin(std::uint64_t lock) {
-    if (wait_observer_) {
-      HookScope h(this);
-      wait_observer_->on_spin(Fiber::current(), lock);
-    }
+    notify([&](Probe& p) { p.on_spin(Fiber::current(), lock); });
   }
-
-  /// Charges issued from inside an observer hook.  The hooks' contract is
-  /// strictly host-side work; a nonzero count means an observer perturbed
-  /// the run it was watching (the blocking-discipline lint reports it).
-  std::uint64_t hook_charges() const { return hook_charges_; }
-
-  // --- Tracing (observability; see sim/observe.hpp and src/scope) -------------
-  // Same uncharged contract as the observer hooks.  Annotation sites pass
-  // string literals and integers only, so an untraced run does no work
-  // beyond the pointer test and allocates nothing.
-
-  void set_trace_sink(TraceSink* s) { trace_ = s; }
-  TraceSink* trace_sink() const { return trace_; }
-
   /// Open a span on the calling context's track.
   void trace_begin(const char* cat, const char* name, std::uint64_t arg = 0) {
-    if (trace_) {
-      HookScope h(this);
-      trace_->on_span_begin(Fiber::current(), trace_node(), cat, name, arg);
-    }
+    notify([&](Probe& p) {
+      p.on_span_begin(Fiber::current(), trace_node(), cat, name, arg);
+    });
   }
   /// Close the innermost open span on the calling context's track.
   void trace_end() {
-    if (trace_) {
-      HookScope h(this);
-      trace_->on_span_end(Fiber::current(), trace_node());
-    }
+    notify([&](Probe& p) { p.on_span_end(Fiber::current(), trace_node()); });
   }
   /// A point event on the calling context's track.
   void trace_instant(const char* cat, const char* name,
                      std::uint64_t arg = 0) {
-    if (trace_) {
-      HookScope h(this);
-      trace_->on_instant(Fiber::current(), trace_node(), cat, name, arg);
-    }
+    notify([&](Probe& p) {
+      p.on_instant(Fiber::current(), trace_node(), cat, name, arg);
+    });
   }
+
+  /// Charges issued from inside a probe hook.  The hooks' contract is
+  /// strictly host-side work; a nonzero count means a probe perturbed the
+  /// run it was watching (the blocking-discipline lint reports it).
+  std::uint64_t hook_charges() const { return hook_charges_; }
 
   // --- Untimed backdoor (tests, tooling, result extraction) -------------------
   template <typename T>
@@ -397,7 +342,7 @@ class Machine {
   }
 
  private:
-  /// RAII marker bracketing every observer-hook invocation: charge() counts
+  /// RAII marker bracketing every probe-hook invocation: charge() counts
   /// charges issued while one is live (hook_charges_), turning "charged
   /// work inside an uncharged hook" from a silent heisenbug into a lint.
   class HookScope {
@@ -410,6 +355,15 @@ class Machine {
    private:
     Machine* m_;
   };
+
+  /// Run `call` on every attached probe, in attach order, inside one
+  /// HookScope.  One emptiness test when nothing is attached.
+  template <typename Call>
+  void notify(Call call) {
+    if (probes_.empty()) return;
+    HookScope h(this);
+    for (Probe* p : probes_) call(*p);
+  }
 
   struct FiberCtl {
     std::unique_ptr<Fiber> fiber;
@@ -440,14 +394,6 @@ class Machine {
 
   /// Perform + charge one reference of `words` words to a.node.
   void reference(PhysAddr a, std::uint32_t words, MemOp op);
-  /// Report one reference to the registered observer (uncharged).
-  void observe_access(PhysAddr a, std::uint32_t words, MemOp op,
-                      NodeId requester) {
-    if (observer_) {
-      HookScope h(this);
-      observer_->on_access(Fiber::current(), requester, a, words, op);
-    }
-  }
   /// Compute completion time of a reference departing now; updates module
   /// occupancy and stats but does not charge.
   /// The fetch_add reference path with switch combining armed: either
@@ -456,15 +402,14 @@ class Machine {
   void combining_fetch_add_reference(PhysAddr a);
   Time reference_finish(NodeId requester, NodeId home, std::uint32_t words,
                         Time* queue_ns);
-  /// Report one finished reference with its contention share to the trace
-  /// sink (uncharged; MemObserver::on_access cannot see queue time).
-  void trace_reference(NodeId requester, NodeId home, std::uint32_t words,
-                       Time queue_ns, MemOp op) {
-    if (trace_) {
-      HookScope h(this);
-      trace_->on_reference(requester, home, words, queue_ns, op,
-                           engine_.now());
-    }
+  /// Report one reference, its finish time computed, to the probes
+  /// (uncharged).  Fires before the requester is charged.
+  void observe_reference(NodeId requester, PhysAddr a, std::uint32_t words,
+                         MemOp op, Time queue_ns) {
+    notify([&](Probe& p) {
+      p.on_reference(Fiber::current(), requester, a, words, op, queue_ns,
+                     engine_.now());
+    });
   }
   /// Node of the calling context for trace events (kTraceHostNode when no
   /// fiber is running).
@@ -534,7 +479,7 @@ class Machine {
   std::size_t live_count_ = 0;
   FiberCtl* cur_ctl_ = nullptr;  // control block of the running fiber
 
-  bool fastpath_ = true;  // cfg.host_fastpath minus BFLY_NO_FASTPATH
+  bool fastpath_ = true;  // cfg.host_fastpath
   std::uint64_t fiber_resumes_ = 0;
   std::uint64_t fastpath_charges_ = 0;
 
@@ -565,9 +510,7 @@ class Machine {
   std::vector<DeathObserver> death_observers_;
   std::vector<DeathObserver> crash_observers_;
   std::uint64_t next_observer_id_ = 1;
-  MemObserver* observer_ = nullptr;
-  TraceSink* trace_ = nullptr;
-  WaitObserver* wait_observer_ = nullptr;
+  std::vector<Probe*> probes_;        // attach order
   int hook_depth_ = 0;               // live HookScopes on this host stack
   std::uint64_t hook_charges_ = 0;   // charges issued from inside a hook
 };

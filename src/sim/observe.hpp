@@ -1,12 +1,15 @@
-// Observation hooks for correctness tooling (the bfly::analyze layer).
+// Probes: host-side watchers of a simulated run.
 //
-// Every timed memory reference and every synchronization operation in the
-// stack can be *observed* by a MemObserver registered on the Machine.  The
-// hooks are strictly host-side: an observer may not perform timed
-// operations, so an instrumented run is event-identical to a bare run (the
-// uncharged-instrumentation invariant the analyze tests assert against
-// Instant Replay logs).  When no observer is registered every hook is a
-// single pointer test.
+// Every timed memory reference, synchronization edge, blocking wait and
+// tracing annotation in the stack is reported to the sim::Probe list
+// attached to the Machine (Machine::attach / detach, called in attach
+// order).  The correctness and observability layers are probes: the race
+// detector (bfly::analyze), the wait-for graph (bfly::moviola) and the
+// tracer (bfly::scope), and any of them can watch one run together.
+// Probes are strictly host-side: a probe may not perform timed operations,
+// so an instrumented run is event-identical to a bare run (the
+// uncharged-instrumentation invariant the tests assert against Instant
+// Replay logs).  With no probe attached every hook is one emptiness test.
 //
 // Synchronization layers publish happens-before edges through *channels*:
 // a release joins the releasing actor's knowledge into the channel, an
@@ -38,7 +41,7 @@ struct PhysAddr {
   bool operator==(const PhysAddr&) const = default;
 };
 
-/// What kind of memory operation an on_access observation describes.
+/// What kind of memory operation an on_reference observation describes.
 enum class MemOp : std::uint8_t {
   kRead,
   kWrite,
@@ -66,41 +69,6 @@ constexpr std::uint64_t chan_of_stream(std::uint32_t id) {
   return (2ull << 62) | id;
 }
 
-/// Host-side observer of the simulated memory / synchronization stream.
-/// All callbacks run in the context (fiber or engine) that performed the
-/// operation and must not charge simulated time.  `f` is nullptr for
-/// operations performed from engine/host context.
-class MemObserver {
- public:
-  virtual ~MemObserver() = default;
-
-  /// One reference of `words` 32-bit words starting at `a`, issued by a
-  /// fiber running on `requester`.
-  virtual void on_access(Fiber* f, NodeId requester, PhysAddr a,
-                         std::uint32_t words, MemOp op) = 0;
-  /// A new fiber was created (parent is nullptr for host-spawned fibers).
-  virtual void on_spawn(Fiber* parent, Fiber* child) = 0;
-  /// Physical memory was returned to the allocator; shadow state for the
-  /// range is stale (the allocator hands reused addresses to unrelated
-  /// code, which must not inherit old epochs).
-  virtual void on_free(PhysAddr a, std::size_t bytes) = 0;
-
-  /// Happens-before edges published by synchronization layers.
-  virtual void on_release(Fiber* f, std::uint64_t chan) = 0;
-  virtual void on_acquire(Fiber* f, std::uint64_t chan) = 0;
-
-  /// Lock-order events (spin locks).  Purely for acquisition-graph lints;
-  /// the mutual-exclusion edges themselves flow through the lock word.
-  virtual void on_lock_acquire(Fiber* f, std::uint64_t lock) = 0;
-  virtual void on_lock_release(Fiber* f, std::uint64_t lock) = 0;
-
-  /// Symbolization: the runtimes name the shared objects they allocate so
-  /// reports can say "US.outstanding" instead of "node 0 +0x10".
-  virtual void on_label(PhysAddr a, std::size_t bytes, std::string name) = 0;
-};
-
-// --- Blocking / wait edges (the bfly::moviola layer) ------------------------
-
 /// What kind of object a fiber blocked on.
 enum class WaitKind : std::uint8_t {
   kEvent,      ///< Chrysalis event (binary semaphore)
@@ -121,64 +89,79 @@ enum class PostOutcome : std::uint8_t {
   kDroppedDead,  ///< the only candidate waiter died with its node; dropped
 };
 
-/// Host-side observer of blocking synchronization: who waits on what, who
-/// feeds what, who spins on whose lock.  Same uncharged contract as
-/// MemObserver — every callback runs in the context performing the
-/// operation, may not charge simulated time, and costs one pointer test
-/// when absent.  bfly::moviola builds its wait-for graph from these.
-class WaitObserver {
- public:
-  virtual ~WaitObserver() = default;
-
-  /// `f` is about to block waiting on `chan` (a chan_of_oid channel).
-  virtual void on_block(Fiber* f, std::uint64_t chan, WaitKind kind) = 0;
-  /// `f` returned from a blocking wait on `chan`.
-  virtual void on_wake(Fiber* f, std::uint64_t chan, WakeReason why) = 0;
-  /// A post/enqueue to `chan` by `f` (nullptr from engine/host context).
-  virtual void on_post(Fiber* f, std::uint64_t chan, PostOutcome out) = 0;
-  /// One failed spin-lock probe by `f` on `lock` (a chan_of channel).
-  /// Spinners are runnable, not blocked — a starving spinner shows up as an
-  /// ever-growing probe streak, never as a blocked fiber.
-  virtual void on_spin(Fiber* f, std::uint64_t lock) = 0;
-  /// `f` acquired (`held` true) or released (`held` false) spin lock
-  /// `lock`.  Lets the observer map each spin edge to the current holder.
-  virtual void on_hold(Fiber* f, std::uint64_t lock, bool held) = 0;
-};
-
 /// Pseudo-node id for trace events emitted from engine/host context (no
 /// fiber running).  Real nodes are dense from 0, so the sentinel is safe.
 inline constexpr NodeId kTraceHostNode = 0xffffffffu;
 
-/// Host-side sink for the tracing annotations scattered through the
-/// runtimes (the bfly::scope layer).  Same contract as MemObserver: every
-/// callback runs in the context that performed the operation, charges
-/// nothing, and costs one pointer test when no sink is registered.
+/// One host-side watcher of a run.  Every callback has an empty default
+/// body, so a probe overrides only what it needs: bfly::analyze the memory
+/// and happens-before stream, bfly::moviola the blocking edges, bfly::scope
+/// the spans and per-reference contention.
 ///
-/// `cat` and `name` are borrowed, not copied: annotation sites pass string
-/// literals so that tracing allocates nothing on the simulated path.  A
-/// sink that outlives the literal-owning TU (none do today) would need to
-/// copy.  Dynamic payloads travel in `arg`.
-class TraceSink {
+/// All callbacks run in the context (fiber or engine) that performed the
+/// operation and must not charge simulated time.  `f` is nullptr for
+/// operations performed from engine/host context.  `cat` and `name` are
+/// borrowed string literals: annotation sites pass literals so that tracing
+/// allocates nothing on the simulated path.
+class Probe {
  public:
-  virtual ~TraceSink() = default;
+  virtual ~Probe() = default;
+
+  // --- Memory and happens-before (bfly::analyze) ---------------------------
+
+  /// One timed reference of `words` 32-bit words starting at `a`, issued by
+  /// a fiber running on `requester`, of which `queue_ns` was spent queued
+  /// behind other traffic at the home module; `at` is the issue time.
+  virtual void on_reference(Fiber* /*f*/, NodeId /*requester*/,
+                            PhysAddr /*a*/, std::uint32_t /*words*/,
+                            MemOp /*op*/, Time /*queue_ns*/, Time /*at*/) {}
+  /// A new fiber was created (parent is nullptr for host-spawned fibers).
+  virtual void on_spawn(Fiber* /*parent*/, Fiber* /*child*/) {}
+  /// Physical memory was returned to the allocator; shadow state for the
+  /// range is stale (the allocator hands reused addresses to unrelated
+  /// code, which must not inherit old epochs).
+  virtual void on_free(PhysAddr /*a*/, std::size_t /*bytes*/) {}
+  /// Happens-before edges published by synchronization layers.
+  virtual void on_release(Fiber* /*f*/, std::uint64_t /*chan*/) {}
+  virtual void on_acquire(Fiber* /*f*/, std::uint64_t /*chan*/) {}
+  /// `f` acquired (`held` true) or released (`held` false) spin lock `lock`
+  /// (a chan_of channel).  Feeds acquisition-graph lints and maps spin
+  /// edges to the current holder; the mutual-exclusion edges themselves
+  /// flow through the lock word.
+  virtual void on_lock(Fiber* /*f*/, std::uint64_t /*lock*/, bool /*held*/) {}
+  /// Symbolization: the runtimes name the shared objects they allocate so
+  /// reports can say "US.outstanding" instead of "node 0 +0x10".
+  virtual void on_label(PhysAddr /*a*/, std::size_t /*bytes*/,
+                        const std::string& /*name*/) {}
+
+  // --- Blocking (bfly::moviola) --------------------------------------------
+
+  /// `f` is about to block waiting on `chan` (a chan_of_oid channel).
+  virtual void on_block(Fiber* /*f*/, std::uint64_t /*chan*/,
+                        WaitKind /*kind*/) {}
+  /// `f` returned from a blocking wait on `chan`.
+  virtual void on_wake(Fiber* /*f*/, std::uint64_t /*chan*/,
+                       WakeReason /*why*/) {}
+  /// A post/enqueue to `chan` by `f`.
+  virtual void on_post(Fiber* /*f*/, std::uint64_t /*chan*/,
+                       PostOutcome /*out*/) {}
+  /// One failed spin-lock probe by `f` on `lock`.  Spinners are runnable,
+  /// not blocked: a starving spinner shows up as an ever-growing probe
+  /// streak, never as a blocked fiber.
+  virtual void on_spin(Fiber* /*f*/, std::uint64_t /*lock*/) {}
+
+  // --- Tracing (bfly::scope) -----------------------------------------------
 
   /// Open a nested span on the calling track (`f`, or host when nullptr).
-  virtual void on_span_begin(Fiber* f, NodeId node, const char* cat,
-                             const char* name, std::uint64_t arg) = 0;
+  virtual void on_span_begin(Fiber* /*f*/, NodeId /*node*/,
+                             const char* /*cat*/, const char* /*name*/,
+                             std::uint64_t /*arg*/) {}
   /// Close the innermost open span on the calling track.  Unmatched ends
-  /// must be ignored by the sink (kill-unwinding can skip begins).
-  virtual void on_span_end(Fiber* f, NodeId node) = 0;
+  /// must be ignored (kill-unwinding can skip begins).
+  virtual void on_span_end(Fiber* /*f*/, NodeId /*node*/) {}
   /// A point event on the calling track.
-  virtual void on_instant(Fiber* f, NodeId node, const char* cat,
-                          const char* name, std::uint64_t arg) = 0;
-  /// One timed reference completed: `words` serviced by `home`'s memory
-  /// module for a fiber on `requester`, of which `queue_ns` was spent
-  /// queued behind other traffic at the module.  Richer than
-  /// MemObserver::on_access (which cannot see contention) — this is what
-  /// feeds the occupancy / contention / locality time series.
-  virtual void on_reference(NodeId requester, NodeId home,
-                            std::uint32_t words, Time queue_ns, MemOp op,
-                            Time at) = 0;
+  virtual void on_instant(Fiber* /*f*/, NodeId /*node*/, const char* /*cat*/,
+                          const char* /*name*/, std::uint64_t /*arg*/) {}
 };
 
 }  // namespace bfly::sim

@@ -66,17 +66,6 @@ struct MachineStats {
   std::uint64_t checkpoints_taken = 0;   ///< quiesced checkpoints written
   std::uint64_t restart_count = 0;       ///< runs resumed from a checkpoint
 
-  // Serving-layer accounting (bfly::serve; zero when no ReplicatedFs runs).
-  std::uint64_t serve_retries = 0;         ///< per-request retry attempts
-  std::uint64_t serve_hedges = 0;          ///< hedged second reads issued
-  std::uint64_t serve_hedge_wins = 0;      ///< hedges that beat the primary
-  std::uint64_t serve_sheds = 0;           ///< requests rejected by admission
-  std::uint64_t serve_timeouts = 0;        ///< requests that ran out of budget
-  std::uint64_t serve_rereplications = 0;  ///< blocks re-replicated after loss
-  std::uint64_t serve_quorum_rejects = 0;  ///< writes refused: no majority
-  std::uint64_t serve_dirty_logged = 0;    ///< replicas dirty-logged at ack
-  std::uint64_t serve_reconciled = 0;      ///< dirty replicas healed post-cut
-
   // Synchronization accounting (chrys::SpinLock, src/sync, the combining
   // fabric).  Machine-wide aggregates: benches and the Stats JSON no longer
   // depend on keeping every lock instance alive to read its counters.
@@ -87,33 +76,8 @@ struct MachineStats {
 
   explicit MachineStats(std::size_t n = 0) : node(n) {}
 
-  void reset() {
-    for (auto& s : node) s = NodeStats{};
-    mem_faults_injected = 0;
-    dead_node_refs = 0;
-    net_unreachable_refs = 0;
-    alt_routed = 0;
-    drops_exhausted = 0;
-    suspects_declared = 0;
-    false_suspects = 0;
-    suspects_unreachable = 0;
-    unreachable_restored = 0;
-    checkpoints_taken = 0;
-    restart_count = 0;
-    serve_retries = 0;
-    serve_hedges = 0;
-    serve_hedge_wins = 0;
-    serve_sheds = 0;
-    serve_timeouts = 0;
-    serve_rereplications = 0;
-    serve_quorum_rejects = 0;
-    serve_dirty_logged = 0;
-    serve_reconciled = 0;
-    lock_acquisitions = 0;
-    lock_spins = 0;
-    barrier_episodes = 0;
-    combined_adds = 0;
-  }
+  /// Zero every counter, keeping one NodeStats per node.
+  void reset() { *this = MachineStats(node.size()); }
 
   /// Synchronization counters as a JSON fragment (no braces), for benches
   /// that emit one JSON object per configuration.
@@ -140,16 +104,7 @@ struct MachineStats {
         .kv("suspects_unreachable", suspects_unreachable)
         .kv("unreachable_restored", unreachable_restored)
         .kv("checkpoints_taken", checkpoints_taken)
-        .kv("restart_count", restart_count)
-        .kv("serve_retries", serve_retries)
-        .kv("serve_hedges", serve_hedges)
-        .kv("serve_hedge_wins", serve_hedge_wins)
-        .kv("serve_sheds", serve_sheds)
-        .kv("serve_timeouts", serve_timeouts)
-        .kv("serve_rereplications", serve_rereplications)
-        .kv("serve_quorum_rejects", serve_quorum_rejects)
-        .kv("serve_dirty_logged", serve_dirty_logged)
-        .kv("serve_reconciled", serve_reconciled);
+        .kv("restart_count", restart_count);
     return w.take();
   }
 

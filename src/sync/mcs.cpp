@@ -77,11 +77,11 @@ void McsLock::acquire(std::uint32_t w) {
   }
   ++acquisitions_;
   ++m_.stats().lock_acquisitions;
-  m_.observe_lock_acquire(sim::chan_of(tail_));
+  m_.observe_lock(sim::chan_of(tail_), true);
 }
 
 void McsLock::release(std::uint32_t w) {
-  m_.observe_lock_release(sim::chan_of(tail_));
+  m_.observe_lock(sim::chan_of(tail_), false);
   std::uint32_t nxt = read_retry(next_[w]);
   if (nxt == 0) {
     // No linked successor.  If the tail still points at us the queue is

@@ -1,9 +1,8 @@
 // App-level proof that the charge() fast path is unobservable: every app
 // run with the fast path on must be bit-for-bit identical — Instant Replay
 // logs, full per-node Stats, final simulated time, and computed results —
-// to the same run with BFLY_NO_FASTPATH semantics (cfg.host_fastpath =
-// false, which forces every charge through the post/yield/resume slow
-// path).  This is the strongest cross-check the repo has: the replay log
+// to the same run with cfg.host_fastpath = false (which forces every
+// charge through the post/yield/resume slow path).  This is the strongest cross-check the repo has: the replay log
 // records the exact interleaving of every monitored access, so a single
 // reordered event anywhere in the run shows up as a log mismatch.
 //

@@ -1,4 +1,4 @@
-// The uncharged-instrumentation invariant for the wait observer: attaching
+// The uncharged-instrumentation invariant for the wait-for graph: attaching
 // a Detector must not perturb the simulated run at all.  Same harness as
 // tests/analyze/uncharged_test.cpp — the Instant Replay racy workload's
 // log records the exact interleaving, and the instrumented run's log must

@@ -193,6 +193,26 @@ TEST(OrphanWait, NoPosterIsNotADeadlock) {
   EXPECT_EQ(findings[0].members, (std::vector<std::string>{"lonely"}));
 }
 
+// The Figure 6 view: report() names the blocked process and the dual queue
+// it waits on.
+TEST(Moviola, DeadlockReportNamesTheWaiters) {
+  Machine m(butterfly1(2));
+  Kernel k(m);
+  Detector d(m, &k);
+  Oid dq = kNoObject;
+  k.create_process(0, [&] {
+    dq = k.make_dual_queue();
+    (void)k.dq_dequeue(dq);  // nobody will ever post
+  }, "reader");
+  m.run();
+  ASSERT_TRUE(m.deadlocked());
+  d.analyze();
+  const std::string report = d.report();
+  EXPECT_NE(report.find("reader"), std::string::npos) << report;
+  EXPECT_NE(report.find("dq#" + std::to_string(dq)), std::string::npos)
+      << report;
+}
+
 // --- Fixture 3: spin-under-SpinLock starvation -------------------------------
 //
 // The hog takes the lock and then blocks in the kernel (the
@@ -241,25 +261,15 @@ TEST(Starvation, SpinnerUnderHeldLockNamesSpinnerAndHolder) {
 
 // --- Lints: charged work inside an uncharged hook ----------------------------
 
-class ChargingObserver final : public sim::MemObserver {
+class ChargingObserver final : public sim::Probe {
  public:
-  explicit ChargingObserver(Machine& m) : m_(m) { m_.set_observer(this); }
-  ~ChargingObserver() override {
-    if (m_.observer() == this) m_.set_observer(nullptr);
-  }
-  void on_access(sim::Fiber*, sim::NodeId, sim::PhysAddr, std::uint32_t,
-                 sim::MemOp) override {}
-  void on_spawn(sim::Fiber*, sim::Fiber*) override {}
-  void on_free(sim::PhysAddr, std::size_t) override {}
+  explicit ChargingObserver(Machine& m) : m_(m) { m_.attach(this); }
+  ~ChargingObserver() override { m_.detach(this); }
   void on_release(sim::Fiber* f, std::uint64_t) override {
     // Violates the hooks' host-side contract: charges simulated time from
-    // inside an observer callback.
+    // inside a probe callback.
     if (f != nullptr) m_.charge(100);
   }
-  void on_acquire(sim::Fiber*, std::uint64_t) override {}
-  void on_lock_acquire(sim::Fiber*, std::uint64_t) override {}
-  void on_lock_release(sim::Fiber*, std::uint64_t) override {}
-  void on_label(sim::PhysAddr, std::size_t, std::string) override {}
 
  private:
   Machine& m_;

@@ -277,20 +277,5 @@ TEST(Moviola, BottleneckFinderPicksTheHotObject) {
   EXPECT_EQ(per_actor, (std::vector<std::uint32_t>{9, 3}));
 }
 
-TEST(Moviola, DeadlockReportNamesTheWaiters) {
-  Machine m(butterfly1(2));
-  chrys::Kernel k(m);
-  chrys::Oid dq = chrys::kNoObject;
-  k.create_process(0, [&] {
-    dq = k.make_dual_queue();
-    (void)k.dq_dequeue(dq);  // nobody will ever post
-  });
-  m.run();
-  ASSERT_TRUE(m.deadlocked());
-  const std::string report = Moviola::deadlock_report(k, m);
-  EXPECT_NE(report.find("DEADLOCK"), std::string::npos);
-  EXPECT_NE(report.find("dual queue"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace bfly::replay

@@ -1,15 +1,22 @@
 // Chaos-style exercises for bfly::serve: staggered silent kills under a
 // live client population, determinism of the whole chaotic run, Instant
-// Replay log equality with serve traffic racing, and kill-during-checkpoint
-// restart with under-replicated blocks converging back to full strength.
+// Replay log equality with serve traffic racing (bare, and with every
+// probe attached at once), and kill-during-checkpoint restart with
+// under-replicated blocks converging back to full strength.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "moviola/wait_graph.hpp"
 #include "replay/instant_replay.hpp"
 #include "rescue/checkpoint.hpp"
+#include "scope/scope.hpp"
 #include "serve/serve.hpp"
+#ifdef BFLY_HAVE_ANALYZE
+#include "analyze/analyze.hpp"
+#endif
 
 namespace bfly::serve {
 namespace {
@@ -177,17 +184,38 @@ TEST(ServeChaos, TheWholeChaoticRunIsDeterministic) {
 struct ReplayRun {
   replay::Log log;
   Time elapsed = 0;
+  ServeCounters counters;
+  std::uint64_t hook_charges = 0;
 };
 
-ReplayRun run_replay_workload() {
-  // Three actors race monitored writes to a shared object while each also
-  // drives serve traffic — including hedges against a gray-slow server, the
-  // most schedule-sensitive path in the layer.  Two runs must produce
-  // field-identical record logs.
+// A gray-slow server: hedges fire against it.
+sim::FaultPlan slow_server_plan() {
   sim::FaultPlan plan;
   plan.slow(2, 200 * sim::kMillisecond, 100 * sim::kSecond, 30.0);
+  return plan;
+}
+
+// Three actors race monitored writes to a shared object while each also
+// drives serve traffic.  A plan that kills nodes also gets a failure
+// detector, so a silently dead server is excised before shutdown.  With
+// `observed`, a scope::Tracer, an analyze::Analyzer (when built) and a
+// moviola::Detector watch the whole run together.
+ReplayRun run_replay_workload(const sim::FaultPlan& plan,
+                              bool observed = false) {
   Machine m(butterfly1(8), plan);
   chrys::Kernel k(m);
+  std::unique_ptr<scope::Tracer> tracer;
+  std::unique_ptr<moviola::Detector> detector;
+#ifdef BFLY_HAVE_ANALYZE
+  std::unique_ptr<analyze::Analyzer> analyzer;
+#endif
+  if (observed) {
+    tracer = std::make_unique<scope::Tracer>(m);
+    detector = std::make_unique<moviola::Detector>(m, &k);
+#ifdef BFLY_HAVE_ANALYZE
+    analyzer = std::make_unique<analyze::Analyzer>(m);
+#endif
+  }
   replay::Monitor mon(k, 3);
   const std::uint32_t obj = mon.register_object(0, "cell");
   mon.set_mode(replay::Mode::kRecord);
@@ -199,7 +227,14 @@ ReplayRun run_replay_workload() {
       cfg.hedge_floor = 50 * sim::kMillisecond;
       cfg.min_hedge_samples = 1u << 20;
       cfg.deadline = 5 * sim::kSecond;
-      ReplicatedFs rfs(k, fs, nullptr, cfg);
+      std::unique_ptr<rescue::Membership> mem;
+      if (!plan.node_kills.empty()) {
+        rescue::RescueConfig rc;
+        rc.monitor_node = 7;  // keep the watchdog off the serving nodes
+        mem = std::make_unique<rescue::Membership>(k, rc);
+        mem->start();
+      }
+      ReplicatedFs rfs(k, fs, mem.get(), cfg);
       const bridge::FileId f = rfs.open("data", 16);
       std::vector<std::uint8_t> blk;
       for (std::uint32_t b = 0; b < 6; ++b) {
@@ -226,27 +261,25 @@ ReplayRun run_replay_workload() {
         });
       }
       while (live > 0) k.delay(20 * sim::kMillisecond);
-      EXPECT_GT(rfs.counters().hedges, 0u);
+      out.counters = rfs.counters();
+      if (mem) mem->stop();
     }
     fs.shutdown();
   });
   out.elapsed = m.run();
   EXPECT_FALSE(m.deadlocked());
   out.log = mon.take_log();
+  out.hook_charges = m.hook_charges();
   return out;
 }
 
-TEST(ServeChaos, InstantReplayLogEqualityHoldsWithServeEnabled) {
-  const ReplayRun a = run_replay_workload();
-  const ReplayRun b = run_replay_workload();
-  EXPECT_EQ(a.elapsed, b.elapsed);
-  ASSERT_EQ(a.log.per_actor.size(), b.log.per_actor.size());
-  for (std::size_t i = 0; i < a.log.per_actor.size(); ++i) {
-    ASSERT_EQ(a.log.per_actor[i].size(), b.log.per_actor[i].size())
-        << "actor " << i;
-    for (std::size_t j = 0; j < a.log.per_actor[i].size(); ++j) {
-      const replay::AccessEntry& x = a.log.per_actor[i][j];
-      const replay::AccessEntry& y = b.log.per_actor[i][j];
+void expect_same_log(const replay::Log& a, const replay::Log& b) {
+  ASSERT_EQ(a.per_actor.size(), b.per_actor.size());
+  for (std::size_t i = 0; i < a.per_actor.size(); ++i) {
+    ASSERT_EQ(a.per_actor[i].size(), b.per_actor[i].size()) << "actor " << i;
+    for (std::size_t j = 0; j < a.per_actor[i].size(); ++j) {
+      const replay::AccessEntry& x = a.per_actor[i][j];
+      const replay::AccessEntry& y = b.per_actor[i][j];
       EXPECT_EQ(x.object, y.object) << i << "/" << j;
       EXPECT_EQ(x.version, y.version) << i << "/" << j;
       EXPECT_EQ(x.readers, y.readers) << i << "/" << j;
@@ -254,6 +287,37 @@ TEST(ServeChaos, InstantReplayLogEqualityHoldsWithServeEnabled) {
       EXPECT_EQ(x.at, y.at) << i << "/" << j;
     }
   }
+}
+
+TEST(ServeChaos, InstantReplayLogEqualityHoldsWithServeEnabled) {
+  // Hedges against a gray-slow server are the most schedule-sensitive path
+  // in the layer.  Two runs must produce field-identical record logs.
+  const ReplayRun a = run_replay_workload(slow_server_plan());
+  const ReplayRun b = run_replay_workload(slow_server_plan());
+  EXPECT_GT(a.counters.hedges, 0u);
+  EXPECT_GT(b.counters.hedges, 0u);
+  EXPECT_EQ(a.elapsed, b.elapsed);
+  expect_same_log(a.log, b.log);
+}
+
+TEST(ServeChaos, AllProbesTogetherLeaveASilentKillRunUnchanged) {
+  // Tracer, Analyzer and Detector share one run's probe list while a server
+  // node dies silently mid-run: the log and every result must match the
+  // bare run, and no probe hook may charge simulated time.
+  sim::FaultPlan plan;
+  plan.kill_silent(2, 40 * sim::kMillisecond);
+  const ReplayRun bare = run_replay_workload(plan);
+  const ReplayRun observed = run_replay_workload(plan, /*observed=*/true);
+  EXPECT_GT(bare.counters.failed_replicas, 0u) << "the kill must hit traffic";
+  ASSERT_EQ(bare.log.per_actor.size(), 3u);
+  EXPECT_EQ(bare.log.per_actor[0].size(), 4u);
+  EXPECT_EQ(bare.elapsed, observed.elapsed);
+  EXPECT_EQ(bare.counters.json(), observed.counters.json());
+  EXPECT_EQ(bare.counters.reads, observed.counters.reads);
+  EXPECT_EQ(bare.counters.writes, observed.counters.writes);
+  EXPECT_EQ(bare.counters.failed_replicas, observed.counters.failed_replicas);
+  expect_same_log(bare.log, observed.log);
+  EXPECT_EQ(observed.hook_charges, 0u);
 }
 
 // --- Kill during checkpoint, restart with under-replicated blocks ---------

@@ -124,9 +124,6 @@ TEST(ServePartition, MinoritySideIsRefusedWhileMajorityAcksThenHealReconciles) {
   EXPECT_TRUE(mid_read_ok);
   EXPECT_TRUE(mid_matches_majority);
   EXPECT_EQ(dirty_mid, 1u) << "both cut-window writes key the same arm";
-  EXPECT_EQ(m.stats().serve_quorum_rejects, 1u);
-  EXPECT_GE(m.stats().serve_dirty_logged, 1u);
-  EXPECT_EQ(m.stats().serve_reconciled, 1u);
 }
 
 // --- resync() with divergent committed writes on both sides ---------------

@@ -3,7 +3,7 @@
 // Instant Replay log equality — lives in tests/integration.)
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -43,23 +43,6 @@ TEST(Fastpath, DisabledByConfigTakesSlowPath) {
   EXPECT_FALSE(hp.fastpath_enabled);
   EXPECT_EQ(hp.fastpath_charges, 0u);
   EXPECT_EQ(hp.fiber_resumes, 101u);  // spawn + one per charge
-}
-
-TEST(Fastpath, EnvVarForcesOff) {
-  ASSERT_EQ(setenv("BFLY_NO_FASTPATH", "1", 1), 0);
-  Machine m(cfg_fast(4, true));
-  unsetenv("BFLY_NO_FASTPATH");
-  EXPECT_FALSE(m.fastpath_enabled());
-  m.spawn(0, [&] { m.charge(10); });
-  m.run();
-  EXPECT_EQ(m.host_perf().fastpath_charges, 0u);
-}
-
-TEST(Fastpath, EnvVarZeroMeansOn) {
-  ASSERT_EQ(setenv("BFLY_NO_FASTPATH", "0", 1), 0);
-  Machine m(cfg_fast(4, true));
-  unsetenv("BFLY_NO_FASTPATH");
-  EXPECT_TRUE(m.fastpath_enabled());
 }
 
 TEST(Fastpath, StrictlyEarlierRequired_TiedEventRunsFirst) {
@@ -110,22 +93,105 @@ TEST(Fastpath, StopRequestForcesSlowPath) {
 }
 
 TEST(Fastpath, ObserverAttachDisablesFastPath) {
-  struct NullObserver : MemObserver {
-    void on_access(Fiber*, NodeId, PhysAddr, std::uint32_t, MemOp) override {}
-    void on_spawn(Fiber*, Fiber*) override {}
-    void on_free(PhysAddr, std::size_t) override {}
-    void on_release(Fiber*, std::uint64_t) override {}
-    void on_acquire(Fiber*, std::uint64_t) override {}
-    void on_lock_acquire(Fiber*, std::uint64_t) override {}
-    void on_lock_release(Fiber*, std::uint64_t) override {}
-    void on_label(PhysAddr, std::size_t, std::string) override {}
-  };
+  struct NullObserver : Probe {};
   Machine m(cfg_fast(4, true));
   NullObserver obs;
-  m.set_observer(&obs);
+  m.attach(&obs);
   m.spawn(0, [&] { m.charge(10); });
   m.run();
   EXPECT_EQ(m.host_perf().fastpath_charges, 0u);
+}
+
+// --- The probe list ---------------------------------------------------------
+
+// Logs every callback it receives as "<tag>:<callback>" into a shared log.
+class RecordingProbe final : public Probe {
+ public:
+  RecordingProbe(char tag, std::vector<std::string>& log)
+      : tag_(tag), log_(log) {}
+  void on_reference(Fiber*, NodeId, PhysAddr, std::uint32_t, MemOp, Time,
+                    Time) override { note("reference"); }
+  void on_spawn(Fiber*, Fiber*) override { note("spawn"); }
+  void on_free(PhysAddr, std::size_t) override { note("free"); }
+  void on_release(Fiber*, std::uint64_t) override { note("release"); }
+  void on_acquire(Fiber*, std::uint64_t) override { note("acquire"); }
+  void on_lock(Fiber*, std::uint64_t, bool) override { note("lock"); }
+  void on_label(PhysAddr, std::size_t, const std::string&) override {
+    note("label");
+  }
+  void on_block(Fiber*, std::uint64_t, WaitKind) override { note("block"); }
+  void on_wake(Fiber*, std::uint64_t, WakeReason) override { note("wake"); }
+  void on_post(Fiber*, std::uint64_t, PostOutcome) override { note("post"); }
+  void on_spin(Fiber*, std::uint64_t) override { note("spin"); }
+  void on_span_begin(Fiber*, NodeId, const char*, const char*,
+                     std::uint64_t) override { note("span_begin"); }
+  void on_span_end(Fiber*, NodeId) override { note("span_end"); }
+  void on_instant(Fiber*, NodeId, const char*, const char*,
+                  std::uint64_t) override { note("instant"); }
+
+ private:
+  void note(const char* what) { log_.push_back(std::string{tag_, ':'} + what); }
+  char tag_;
+  std::vector<std::string>& log_;
+};
+
+// Spawns a fiber that fires each of the 14 hooks once, and runs it.  The
+// log order: the host spawn of that fiber, then the hooks in call order.
+void run_every_hook(Machine& m, PhysAddr a) {
+  m.spawn(0, [&m, a] {
+    (void)m.read<std::uint32_t>(a);
+    m.spawn(1, [] {});
+    m.free(m.alloc(0, 8), 8);
+    m.observe_release(chan_of(a));
+    m.observe_acquire(chan_of(a));
+    m.observe_lock(chan_of(a), true);
+    m.label_memory(a, 4, "cell");
+    m.observe_block(chan_of_oid(1), WaitKind::kEvent);
+    m.observe_wake(chan_of_oid(1), WakeReason::kServed);
+    m.observe_post(chan_of_oid(1), PostOutcome::kQueued);
+    m.observe_spin(chan_of(a));
+    m.trace_begin("test", "span");
+    m.trace_end();
+    m.trace_instant("test", "mark");
+  });
+  m.run();
+}
+
+// What run_every_hook logs with the probes tagged `tags` attached, in order.
+std::vector<std::string> expected_log(const std::string& tags) {
+  std::vector<std::string> out;
+  for (const char* hook :
+       {"spawn", "reference", "spawn", "free", "release", "acquire", "lock",
+        "label", "block", "wake", "post", "spin", "span_begin", "span_end",
+        "instant"})
+    for (const char t : tags) out.push_back(std::string{t, ':'} + hook);
+  return out;
+}
+
+TEST(Probes, EveryProbeSeesEveryCallbackInAttachOrder) {
+  Machine m(cfg_fast(2, true));
+  const PhysAddr a = m.alloc(0, 8);
+  std::vector<std::string> log;
+  RecordingProbe first('A', log);
+  RecordingProbe second('B', log);
+  m.attach(&first);
+  m.attach(&second);
+  run_every_hook(m, a);
+  EXPECT_EQ(log, expected_log("AB"));
+
+  // The remaining probe keeps receiving everything.
+  log.clear();
+  m.detach(&first);
+  run_every_hook(m, a);
+  EXPECT_EQ(log, expected_log("B"));
+  EXPECT_EQ(m.host_perf().fastpath_charges, 0u);
+
+  // With the list empty again, charges take the fast path again.
+  log.clear();
+  m.detach(&second);
+  run_every_hook(m, a);
+  EXPECT_TRUE(log.empty());
+  EXPECT_GT(m.host_perf().fastpath_charges, 0u);
 }
 
 TEST(Fastpath, ContendedWorkloadIdenticalOnAndOff) {
