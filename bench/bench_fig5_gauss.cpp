@@ -10,6 +10,9 @@
 //     communication volume is P*N messages — doubling the parallelism
 //     doubles the communication — while the Uniform System's volume,
 //     (N^2-N)+P(N-1), grows only weakly with P.
+//
+// Gates: message passing beats shared memory at 8, 16 and 32 processors,
+// and its time at 128 processors exceeds its time at 64.
 
 // Set BFLY_TRACE=<path> to also run the 8-processor US configuration under
 // a scope::Tracer: the Chrome trace lands at <path> and the critical-path /
@@ -29,6 +32,7 @@ int main() {
   using namespace bfly;
   const std::uint32_t n = bench::fast_mode() ? 96 : 384;
   const char* trace_path = std::getenv("BFLY_TRACE");
+  bench::Report report;
   bench::header("FIG5", "Gaussian elimination, shared memory vs message passing",
                 "SMP wins < 64 procs; US flat beyond 64; SMP rises past 64");
   std::printf("matrix N=%u, machine: 128-node Butterfly-I\n\n", n);
@@ -36,6 +40,7 @@ int main() {
               "msg-pass(s)", "US remote refs", "SMP msgs");
 
   const std::uint32_t procs[] = {8, 16, 32, 48, 64, 96, 128};
+  sim::Time smp64 = 0, smp128 = 0;
   for (std::uint32_t p : procs) {
     apps::GaussConfig cfg;
     cfg.n = n;
@@ -64,6 +69,11 @@ int main() {
 
     sim::Machine ms(mc);
     const apps::GaussResult rs = apps::gauss_smp(ms, cfg);
+    if (p <= 32)
+      report.gate(rs.elapsed < ru.elapsed,
+                  "FIG5: message passing must beat shared memory at P <= 32");
+    if (p == 64) smp64 = rs.elapsed;
+    if (p == 128) smp128 = rs.elapsed;
 
     std::printf("%6u %14.2f %14.2f %16llu %12llu\n", p,
                 bench::seconds(ru.elapsed), bench::seconds(rs.elapsed),
@@ -75,8 +85,9 @@ int main() {
                   tracer->report().c_str());
     }
   }
-  std::printf(
+  report.gate(smp128 > smp64,
+              "FIG5: message passing must slow down from 64 to 128 procs");
+  return report.finish(
       "\nshape check: min of msg-pass column should sit near 64 procs and\n"
       "rise beyond it, while shared-mem flattens (crossover near 64).\n");
-  return 0;
 }

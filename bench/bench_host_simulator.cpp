@@ -7,21 +7,22 @@
 // paper-reproduction meaning.
 //
 // Besides the google-benchmark tables, main() runs a hand-timed pass and
-// appends a throughput row to BENCH_host_sim.json (override the path with
-// BFLY_HOST_SIM_OUT; see DESIGN.md "Host performance model" for how to
-// read it).  The committed file keeps one row per engine generation, so
-// the trajectory of the event core survives across PRs.
+// appends a throughput row to BENCH_host_sim.json in the working directory
+// (see DESIGN.md "Host performance model" for how to read it).  The
+// committed file keeps one row per engine generation, so the trajectory of
+// the event core survives across changes: a file that does not parse, or
+// cannot be rewritten, is left untouched and the bench exits nonzero.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "bench_common.hpp"
 #include "chrysalis/kernel.hpp"
 #include "scope/trace_check.hpp"
 #include "sim/json.hpp"
@@ -30,6 +31,7 @@
 namespace {
 
 using namespace bfly;
+using bench::host_seconds_since;
 
 void BM_EngineEventDispatch(benchmark::State& state) {
   for (auto _ : state) {
@@ -129,11 +131,6 @@ BENCHMARK(BM_DualQueueRoundTrip);
 // engine events *plus* switch-free fast-path charges: a warped charge does
 // the work an event used to, so the denominator stays comparable across
 // engine generations.
-
-double host_seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 struct HostRow {
   std::string label;
@@ -236,17 +233,10 @@ void emit_row(const HostRow& r, double speedup, sim::json::Writer& w) {
   w.end_object();
 }
 
-void append_json_rows() {
-  const char* out_env = std::getenv("BFLY_HOST_SIM_OUT");
-  const std::string path = out_env != nullptr ? out_env : "BENCH_host_sim.json";
-
-  const double events_per_sec = measure_event_dispatch();
-  const double switches_per_sec = measure_fiber_switches();
-  HostRow on = measure_timed_refs(true);
-  HostRow off = measure_timed_refs(false);
-  on.events_per_sec = off.events_per_sec = events_per_sec;
-  on.fiber_switches_per_sec = off.fiber_switches_per_sec = switches_per_sec;
-  const double speedup = on.timed_refs_per_sec / off.timed_refs_per_sec;
+/// Returns false, leaving the file untouched, when the existing file does
+/// not parse or the new one cannot be written.
+bool append_json_rows() {
+  const std::string path = "BENCH_host_sim.json";
 
   // Carry forward any rows already in the file (the cross-PR trajectory).
   scope::JsonValue prior;
@@ -257,12 +247,24 @@ void append_json_rows() {
       std::stringstream ss;
       ss << in.rdbuf();
       std::string err;
-      have_prior = scope::json_parse(ss.str(), &prior, &err);
-      if (!have_prior)
-        std::fprintf(stderr, "bench_host_simulator: ignoring unparsable %s: %s\n",
+      if (!scope::json_parse(ss.str(), &prior, &err)) {
+        std::fprintf(stderr,
+                     "bench_host_simulator: %s does not parse (%s); left "
+                     "untouched\n",
                      path.c_str(), err.c_str());
+        return false;
+      }
+      have_prior = true;
     }
   }
+
+  const double events_per_sec = measure_event_dispatch();
+  const double switches_per_sec = measure_fiber_switches();
+  HostRow on = measure_timed_refs(true);
+  HostRow off = measure_timed_refs(false);
+  on.events_per_sec = off.events_per_sec = events_per_sec;
+  on.fiber_switches_per_sec = off.fiber_switches_per_sec = switches_per_sec;
+  const double speedup = on.timed_refs_per_sec / off.timed_refs_per_sec;
 
   sim::json::Writer w;
   w.begin_object()
@@ -282,12 +284,13 @@ void append_json_rows() {
   w.end_array().end_object();
 
   std::ofstream out(path, std::ios::trunc);
+  out << w.str() << '\n';
+  out.flush();
   if (!out) {
     std::fprintf(stderr, "bench_host_simulator: cannot write %s\n",
                  path.c_str());
-    return;
+    return false;
   }
-  out << w.str() << '\n';
   std::printf(
       "\nBENCH_host_sim row -> %s\n"
       "  events/sec           %.3g\n"
@@ -298,6 +301,7 @@ void append_json_rows() {
       path.c_str(), events_per_sec, switches_per_sec, on.timed_refs_per_sec,
       off.timed_refs_per_sec, on.host_ns_per_event, off.host_ns_per_event,
       speedup);
+  return true;
 }
 
 }  // namespace
@@ -307,6 +311,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  append_json_rows();
-  return 0;
+  return append_json_rows() ? 0 : 1;
 }

@@ -4,6 +4,8 @@
 // provide linear speedup on several dozen disks for a wide variety of
 // file-based operations, including copying, sorting, searching, and
 // comparing."
+//
+// Gate: copy speedup stays within 5% of linear through 32 disks.
 
 #include <cstdio>
 
@@ -60,6 +62,7 @@ int main() {
   bench::header("T-BRIDGE", "interleaved-file operations vs number of disks",
                 "near-linear speedup on several dozen disks for copy / "
                 "search / compare; sort gains but pays a serial merge tail");
+  bench::Report report;
   const std::uint32_t blocks = bench::fast_mode() ? 96 : 384;
   std::printf("file: %u blocks of %zu bytes\n\n", blocks, bridge::kBlockSize);
   std::printf("%6s %10s %10s %10s %10s | %8s %8s\n", "disks", "copy(s)",
@@ -74,9 +77,11 @@ int main() {
                 bench::seconds(t.compare), bench::seconds(t.sort),
                 sim::ratio(base.copy, t.copy),
                 sim::ratio(base.search, t.search));
+    if (d <= 32)
+      report.gate(sim::ratio(base.copy, t.copy) >= 0.95 * d,
+                  "T-BRIDGE: copy speedup must be >= 0.95x disks through 32");
   }
-  std::printf("\nshape check: copy/search/compare speedups track the disk "
-              "count into the\ndozens; sort flattens as the serial merge "
-              "dominates (Amdahl again).\n");
-  return 0;
+  return report.finish("\nshape check: copy/search/compare speedups track "
+                       "the disk count into the\ndozens; sort flattens as "
+                       "the serial merge dominates (Amdahl again).\n");
 }

@@ -38,26 +38,21 @@
 //
 // Fully deterministic: fixed fault plans, seeded PRNGs, simulated time.
 // Output: human tables, one JSON line per run, and the row set again in
-// BENCH_partition.json (override: BFLY_PARTITION_OUT).  Exits nonzero when
-// a gate fails.
+// BENCH_partition.json.  Exits nonzero when a gate fails.
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "scope/trace_check.hpp"
-#include "serve/serve.hpp"
+#include "serving_common.hpp"
 #include "sim/json.hpp"
 
 using namespace bfly;
 
 namespace {
+
+using bench::pct_ms;
 
 constexpr std::uint32_t kServers = 8;
 constexpr std::uint32_t kFiles = 2;
@@ -67,13 +62,6 @@ constexpr std::uint32_t kWorkers = 16;
 // Setup (file seeding, daemons, worker creation) must finish before kWarm
 // so the fault plan's absolute times land at fixed workload offsets.
 const sim::Time kWarm = 1500 * sim::kMillisecond;
-
-bridge::DiskParams serving_disk() {
-  bridge::DiskParams d;
-  d.seek_ns = 2 * sim::kMillisecond;
-  d.block_transfer_ns = 1 * sim::kMillisecond;
-  return d;
-}
 
 struct Scenario {
   const char* part;    // "clean" | "card" | "split" | "split_replay"
@@ -123,14 +111,6 @@ void fill_block(std::vector<std::uint8_t>& blk, std::uint32_t f,
         (f * 131 + b * 37 + salt * 17 + i * 11) % 251);
 }
 
-sim::Time exp_gap(sim::Rng& rng, double mean_s) {
-  double g = -mean_s * std::log(1.0 - rng.uniform());
-  g = std::min(g, 50.0 * mean_s);
-  const double ns = g * static_cast<double>(sim::kSecond);
-  const auto t = static_cast<sim::Time>(ns);
-  return std::max<sim::Time>(t, 10 * sim::kMicrosecond);
-}
-
 RunResult run_partition(const Scenario& sc) {
   sim::FaultPlan plan;
   if (sc.card_fail) {
@@ -154,13 +134,9 @@ RunResult run_partition(const Scenario& sc) {
   std::vector<std::uint32_t> acked_salt(kBlocks, 0);
 
   k.create_process(15, [&] {
-    bridge::BridgeFs fs(k, kServers, serving_disk());
+    bridge::BridgeFs fs(k, kServers, bench::serving_disk());
     {
-      rescue::RescueConfig rc;
-      rc.monitor_node = 14;
-      rc.heartbeat_period = 10 * sim::kMillisecond;
-      rc.suspect_after = 50 * sim::kMillisecond;
-      rescue::Membership mem(k, rc);
+      rescue::Membership mem(k, bench::serving_detector());
       serve::ReplicatedFs rfs(k, fs, &mem);
       bridge::FileId files[kFiles];
       std::vector<std::uint8_t> blk;
@@ -195,7 +171,7 @@ RunResult run_partition(const Scenario& sc) {
           if (m.now() < kWarm) k.delay(kWarm - m.now());
           sim::Time next = kWarm;
           for (;;) {
-            next += exp_gap(rng, mean_gap_s);
+            next += bench::exp_gap(rng, mean_gap_s);
             if (next >= t_end) break;
             if (m.now() < next) k.delay(next - m.now());
             const bool is_write = rng.below(10) < 3;
@@ -287,14 +263,6 @@ RunResult run_partition(const Scenario& sc) {
   return r;
 }
 
-double pct_ms(std::vector<sim::Time>& v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const auto i = static_cast<std::size_t>(
-      q * static_cast<double>(v.size() - 1) + 0.5);
-  return bench::seconds(v[i]) * 1e3;
-}
-
 double goodput(const RunResult& r, const Scenario& sc) {
   return static_cast<double>(r.ok) / bench::seconds(sc.duration);
 }
@@ -305,16 +273,6 @@ double cut_goodput(const RunResult& r, const Scenario& sc) {
   const double win = bench::seconds(cut_heal(sc) - kCutStart);
   return win > 0 ? static_cast<double>(r.ok_in_cut) / win : 0.0;
 }
-
-int g_violations = 0;
-
-void gate(bool ok, const char* what) {
-  if (ok) return;
-  ++g_violations;
-  std::fprintf(stderr, "GATE FAILED: %s\n", what);
-}
-
-std::vector<std::string> g_rows;
 
 std::string row_json(const Scenario& sc, RunResult& r) {
   sim::json::Writer jw;
@@ -347,8 +305,8 @@ std::string row_json(const Scenario& sc, RunResult& r) {
   return jw.str();
 }
 
-void emit(const Scenario& sc, RunResult& r) {
-  gate(r.setup == kWarm, "setup must finish inside the warmup window");
+void emit(bench::Report& report, const Scenario& sc, RunResult& r) {
+  report.gate(r.setup == kWarm, "setup must finish inside the warmup window");
   std::printf("%6s %9.0f %9.0f %9.0f %8.1f %8.1f %6llu %6llu %6llu\n",
               sc.part, sc.offered, goodput(r, sc), cut_goodput(r, sc),
               pct_ms(r.resp, 0.50), pct_ms(r.resp, 0.99),
@@ -357,13 +315,14 @@ void emit(const Scenario& sc, RunResult& r) {
               static_cast<unsigned long long>(r.verify_fail));
   const std::string row = row_json(sc, r);
   std::printf("%s\n", row.c_str());
-  g_rows.push_back(row);
+  report.row(row);
 }
 
 }  // namespace
 
 int main() {
   const bool fast = bench::fast_mode();
+  bench::Report report("tpartition", "BENCH_partition.json");
   bench::header("TPARTITION",
                 "switch-card death, 50/50 partition, heal — under load",
                 "switch hardware fails independently of nodes; the machine "
@@ -386,107 +345,75 @@ int main() {
   // --- part 1: clean baseline ----------------------------------------------
   const Scenario clean{"clean", offered, dur_short, false, false, 41};
   RunResult rc = run_partition(clean);
-  gate(!rc.deadlocked, "clean run must not deadlock");
-  gate(rc.verify_fail == 0, "clean: every acked write must read back");
-  gate(rc.alt_routed == 0, "clean: no detours without a dead card");
-  gate(rc.net_unreachable_refs == 0, "clean: nothing is unreachable");
+  report.gate(!rc.deadlocked, "clean run must not deadlock");
+  report.gate(rc.verify_fail == 0, "clean: every acked write must read back");
+  report.gate(rc.alt_routed == 0, "clean: no detours without a dead card");
+  report.gate(rc.net_unreachable_refs == 0, "clean: nothing is unreachable");
   const double clean_gp = goodput(rc, clean);
   const double clean_p50 = pct_ms(rc.resp, 0.50);
-  emit(clean, rc);
+  emit(report, clean, rc);
 
   // --- part 2: one dead switch card ----------------------------------------
   const Scenario card{"card", offered, dur_short, true, false, 41};
   RunResult rcard = run_partition(card);
-  gate(!rcard.deadlocked, "card run must not deadlock");
-  gate(rcard.alt_routed > 0, "a dead card must force alternate paths");
-  gate(rcard.net_unreachable_refs == 0,
-       "one dead stage-0 card must leave every node reachable");
-  gate(rcard.suspects == 0 && rcard.suspects_unreachable == 0,
-       "a routed-around card must be invisible to membership");
-  gate(rcard.verify_fail == 0, "card: every acked write must read back");
-  gate(goodput(rcard, card) >= 0.95 * clean_gp,
-       "goodput with a dead card must stay >= 95% of clean");
-  gate(pct_ms(rcard.resp, 0.50) <= 1.25 * clean_p50 + 0.5,
-       "p50 with a dead card must stay near clean (+1 hop only)");
-  emit(card, rcard);
+  report.gate(!rcard.deadlocked, "card run must not deadlock");
+  report.gate(rcard.alt_routed > 0, "a dead card must force alternate paths");
+  report.gate(rcard.net_unreachable_refs == 0,
+              "one dead stage-0 card must leave every node reachable");
+  report.gate(rcard.suspects == 0 && rcard.suspects_unreachable == 0,
+              "a routed-around card must be invisible to membership");
+  report.gate(rcard.verify_fail == 0, "card: every acked write must read back");
+  report.gate(goodput(rcard, card) >= 0.95 * clean_gp,
+              "goodput with a dead card must stay >= 95% of clean");
+  report.gate(pct_ms(rcard.resp, 0.50) <= 1.25 * clean_p50 + 0.5,
+              "p50 with a dead card must stay near clean (+1 hop only)");
+  emit(report, card, rcard);
 
   // --- part 3: 50/50 partition and heal ------------------------------------
   const Scenario split{"split", offered, dur_split, false, true, 41};
   RunResult rs = run_partition(split);
-  gate(!rs.deadlocked, "split run must not deadlock");
-  gate(rs.minority_acks == 0, "no write may ack on the minority side");
-  gate(rs.noquorum > 0, "minority-side writes must be refused, not lost");
-  gate(rs.suspects == 0,
-       "a partition must not excise anyone — the far side is alive");
-  gate(rs.suspects_unreachable > 0,
-       "membership must park the far side in suspected_unreachable");
-  gate(rs.unreachable_restored > 0,
-       "healed nodes must be restored to full membership");
-  gate(rs.counters.dirty_logged > 0,
-       "majority-side acks with a cut-off arm must be dirty-logged");
-  gate(rs.counters.reconciled > 0,
-       "the heal must replay the dirty log through the majority vote");
-  gate(rs.verify_fail == 0,
-       "zero acked writes lost across partition and heal");
-  gate(rs.counters.lost_blocks == 0, "no block may lose every replica");
-  gate(cut_goodput(rs, split) >= 0.60 * clean_gp,
-       "goodput inside the cut must stay >= 60% of fault-free");
-  emit(split, rs);
+  report.gate(!rs.deadlocked, "split run must not deadlock");
+  report.gate(rs.minority_acks == 0, "no write may ack on the minority side");
+  report.gate(rs.noquorum > 0,
+              "minority-side writes must be refused, not lost");
+  report.gate(rs.suspects == 0,
+              "a partition must not excise anyone — the far side is alive");
+  report.gate(rs.suspects_unreachable > 0,
+              "membership must park the far side in suspected_unreachable");
+  report.gate(rs.unreachable_restored > 0,
+              "healed nodes must be restored to full membership");
+  report.gate(rs.counters.dirty_logged > 0,
+              "majority-side acks with a cut-off arm must be dirty-logged");
+  report.gate(rs.counters.reconciled > 0,
+              "the heal must replay the dirty log through the majority vote");
+  report.gate(rs.verify_fail == 0,
+              "zero acked writes lost across partition and heal");
+  report.gate(rs.counters.lost_blocks == 0, "no block may lose every replica");
+  report.gate(cut_goodput(rs, split) >= 0.60 * clean_gp,
+              "goodput inside the cut must stay >= 60% of fault-free");
+  emit(report, split, rs);
 
   // --- part 4: determinism (Instant Replay envelope) -----------------------
   RunResult rs2 = run_partition(split);
-  gate(rs2.elapsed == rs.elapsed, "replay: elapsed time must be equal");
-  gate(rs2.ok == rs.ok && rs2.noquorum == rs.noquorum &&
-           rs2.timeouts == rs.timeouts,
-       "replay: status counts must be equal");
-  gate(rs2.content_hash == rs.content_hash,
-       "replay: final content hash must be equal");
-  gate(rs2.counters.dirty_logged == rs.counters.dirty_logged &&
-           rs2.counters.reconciled == rs.counters.reconciled &&
-           rs2.counters.quorum_rejects == rs.counters.quorum_rejects,
-       "replay: partition counters must be equal");
+  report.gate(rs2.elapsed == rs.elapsed, "replay: elapsed time must be equal");
+  report.gate(rs2.ok == rs.ok && rs2.noquorum == rs.noquorum &&
+                  rs2.timeouts == rs.timeouts,
+              "replay: status counts must be equal");
+  report.gate(rs2.content_hash == rs.content_hash,
+              "replay: final content hash must be equal");
+  report.gate(rs2.counters.dirty_logged == rs.counters.dirty_logged &&
+                  rs2.counters.reconciled == rs.counters.reconciled &&
+                  rs2.counters.quorum_rejects == rs.counters.quorum_rejects,
+              "replay: partition counters must be equal");
   Scenario replay = split;
   replay.part = "split_replay";
-  emit(replay, rs2);
+  emit(report, replay, rs2);
 
-  // --- BENCH_partition.json ------------------------------------------------
-  const char* out_path = std::getenv("BFLY_PARTITION_OUT");
-  if (out_path == nullptr) out_path = "BENCH_partition.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fprintf(f, "{\"bench\":\"tpartition\",\"fast\":%s,\"rows\":[",
-                 fast ? "true" : "false");
-    for (std::size_t i = 0; i < g_rows.size(); ++i)
-      std::fprintf(f, "%s%s", i > 0 ? "," : "", g_rows[i].c_str());
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s (%zu rows)\n", out_path, g_rows.size());
-    // Read the artifact back: a malformed file (say, a key written twice)
-    // fails the bench like any other gate.
-    std::ifstream in(out_path);
-    std::stringstream text;
-    text << in.rdbuf();
-    scope::JsonValue doc;
-    std::string err;
-    if (!scope::json_parse(text.str(), &doc, &err)) {
-      std::fprintf(stderr, "GATE FAILED: %s does not parse: %s\n", out_path,
-                   err.c_str());
-      ++g_violations;
-    }
-  } else {
-    std::fprintf(stderr, "could not write %s\n", out_path);
-    ++g_violations;
-  }
-
-  std::printf(
+  return report.finish(
       "\nshape check: a dead stage-0 card costs one extra hop and nothing\n"
       "else; the 50/50 split turns ~half the writes into quorum refusals\n"
       "while reads and majority writes keep flowing; the heal restores\n"
       "membership and replays the dirty log, and the audit finds every\n"
-      "acked write -- no split-brain, no silent loss, bit-equal replays.\n");
-  if (g_violations > 0) {
-    std::fprintf(stderr, "\n%d gate(s) FAILED\n", g_violations);
-    return 1;
-  }
-  std::printf("\nall gates passed\n");
-  return 0;
+      "acked write -- no split-brain, no silent loss, bit-equal replays.\n"
+      "\n");
 }

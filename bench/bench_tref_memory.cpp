@@ -5,6 +5,9 @@
 // cycles from the home node; on the Butterfly Plus "local references have
 // improved by a factor of four, while remote references have improved by
 // only a factor of two" (making locality even MORE important).
+//
+// Gate: on the Butterfly-I a remote read costs exactly five local reads
+// (compared in integer nanoseconds).
 
 #include <cstdio>
 
@@ -15,6 +18,7 @@ namespace {
 
 struct RefCosts {
   double local_us, remote_us, atomic_us, block_per_word_us;
+  bfly::sim::Time local_total, remote_total;  // kReps reads each
 };
 
 RefCosts measure(const bfly::sim::MachineConfig& cfg) {
@@ -27,10 +31,12 @@ RefCosts measure(const bfly::sim::MachineConfig& cfg) {
     constexpr int kReps = 200;
     Time t0 = m.now();
     for (int i = 0; i < kReps; ++i) (void)m.read<std::uint32_t>(local);
-    out.local_us = (m.now() - t0) / 1e3 / kReps;
+    out.local_total = m.now() - t0;
+    out.local_us = out.local_total / 1e3 / kReps;
     t0 = m.now();
     for (int i = 0; i < kReps; ++i) (void)m.read<std::uint32_t>(remote);
-    out.remote_us = (m.now() - t0) / 1e3 / kReps;
+    out.remote_total = m.now() - t0;
+    out.remote_us = out.remote_total / 1e3 / kReps;
     t0 = m.now();
     for (int i = 0; i < kReps; ++i) (void)m.fetch_add_u32(remote, 1);
     out.atomic_us = (m.now() - t0) / 1e3 / kReps;
@@ -47,11 +53,14 @@ RefCosts measure(const bfly::sim::MachineConfig& cfg) {
 
 int main() {
   using namespace bfly;
+  bench::Report report;
   bench::header("T-REF", "memory reference costs, Butterfly-I vs Butterfly Plus",
                 "remote read ~4us, ~5x local; Plus: local 4x better, remote 2x");
 
   const RefCosts b1 = measure(sim::butterfly1(128));
   const RefCosts bp = measure(sim::butterfly_plus(128));
+  report.gate(b1.remote_total == 5 * b1.local_total,
+              "T-REF: Butterfly-I remote read must cost 5x a local read");
 
   std::printf("%-28s %14s %14s\n", "operation", "Butterfly-I", "B.Plus");
   std::printf("%-28s %12.2fus %12.2fus\n", "local 32-bit read", b1.local_us,
@@ -87,5 +96,5 @@ int main() {
     std::printf("home node local read with %2d remote hammerers: %.2fus\n",
                 hammer, t / 1e3 / 300);
   }
-  return 0;
+  return report.finish("");
 }

@@ -30,17 +30,9 @@
 #include "sim/json.hpp"
 #include "sim/machine.hpp"
 
-namespace {
-
-double host_seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
-
 int main() {
   using namespace bfly;
+  using bench::host_seconds_since;
   const std::uint32_t n = bench::fast_mode() ? 48 : 96;
   const std::uint32_t procs = 8;
   bench::header("TSCOPE", "host wall-clock overhead of scope tracing",

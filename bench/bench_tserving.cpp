@@ -25,22 +25,23 @@
 //
 // Fully deterministic: fixed fault plans, seeded arrival/jitter PRNGs,
 // simulated time.  Output: human tables, one JSON line per run, and the
-// whole row set again in BENCH_serving.json (path override:
-// BFLY_SERVING_OUT).  Exits nonzero when a gate fails.
+// whole row set again in BENCH_serving.json.  Exits nonzero when a gate
+// fails.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "serve/serve.hpp"
+#include "serving_common.hpp"
 #include "sim/json.hpp"
 
 using namespace bfly;
 
 namespace {
+
+using bench::pct_ms;
 
 constexpr std::uint32_t kServers = 8;
 constexpr std::uint32_t kFiles = 4;
@@ -51,16 +52,6 @@ constexpr std::uint32_t kWorkers = 64;
 // offsets into the measurement window and the measured ops never overlap
 // the expensive serialized process-creation phase.
 const sim::Time kWarm = 1500 * sim::kMillisecond;
-
-// Serving-class disks: a 2 ms seek + 1 ms block transfer keeps one server's
-// service time near 3 ms, so the 8-server cluster saturates around 2.2k
-// ops/s with the 90/10 read/write mix — reachable by the load sweep.
-bridge::DiskParams serving_disk() {
-  bridge::DiskParams d;
-  d.seek_ns = 2 * sim::kMillisecond;
-  d.block_transfer_ns = 1 * sim::kMillisecond;
-  return d;
-}
 
 serve::ServeConfig serving_config(bool hedge) {
   serve::ServeConfig cfg;
@@ -105,17 +96,6 @@ void fill_block(std::vector<std::uint8_t>& blk, std::uint32_t f,
     blk[i] = static_cast<std::uint8_t>((f * 131 + b * 37 + i * 11) % 251);
 }
 
-// Exponential inter-arrival gap (open-loop Poisson), clamped away from the
-// distribution's pathological ends so one unlucky draw cannot stall a
-// worker for the whole run.
-sim::Time exp_gap(sim::Rng& rng, double mean_s) {
-  double g = -mean_s * std::log(1.0 - rng.uniform());
-  g = std::min(g, 50.0 * mean_s);
-  const double ns = g * static_cast<double>(sim::kSecond);
-  const auto t = static_cast<sim::Time>(ns);
-  return std::max<sim::Time>(t, 10 * sim::kMicrosecond);
-}
-
 RunResult run_serving(const Scenario& sc) {
   sim::FaultPlan plan;
   for (std::uint32_t i = 0; i < sc.kills; ++i)
@@ -130,17 +110,11 @@ RunResult run_serving(const Scenario& sc) {
   std::uint32_t workers_done = 0;
 
   k.create_process(15, [&] {
-    bridge::BridgeFs fs(k, kServers, serving_disk());
+    // ~3 ms service per server: the 8-server cluster saturates around 2.2k
+    // ops/s with the 90/10 read/write mix — reachable by the load sweep.
+    bridge::BridgeFs fs(k, kServers, bench::serving_disk());
     {
-      rescue::RescueConfig rc;
-      rc.monitor_node = 14;  // watchdog off the serving nodes
-      // Serving nodes run 3 ms non-preemptible disk charges, which starve
-      // heartbeat daemons under load; the rescue defaults (2 ms beat / 8 ms
-      // suspicion) would false-suspect constantly.  50 ms detection is still
-      // an order of magnitude under the 400 ms request deadline.
-      rc.heartbeat_period = 10 * sim::kMillisecond;
-      rc.suspect_after = 50 * sim::kMillisecond;
-      rescue::Membership mem(k, rc);
+      rescue::Membership mem(k, bench::serving_detector());
       serve::ReplicatedFs rfs(k, fs, &mem, serving_config(sc.hedge));
       bridge::FileId files[kFiles];
       std::vector<std::uint8_t> blk;
@@ -167,7 +141,7 @@ RunResult run_serving(const Scenario& sc) {
           if (m.now() < kWarm) k.delay(kWarm - m.now());
           sim::Time next = kWarm;
           for (;;) {
-            next += exp_gap(rng, mean_gap_s);
+            next += bench::exp_gap(rng, mean_gap_s);
             if (next >= t_end) break;
             if (m.now() < next) k.delay(next - m.now());
             const std::uint32_t f = static_cast<std::uint32_t>(
@@ -225,27 +199,9 @@ RunResult run_serving(const Scenario& sc) {
   return r;
 }
 
-double pct_ms(std::vector<sim::Time>& v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const auto i = static_cast<std::size_t>(
-      q * static_cast<double>(v.size() - 1) + 0.5);
-  return bench::seconds(v[i]) * 1e3;
-}
-
 double goodput(const RunResult& r, const Scenario& sc) {
   return static_cast<double>(r.ok) / bench::seconds(sc.duration);
 }
-
-int g_violations = 0;
-
-void gate(bool ok, const char* what) {
-  if (ok) return;
-  ++g_violations;
-  std::fprintf(stderr, "GATE FAILED: %s\n", what);
-}
-
-std::vector<std::string> g_rows;
 
 std::string row_json(const Scenario& sc, RunResult& r) {
   sim::json::Writer jw;
@@ -277,10 +233,10 @@ std::string row_json(const Scenario& sc, RunResult& r) {
   return jw.str();
 }
 
-void emit(const Scenario& sc, RunResult& r) {
+void emit(bench::Report& report, const Scenario& sc, RunResult& r) {
   // Every run shares one validity condition: if setup spilled past kWarm the
   // window no longer lines up with the fault plan and the row is garbage.
-  gate(r.setup == kWarm, "setup must finish inside the warmup window");
+  report.gate(r.setup == kWarm, "setup must finish inside the warmup window");
   std::printf("%6s %9.0f %6u %6.1f %6s %9.0f %8.1f %8.1f %8.1f %8.1f\n",
               sc.part, sc.offered, sc.kills, sc.slow_factor,
               sc.hedge ? "on" : "off", goodput(r, sc), pct_ms(r.resp, 0.50),
@@ -288,13 +244,14 @@ void emit(const Scenario& sc, RunResult& r) {
               bench::seconds(r.worst_svc) * 1e3);
   const std::string row = row_json(sc, r);
   std::printf("%s\n", row.c_str());
-  g_rows.push_back(row);
+  report.row(row);
 }
 
 }  // namespace
 
 int main() {
   const bool fast = bench::fast_mode();
+  bench::Report report("tserving", "BENCH_serving.json");
   bench::header("TSERVING",
                 "replicated serving: load, node kills, gray failure",
                 "a serving layer on a rarely-fully-operational machine must "
@@ -321,16 +278,17 @@ int main() {
   for (const double offered : loads) {
     const Scenario sc{"load", offered, dur1, 0, 0.0, true, 11};
     RunResult r = run_serving(sc);
-    gate(!r.deadlocked, "load run must not deadlock");
+    report.gate(!r.deadlocked, "load run must not deadlock");
     if (low_load == 0) {
       low_load = offered;
       low_load_goodput = goodput(r, sc);
     }
-    gate(r.worst_svc <= svc_bound, "load: request outlived its deadline");
-    emit(sc, r);
+    report.gate(r.worst_svc <= svc_bound,
+                "load: request outlived its deadline");
+    emit(report, sc, r);
   }
-  gate(low_load_goodput >= 0.9 * low_load,
-       "under light load, goodput must track offered load");
+  report.gate(low_load_goodput >= 0.9 * low_load,
+              "under light load, goodput must track offered load");
 
   // --- part 2: silent kills mid-run ----------------------------------------
   const double offered2 = fast ? 600 : 800;
@@ -339,18 +297,20 @@ int main() {
   for (const std::uint32_t kills : {0u, 1u, 4u}) {
     const Scenario sc{"kills", offered2, dur2, kills, 0.0, true, 23};
     RunResult r = run_serving(sc);
-    gate(!r.deadlocked, "kills run must not deadlock");
-    gate(r.suspects == kills, "every silent kill must be suspected");
-    gate(r.worst_svc <= svc_bound, "kills: request outlived its deadline");
-    gate(r.counters.lost_blocks == 0, "no block may lose every replica");
+    report.gate(!r.deadlocked, "kills run must not deadlock");
+    report.gate(r.suspects == kills, "every silent kill must be suspected");
+    report.gate(r.worst_svc <= svc_bound,
+                "kills: request outlived its deadline");
+    report.gate(r.counters.lost_blocks == 0, "no block may lose every replica");
     const double gp = goodput(r, sc);
     if (kills == 0) faultfree_goodput = gp;
     else
-      gate(gp >= 0.70 * faultfree_goodput,
-           "goodput under kills must stay >= 70% of fault-free");
+      report.gate(gp >= 0.70 * faultfree_goodput,
+                  "goodput under kills must stay >= 70% of fault-free");
     if (kills > 0)
-      gate(r.counters.rereplications > 0, "kills must trigger re-replication");
-    emit(sc, r);
+      report.gate(r.counters.rereplications > 0,
+                  "kills must trigger re-replication");
+    emit(report, sc, r);
   }
 
   // --- part 3: gray failure, hedged vs unhedged ----------------------------
@@ -360,50 +320,32 @@ int main() {
   for (const bool hedge : {true, false}) {
     const Scenario sc{"gray", offered3, dur3, 0, 12.0, hedge, 37};
     RunResult r = run_serving(sc);
-    gate(!r.deadlocked, "gray run must not deadlock");
-    gate(r.suspects == 0, "a gray failure must stay invisible to heartbeats");
-    gate(r.worst_svc <= svc_bound, "gray: request outlived its deadline");
+    report.gate(!r.deadlocked, "gray run must not deadlock");
+    report.gate(r.suspects == 0,
+                "a gray failure must stay invisible to heartbeats");
+    report.gate(r.worst_svc <= svc_bound,
+                "gray: request outlived its deadline");
     const double p = pct_ms(r.read_resp, 0.999);
     if (hedge) {
       hedged_p999 = p;
-      gate(r.counters.hedges > 0, "gray run must issue hedges");
-      gate(r.counters.hedge_wins > 0, "some hedges must beat the slow server");
+      report.gate(r.counters.hedges > 0, "gray run must issue hedges");
+      report.gate(r.counters.hedge_wins > 0,
+                  "some hedges must beat the slow server");
     } else {
       unhedged_p999 = p;
     }
-    emit(sc, r);
+    emit(report, sc, r);
   }
-  gate(hedged_p999 * 2.0 <= unhedged_p999,
-       "hedged read p999 must beat unhedged by >= 2x under gray failure");
+  report.gate(
+      hedged_p999 * 2.0 <= unhedged_p999,
+      "hedged read p999 must beat unhedged by >= 2x under gray failure");
 
-  // --- BENCH_serving.json --------------------------------------------------
-  const char* out_path = std::getenv("BFLY_SERVING_OUT");
-  if (out_path == nullptr) out_path = "BENCH_serving.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fprintf(f, "{\"bench\":\"tserving\",\"fast\":%s,\"rows\":[",
-                 fast ? "true" : "false");
-    for (std::size_t i = 0; i < g_rows.size(); ++i)
-      std::fprintf(f, "%s%s", i > 0 ? "," : "", g_rows[i].c_str());
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s (%zu rows)\n", out_path, g_rows.size());
-  } else {
-    std::fprintf(stderr, "could not write %s\n", out_path);
-    ++g_violations;
-  }
-
-  std::printf(
+  return report.finish(
       "\nshape check: under capacity (~2.2k ops/s with this mix) goodput\n"
       "tracks offered load and p50 sits at the ~3.5 ms service time; past\n"
       "capacity the backlog grows and response time from scheduled arrival\n"
       "explodes, while issue-to-return service stays deadline-bounded and\n"
-      "admission control sheds attempts; 4 silent kills cost >= 70%% of\n"
+      "admission control sheds attempts; 4 silent kills cost >= 70% of\n"
       "fault-free goodput and zero lost blocks; the gray-failed server is\n"
       "never suspected, yet hedged read p999 beats unhedged >= 2x.\n");
-  if (g_violations > 0) {
-    std::fprintf(stderr, "\n%d gate(s) FAILED\n", g_violations);
-    return 1;
-  }
-  std::printf("all gates passed\n");
-  return 0;
 }

@@ -24,13 +24,13 @@
 //             the Ultracomputer argument: adds meeting at a switch stage
 //             merge, so the home port sees one transaction per window.
 //
-// Fast mode (BFLY_FAST=1, the sync-smoke CI stage) runs {256, 1K} and
-// *gates*: MCS must beat the spin lock at 1K, tree-barrier growth from
+// The default run sweeps all four sizes; fast mode (BFLY_FAST=1, the
+// bench-smoke CI stage) stops at {256, 1K}.  Both *gate* on the 256/1K
+// rows: MCS must beat the spin lock at 1K, tree-barrier growth from
 // 256->1K must look like O(log n) not O(n), the distributed counter must
 // beat the central one, and combining must both engage (combined_adds > 0)
-// and win elapsed time.  Full mode (BFLY_SYNC_FULL=1) runs all four sizes
-// non-gating and writes every row to BENCH_sync.json (override:
-// BFLY_SYNC_OUT).  Fully deterministic: simulated time, fixed layouts.
+// and win elapsed time.  Every row lands in BENCH_sync.json.  Fully
+// deterministic: simulated time, fixed layouts.
 
 #include <algorithm>
 #include <cstdio>
@@ -58,14 +58,6 @@ constexpr std::uint32_t kBarrierEpisodes = 4;
 constexpr std::uint32_t kAddsPerNode = 32;  // counter rows
 constexpr std::uint32_t kFaddPerActor = 4;  // fadd rows
 
-int g_violations = 0;
-
-void gate(bool ok, const char* what) {
-  if (ok) return;
-  ++g_violations;
-  std::fprintf(stderr, "GATE FAILED: %s\n", what);
-}
-
 struct Row {
   std::string prim;            // "lock-spin", "lock-mcs", ...
   std::uint32_t nodes = 0;     // machine size
@@ -83,9 +75,7 @@ struct Row {
   }
 };
 
-std::vector<std::string> g_rows;
-
-void emit(const Row& r) {
+void emit(bench::Report& report, const Row& r) {
   std::printf("%-12s %6u %7u %8llu %12.3f %10.3f %10llu %10llu\n",
               r.prim.c_str(), r.nodes, r.actors,
               static_cast<unsigned long long>(r.ops),
@@ -103,7 +93,7 @@ void emit(const Row& r) {
       .kv("per_op_us", r.per_op_us())
       .raw(r.sync_json)
       .end_object();
-  g_rows.push_back(jw.str());
+  report.row(jw.str());
 }
 
 void finish_row(Row& r, sim::Machine& m) {
@@ -244,7 +234,7 @@ Row run_counter(std::uint32_t machine, bool dist) {
 
 // --- fadd / switch-combining rows -------------------------------------------
 
-Row run_fadd(std::uint32_t machine, bool combining) {
+Row run_fadd(bench::Report& report, std::uint32_t machine, bool combining) {
   sim::MachineConfig cfg = contended(machine);
   cfg.switch_combining = combining;
   sim::Machine m(cfg);
@@ -270,25 +260,22 @@ Row run_fadd(std::uint32_t machine, bool combining) {
   finish_row(r, m);
   // Correctness: every add must land exactly once, combined or not.
   const auto v = m.peek<std::uint32_t>(cell);
-  gate(v == r.ops, "fadd: cell must equal the number of adds");
+  report.gate(v == r.ops, "fadd: cell must equal the number of adds");
   return r;
 }
 
 }  // namespace
 
 int main() {
-  const bool full = [] {
-    const char* v = std::getenv("BFLY_SYNC_FULL");
-    return v != nullptr && v[0] != '0';
-  }();
-  const bool gating = !full;
+  const bool fast = bench::fast_mode();
+  bench::Report report("tsync", "BENCH_sync.json");
   bench::header(
       "TSYNC", "scalable synchronization: weak scaling to 16K nodes",
       "busy-waiting steals cycles from the node that owns the lock word; "
       "at 16K nodes the 1988 primitives collapse, MCS/tree/combining hold");
 
   std::vector<std::uint32_t> sizes{256, 1024};
-  if (full) {
+  if (!fast) {
     sizes.push_back(4096);
     sizes.push_back(16384);
   }
@@ -306,10 +293,10 @@ int main() {
     rows.push_back(run_barrier(n, /*tree=*/true));
     rows.push_back(run_counter(n, /*dist=*/false));
     rows.push_back(run_counter(n, /*dist=*/true));
-    rows.push_back(run_fadd(n, /*combining=*/false));
-    rows.push_back(run_fadd(n, /*combining=*/true));
+    rows.push_back(run_fadd(report, n, /*combining=*/false));
+    rows.push_back(run_fadd(report, n, /*combining=*/true));
     for (std::size_t i = rows.size() - 8; i < rows.size(); ++i)
-      emit(rows[i]);
+      emit(report, rows[i]);
   }
 
   const auto row = [&](const char* prim, std::uint32_t n) -> const Row& {
@@ -331,61 +318,39 @@ int main() {
                         "barrier-tree", "counter-central", "counter-dist",
                         "fadd-port", "fadd-combine"})
     std::printf("  %-16s %6.2fx\n", p, ratio(p, 256, 1024));
-  if (full) {
+  if (!fast) {
     std::printf("growth 1024 -> 16384 (16x nodes):\n");
     for (const char* p : {"barrier-central", "barrier-tree",
                           "counter-central", "counter-dist"})
       std::printf("  %-16s %6.2fx\n", p, ratio(p, 1024, 16384));
   }
 
-  if (gating) {
-    // MCS vs spin at 1K: same convoy, same critical sections; the queue
-    // lock's handoffs must win (throughput >= means elapsed <=).
-    gate(row("lock-mcs", 1024).elapsed <= row("lock-spin", 1024).elapsed,
-         "MCS throughput must be >= the backoff spin lock at 1K nodes");
-    // Tree barrier growth over a 4x size step: O(log n) adds one constant
-    // increment (ratio -> 1); O(n) would be ~4x.  Allow 2.5x of slack.
-    gate(ratio("barrier-tree", 256, 1024) <= 2.5,
-         "tree barrier must grow O(log n), not O(n), from 256 to 1K");
-    // The centralized barrier is the O(n) baseline the tree is fixing;
-    // if it stops collapsing the comparison is vacuous.
-    gate(ratio("barrier-central", 256, 1024) >= 2.0,
-         "central barrier must show ~O(n) growth from 256 to 1K");
-    gate(row("counter-dist", 1024).elapsed <=
-             row("counter-central", 1024).elapsed,
-         "distributed counter must beat the central cell at 1K nodes");
-    gate(row("fadd-combine", 1024).combined_adds > 0,
-         "switch combining must engage under a contended fadd burst");
-    gate(row("fadd-combine", 1024).elapsed < row("fadd-port", 1024).elapsed,
-         "combining must beat port serialization at 1K nodes");
-  }
+  // MCS vs spin at 1K: same convoy, same critical sections; the queue
+  // lock's handoffs must win (throughput >= means elapsed <=).
+  report.gate(row("lock-mcs", 1024).elapsed <= row("lock-spin", 1024).elapsed,
+              "MCS throughput must be >= the backoff spin lock at 1K nodes");
+  // Tree barrier growth over a 4x size step: O(log n) adds one constant
+  // increment (ratio -> 1); O(n) would be ~4x.  Allow 2.5x of slack.
+  report.gate(ratio("barrier-tree", 256, 1024) <= 2.5,
+              "tree barrier must grow O(log n), not O(n), from 256 to 1K");
+  // The centralized barrier is the O(n) baseline the tree is fixing;
+  // if it stops collapsing the comparison is vacuous.
+  report.gate(ratio("barrier-central", 256, 1024) >= 2.0,
+              "central barrier must show ~O(n) growth from 256 to 1K");
+  report.gate(row("counter-dist", 1024).elapsed <=
+                  row("counter-central", 1024).elapsed,
+              "distributed counter must beat the central cell at 1K nodes");
+  report.gate(row("fadd-combine", 1024).combined_adds > 0,
+              "switch combining must engage under a contended fadd burst");
+  report.gate(
+      row("fadd-combine", 1024).elapsed < row("fadd-port", 1024).elapsed,
+      "combining must beat port serialization at 1K nodes");
 
-  const char* out_path = std::getenv("BFLY_SYNC_OUT");
-  if (out_path == nullptr) out_path = "BENCH_sync.json";
-  if (std::FILE* f = std::fopen(out_path, "w")) {
-    std::fprintf(f, "{\"bench\":\"tsync\",\"full\":%s,\"rows\":[",
-                 full ? "true" : "false");
-    for (std::size_t i = 0; i < g_rows.size(); ++i)
-      std::fprintf(f, "%s%s", i > 0 ? "," : "", g_rows[i].c_str());
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s (%zu rows)\n", out_path, g_rows.size());
-  } else {
-    std::fprintf(stderr, "could not write %s\n", out_path);
-    ++g_violations;
-  }
-
-  std::printf(
+  return report.finish(
       "\nshape check: lock-spin and barrier-central per-op cost grows with\n"
       "the machine (probe pressure and O(n) arrival on one module);\n"
       "lock-mcs handoff and barrier-tree cost stay near-flat (log-depth\n"
       "wave, local-only waiting); counter-dist adds are local so the\n"
       "aggregating read is the only term that grows; fadd-combine merges\n"
       "concurrent adds at the switch so the port queue never forms.\n");
-  if (g_violations != 0) {
-    std::fprintf(stderr, "\n%d gate(s) FAILED\n", g_violations);
-    return 1;
-  }
-  std::printf("all gates passed\n");
-  return 0;
 }

@@ -6,30 +6,32 @@
 #   1. default preset  — Release build, full ctest suite
 #      (first, on x86-64: libbfly_sim.a must not reference swapcontext, or
 #       the hand-written fiber switch was compiled out)
-#   2. fault smoke     — the fault-injection and recovery benches (fast
-#                        mode, fixed seeds) rerun verbosely so a hang or
-#                        crash in the kill/restart paths is easy to read
-#      (the chaos and partition smokes rerun the serving and switch-fault
-#       benches the same way: fast mode, fixed seeds, self-gating)
-#   2b. bench smoke    — every other paper bench (fig5, fig6, tref, tprim,
-#                        though, tcont, tamdahl, trpc, treplay, tbridge,
-#                        tspeedup, tscope_overhead, ablation) runs once in
-#                        fast mode; gated on the exit code (label
-#                        bench-smoke)
+#   2. bench smoke     — every paper bench runs once in fast mode (fixed
+#                        seeds and fault plans) from build/bench, so its
+#                        rows file never touches the committed copy; gated
+#                        on the exit code, which carries each bench's
+#                        self-gates (label bench-smoke)
+#   2b. bench drift    — tserving, tpartition and tsync regenerate their
+#                        rows files at full size in a scratch directory;
+#                        each must be byte-identical to the committed
+#                        BENCH_*.json (~30 s, almost all of it the sync
+#                        sweep).  A difference means the simulation moved:
+#                        regenerate the file and say why in the change
 #   3. sched-fuzz smoke— the moviola deadlock detector rides a reduced
 #                        PCT schedule sweep (10 seeds x 4 workloads); any
 #                        finding, lint or wedge on any seed is a failure
 #   3b. sync smoke     — the scalable-synchronization suites (MCS, tree
-#                        barrier, idle counters, observer contract) plus
-#                        the tsync weak-scaling bench's self-gates at
-#                        256/1K nodes (label sync-smoke)
+#                        barrier, idle counters, observer contract; label
+#                        sync-smoke)
 #   4. scope smoke     — a traced Gauss run exports a Chrome trace, then
 #                        the standalone validator re-checks the file on
 #                        disk (parses, monotone timestamps, balanced B/E)
 #   5. perf smoke      — the host-simulator microbenchmarks at a tiny
-#                        min-time, printing the BENCH_host_sim.json row.
-#                        NON-GATING: CI machines have wildly variable
-#                        throughput, so a slow run only warns
+#                        min-time, run from a scratch directory so the
+#                        BENCH_host_sim.json row they append stays out of
+#                        the committed file.  NON-GATING: CI machines have
+#                        wildly variable throughput, so a slow run only
+#                        warns
 #   5b. perfbench contract — perfbench/selfcheck.py runs every benchmark
 #                        workload in smoke mode and checks the output
 #                        contract (named metrics with units, unique keys,
@@ -44,6 +46,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+ROOT="$PWD"
 JOBS="${1:-$(nproc)}"
 
 step() { printf '\n=== %s ===\n' "$*"; }
@@ -64,22 +67,25 @@ fi
 step "test (default preset)"
 ctest --preset default -j "$JOBS"
 
-step "fault-heavy smoke (tfault + trecovery benches, fast mode)"
-ctest --preset default -L fault-smoke --output-on-failure --verbose
-
-step "chaos smoke (tserving bench: kills + gray failure gates, fast mode)"
-ctest --preset default -L chaos-smoke --output-on-failure --verbose
-
-step "partition smoke (tpartition bench: dead card + split-brain gates, fast mode)"
-ctest --preset default -L partition-smoke --output-on-failure --verbose
-
-step "bench smoke (every other paper bench, fast mode, exit code)"
+step "bench smoke (every paper bench, fast mode, self-gates + exit code)"
 ctest --preset default -L bench-smoke --output-on-failure
+
+step "bench drift (full-size rows files vs the committed BENCH_*.json)"
+drift_dir="$(mktemp -d)"
+for b in tserving:serving tpartition:partition tsync_scaling:sync; do
+  bin="bench_${b%%:*}" file="BENCH_${b##*:}.json"
+  (cd "$drift_dir" && "$ROOT/build/bench/$bin" >/dev/null)
+  cmp "$drift_dir/$file" "$file" || {
+    echo "$file drifted from $bin's output: regenerate it and say why"
+    exit 1
+  }
+done
+rm -rf "$drift_dir"
 
 step "sched-fuzz smoke (moviola detector over PCT schedule seeds)"
 ctest --preset default -L sched-fuzz-smoke --output-on-failure --verbose
 
-step "sync smoke (MCS/tree-barrier/counter suites + tsync scaling gates)"
+step "sync smoke (MCS/tree-barrier/counter/observer suites)"
 ctest --preset default -L sync-smoke --output-on-failure
 
 step "scope smoke (traced Gauss -> Chrome trace -> validator)"
@@ -89,12 +95,14 @@ step "scope smoke (traced Gauss -> Chrome trace -> validator)"
 step "perf smoke (host simulator microbenchmarks, non-gating)"
 # Note: this google-benchmark takes --benchmark_min_time as a plain double
 # (seconds); the "0.05s" suffix form is a newer addition it rejects.
-if BFLY_HOST_SIM_OUT=build/BENCH_host_sim_ci.json \
-    ./build/bench/bench_host_simulator --benchmark_min_time=0.05; then
+perf_dir="$(mktemp -d)"
+if (cd "$perf_dir" && \
+    "$ROOT/build/bench/bench_host_simulator" --benchmark_min_time=0.05); then
   :
 else
   echo "perf smoke failed (non-gating; host throughput varies in CI)"
 fi
+rm -rf "$perf_dir"
 
 step "perfbench contract (every workload in smoke mode, gating)"
 python3 perfbench/selfcheck.py
