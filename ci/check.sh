@@ -23,8 +23,10 @@
 #   3b. sync smoke     — the scalable-synchronization suites (MCS, tree
 #                        barrier, idle counters, observer contract; label
 #                        sync-smoke)
-#   4. scope smoke     — a traced Gauss run exports a Chrome trace, then
-#                        the standalone validator re-checks the file on
+#   4. scope smoke     — a Gauss run with all three probes attached (tracer,
+#                        race detector, wait-for graph) exports a Chrome
+#                        trace and fails on any race or blocked process;
+#                        then the standalone validator re-checks the file on
 #                        disk (parses, monotone timestamps, balanced B/E)
 #   5. perf smoke      — the host-simulator microbenchmarks at a tiny
 #                        min-time, run from a scratch directory so the
@@ -88,7 +90,7 @@ ctest --preset default -L sched-fuzz-smoke --output-on-failure --verbose
 step "sync smoke (MCS/tree-barrier/counter/observer suites)"
 ctest --preset default -L sync-smoke --output-on-failure
 
-step "scope smoke (traced Gauss -> Chrome trace -> validator)"
+step "scope smoke (Gauss with all probes -> Chrome trace -> validator)"
 ./build/tools/trace_gauss build/scope_ci_trace.json build/scope_ci_metrics.json
 ./build/tools/trace_validate build/scope_ci_trace.json
 

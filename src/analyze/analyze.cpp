@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -23,7 +24,8 @@ const char* op_name(sim::MemOp op) {
 
 Analyzer::Analyzer(sim::Machine& m) : Analyzer(m, Options()) {}
 
-Analyzer::Analyzer(sim::Machine& m, Options opt) : m_(m), opt_(opt) {
+Analyzer::Analyzer(sim::Machine& m, Options opt)
+    : m_(m), opt_(opt), shadow_(m.nodes()) {
   m_.attach(this);
 }
 
@@ -82,8 +84,9 @@ void Analyzer::on_free(sim::PhysAddr a, std::size_t bytes) {
   const std::uint32_t first = a.offset / 4;
   const auto last =
       static_cast<std::uint32_t>((a.offset + bytes + 3) / 4);  // exclusive
-  for (std::uint32_t w = first; w < last; ++w)
-    shadow_.erase(word_key(a.node, w));
+  SegmentMap& segs = shadow_[a.node];
+  split(segs, last);
+  segs.erase(split(segs, first), segs.lower_bound(last));
   const std::uint64_t lo = word_key(a.node, a.offset);
   const std::uint64_t hi =
       word_key(a.node, static_cast<std::uint32_t>(a.offset + bytes));
@@ -118,59 +121,94 @@ void Analyzer::sync_word_access(std::uint32_t actor, std::uint64_t chan) {
   ++ac.clock[actor];
 }
 
+Analyzer::SegmentMap::iterator Analyzer::split(SegmentMap& segs,
+                                               std::uint32_t w) {
+  auto it = segs.lower_bound(w);
+  if (it == segs.begin()) return it;
+  Segment& prev = std::prev(it)->second;
+  if (prev.end <= w) return it;
+  Segment tail{prev.end, prev.s};  // every word of a segment is alike
+  prev.end = w;
+  return segs.emplace_hint(it, w, std::move(tail));
+}
+
+template <class Fn>
+void Analyzer::each_segment(sim::NodeId node, std::uint32_t first,
+                            std::uint32_t last, Fn&& fn) {
+  SegmentMap& segs = shadow_[node];
+  split(segs, last);
+  auto it = split(segs, first);
+  for (std::uint32_t w = first; w < last; ++it) {
+    if (it == segs.end() || it->first > w) {
+      // Never touched: a fresh segment up to the next one.
+      const std::uint32_t end =
+          it == segs.end() ? last : std::min(last, it->first);
+      it = segs.emplace_hint(it, w, Segment{end, Shadow{}});
+    }
+    fn(it->first, it->second);
+    w = it->second.end;
+  }
+}
+
 void Analyzer::on_reference(sim::Fiber* f, sim::NodeId requester,
                             sim::PhysAddr a, std::uint32_t words,
                             sim::MemOp op, sim::Time /*queue_ns*/,
                             sim::Time /*at*/) {
   const std::uint32_t actor =
       f != nullptr ? actor_of(f) : kNoActor;
+  if (words == 0) return;
   const bool remote = requester != a.node;
   const std::uint32_t first = a.offset / 4;
-  for (std::uint32_t i = 0; i < words; ++i) {
-    const sim::PhysAddr wa{a.node, (first + i) * 4};
-    Shadow& s = shadow_[word_key(a.node, first + i)];
+  each_segment(a.node, first, first + words,
+               [&](std::uint32_t start, Segment& seg) {
+    Shadow& s = seg.s;
     if (remote)
       ++s.remote_words;
     else
       ++s.local_words;
-    if (op == sim::MemOp::kAggregate) continue;  // volume, not an access
-    if (actor == kNoActor) continue;             // untracked host context
-    if (op == sim::MemOp::kAtomic) {
-      s.sync = true;
-      sync_word_access(actor, sim::chan_of(wa));
-      continue;
-    }
+    if (op == sim::MemOp::kAggregate) return;  // volume, not an access
+    if (actor == kNoActor) return;             // untracked host context
+    if (op == sim::MemOp::kAtomic) s.sync = true;
     if (s.sync) {
-      // Plain access to a synchronization cell (spin-lock release store,
-      // monitor unlock): ordered by the module, never a race.
-      sync_word_access(actor, sim::chan_of(wa));
-      continue;
+      // Atomic access, or a plain access to a synchronization cell
+      // (spin-lock release store, monitor unlock): ordered by the module,
+      // never a race.  Each word is its own acquire+release.
+      for (std::uint32_t w = start; w < seg.end; ++w)
+        sync_word_access(actor, sim::chan_of(sim::PhysAddr{a.node, w * 4}));
+      return;
     }
-    check_word(actor, wa, s, op);
-  }
+    check_segment(actor, a.node, start, seg, op);
+  });
 }
 
-void Analyzer::check_word(std::uint32_t actor, sim::PhysAddr word_addr,
-                          Shadow& s, sim::MemOp op) {
+void Analyzer::check_segment(std::uint32_t actor, sim::NodeId node,
+                             std::uint32_t start, Segment& seg,
+                             sim::MemOp op) {
+  Shadow& s = seg.s;
   Actor& ac = actors_[actor];
   const sim::Time now = m_.now();
 
   if (!s.reported) {
-    // Against the last write.
+    // Against the last write; a write also races with any unordered read.
+    ReadEpoch prior;  // kNoActor: no race
+    sim::MemOp prior_op = sim::MemOp::kWrite;
     if (s.wactor != kNoActor && s.wactor != actor &&
         s.wclk > component(ac.clock, s.wactor)) {
-      record_race(actor, word_addr, s, op, s.wactor, s.wclk, s.wat,
-                  sim::MemOp::kWrite);
-    }
-    // A write also races with any unordered read.
-    if (!s.reported && op == sim::MemOp::kWrite) {
+      prior = ReadEpoch{s.wactor, s.wclk, s.wat};
+    } else if (op == sim::MemOp::kWrite) {
       for (const ReadEpoch& r : s.reads) {
         if (r.actor != actor && r.clk > component(ac.clock, r.actor)) {
-          record_race(actor, word_addr, s, op, r.actor, r.clk, r.at,
-                      sim::MemOp::kRead);
+          prior = r;
+          prior_op = sim::MemOp::kRead;
           break;
         }
       }
+    }
+    // Every word of the segment races alike: one report per word.
+    if (prior.actor != kNoActor) {
+      for (std::uint32_t w = start; w < seg.end; ++w)
+        record_race(actor, sim::PhysAddr{node, w * 4}, s, op, prior.actor,
+                    prior.clk, prior.at, prior_op);
     }
   }
 
@@ -293,25 +331,31 @@ std::vector<HotWordReport> Analyzer::hot_words() const {
   const sim::Time elapsed = m_.now();
   if (elapsed == 0) return out;
   const double service = static_cast<double>(m_.config().module_service_ns);
-  for (const auto& [key, s] : shadow_) {
-    if (s.remote_words < opt_.hot_min_remote_refs) continue;
-    const double occ =
-        static_cast<double>(s.remote_words) * service /
-        static_cast<double>(elapsed);
-    if (occ < opt_.hot_occupancy) continue;
-    HotWordReport h;
-    h.addr = sim::PhysAddr{static_cast<sim::NodeId>(key >> 32),
-                           static_cast<std::uint32_t>(key) * 4};
-    h.object = symbolize(h.addr);
-    h.remote_words = s.remote_words;
-    h.local_words = s.local_words;
-    h.occupancy = occ;
-    out.push_back(std::move(h));
+  // Walk words in (node, offset) order; the stable sort below keeps that
+  // order among words of equal occupancy.
+  for (sim::NodeId node = 0; node < shadow_.size(); ++node) {
+    for (const auto& [start, seg] : shadow_[node]) {
+      const Shadow& s = seg.s;
+      if (s.remote_words < opt_.hot_min_remote_refs) continue;
+      const double occ =
+          static_cast<double>(s.remote_words) * service /
+          static_cast<double>(elapsed);
+      if (occ < opt_.hot_occupancy) continue;
+      for (std::uint32_t w = start; w < seg.end; ++w) {
+        HotWordReport h;
+        h.addr = sim::PhysAddr{node, w * 4};
+        h.object = symbolize(h.addr);
+        h.remote_words = s.remote_words;
+        h.local_words = s.local_words;
+        h.occupancy = occ;
+        out.push_back(std::move(h));
+      }
+    }
   }
-  std::sort(out.begin(), out.end(),
-            [](const HotWordReport& a, const HotWordReport& b) {
-              return a.occupancy > b.occupancy;
-            });
+  std::stable_sort(out.begin(), out.end(),
+                   [](const HotWordReport& a, const HotWordReport& b) {
+                     return a.occupancy > b.occupancy;
+                   });
   return out;
 }
 

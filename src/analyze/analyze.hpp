@@ -13,6 +13,21 @@
 //   * a lock-acquisition graph (potential-deadlock lint);
 //   * per-word local/remote traffic counters (hot-word lint).
 //
+// Shadow state is stored per address range, not per word.  Each node keeps
+// an ordered map of non-overlapping segments, start word -> {end, Shadow},
+// and every word of a segment has the same state.  A reference of n words
+// splits the segments at its two ends, fills gaps with fresh segments, and
+// runs the FastTrack check once per segment, so a 514-word row transfer
+// read by 64 actors holds 64 read epochs, not 514 x 64.  Per-word semantics
+// are kept wherever they show:
+//
+//   * an access to a sync segment expands word by word, in address order,
+//     because each word is an acquire+release that bumps the actor's clock;
+//   * a racy segment records one race per word (races_total(), per-word
+//     symbolized names and suppressions are those of a per-word detector);
+//   * on_free splits and erases segments; hot_words() expands segments to
+//     words, in (node, offset) order before sorting by occupancy.
+//
 // Two plain accesses to the same word race when neither happens before the
 // other and at least one is a write.  A word ever touched by a PNC atomic
 // (fetch_add / fetch_or / test_and_set) becomes a *synchronization cell*:
@@ -24,7 +39,7 @@
 //
 // Everything here is host-side and uncharged; attaching an Analyzer leaves
 // the simulated run event-identical to a bare one (asserted in
-// tests/analyze/uncharged_test.cpp via Instant Replay log equality).
+// tests/integration/uncharged_test.cpp via Instant Replay log equality).
 #pragma once
 
 #include <cstdint>
@@ -141,7 +156,7 @@ class Analyzer final : public sim::Probe {
     sim::Time at = 0;
   };
 
-  /// Shadow state for one 32-bit word.
+  /// Shadow state of every word in one segment.
   struct Shadow {
     std::uint32_t wactor = kNoActor;  // last write epoch
     std::uint64_t wclk = 0;
@@ -152,6 +167,13 @@ class Analyzer final : public sim::Probe {
     std::uint64_t local_words = 0;
     std::uint64_t remote_words = 0;
   };
+
+  /// Words [start, end) of one node share `s`; the map key is `start`.
+  struct Segment {
+    std::uint32_t end = 0;
+    Shadow s;
+  };
+  using SegmentMap = std::map<std::uint32_t, Segment>;
 
   struct Label {
     std::uint32_t len = 0;
@@ -168,8 +190,18 @@ class Analyzer final : public sim::Probe {
   }
   static void join(Clock& into, const Clock& from);
 
-  void check_word(std::uint32_t actor, sim::PhysAddr word_addr, Shadow& s,
-                  sim::MemOp op);
+  /// Cut the segment covering word `w` (if any) at `w`; returns the first
+  /// segment starting at or after `w`.
+  static SegmentMap::iterator split(SegmentMap& segs, std::uint32_t w);
+  /// Calls fn(start, segment) for the segments exactly covering words
+  /// [first, last) of `node`, in address order, creating missing ones.
+  template <class Fn>
+  void each_segment(sim::NodeId node, std::uint32_t first, std::uint32_t last,
+                    Fn&& fn);
+  /// FastTrack check and update of one plain access to every word of a
+  /// segment (which starts at word `start` of `node`).
+  void check_segment(std::uint32_t actor, sim::NodeId node,
+                     std::uint32_t start, Segment& seg, sim::MemOp op);
   void record_race(std::uint32_t actor, sim::PhysAddr word_addr, Shadow& s,
                    sim::MemOp op, std::uint32_t prior, std::uint64_t prior_clk,
                    sim::Time prior_at, sim::MemOp prior_op);
@@ -182,7 +214,7 @@ class Analyzer final : public sim::Probe {
   std::vector<Actor> actors_;
   std::unordered_map<sim::Fiber*, std::uint32_t> actor_ids_;
   std::unordered_map<std::uint64_t, Clock> channels_;
-  std::unordered_map<std::uint64_t, Shadow> shadow_;
+  std::vector<SegmentMap> shadow_;  // per node
   // Acquisition-graph edges: held -> newly acquired.
   std::map<std::uint64_t, std::vector<std::uint64_t>> lock_edges_;
   // Symbolization: key = (node<<32|offset) of each labelled range start.

@@ -92,13 +92,8 @@ std::string Tracer::chrome_trace() const {
         .end_object()
         .end_object();
   }
-  for (sim::NodeId n = 0; n < m_.nodes(); ++n) {
-    const NodeSeries& s = series_[n];
-    if (!s.occupancy_ns.empty() || !s.local_words.empty() ||
-        !s.remote_words.empty()) {
-      name_process(n);
-    }
-  }
+  for (sim::NodeId n = 0; n < m_.nodes(); ++n)
+    if (!series_[n].empty()) name_process(n);
 
   // The span/instant log is time-ordered by construction; the counter
   // samples are generated in bin order.  Merge the two sorted streams so
@@ -106,19 +101,19 @@ std::string Tracer::chrome_trace() const {
   const sim::Time now = m_.now();
   std::size_t bin = 0;
   const std::size_t bins = series_.empty() ? 0 : max_bin_ + 1;
+  std::vector<std::size_t> next(series_.size(), 0);  // per-node cell cursor
   auto emit_counters_until = [&](sim::Time t) {
     for (; bin < bins && static_cast<sim::Time>(bin) * opt_.bin_ns <= t;
          ++bin) {
       const sim::Time at = static_cast<sim::Time>(bin) * opt_.bin_ns;
       for (sim::NodeId n = 0; n < m_.nodes(); ++n) {
         const NodeSeries& s = series_[n];
-        auto get = [&](const auto& v) -> double {
-          return bin < v.size() ? static_cast<double>(v[bin]) : 0.0;
-        };
-        const double occ = get(s.occupancy_ns);
-        const double que = get(s.queue_ns);
-        const double loc = get(s.local_words);
-        const double rem = get(s.remote_words);
+        if (next[n] == s.size() || s[next[n]].bin != bin) continue;
+        const Cell& c = s[next[n]++];
+        const auto occ = static_cast<double>(c.occupancy_ns);
+        const auto que = static_cast<double>(c.queue_ns);
+        const auto loc = static_cast<double>(c.local_words);
+        const auto rem = static_cast<double>(c.remote_words);
         if (occ == 0 && que == 0 && loc == 0 && rem == 0) continue;
         const std::uint64_t pid = chrome_pid(n);
         w.begin_object().kv("ph", "C").kv("name", "module").kv("pid", pid);
@@ -432,20 +427,22 @@ std::string Tracer::metrics_json() const {
   const std::size_t bins = max_bin_ + 1;
   for (sim::NodeId n = 0; n < m_.nodes(); ++n) {
     const NodeSeries& s = series_[n];
-    if (s.occupancy_ns.empty() && s.local_words.empty() &&
-        s.remote_words.empty())
-      continue;
+    if (s.empty()) continue;
     w.begin_object().kv("node", std::uint64_t{n});
-    auto arr = [&](const char* k, const auto& v) {
+    auto arr = [&](const char* k, auto field) {
       w.key(k).begin_array();
-      for (std::size_t b = 0; b < bins; ++b)
-        w.value(std::uint64_t{b < v.size() ? v[b] : 0});
+      auto c = s.begin();
+      for (std::size_t b = 0; b < bins; ++b) {
+        std::uint64_t v = 0;
+        if (c != s.end() && c->bin == b) v = (*c++).*field;
+        w.value(v);
+      }
       w.end_array();
     };
-    arr("occupancy_ns", s.occupancy_ns);
-    arr("queue_ns", s.queue_ns);
-    arr("local_words", s.local_words);
-    arr("remote_words", s.remote_words);
+    arr("occupancy_ns", &Cell::occupancy_ns);
+    arr("queue_ns", &Cell::queue_ns);
+    arr("local_words", &Cell::local_words);
+    arr("remote_words", &Cell::remote_words);
     w.end_object();
   }
   w.end_array();

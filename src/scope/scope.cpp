@@ -85,22 +85,24 @@ void Tracer::on_reference(sim::Fiber* /*f*/, sim::NodeId requester,
   ++refs_seen_;
   const std::size_t bin = at / opt_.bin_ns;
   if (bin > max_bin_) max_bin_ = bin;
-  auto grow = [bin](auto& v) -> decltype(v[0])& {
-    if (v.size() <= bin) v.resize(bin + 1);
-    return v[bin];
+  // References arrive in time order (the engine clock never moves
+  // backwards), so a node's current bin is always its last cell.
+  auto cell = [bin](NodeSeries& s) -> Cell& {
+    if (s.empty() || s.back().bin != bin) s.push_back(Cell{bin});
+    return s.back();
   };
   // The home module is busy words * service time; queueing is charged to
   // the module the traffic piled up at.
-  NodeSeries& h = series_[home];
-  grow(h.occupancy_ns) +=
+  Cell& h = cell(series_[home]);
+  h.occupancy_ns +=
       static_cast<sim::Time>(words) * m_.config().module_service_ns;
-  grow(h.queue_ns) += queue_ns;
+  h.queue_ns += queue_ns;
   // Locality mix is the requester's view.
-  NodeSeries& r = series_[requester];
+  Cell& r = cell(series_[requester]);
   if (requester == home) {
-    grow(r.local_words) += words;
+    r.local_words += words;
   } else {
-    grow(r.remote_words) += words;
+    r.remote_words += words;
   }
 }
 

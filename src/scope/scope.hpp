@@ -5,8 +5,8 @@
 // execution, SMP sends, NET stream writes, Bridge requests, rescue
 // heartbeats/checkpoints) plus every timed memory reference, all against the
 // *simulated* clock.  Like bfly::analyze it is strictly host-side: an
-// instrumented run is event-identical to a bare run (the scope tests assert
-// this with Instant Replay log equality).
+// instrumented run is event-identical to a bare run (asserted with Instant
+// Replay log equality in tests/integration/uncharged_test.cpp).
 //
 // What it gives you:
 //   * chrome_trace()   — Chrome/Perfetto trace-event JSON; one "process"
@@ -140,12 +140,16 @@ class Tracer final : public sim::Probe {
     std::uint32_t open = 0;  // current open-span depth
     std::uint32_t skip = 0;  // begins dropped by the cap, ends owed
   };
-  struct NodeSeries {
-    std::vector<sim::Time> occupancy_ns;  // module service time per bin
-    std::vector<sim::Time> queue_ns;      // queue wait absorbed per bin
-    std::vector<std::uint64_t> local_words;
-    std::vector<std::uint64_t> remote_words;
+  /// One time bin of one node's series.  A node's cells are in bin order
+  /// and hold only bins that saw traffic; the exporters zero-fill the rest.
+  struct Cell {
+    std::size_t bin = 0;
+    sim::Time occupancy_ns = 0;  // module service time in the bin
+    sim::Time queue_ns = 0;      // queue wait absorbed in the bin
+    std::uint64_t local_words = 0;
+    std::uint64_t remote_words = 0;
   };
+  using NodeSeries = std::vector<Cell>;
   struct Span {
     sim::Time begin, end;
     std::uint32_t track;
@@ -165,7 +169,7 @@ class Tracer final : public sim::Probe {
   std::unordered_map<const void*, std::uint32_t> track_ix_;
   std::vector<Track> tracks_;
   std::vector<std::uint32_t> next_tid_;  // per node (+1 host slot)
-  std::vector<NodeSeries> series_;       // per node
+  std::vector<NodeSeries> series_;       // per node, sparse
   std::size_t max_bin_ = 0;              // highest bin touched, over all nodes
 
   std::uint64_t begin_count_ = 0;

@@ -116,6 +116,54 @@ TEST(ScopeExport, HostileProcessNamesStayValidJson) {
   ASSERT_TRUE(json_parse(tracer.metrics_json(), &v, &err)) << err;
 }
 
+// A node that only issues remote references has no module traffic of its
+// own, yet it is still a node of the trace: it gets a process name, and its
+// series in metrics_json() are zero-filled over every bin, including the
+// bins in which nobody referenced anything.
+TEST(ScopeExport, RequesterOnlyNodeIsNamedAndZeroFilled) {
+  Machine m(butterfly1(4));
+  Tracer tracer(m);
+  const sim::PhysAddr cell = m.alloc(0, 4);
+  m.spawn(2, [&] {
+    (void)m.read<std::uint32_t>(cell);  // bin 0
+    m.charge(2 * kMillisecond);
+    (void)m.read<std::uint32_t>(cell);  // bin 2; bin 1 saw nothing
+  });
+  m.run();
+
+  const std::string trace = tracer.chrome_trace();
+  EXPECT_TRUE(validate_chrome_trace(trace));
+  EXPECT_NE(trace.find("\"name\":\"node 2\""), std::string::npos) << trace;
+  EXPECT_EQ(trace.find("\"name\":\"node 1\""), std::string::npos) << trace;
+
+  JsonValue v;
+  std::string err;
+  ASSERT_TRUE(json_parse(tracer.metrics_json(), &v, &err)) << err;
+  const JsonValue* series = v.find("series");
+  ASSERT_NE(series, nullptr);
+  const JsonValue* nodes = series->find("node");
+  ASSERT_NE(nodes, nullptr);
+  ASSERT_EQ(nodes->arr.size(), 2u);  // the home (0) and the requester (2)
+  auto column = [](const JsonValue& node, const char* key) {
+    std::vector<double> out;
+    for (const JsonValue& x : node.find(key)->arr) out.push_back(x.num);
+    return out;
+  };
+  const double service =
+      static_cast<double>(m.config().module_service_ns);
+  const JsonValue& home = nodes->arr[0];
+  EXPECT_EQ(home.find("node")->num, 0.0);
+  EXPECT_EQ(column(home, "occupancy_ns"),
+            (std::vector<double>{service, 0, service}));
+  EXPECT_EQ(column(home, "remote_words"), (std::vector<double>{0, 0, 0}));
+  const JsonValue& req = nodes->arr[1];
+  EXPECT_EQ(req.find("node")->num, 2.0);
+  EXPECT_EQ(column(req, "occupancy_ns"), (std::vector<double>{0, 0, 0}));
+  EXPECT_EQ(column(req, "queue_ns"), (std::vector<double>{0, 0, 0}));
+  EXPECT_EQ(column(req, "local_words"), (std::vector<double>{0, 0, 0}));
+  EXPECT_EQ(column(req, "remote_words"), (std::vector<double>{1, 0, 1}));
+}
+
 TEST(TraceCheck, ParsesAndRejectsJson) {
   JsonValue v;
   std::string err;
