@@ -197,6 +197,9 @@ GaussResult gauss_smp(sim::Machine& m, const GaussConfig& cfg) {
               stash.emplace(msg.tag, std::move(msg));
             }
           };
+          // Local index of my first row below the current pivot: my rows
+          // are w, w + procs, ..., so it only ever steps forward.
+          std::size_t first = 0;
           for (std::uint32_t kk = 0; kk < n - 1; ++kk) {
             if (kk % procs == w) {
               // I own the pivot row: broadcast it (serialized at me —
@@ -210,9 +213,9 @@ GaussResult gauss_smp(sim::Machine& m, const GaussConfig& cfg) {
               std::memcpy(pivot.data(), msg.payload.data(), (n + 1) * 8);
             }
             // Update my rows below the pivot.
-            for (std::uint32_t r = kk + 1; r < n; ++r) {
-              if (r % procs != w) continue;
-              std::vector<double>& row = row_of(r);
+            while (first < rows_w.size() && w + first * procs <= kk) ++first;
+            for (std::size_t i = first; i < rows_w.size(); ++i) {
+              std::vector<double>& row = rows_w[i];
               const double f = row[kk] / pivot[kk];
               for (std::uint32_t j = kk; j <= n; ++j)
                 row[j] -= f * pivot[j];

@@ -20,7 +20,7 @@ constexpr std::uint32_t kRepairMaxTries = 8;
 ReplicatedFs::ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
                            rescue::Membership* mem, ServeConfig cfg)
     : k_(k), m_(k.machine()), fs_(fs), mem_(mem), cfg_(cfg),
-      rng_(cfg.seed) {
+      rng_(cfg.seed), latencies_(cfg.hedge_window) {
   if (cfg_.replicas == 0 || cfg_.replicas > fs_.servers())
     throw sim::SimError(
         "serve: replicas must be in [1, servers] — each replica needs its "
@@ -33,7 +33,6 @@ ReplicatedFs::ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
     throw sim::SimError("serve: retry.attempts must be >= 1");
   if (cfg_.hedge_window == 0)
     throw sim::SimError("serve: hedge_window must be >= 1");
-  lat_ring_.assign(cfg_.hedge_window, 0);
   excised_.assign(m_.nodes(), 0);
   repair_dq_ = k_.make_dual_queue();
   // Crash tier: loud kills reach us through the machine-check broadcast
@@ -102,19 +101,12 @@ bridge::FileId ReplicatedFs::open(const std::string& name,
   return f;
 }
 
-void ReplicatedFs::record_latency(sim::Time t) {
-  lat_ring_[lat_idx_] = t;
-  lat_idx_ = (lat_idx_ + 1) % cfg_.hedge_window;
-  if (lat_count_ < cfg_.hedge_window) ++lat_count_;
-}
-
 sim::Time ReplicatedFs::hedge_threshold() const {
-  if (lat_count_ < cfg_.min_hedge_samples) return cfg_.hedge_floor;
-  std::vector<sim::Time> v(lat_ring_.begin(), lat_ring_.begin() + lat_count_);
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(
-      cfg_.hedge_quantile * static_cast<double>(v.size() - 1));
-  return std::max(cfg_.hedge_floor, v[idx]);
+  if (latencies_.count() == 0 ||
+      latencies_.count() < cfg_.min_hedge_samples)
+    return cfg_.hedge_floor;
+  return std::max(cfg_.hedge_floor,
+                  latencies_.quantile(cfg_.hedge_quantile));
 }
 
 void ReplicatedFs::settle(chrys::Oid dq, std::uint32_t rid) {
@@ -258,7 +250,7 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
       if (primary_out) settle(dq, prid);
       if (hedge_out) settle(dq, hrid);
       fs_.release_reply_queue(dq);
-      record_latency(m_.now() - t0);
+      latencies_.record(m_.now() - t0);
       return Status::kOk;
     }
     if (m_.now() >= deadline_at) {

@@ -47,6 +47,7 @@
 // with serve enabled (tests/serve/chaos_test.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -75,9 +76,9 @@ struct ServeConfig {
   bool hedge_reads = true;
   double hedge_quantile = 0.9;
   sim::Time hedge_floor = 30 * sim::kMillisecond;
-  /// Ring of recent read latencies the quantile is estimated from, and the
-  /// samples required before the estimate is trusted (hedge_floor rules
-  /// until then).
+  /// Recent read latencies the quantile is estimated from (a
+  /// LatencyWindow of this size, >= 1), and the samples required before
+  /// the estimate is trusted (hedge_floor rules until then).
   std::uint32_t hedge_window = 64;
   std::uint32_t min_hedge_samples = 8;
   /// Admission control: a server whose queue (incl. the request being
@@ -126,6 +127,41 @@ struct ServeCounters {
         .kv("serve_reconciled", reconciled);
     return w.take();
   }
+};
+
+/// The hedge window: the last `size` read latencies, kept twice — in
+/// arrival order (a ring, to know which sample the next one evicts) and
+/// sorted (so a quantile is one index).  record() erases the evicted value
+/// and inserts the new one with binary searches, so it costs O(size) moves
+/// of plain words and quantile() costs O(1).
+class LatencyWindow {
+ public:
+  /// `size` >= 1.
+  explicit LatencyWindow(std::uint32_t size) : ring_(size) {}
+
+  void record(sim::Time t) {
+    if (sorted_.size() == ring_.size())
+      sorted_.erase(
+          std::lower_bound(sorted_.begin(), sorted_.end(), ring_[next_]));
+    ring_[next_] = t;
+    next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
+    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), t), t);
+  }
+
+  /// Samples in the window (at most its size).
+  std::size_t count() const { return sorted_.size(); }
+
+  /// The sample at rank floor(q * (count() - 1)) of the window in ascending
+  /// order.  Requires count() > 0 and q in [0, 1].
+  sim::Time quantile(double q) const {
+    return sorted_[static_cast<std::size_t>(
+        q * static_cast<double>(sorted_.size() - 1))];
+  }
+
+ private:
+  std::vector<sim::Time> ring_;
+  std::vector<sim::Time> sorted_;
+  std::size_t next_ = 0;  ///< ring slot the next sample overwrites
 };
 
 class ReplicatedFs {
@@ -232,9 +268,8 @@ class ReplicatedFs {
     return fs_.server_alive(s) &&
            m_.reachable(m_.current_node(), fs_.server_node(s));
   }
-  /// Record a successful read latency and return the current hedge
-  /// threshold estimate.
-  void record_latency(sim::Time t);
+  /// The hedge_quantile of recent read latencies, floored by hedge_floor
+  /// (and just the floor until min_hedge_samples reads have succeeded).
   sim::Time hedge_threshold() const;
   void queue_repairs_for_node(sim::NodeId n);
   void queue_repair(bridge::FileId f, std::uint32_t b, std::uint32_t r);
@@ -271,10 +306,8 @@ class ReplicatedFs {
   // after its ack; writers stall until the scan is over instead.
   std::unordered_set<std::uint64_t> resync_busy_;
 
-  // Latency ring for the hedge quantile estimate.
-  std::vector<sim::Time> lat_ring_;
-  std::uint32_t lat_count_ = 0;
-  std::uint32_t lat_idx_ = 0;
+  // Recent successful read latencies, for the hedge quantile estimate.
+  LatencyWindow latencies_;
 
   // Repair machinery.
   std::vector<RepairJob> repair_jobs_;      // host-side job slots

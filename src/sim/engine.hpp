@@ -5,17 +5,21 @@
 // an event typically resumes a fiber, which runs until it charges time (and
 // schedules its own continuation) or blocks on a synchronization object.
 //
-// The heap is hand-rolled and the events are typed for host throughput:
+// The heap is hand-rolled and holds plain data for host throughput:
 //
+//   * a heap entry is a trivially copyable 24-byte {time, key, arg}; `key`
+//     is the sequence number shifted left once with the event's kind in the
+//     low bit, so comparing keys compares sequence numbers (they are
+//     unique) and sifting is three word copies per level;
 //   * a *fiber event* carries an opaque payload pointer (Machine passes its
-//     FiberCtl*) straight to a registered handler — posting one allocates
-//     nothing and dispatching one is an indirect call;
-//   * a *closure event* carries a SmallFn, which stores small lambdas
-//     inline (see small_fn.hpp) — the std::function-per-event heap
-//     allocation of the original engine is gone;
-//   * push/pop sift with moves into a hole instead of swapping through
-//     priority_queue::top(), which also removes the const_cast the old
-//     `std::move(const_cast<Event&>(heap_.top()))` needed.
+//     FiberCtl*) in `arg`, handed straight to a registered handler —
+//     posting one allocates nothing and dispatching one is an indirect call;
+//   * a *closure event* carries in `arg` the index of a slot in the
+//     engine's closure table.  The SmallFn (small lambdas stored inline, see
+//     small_fn.hpp) is moved into a free slot once at post_at and moved out
+//     once at dispatch, so heap sifting never touches a closure.  Slots are
+//     recycled through a free list; the table grows on demand and is empty
+//     until the first closure is posted.
 #pragma once
 
 #include <cassert>
@@ -46,7 +50,16 @@ class Engine {
   /// Schedule `fn` at absolute time `t` (>= now).
   void post_at(Time t, Action fn) {
     if (t < now_) t = now_;
-    push(Event{t, seq_++, nullptr, std::move(fn)});
+    std::uintptr_t slot;
+    if (free_slots_.empty()) {
+      slot = slots_.size();
+      slots_.push_back(std::move(fn));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      slots_[slot] = std::move(fn);
+    }
+    push(Entry{t, seq_++ << 1 | kClosure, slot});
   }
 
   /// Schedule `fn` after a delay.
@@ -59,7 +72,9 @@ class Engine {
     assert(fiber_fn_ != nullptr && "post_fiber_at: no fiber handler set");
     assert(payload != nullptr);
     if (t < now_) t = now_;
-    push(Event{t, seq_++, payload, Action{}});
+    ++fiber_events_;
+    push(Entry{t, seq_++ << 1 | kFiber,
+               reinterpret_cast<std::uintptr_t>(payload)});
   }
 
   /// Run until the event queue drains or `stop()` is called.
@@ -67,13 +82,18 @@ class Engine {
   Time run() {
     stopped_ = false;
     while (!heap_.empty() && !stopped_) {
-      Event ev = pop_min();
+      const Entry ev = pop_min();
       now_ = ev.t;
       ++dispatched_;
-      if (ev.payload != nullptr) {
-        fiber_fn_(fiber_ctx_, ev.payload);
+      if ((ev.key & 1) == kFiber) {
+        --fiber_events_;
+        fiber_fn_(fiber_ctx_, reinterpret_cast<void*>(ev.arg));
       } else {
-        ev.fn();
+        // Move the closure out before calling it: it may post closures
+        // that grow (and reallocate) the slot table, or reuse this slot.
+        Action fn = std::move(slots_[ev.arg]);
+        free_slots_.push_back(static_cast<std::uint32_t>(ev.arg));
+        fn();
       }
     }
     return now_;
@@ -111,55 +131,59 @@ class Engine {
   /// (observational; feeds the host-performance benches).
   std::uint64_t events_dispatched() const { return dispatched_; }
 
- private:
-  struct Event {
-    Time t = 0;
-    std::uint64_t seq = 0;
-    void* payload = nullptr;  ///< non-null: fiber event for fiber_fn_
-    Action fn;                ///< otherwise: the closure to run
+  /// One heap entry: plain data, so sifting is word copies.  Public only so
+  /// tests can pin its layout.
+  struct Entry {
+    Time t;
+    std::uint64_t key;   ///< seq << 1 | kind: unique, so it orders by seq
+    std::uintptr_t arg;  ///< fiber payload, or the closure's slot index
 
-    bool before(const Event& o) const {
-      return t != o.t ? t < o.t : seq < o.seq;
+    bool before(const Entry& o) const {
+      return t != o.t ? t < o.t : key < o.key;
     }
   };
 
-  // Binary min-heap over (t, seq).  Sift with moves into a hole: one move
-  // per level instead of three, and no self-move at the boundaries.
-  void push(Event ev) {
-    if (ev.payload != nullptr) ++fiber_events_;
+ private:
+  static constexpr std::uint64_t kFiber = 0;
+  static constexpr std::uint64_t kClosure = 1;
+
+  // Binary min-heap over (t, key).  Sift by copying into a hole: one copy
+  // per level, and no self-copy at the boundaries.
+  void push(Entry ev) {
     heap_.emplace_back();
     std::size_t i = heap_.size() - 1;
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
       if (!ev.before(heap_[parent])) break;
-      heap_[i] = std::move(heap_[parent]);
+      heap_[i] = heap_[parent];
       i = parent;
     }
-    heap_[i] = std::move(ev);
+    heap_[i] = ev;
   }
 
-  Event pop_min() {
-    Event min = std::move(heap_.front());
-    if (min.payload != nullptr) --fiber_events_;
-    Event last = std::move(heap_.back());
+  Entry pop_min() {
+    const Entry min = heap_.front();
+    const Entry last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) {
-      const std::size_t n = heap_.size();
+    const std::size_t n = heap_.size();
+    if (n != 0) {
       std::size_t i = 0;
       while (true) {
         std::size_t child = 2 * i + 1;
         if (child >= n) break;
         if (child + 1 < n && heap_[child + 1].before(heap_[child])) ++child;
         if (!heap_[child].before(last)) break;
-        heap_[i] = std::move(heap_[child]);
+        heap_[i] = heap_[child];
         i = child;
       }
-      heap_[i] = std::move(last);
+      heap_[i] = last;
     }
     return min;
   }
 
-  std::vector<Event> heap_;
+  std::vector<Entry> heap_;
+  std::vector<Action> slots_;  ///< closure bodies, indexed by Entry::arg
+  std::vector<std::uint32_t> free_slots_;
   std::size_t fiber_events_ = 0;
   Time now_ = 0;
   std::uint64_t seq_ = 0;

@@ -7,6 +7,10 @@
 // stack order), escapes strings per RFC 8259, and never emits NaN/Inf
 // (non-finite doubles are written as 0 so the output always parses).
 //
+// A key repeated inside one object (or one fragment) fails an assert, so a
+// malformed row dies where it is written instead of at read-back.  Keys
+// spliced in with raw() are not seen; their own Writer checked them.
+//
 // Two output shapes:
 //   * a complete value   — begin_object()...end_object(), then str()/take();
 //   * a braceless *fragment* — Writer(Writer::kFragment), kv(...) pairs
@@ -14,6 +18,8 @@
 //     themselves (MachineStats::fault_json(), bench rows).
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -76,27 +82,33 @@ class Writer {
   Writer& begin_object() {
     comma();
     out_ += '{';
-    stack_.push_back(false);
+    open();
     return *this;
   }
   Writer& end_object() {
     out_ += '}';
-    stack_.pop_back();
+    close();
     return *this;
   }
   Writer& begin_array() {
     comma();
     out_ += '[';
-    stack_.push_back(false);
+    open();
     return *this;
   }
   Writer& end_array() {
     out_ += ']';
-    stack_.pop_back();
+    close();
     return *this;
   }
 
   Writer& key(std::string_view k) {
+#ifndef NDEBUG
+    std::vector<std::string>& seen = keys_.back();
+    assert(std::find(seen.begin(), seen.end(), k) == seen.end() &&
+           "json::Writer: duplicate key in one object");
+    seen.emplace_back(k);
+#endif
     comma();
     out_ += '"';
     escape_to(out_, k);
@@ -161,6 +173,19 @@ class Writer {
   std::string take() { return std::move(out_); }
 
  private:
+  void open() {
+    stack_.push_back(false);
+#ifndef NDEBUG
+    keys_.emplace_back();
+#endif
+  }
+  void close() {
+    stack_.pop_back();
+#ifndef NDEBUG
+    keys_.pop_back();
+#endif
+  }
+
   // Insert the separating comma where a value/key begins.  A value directly
   // after key() never takes one; the first element of a container never
   // takes one; fragment writers separate top-level pairs themselves.
@@ -183,6 +208,12 @@ class Writer {
   std::vector<bool> stack_;
   bool pending_value_ = false;
   bool top_used_ = false;
+#ifndef NDEBUG
+  // Keys written so far at each nesting level, the top level (a fragment's
+  // pairs) first; arrays keep an empty list.
+  std::vector<std::vector<std::string>> keys_ =
+      std::vector<std::vector<std::string>>(1);
+#endif
 };
 
 }  // namespace bfly::sim::json

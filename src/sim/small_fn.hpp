@@ -7,12 +7,10 @@
 // up to kInlineBytes in place and only falls back to the heap for outsized
 // captures.  Move-only, like the engine's ownership of its events.
 //
-// Heap sifting moves events around constantly, so moves must be cheap:
-// a trivially-copyable inline callable (virtually every lambda the runtime
-// layers post — captures of pointers and integers) and the heap-fallback
-// pointer both relocate with a plain memcpy of the buffer; only a
-// non-trivial inline callable pays an indirect call to its move
-// constructor.
+// The engine keeps closures in a slot table outside its heap, so a closure
+// is moved exactly twice (into its slot at post, out of it at dispatch).
+// Moves therefore need no fast path: one indirect call relocates the
+// callable, inline or heap-held alike.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +24,8 @@ namespace bfly::sim {
 class SmallFn {
  public:
   /// Covers every closure the runtime layers post today (the largest is
-  /// Kernel's dual-queue timeout at three words, see kernel.cpp); an event
-  /// stays a single cache line.  Outsized captures fall back to the heap.
+  /// Kernel's dual-queue timeout at three words, see kernel.cpp).
+  /// Outsized captures fall back to the heap.
   static constexpr std::size_t kInlineBytes = 24;
 
   SmallFn() = default;
@@ -42,33 +40,22 @@ class SmallFn {
     if constexpr (fits<Fn>()) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &InlineOps<Fn>::ops;
-      trivial_relocate_ = std::is_trivially_copyable_v<Fn> &&
-                          std::is_trivially_destructible_v<Fn>;
-      // Trivial relocation memcpys the whole buffer, so the tail past the
-      // callable must be initialized (sizes are compile-time constants; this
-      // folds to at most two stores).
-      if (trivial_relocate_ && sizeof(Fn) < kInlineBytes)
-        std::memset(buf_ + sizeof(Fn), 0, kInlineBytes - sizeof(Fn));
     } else {
       Fn* p = new Fn(std::forward<F>(f));
       std::memcpy(buf_, &p, sizeof(p));
-      std::memset(buf_ + sizeof(p), 0, kInlineBytes - sizeof(p));
       ops_ = &HeapOps<Fn>::ops;
-      trivial_relocate_ = true;  // only the owning pointer moves
     }
   }
 
-  SmallFn(SmallFn&& o) noexcept
-      : ops_(o.ops_), trivial_relocate_(o.trivial_relocate_) {
-    if (ops_ != nullptr) relocate_from(o);
+  SmallFn(SmallFn&& o) noexcept : ops_(o.ops_) {
+    if (ops_ != nullptr) ops_->relocate(buf_, o.buf_);
     o.ops_ = nullptr;
   }
   SmallFn& operator=(SmallFn&& o) noexcept {
     if (this != &o) {
       reset();
       ops_ = o.ops_;
-      trivial_relocate_ = o.trivial_relocate_;
-      if (ops_ != nullptr) relocate_from(o);
+      if (ops_ != nullptr) ops_->relocate(buf_, o.buf_);
       o.ops_ = nullptr;
     }
     return *this;
@@ -122,14 +109,6 @@ class SmallFn {
     static constexpr Ops ops{&invoke, &relocate, &destroy};
   };
 
-  void relocate_from(SmallFn& o) {
-    if (trivial_relocate_) {
-      std::memcpy(buf_, o.buf_, kInlineBytes);  // fixed size: vector copies
-    } else {
-      ops_->relocate(buf_, o.buf_);
-    }
-  }
-
   void reset() {
     if (ops_ != nullptr) {
       ops_->destroy(buf_);
@@ -139,7 +118,6 @@ class SmallFn {
 
   const Ops* ops_ = nullptr;
   alignas(void*) unsigned char buf_[kInlineBytes];
-  bool trivial_relocate_ = false;
 };
 
 }  // namespace bfly::sim

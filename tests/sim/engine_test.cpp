@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,11 @@
 
 namespace bfly::sim {
 namespace {
+
+// The heap holds plain data: sifting copies words and never touches a
+// closure body, which lives in the engine's slot table.
+static_assert(std::is_trivially_copyable_v<Engine::Entry>);
+static_assert(sizeof(Engine::Entry) == 24);
 
 TEST(Engine, RunsEventsInTimeOrder) {
   Engine e;
@@ -174,6 +181,93 @@ TEST(Engine, WarpToAdvancesClock) {
   EXPECT_EQ(e.now(), 500u);
   e.warp_to(100);  // never goes backwards
   EXPECT_EQ(e.now(), 500u);
+}
+
+TEST(Engine, ClosureGrowsSlotTableWhileRunning) {
+  // The running closure is moved out of its slot before the call, so
+  // posting enough closures to reallocate the slot table cannot pull its
+  // inline captures out from under it (it reads `base` after the posts).
+  Engine e;
+  std::vector<int> order;
+  const int base = 7;
+  e.post_at(1, [&e, &order, base] {
+    for (int i = 0; i < 1000; ++i)
+      e.post_at(2, [&order, i] { order.push_back(i); });
+    order.push_back(-base);
+  });
+  EXPECT_EQ(e.run(), 2u);
+  ASSERT_EQ(order.size(), 1001u);
+  EXPECT_EQ(order[0], -7);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(order[1 + i], i);
+}
+
+TEST(Engine, ReusedSlotsKeepFifoOrderForEqualTimes) {
+  // Slot indices are recycled last-freed-first, so later posts land in
+  // lower slots than earlier ones; equal-time order must still follow
+  // posting order, not slot order.
+  Engine e;
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) e.post_at(1, [] {});
+  e.run();  // four slots, all free again
+  EXPECT_EQ(e.pending(), 0u);
+  for (int i = 0; i < 6; ++i)
+    e.post_at(5, [&order, i] { order.push_back(i); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  // A slot freed mid-run is reused by the closure that runs next.
+  order.clear();
+  e.post_at(9, [&e, &order] {
+    order.push_back(0);
+    e.post_at(9, [&order] { order.push_back(2); });
+  });
+  e.post_at(9, [&order] { order.push_back(1); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Engine, DestroyingEngineDestroysPendingClosures) {
+  auto token = std::make_shared<int>(0);
+  {
+    Engine e;
+    e.post_at(1, [token] {});  // inline capture
+    std::array<std::uint64_t, 8> big{};
+    e.post_at(2, [token, big] { (void)big; });  // heap fallback
+    e.post_at(3, [&e] { e.stop(); });
+    e.post_at(4, [token] {});
+    e.run();  // runs the first two, stops with one closure pending
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Engine, PendingFiberEventsCountsOnlyFiberEvents) {
+  Engine e;
+  std::vector<std::size_t> seen;
+  struct Ctx {
+    Engine* e;
+    std::vector<std::size_t>* seen;
+  } ctx{&e, &seen};
+  e.set_fiber_handler(
+      [](void* c, void*) {
+        auto* x = static_cast<Ctx*>(c);
+        x->seen->push_back(x->e->pending_fiber_events());
+      },
+      &ctx);
+  int tag = 0;
+  e.post_fiber_at(1, &tag);
+  e.post_at(2, [&] { seen.push_back(100 + e.pending_fiber_events()); });
+  e.post_fiber_at(3, &tag);
+  e.post_at(3, [&] {
+    e.post_fiber_at(4, &tag);
+    seen.push_back(100 + e.pending_fiber_events());
+  });
+  e.post_fiber_at(5, &tag);
+  EXPECT_EQ(e.pending_fiber_events(), 3u);
+  EXPECT_EQ(e.pending(), 5u);
+  e.run();
+  EXPECT_EQ(seen, (std::vector<std::size_t>{2, 102, 1, 102, 1, 0}));
+  EXPECT_EQ(e.pending_fiber_events(), 0u);
+  EXPECT_EQ(e.events_dispatched(), 6u);
 }
 
 }  // namespace

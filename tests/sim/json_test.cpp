@@ -88,5 +88,50 @@ TEST(JsonWriter, FaultJsonFragmentSplices) {
   EXPECT_EQ(out.back(), '}');
 }
 
+TEST(JsonWriter, SameKeyInDifferentObjectsIsFine) {
+  Writer w;
+  w.begin_object()
+      .kv("a", std::uint64_t{1})
+      .key("inner")
+      .begin_object()
+      .kv("a", std::uint64_t{2})
+      .end_object()
+      .key("rows")
+      .begin_array()
+      .begin_object()
+      .kv("a", std::uint64_t{3})
+      .end_object()
+      .begin_object()
+      .kv("a", std::uint64_t{4})
+      .end_object()
+      .end_array()
+      .end_object();
+  EXPECT_EQ(w.str(),
+            "{\"a\":1,\"inner\":{\"a\":2},\"rows\":[{\"a\":3},{\"a\":4}]}");
+}
+
+#ifndef NDEBUG
+TEST(JsonWriterDeathTest, RepeatedKeyInOneObjectAsserts) {
+  EXPECT_DEATH(
+      {
+        Writer w;
+        w.begin_object()
+            .kv("a", std::uint64_t{1})
+            .key("inner")
+            .begin_object()
+            .end_object()
+            .kv("a", std::uint64_t{2});
+      },
+      "duplicate key");
+  EXPECT_DEATH(
+      {
+        Writer w(Writer::kFragment);
+        w.kv("serve_hedges", std::uint64_t{1})
+            .kv("serve_hedges", std::uint64_t{2});
+      },
+      "duplicate key");
+}
+#endif
+
 }  // namespace
 }  // namespace bfly::sim::json
