@@ -15,14 +15,15 @@ Tracer::Tracer(sim::Machine& m, ScopeOptions opt)
 
 Tracer::~Tracer() { m_.detach(this); }
 
+void Tracer::on_spawn(sim::Fiber* /*parent*/, sim::Fiber* child) {
+  // A freed fiber's address can be reused by a later spawn, on any node:
+  // forget the old fiber's track so the new one starts its own.
+  track_ix_.erase(child);
+}
+
 std::uint32_t Tracer::track_for(sim::Fiber* f, sim::NodeId node) {
   auto it = track_ix_.find(f);
-  if (it != track_ix_.end()) {
-    // A freed fiber's address can be reused by a later spawn; a node change
-    // is the one observable symptom, and means this is a fresh fiber.
-    if (tracks_[it->second].node == node) return it->second;
-    track_ix_.erase(it);
-  }
+  if (it != track_ix_.end()) return it->second;
   Track t;
   t.node = node;
   const std::size_t slot = node == sim::kTraceHostNode ? m_.nodes() : node;

@@ -98,6 +98,7 @@ class Tracer final : public sim::Probe {
   Tracer& operator=(const Tracer&) = delete;
 
   // --- sim::Probe ----------------------------------------------------------
+  void on_spawn(sim::Fiber* parent, sim::Fiber* child) override;
   void on_span_begin(sim::Fiber* f, sim::NodeId node, const char* cat,
                      const char* name, std::uint64_t arg) override;
   void on_span_end(sim::Fiber* f, sim::NodeId node) override;

@@ -4,6 +4,10 @@
 // make ordering total and deterministic.  Fibers interleave with the engine:
 // an event typically resumes a fiber, which runs until it charges time (and
 // schedules its own continuation) or blocks on a synchronization object.
+// When the next event is another fiber's resume, the charging or blocking
+// fiber dispatches it itself (post_fiber_and_take / take_fiber) and
+// switches straight into that fiber; run() keeps closures, stop() and
+// fiber exits.
 //
 // The heap is hand-rolled and holds plain data for host throughput:
 //
@@ -75,6 +79,53 @@ class Engine {
     ++fiber_events_;
     push(Entry{t, seq_++ << 1 | kFiber,
                reinterpret_cast<std::uintptr_t>(payload)});
+  }
+
+  /// Post a fiber event at `t` (as post_fiber_at) and, when the earliest
+  /// pending event is then a fiber event and no stop is requested, dispatch
+  /// it in place of run(): pop it, advance the clock, count it, and return
+  /// its payload — possibly `payload` itself — for the caller to switch
+  /// into.  Returns nullptr (the caller yields to run()) when the earliest
+  /// event is a closure or a stop is requested.  One sift, not two: if the
+  /// new entry sorts before the top it is dispatched without touching the
+  /// heap, else it replaces the root and sifts down.  Every counter ends
+  /// exactly as post_fiber_at followed by run()'s next dispatch would
+  /// leave it.
+  void* post_fiber_and_take(Time t, void* payload) {
+    assert(fiber_fn_ != nullptr && "post_fiber_and_take: no fiber handler");
+    assert(payload != nullptr);
+    if (t < now_) t = now_;
+    const Entry ev{t, seq_++ << 1 | kFiber,
+                   reinterpret_cast<std::uintptr_t>(payload)};
+    if (stopped_ || (!heap_.empty() && (heap_.front().key & 1) == kClosure &&
+                     heap_.front().before(ev))) {
+      ++fiber_events_;
+      push(ev);
+      return nullptr;
+    }
+    ++dispatched_;
+    if (heap_.empty() || ev.before(heap_.front())) {
+      now_ = t;
+      return payload;
+    }
+    const Entry top = heap_.front();
+    sift_down(ev);
+    now_ = top.t;
+    return reinterpret_cast<void*>(top.arg);
+  }
+
+  /// Dispatch the earliest pending event in place of run() when it is a
+  /// fiber event and no stop is requested: pop it, advance the clock,
+  /// count it, and return its payload.  Returns nullptr otherwise (the
+  /// caller yields to run()).  The blocking half of post_fiber_and_take.
+  void* take_fiber() {
+    if (stopped_ || heap_.empty() || (heap_.front().key & 1) == kClosure)
+      return nullptr;
+    const Entry ev = pop_min();
+    now_ = ev.t;
+    ++dispatched_;
+    --fiber_events_;
+    return reinterpret_cast<void*>(ev.arg);
   }
 
   /// Run until the event queue drains or `stop()` is called.
@@ -165,20 +216,23 @@ class Engine {
     const Entry min = heap_.front();
     const Entry last = heap_.back();
     heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n != 0) {
-      std::size_t i = 0;
-      while (true) {
-        std::size_t child = 2 * i + 1;
-        if (child >= n) break;
-        if (child + 1 < n && heap_[child + 1].before(heap_[child])) ++child;
-        if (!heap_[child].before(last)) break;
-        heap_[i] = heap_[child];
-        i = child;
-      }
-      heap_[i] = last;
-    }
+    if (!heap_.empty()) sift_down(last);
     return min;
+  }
+
+  // Overwrite the root with `ev` and restore heap order below it.
+  void sift_down(Entry ev) {
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    while (true) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && heap_[child + 1].before(heap_[child])) ++child;
+      if (!heap_[child].before(ev)) break;
+      heap_[i] = heap_[child];
+      i = child;
+    }
+    heap_[i] = ev;
   }
 
   std::vector<Entry> heap_;

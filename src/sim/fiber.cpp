@@ -121,10 +121,13 @@ Fiber* g_current = nullptr;
 FiberContext g_engine_ctx;
 #if defined(BFLY_ASAN_FIBERS)
 // The engine runs on the host thread's own stack; its bounds are learned
-// from the first finish_switch_fiber on arrival in a fiber.
+// from finish_switch_fiber on arrival in a fiber from the engine.  An
+// arrival from another fiber (switch_to) must not record them: the bounds
+// it reports are that fiber's stack.
 void* g_engine_fake_stack = nullptr;
 const void* g_engine_stack_bottom = nullptr;
 std::size_t g_engine_stack_size = 0;
+bool g_from_engine = false;  // the switch in flight left the engine
 #endif
 
 // Save the running context in *save and continue in `load`.
@@ -136,12 +139,16 @@ inline void switch_context(FiberContext* save, FiberContext* load) {
 #endif
 }
 
-// Called first thing on arrival in a fiber; the departed context is always
-// the engine, so the out-params record the engine's stack bounds.
+// Called first thing on arrival in a fiber.  When the departed context is
+// the engine, the out-params record the engine's stack bounds.
 inline void asan_enter_fiber([[maybe_unused]] void* fake_stack) {
 #if defined(BFLY_ASAN_FIBERS)
-  __sanitizer_finish_switch_fiber(fake_stack, &g_engine_stack_bottom,
-                                  &g_engine_stack_size);
+  if (g_from_engine) {
+    __sanitizer_finish_switch_fiber(fake_stack, &g_engine_stack_bottom,
+                                    &g_engine_stack_size);
+  } else {
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+  }
 #endif
 }
 }  // namespace
@@ -226,6 +233,7 @@ void Fiber::resume() {
   state_ = State::kRunning;
   g_current = this;
 #if defined(BFLY_ASAN_FIBERS)
+  g_from_engine = true;
   __sanitizer_start_switch_fiber(&g_engine_fake_stack, stack_.get(),
                                  stack_bytes_);
 #endif
@@ -245,6 +253,23 @@ void Fiber::yield_to_engine() {
                                  g_engine_stack_bottom, g_engine_stack_size);
 #endif
   switch_context(&self->ctx_, &g_engine_ctx);
+  asan_enter_fiber(self->asan_fake_stack_);
+}
+
+void Fiber::switch_to(Fiber* next) {
+  Fiber* self = g_current;
+  assert(self != nullptr && "switch_to() must be called from a fiber");
+  assert(next != self);
+  assert(next->state_ == State::kRunnable || next->state_ == State::kBlocked);
+  self->state_ = State::kBlocked;
+  next->state_ = State::kRunning;
+  g_current = next;
+#if defined(BFLY_ASAN_FIBERS)
+  g_from_engine = false;
+  __sanitizer_start_switch_fiber(&self->asan_fake_stack_, next->stack_.get(),
+                                 next->stack_bytes_);
+#endif
+  switch_context(&self->ctx_, &next->ctx_);
   asan_enter_fiber(self->asan_fake_stack_);
 }
 

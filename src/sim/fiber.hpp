@@ -4,9 +4,11 @@
 // manager, Ant Farm thread, ...) runs on a Fiber.  Fibers are cooperatively
 // scheduled by the discrete-event engine on a single host thread, so the
 // whole simulation is deterministic.  Code running on a fiber blocks by
-// switching back to the engine context; the engine resumes it from a timed
-// event.  This lets the ported Butterfly APIs (event_wait, dequeue, ...)
-// look exactly like the originals: plain blocking calls.
+// switching away: straight into the fiber whose resume is the next event
+// (switch_to), or back to the engine context when that event is anything
+// else (yield_to_engine).  Either way it continues when some context
+// switches back into it.  This lets the ported Butterfly APIs (event_wait,
+// dequeue, ...) look exactly like the originals: plain blocking calls.
 //
 // On x86-64 a switch is a few dozen instructions of hand-written assembly
 // (fiber.cpp); other targets fall back to ucontext's swapcontext.
@@ -52,13 +54,20 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// Switch from the engine context into this fiber.  Returns when the
-  /// fiber yields, blocks, or finishes.  Must not be called from a fiber.
+  /// Switch from the engine context into this fiber.  Returns when a fiber
+  /// (this one, or one reached from it by switch_to) yields to the engine
+  /// or finishes.  Must not be called from a fiber.
   void resume();
 
   /// Switch from the currently running fiber back to the engine.  The
   /// fiber's state becomes kBlocked until someone calls resume() again.
   static void yield_to_engine();
+
+  /// Switch from the currently running fiber straight into `next`, without
+  /// passing through the engine.  The caller becomes kBlocked and `next`
+  /// kRunning; the call returns when some context switches back into the
+  /// caller.  `next` must be runnable or blocked and not the caller.
+  static void switch_to(Fiber* next);
 
   /// The fiber currently executing, or nullptr when the engine is running.
   static Fiber* current();

@@ -157,20 +157,37 @@ void Machine::reap(FiberCtl* c) {
 }
 
 void Machine::fiber_event(void* machine, void* payload) {
-  static_cast<Machine*>(machine)->do_resume(static_cast<FiberCtl*>(payload));
+  // A FiberCtl with a pending resume is never reaped (do_kill defers to the
+  // pending event, abandon() forbids it), so `c` is always alive here.
+  auto* c = static_cast<FiberCtl*>(payload);
+  assert(c->resume_pending);
+  c->resume_pending = false;
+  static_cast<Machine*>(machine)->do_resume(c);
 }
 
 void Machine::do_resume(FiberCtl* c) {
-  // A FiberCtl with a pending resume is never reaped (do_kill defers to the
-  // pending event, abandon() forbids it), so `c` is always alive here.
-  assert(c->resume_pending);
-  c->resume_pending = false;
-  Fiber* f = c->fiber.get();
   ++fiber_resumes_;
   cur_ctl_ = c;
-  f->resume();
+  c->fiber->resume();
+  // `c` may have handed off (and may since have been abandoned, so do not
+  // touch it): the fiber that switched back to the engine is cur_ctl_.
+  FiberCtl* last = cur_ctl_;
   cur_ctl_ = nullptr;
-  if (f->finished()) reap(c);
+  if (last->fiber->finished()) reap(last);
+}
+
+void Machine::hand_off(FiberCtl* c, void* next) {
+  if (next == nullptr) {
+    Fiber::yield_to_engine();
+    return;
+  }
+  auto* n = static_cast<FiberCtl*>(next);
+  assert(n->resume_pending);
+  n->resume_pending = false;
+  ++fiber_resumes_;
+  if (n == c) return;  // our own resume is next: no one runs in between
+  cur_ctl_ = n;
+  Fiber::switch_to(n->fiber.get());
 }
 
 void Machine::schedule_resume(FiberCtl* c, Time at) {
@@ -209,17 +226,16 @@ void Machine::charge(Time ns) {
   }
   const Time at = engine_.now() + ns;
   // Switch-free fast path: when this fiber's resume would be *strictly*
-  // earlier than every pending event, the slow path's yield provably hands
-  // control straight back — the engine would pop our fresh resume event
-  // first (strictly earlier beats every pending time; a tie would lose on
-  // sequence number, hence "strictly") and no other fiber, fault, or
-  // probe-visible action can run in between.  So warp the clock and keep
-  // going: no heap traffic, no context switch.  Disabled whenever anything
-  // could legitimately interleave or watch: pending kills/faults
-  // (fault_checks_), a requested engine stop, or any attached probe
-  // (instrumented runs deliberately ride the battle-tested slow path; the
-  // uncharged harnesses then cross-check the two).  The skipped
-  // post_fiber_at also never burns an engine sequence number, which is
+  // earlier than every pending event, the slow path provably dispatches
+  // that resume next and keeps this fiber running — strictly earlier beats
+  // every pending time (a tie would lose on sequence number, hence
+  // "strictly") and no other fiber, fault, or probe-visible action can run
+  // in between.  So warp the clock and keep going: no heap traffic.
+  // Disabled whenever anything could legitimately interleave or watch:
+  // pending kills/faults (fault_checks_), a requested engine stop, or any
+  // attached probe (instrumented runs deliberately ride the battle-tested
+  // slow path; the uncharged harnesses then cross-check the two).  The
+  // skipped post also never burns an engine sequence number, which is
   // unobservable: relative order among the *other* events is unchanged.
   if (fastpath_ && !fault_checks_ && probes_.empty() &&
       !engine_.stop_requested() &&
@@ -232,8 +248,11 @@ void Machine::charge(Time ns) {
   // run only when a probe is attached, which forfeits the fast path above —
   // so this check is complete here).
   if (hook_depth_ != 0) ++hook_charges_;
-  schedule_resume(c, at);
-  Fiber::yield_to_engine();
+  // Post our resume and dispatch the next event in one sift: when it is a
+  // fiber resume (ours included), hand off to it directly.
+  assert(!c->resume_pending);
+  c->resume_pending = true;
+  hand_off(c, engine_.post_fiber_and_take(at, c));
   if (fault_checks_) check_kill(c);
 }
 
@@ -250,16 +269,12 @@ void Machine::sleep_until(Time t) {
 void Machine::park() {
   FiberCtl* c = current_ctl();
   if (c == nullptr) throw SimError("park: not on a fiber");
-  if (fault_checks_) {
-    if (c->killed) {
-      check_kill(c);
-      return;
-    }
-    Fiber::yield_to_engine();
+  if (fault_checks_ && c->killed) {
     check_kill(c);
-    return;
+    return;  // in-flight exception: complete instantly, do not yield
   }
-  Fiber::yield_to_engine();
+  hand_off(c, engine_.take_fiber());
+  if (fault_checks_) check_kill(c);
 }
 
 void Machine::wakeup(Fiber* f, Time delay) {
@@ -341,11 +356,7 @@ void Machine::do_kill(NodeId n, bool silent) {
     }
     // Parked: resume it so park() raises FiberKill and the stack unwinds
     // through run_body, running destructors along the way.
-    ++fiber_resumes_;
-    cur_ctl_ = c;
-    f->resume();
-    cur_ctl_ = nullptr;
-    if (f->finished()) reap(c);
+    do_resume(c);
   }
 }
 

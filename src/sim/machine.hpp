@@ -423,8 +423,9 @@ class Machine {
   FiberCtl* ctl(Fiber* f);
   /// Control block of the currently executing fiber, or nullptr from engine
   /// context.  One pointer compare on the hot path: cur_ctl_ is maintained
-  /// around every resume, and the map lookup only backstops foreign fibers
-  /// (a fiber of another Machine, or one driven outside this engine).
+  /// around every resume and handoff, and the map lookup only backstops
+  /// foreign fibers (a fiber of another Machine, or one driven outside this
+  /// engine).
   FiberCtl* current_ctl() const {
     Fiber* f = Fiber::current();
     if (f == nullptr) return nullptr;
@@ -438,8 +439,15 @@ class Machine {
   /// set_fiber_handler): `payload` is the FiberCtl* scheduled by
   /// schedule_resume.
   static void fiber_event(void* machine, void* payload);
-  /// Resume `c` now, maintaining cur_ctl_, and reap it if it finished.
+  /// Resume `c` from engine context, maintaining cur_ctl_.  The fiber that
+  /// comes back (the last cur_ctl_, which differs from `c` after a
+  /// handoff) is reaped if it finished.
   void do_resume(FiberCtl* c);
+  /// Block the calling fiber `c` and continue with `next`, the payload a
+  /// post_fiber_and_take / take_fiber dispatched: switch straight into it,
+  /// keep running when it is `c` itself, or yield to the engine when it is
+  /// null.  Returns when `c` runs again.
+  void hand_off(FiberCtl* c, void* next);
   void reap(FiberCtl* c);
   void live_link(FiberCtl* c);
   void live_unlink(FiberCtl* c);

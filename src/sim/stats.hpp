@@ -31,7 +31,7 @@ struct NodeStats {
 /// BENCH_host_sim.json trajectory row and never influence simulation.
 struct HostPerf {
   std::uint64_t events_dispatched = 0;  ///< engine events popped and run
-  std::uint64_t fiber_resumes = 0;      ///< full fiber context switches
+  std::uint64_t fiber_resumes = 0;      ///< fiber resumes dispatched
   std::uint64_t fastpath_charges = 0;   ///< charges that warped, no switch
   bool fastpath_enabled = false;
 

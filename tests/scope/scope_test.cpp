@@ -4,6 +4,7 @@
 // decomposition is known exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,38 @@ TEST(ScopeSpans, NestAndInterleaveAcrossFibers) {
   EXPECT_EQ(stats.begins, 3u);
   EXPECT_EQ(stats.ends, 3u);
   EXPECT_EQ(stats.instants, 1u);
+}
+
+// Fibers spawned one after another on one node, each after the previous
+// one finished and was freed: the allocator hands a later fiber a freed
+// fiber's address.  Tracks are per fiber, never per address.
+TEST(ScopeSpans, ReusedFiberAddressStartsAFreshTrack) {
+  Machine m(butterfly1(2));
+  Tracer tracer(m);
+  std::vector<sim::Fiber*> seen;
+  bool reused = false;
+  m.spawn(1, [&] {
+    while (!reused && seen.size() < 16) {
+      bool done = false;
+      sim::Fiber* f = m.spawn(0, [&] {
+        sim::TraceSpan s(m, "t", "child");
+        m.charge(kMillisecond);
+        done = true;
+      });
+      reused = std::find(seen.begin(), seen.end(), f) != seen.end();
+      seen.push_back(f);
+      while (!done) m.charge(kMillisecond);
+      m.charge(kMillisecond);  // let the engine reap the child
+    }
+  });
+  m.run();
+#if !defined(__SANITIZE_ADDRESS__)  // ASan quarantines freed memory
+  EXPECT_TRUE(reused);
+#endif
+  EXPECT_EQ(tracer.tracks(), seen.size());
+  EXPECT_EQ(tracer.spans_completed(), seen.size());
+  TraceCheckStats stats;
+  expect_valid_trace(tracer, &stats);
 }
 
 TEST(ScopeSpans, EventCapDropsBalanced) {

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/machine.hpp"
 #include "sim/rng.hpp"
 
 namespace bfly::sim {
@@ -268,6 +269,153 @@ TEST(Engine, PendingFiberEventsCountsOnlyFiberEvents) {
   EXPECT_EQ(seen, (std::vector<std::size_t>{2, 102, 1, 102, 1, 0}));
   EXPECT_EQ(e.pending_fiber_events(), 0u);
   EXPECT_EQ(e.events_dispatched(), 6u);
+}
+
+// post_fiber_and_take / take_fiber dispatch in place of run(): the same
+// event run() would dispatch next, with the same clock and counters.
+TEST(Engine, PostFiberAndTakeDispatchesTheEarliestFiberEvent) {
+  Engine e;
+  std::vector<std::intptr_t> ran;
+  e.set_fiber_handler(
+      [](void* ctx, void* payload) {
+        static_cast<std::vector<std::intptr_t>*>(ctx)->push_back(
+            reinterpret_cast<std::intptr_t>(payload));
+      },
+      &ran);
+  auto tag = [](std::intptr_t i) { return reinterpret_cast<void*>(i); };
+
+  // Empty heap: the new entry is the earliest, dispatched untouched.
+  EXPECT_EQ(e.post_fiber_and_take(5, tag(1)), tag(1));
+  EXPECT_EQ(e.now(), 5u);
+  EXPECT_TRUE(e.empty());
+  EXPECT_EQ(e.events_dispatched(), 1u);
+  EXPECT_EQ(e.pending_fiber_events(), 0u);
+
+  // An earlier fiber event wins; a tie goes to the older sequence number.
+  e.post_fiber_at(8, tag(2));
+  e.post_fiber_at(9, tag(3));
+  EXPECT_EQ(e.post_fiber_and_take(8, tag(4)), tag(2));
+  EXPECT_EQ(e.now(), 8u);
+  EXPECT_EQ(e.pending_fiber_events(), 2u);
+  EXPECT_EQ(e.post_fiber_and_take(9, tag(5)), tag(4));
+  EXPECT_EQ(e.take_fiber(), tag(3));
+  EXPECT_EQ(e.pending_fiber_events(), 1u);
+  EXPECT_EQ(e.take_fiber(), tag(5));
+  EXPECT_EQ(e.now(), 9u);
+  EXPECT_EQ(e.events_dispatched(), 5u);
+  EXPECT_EQ(e.pending_fiber_events(), 0u);
+
+  // A closure on top: nothing is dispatched, the entry stays queued and
+  // run() dispatches both in order.
+  e.post_at(10, [&ran] { ran.push_back(100); });
+  EXPECT_EQ(e.post_fiber_and_take(11, tag(6)), nullptr);
+  EXPECT_EQ(e.pending_fiber_events(), 1u);
+  EXPECT_EQ(e.run(), 11u);
+  EXPECT_EQ(ran, (std::vector<std::intptr_t>{100, 6}));
+  EXPECT_EQ(e.take_fiber(), nullptr);  // empty heap
+  EXPECT_EQ(e.events_dispatched(), 7u);
+}
+
+TEST(Engine, TakeIsRefusedWhileAStopIsRequested) {
+  Engine e;
+  e.set_fiber_handler([](void*, void*) {}, nullptr);
+  int tag = 0;
+  e.post_fiber_at(1, &tag);
+  e.post_at(0, [&] {
+    e.stop();
+    EXPECT_EQ(e.take_fiber(), nullptr);
+    EXPECT_EQ(e.post_fiber_and_take(0, &tag), nullptr);
+  });
+  e.run();
+  EXPECT_EQ(e.pending(), 2u);
+  EXPECT_EQ(e.pending_fiber_events(), 2u);
+  EXPECT_EQ(e.events_dispatched(), 1u);
+}
+
+// stop() from a fiber halts the run at that fiber's next yield point: its
+// charge must not hand off to the fiber whose resume is next.
+TEST(Engine, StopFromAFiberLetsNoOtherFiberRun) {
+  Machine m(butterfly1(2));
+  std::vector<int> order;
+  m.spawn(0, [&] {
+    m.charge(10);
+    m.engine().stop();
+    m.charge(10);
+    order.push_back(0);
+  });
+  m.spawn(1, [&] { order.push_back(1); }, "later", 15);
+  m.run();
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(m.now(), 10u);
+  EXPECT_EQ(m.live_fibers(), 2u);
+  m.run();  // resumes where it stopped, in event order
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+  EXPECT_EQ(m.live_fibers(), 0u);
+}
+
+// A fixed 3-fiber ping-pong: the counts are pinned to those of the engine
+// round trip (every resume dispatched by run()), so handing off directly
+// must dispatch exactly the same events and resumes.
+TEST(Engine, PingPongCountsMatchTheEngineRoundTrip) {
+  struct Counts {
+    std::uint64_t events, resumes, fastpath, pending_sum;
+    std::size_t samples;
+    Time end;
+  };
+  std::vector<Counts> got;
+  for (bool fast : {true, false}) {
+    MachineConfig cfg = butterfly1(4);
+    cfg.host_fastpath = fast;
+    Machine m(cfg);
+    constexpr int kRounds = 40;
+    std::uint64_t pending_sum = 0;
+    std::size_t samples = 0;
+    auto sample = [&] {
+      pending_sum += m.engine().pending_fiber_events();
+      ++samples;
+    };
+    Fiber* p = nullptr;
+    Fiber* q = nullptr;
+    p = m.spawn(0, [&] {
+      for (int r = 0; r < kRounds; ++r) {
+        m.charge(1);
+        m.wakeup(q);
+        m.park();
+        sample();
+      }
+    });
+    q = m.spawn(1, [&] {
+      for (int r = 0; r < kRounds; ++r) {
+        m.park();
+        m.charge(3);
+        sample();
+        m.wakeup(p);
+      }
+    });
+    m.spawn(2, [&] {
+      for (int r = 0; r < 3 * kRounds; ++r) {
+        m.charge(2);
+        sample();
+      }
+    });
+    m.run();
+    EXPECT_FALSE(m.deadlocked());
+    const HostPerf hp = m.host_perf();
+    got.push_back(Counts{hp.events_dispatched, hp.fiber_resumes,
+                         hp.fastpath_charges, pending_sum, samples, m.now()});
+  }
+  ASSERT_EQ(got.size(), 2u);
+  for (const Counts& c : got) {
+    EXPECT_EQ(c.samples, 200u);
+    EXPECT_EQ(c.end, 240u);
+    EXPECT_EQ(c.pending_sum, 160u);
+  }
+  EXPECT_EQ(got[0].events, 205u);
+  EXPECT_EQ(got[0].resumes, 205u);
+  EXPECT_EQ(got[0].fastpath, 78u);
+  EXPECT_EQ(got[1].events, 283u);
+  EXPECT_EQ(got[1].resumes, 283u);
+  EXPECT_EQ(got[1].fastpath, 0u);
 }
 
 }  // namespace

@@ -159,6 +159,66 @@ TEST(Fiber, LocalsSurviveInterleavedRoundRobinSwitches) {
   }
 }
 
+// A -> B -> C -> engine without the engine in between: each switch_to
+// blocks the caller, runs the target and moves current() with it.
+TEST(Fiber, SwitchToChainsFibersWithoutTheEngine) {
+  using S = Fiber::State;
+  std::unique_ptr<Fiber> a, b, c;
+  std::vector<std::string> log;
+  auto states = [&] {
+    std::string out;
+    for (Fiber* f : {a.get(), b.get(), c.get()}) {
+      switch (f->state()) {
+        case S::kCreated: out += 'c'; break;
+        case S::kRunnable: out += 'n'; break;
+        case S::kRunning: out += 'R'; break;
+        case S::kBlocked: out += 'b'; break;
+        case S::kFinished: out += 'f'; break;
+      }
+    }
+    return out;
+  };
+  auto step = [&](const char* where, Fiber* expect_current) {
+    EXPECT_EQ(Fiber::current(), expect_current) << where;
+    log.push_back(std::string(where) + ":" + states());
+  };
+  a = std::make_unique<Fiber>(
+      [&] {
+        step("a1", a.get());
+        Fiber::switch_to(b.get());
+        step("a2", a.get());
+      },
+      64 * 1024);
+  b = std::make_unique<Fiber>(
+      [&] {
+        step("b1", b.get());
+        Fiber::switch_to(c.get());
+        step("b2", b.get());
+      },
+      64 * 1024);
+  c = std::make_unique<Fiber>(
+      [&] {
+        step("c1", c.get());
+        Fiber::yield_to_engine();
+        step("c2", c.get());
+        Fiber::switch_to(a.get());
+        step("c3", c.get());
+      },
+      64 * 1024);
+  a->resume();  // a -> b -> c -> engine
+  step("e1", nullptr);
+  b->resume();  // b finishes -> engine
+  step("e2", nullptr);
+  c->resume();  // c -> a, a finishes -> engine
+  step("e3", nullptr);
+  c->resume();  // c finishes -> engine
+  step("e4", nullptr);
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "a1:Rnn", "b1:bRn", "c1:bbR", "e1:bbb", "b2:bRb",
+                     "e2:bfb", "c2:bfR", "a2:Rfb", "e3:ffb", "c3:ffR",
+                     "e4:fff"}));
+}
+
 TEST(MachineFiber, ChargeAdvancesTime) {
   Machine m(butterfly1(4));
   Time end = 0;
@@ -212,6 +272,68 @@ TEST(MachineFiber, ManyFibersInterleaveDeterministically) {
   for (int r = 0; r < 4; ++r)
     for (int i = r; i < 16; i += 4) expect.push_back(i);
   EXPECT_EQ(order, expect);
+}
+
+// A fiber reached by a handoff (not by the engine) that then finishes
+// switches back to the engine, which must reap *it*, not the fiber the
+// engine resumed: its stack and its captures are released at once.
+TEST(MachineFiber, FiberFinishingAfterAHandoffIsReaped) {
+  for (bool fast : {true, false}) {
+    MachineConfig cfg = butterfly1(2);
+    cfg.host_fastpath = fast;
+    Machine m(cfg);
+    auto token = std::make_shared<int>(7);
+    std::size_t live_after = 99;
+    long uses_after = 99;
+    m.spawn(0, [&] {
+      m.charge(100);  // B's start at t=50 is next: hand off to B
+      live_after = m.live_fibers();
+      uses_after = token.use_count();
+    });
+    m.spawn(
+        1, [&m, token] { m.charge(10); }, "b", 50);
+    m.run();
+    EXPECT_EQ(live_after, 1u) << fast;
+    EXPECT_EQ(uses_after, 1) << fast;
+    EXPECT_EQ(m.live_fibers(), 0u);
+    EXPECT_FALSE(m.deadlocked());
+    EXPECT_EQ(token.use_count(), 1);
+  }
+}
+
+// A kill lands while node 1's fibers hand off among themselves and to a
+// survivor: every victim unwinds (destructors run) and is reaped, whether
+// its doomed resume is reached by the engine or by a handoff.
+TEST(MachineFiber, KillMidHandoffChainUnwindsAndReapsEveryVictim) {
+  struct Guard {
+    int* n;
+    ~Guard() { ++*n; }
+  };
+  Machine m(butterfly1(2));
+  int unwound = 0;
+  for (int i = 0; i < 3; ++i)
+    m.spawn(1, [&m, &unwound, i] {
+      Guard g{&unwound};
+      while (true) m.charge(3 + static_cast<Time>(i));
+    });
+  m.spawn(1, [&m, &unwound] {
+    Guard g{&unwound};
+    m.park();
+  });
+  int survivor_rounds = 0;
+  m.spawn(0, [&] {
+    for (int r = 0; r < 100; ++r) {
+      m.charge(2);
+      ++survivor_rounds;
+    }
+  });
+  m.kill_node(1, 50);
+  m.run();
+  EXPECT_EQ(unwound, 4);
+  EXPECT_EQ(survivor_rounds, 100);
+  EXPECT_EQ(m.live_fibers(), 0u);
+  EXPECT_FALSE(m.deadlocked());
+  EXPECT_EQ(m.dead_nodes(), 1u);
 }
 
 TEST(MachineFiber, SleepUntil) {
