@@ -13,6 +13,10 @@
 //
 // Gates: message passing beats shared memory at 8, 16 and 32 processors,
 // and its time at 128 processors exceeds its time at 64.
+//
+// Rows file: BENCH_fig5.json, one row per processor count with both
+// models' simulated elapsed time in ns, the US remote references and the
+// SMP messages.
 
 // Set BFLY_TRACE=<path> to also run the 8-processor US configuration under
 // a scope::Tracer: the Chrome trace lands at <path> and the critical-path /
@@ -26,13 +30,14 @@
 #include "apps/gauss.hpp"
 #include "bench_common.hpp"
 #include "scope/scope.hpp"
+#include "sim/json.hpp"
 #include "sim/machine.hpp"
 
 int main() {
   using namespace bfly;
   const std::uint32_t n = bench::fast_mode() ? 96 : 384;
   const char* trace_path = std::getenv("BFLY_TRACE");
-  bench::Report report;
+  bench::Report report("fig5", "BENCH_fig5.json");
   bench::header("FIG5", "Gaussian elimination, shared memory vs message passing",
                 "SMP wins < 64 procs; US flat beyond 64; SMP rises past 64");
   std::printf("matrix N=%u, machine: 128-node Butterfly-I\n\n", n);
@@ -79,6 +84,17 @@ int main() {
                 bench::seconds(ru.elapsed), bench::seconds(rs.elapsed),
                 static_cast<unsigned long long>(ru.remote_refs),
                 static_cast<unsigned long long>(rs.messages));
+    sim::json::Writer jw;
+    jw.begin_object()
+        .kv("bench", "fig5")
+        .kv("n", n)
+        .kv("procs", p)
+        .kv("us_elapsed_ns", ru.elapsed)
+        .kv("smp_elapsed_ns", rs.elapsed)
+        .kv("us_remote_refs", ru.remote_refs)
+        .kv("smp_messages", rs.messages)
+        .end_object();
+    report.row(jw.str());
     if (tracer != nullptr) {
       std::printf("\n-- scope report for the traced 8-processor US run "
                   "(trace: %s) --\n%s\n", trace_path,

@@ -11,12 +11,13 @@
 #                        rows file never touches the committed copy; gated
 #                        on the exit code, which carries each bench's
 #                        self-gates (label bench-smoke)
-#   2b. bench drift    — tserving, tpartition and tsync regenerate their
-#                        rows files at full size in a scratch directory;
-#                        each must be byte-identical to the committed
-#                        BENCH_*.json (~30 s, almost all of it the sync
-#                        sweep).  A difference means the simulation moved:
-#                        regenerate the file and say why in the change
+#   2b. bench drift    — tserving, tpartition, tsync and fig5 regenerate
+#                        their rows files at full size in a scratch
+#                        directory; each must be byte-identical to the
+#                        committed BENCH_*.json (~30 s, almost all of it the
+#                        sync sweep).  A difference means the simulation
+#                        moved: regenerate the file and say why in the
+#                        change
 #   3. sched-fuzz smoke— the moviola deadlock detector rides a reduced
 #                        PCT schedule sweep (10 seeds x 4 workloads); any
 #                        finding, lint or wedge on any seed is a failure
@@ -74,7 +75,8 @@ ctest --preset default -L bench-smoke --output-on-failure
 
 step "bench drift (full-size rows files vs the committed BENCH_*.json)"
 drift_dir="$(mktemp -d)"
-for b in tserving:serving tpartition:partition tsync_scaling:sync; do
+for b in tserving:serving tpartition:partition tsync_scaling:sync \
+         fig5_gauss:fig5; do
   bin="bench_${b%%:*}" file="BENCH_${b##*:}.json"
   (cd "$drift_dir" && "$ROOT/build/bench/$bin" >/dev/null)
   cmp "$drift_dir/$file" "$file" || {

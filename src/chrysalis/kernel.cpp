@@ -17,6 +17,7 @@ constexpr std::array<std::size_t, 16> kStandardSizes = {
 
 Kernel::Kernel(sim::Machine& m)
     : m_(m),
+      objects_(1),  // oid 0 is kNoObject
       sched_(m.nodes()),
       sars_free_(m.nodes(), m.config().sars_per_node) {
   // Registered first so the kernel's view is consistent before any higher
@@ -25,7 +26,16 @@ Kernel::Kernel(sim::Machine& m)
       m_.on_node_death([this](sim::NodeId n) { handle_node_death(n); });
 }
 
-Kernel::~Kernel() { m_.remove_death_observer(death_observer_); }
+Kernel::~Kernel() {
+  m_.remove_death_observer(death_observer_);
+  // The machine outlives the kernel and still owns the fibers of processes
+  // that never exited; leave none of them naming a freed Process.
+  for (const auto& r : objects_) {
+    if (r == nullptr || r->kind != ObjKind::kProcess) continue;
+    const Process& p = *std::get<std::unique_ptr<Process>>(r->u);
+    if (p.state_ != Process::State::kExited) p.fiber_->set_owner(nullptr);
+  }
+}
 
 void Kernel::charge_if_on_fiber(sim::Time ns) {
   if (sim::Fiber::current() != nullptr) m_.charge(ns);
@@ -34,26 +44,26 @@ void Kernel::charge_if_on_fiber(sim::Time ns) {
 // --- Object table ------------------------------------------------------------
 
 Oid Kernel::new_object(ObjKind kind, Oid owner) {
-  const Oid oid = next_oid_++;
-  ObjRec r;
-  r.kind = kind;
-  r.owner = owner;
-  r.creator = on_process() ? self().oid() : kNoObject;
-  objects_.emplace(oid, std::move(r));
+  const auto oid = static_cast<Oid>(objects_.size());
+  auto r = std::make_unique<ObjRec>();
+  r->kind = kind;
+  r->owner = owner;
+  r->creator = on_process() ? self().oid() : kNoObject;
+  objects_.push_back(std::move(r));
   if (owner != kNoObject) adopt(owner, oid);
   return oid;
 }
 
 Kernel::ObjRec& Kernel::rec(Oid oid) {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) throw ThrowSignal{kThrowBadObject, oid};
-  return it->second;
+  ObjRec* r = find(oid);
+  if (r == nullptr) throw ThrowSignal{kThrowBadObject, oid};
+  return *r;
 }
 
 const Kernel::ObjRec& Kernel::rec(Oid oid) const {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) throw ThrowSignal{kThrowBadObject, oid};
-  return it->second;
+  const ObjRec* r = find(oid);
+  if (r == nullptr) throw ThrowSignal{kThrowBadObject, oid};
+  return *r;
 }
 
 Process& Kernel::proc(Oid oid) {
@@ -63,41 +73,37 @@ Process& Kernel::proc(Oid oid) {
 }
 
 void Kernel::adopt(Oid parent, Oid child) {
-  auto it = objects_.find(parent);
-  if (it != objects_.end()) it->second.children.push_back(child);
+  if (ObjRec* p = find(parent)) p->children.push_back(child);
 }
 
 void Kernel::orphan(Oid child) {
   ObjRec& c = rec(child);
   if (c.owner == kNoObject) return;
-  auto it = objects_.find(c.owner);
-  if (it != objects_.end()) {
-    auto& kids = it->second.children;
-    kids.erase(std::remove(kids.begin(), kids.end(), child), kids.end());
-  }
+  if (ObjRec* p = find(c.owner)) std::erase(p->children, child);
   c.owner = kNoObject;
 }
 
-bool Kernel::object_alive(Oid oid) const {
-  return objects_.find(oid) != objects_.end();
-}
+bool Kernel::object_alive(Oid oid) const { return find(oid) != nullptr; }
 
 ObjKind Kernel::object_kind(Oid oid) const { return rec(oid).kind; }
 
 void Kernel::give_to_system(Oid oid) {
   orphan(oid);
-  rec(oid).system_owned = true;
+  ObjRec& r = rec(oid);
+  if (!r.system_owned && r.kind == ObjKind::kMemoryObject &&
+      r.creator != kNoObject)
+    system_memory_.push_back(oid);
+  r.system_owned = true;
 }
 
 void Kernel::delete_object(Oid oid) {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) return;
+  const ObjRec* found = find(oid);
+  if (found == nullptr) return;
   // Reclaim subsidiary objects first (uniform ownership hierarchy).
-  std::vector<Oid> kids = it->second.children;
+  std::vector<Oid> kids = found->children;
   for (Oid k : kids) delete_object(k);
-  it = objects_.find(oid);
-  if (it == objects_.end()) return;
-  ObjRec& r = it->second;
+  if (find(oid) == nullptr) return;
+  ObjRec& r = rec(oid);
   orphan(oid);
   switch (r.kind) {
     case ObjKind::kMemoryObject: {
@@ -119,7 +125,7 @@ void Kernel::delete_object(Oid oid) {
     default:
       break;
   }
-  objects_.erase(oid);
+  objects_[oid].reset();
 }
 
 // --- Memory objects -----------------------------------------------------------
@@ -328,7 +334,8 @@ Oid Kernel::create_process(sim::NodeId node, std::function<void()> main,
     exit_self();
   });
   p->fiber_->set_name(p->name_);
-  by_fiber_[p->fiber_] = p;
+  p->kernel_ = this;
+  p->fiber_->set_owner(p);
   rec(oid).u = std::move(pp);
   ++live_processes_;
   m_.trace_instant("chrys", "create_process", oid);
@@ -337,8 +344,8 @@ Oid Kernel::create_process(sim::NodeId node, std::function<void()> main,
 }
 
 Oid Kernel::process_of(sim::Fiber* f) const {
-  auto it = by_fiber_.find(f);
-  return it == by_fiber_.end() ? kNoObject : it->second->oid();
+  const Process* p = process_on(f);
+  return p == nullptr ? kNoObject : p->oid();
 }
 
 // --- Schedule exploration -----------------------------------------------------
@@ -394,11 +401,11 @@ Oid Kernel::pick_waiter(DualQueueObj& q) {
 
 std::vector<Kernel::BlockedInfo> Kernel::blocked_processes() const {
   std::vector<BlockedInfo> out;
-  for (const auto& [oid, r] : objects_) {
-    if (r.kind != ObjKind::kProcess) continue;
-    const Process& p = *std::get<std::unique_ptr<Process>>(r.u);
+  for (const auto& r : objects_) {
+    if (r == nullptr || r->kind != ObjKind::kProcess) continue;
+    const Process& p = *std::get<std::unique_ptr<Process>>(r->u);
     if (p.state() == Process::State::kBlocked)
-      out.push_back(BlockedInfo{p.name(), oid, p.waiting_on()});
+      out.push_back(BlockedInfo{p.name(), p.oid(), p.waiting_on()});
   }
   return out;
 }
@@ -417,16 +424,14 @@ std::string Kernel::sched_snapshot() const {
 }
 
 Process& Kernel::self() {
-  sim::Fiber* f = sim::Fiber::current();
-  auto it = by_fiber_.find(f);
-  if (f == nullptr || it == by_fiber_.end())
+  Process* p = process_on(sim::Fiber::current());
+  if (p == nullptr)
     throw sim::SimError("self(): not called from a Chrysalis process");
-  return *it->second;
+  return *p;
 }
 
 bool Kernel::on_process() const {
-  sim::Fiber* f = sim::Fiber::current();
-  return f != nullptr && by_fiber_.count(f) > 0;
+  return process_on(sim::Fiber::current()) != nullptr;
 }
 
 void Kernel::make_ready(Process& p) {
@@ -489,7 +494,7 @@ void Kernel::block_self() {
 void Kernel::exit_self() {
   Process& p = self();
   p.state_ = Process::State::kExited;
-  by_fiber_.erase(p.fiber_);
+  p.fiber_->set_owner(nullptr);
   --live_processes_;
   // SARs return to the node at exit.
   sars_free_[p.node_] += p.sar_block_;
@@ -499,14 +504,13 @@ void Kernel::exit_self() {
   for (Oid k : kids) delete_object(k);
   // System-owned objects this process created are now unreachable garbage:
   // nothing will ever reclaim them.  "Chrysalis tends to leak storage."
-  for (auto& [oid, r] : objects_) {
-    (void)oid;
-    if (r.system_owned && r.creator == p.oid() &&
-        r.kind == ObjKind::kMemoryObject) {
-      leaked_bytes_ += std::get<MemObj>(r.u).size;
-      r.creator = kNoObject;  // count once
-    }
-  }
+  std::erase_if(system_memory_, [&](Oid oid) {
+    ObjRec* r = find(oid);
+    if (r == nullptr) return true;  // deleted after all
+    if (r->creator != p.oid()) return false;
+    leaked_bytes_ += std::get<MemObj>(r->u).size;
+    return true;  // counted once
+  });
   dispatch_next(p.node_);
   // Fall off: the fiber body returns and the fiber finishes.
 }
@@ -516,7 +520,7 @@ void Kernel::kill_exit(Process& p) {
   p.killed_ = true;
   p.faulted_ = true;
   p.state_ = Process::State::kExited;
-  by_fiber_.erase(p.fiber_);
+  p.fiber_->set_owner(nullptr);
   --live_processes_;
   ++killed_processes_;
   sars_free_[p.node_] += p.sar_block_;
@@ -528,13 +532,12 @@ void Kernel::kill_exit(Process& p) {
   // ...and out of whatever it was blocked on, so a later post is not
   // delivered to it.
   if (p.waiting_on_ != kNoObject) {
-    auto it = objects_.find(p.waiting_on_);
-    if (it != objects_.end()) {
-      if (it->second.kind == ObjKind::kDualQueue) {
-        auto& q = std::get<DualQueueObj>(it->second.u);
+    if (ObjRec* r = find(p.waiting_on_)) {
+      if (r->kind == ObjKind::kDualQueue) {
+        auto& q = std::get<DualQueueObj>(r->u);
         std::erase(q.waiters, p.oid());
-      } else if (it->second.kind == ObjKind::kEvent) {
-        auto& e = std::get<EventObj>(it->second.u);
+      } else if (r->kind == ObjKind::kEvent) {
+        auto& e = std::get<EventObj>(r->u);
         if (e.owner == p.oid()) e.waiting = false;
       }
     }
@@ -545,7 +548,8 @@ void Kernel::kill_exit(Process& p) {
   if (p.dq_handoff_from_ != kNoObject) {
     const Oid src = p.dq_handoff_from_;
     p.dq_handoff_from_ = kNoObject;
-    if (objects_.count(src) > 0 && rec(src).kind == ObjKind::kDualQueue)
+    const ObjRec* r = find(src);
+    if (r != nullptr && r->kind == ObjKind::kDualQueue)
       deliver_or_queue(src, p.wait_datum_);
   }
   // Unlike exit_self, nothing is reclaimed: the node crashed, so its
@@ -554,10 +558,12 @@ void Kernel::kill_exit(Process& p) {
 }
 
 void Kernel::handle_node_death(sim::NodeId n) {
-  for (auto& [oid, r] : objects_) {
-    (void)oid;
-    if (r.kind != ObjKind::kProcess) continue;
-    Process& p = *std::get<std::unique_ptr<Process>>(r.u);
+  // Oid order.  kill_exit on a never-started process touches only that
+  // process and commutative counters, so the order is not observable.
+  for (Oid oid = 1; oid < objects_.size(); ++oid) {
+    const ObjRec* r = find(oid);
+    if (r == nullptr || r->kind != ObjKind::kProcess) continue;
+    Process& p = *std::get<std::unique_ptr<Process>>(r->u);
     if (p.node_ != n || p.state_ == Process::State::kExited) continue;
     p.killed_ = true;  // visible immediately: posts now skip this process
     // Processes whose fiber never started have no stack to unwind; the
@@ -619,9 +625,9 @@ void Kernel::delay(sim::Time ns) {
   // (or died with its node) and been reclaimed while the timer was armed.
   const Oid poid = p.oid();
   m_.engine().post_at(wake_at, [this, poid] {
-    auto it = objects_.find(poid);
-    if (it == objects_.end()) return;
-    Process& w = *std::get<std::unique_ptr<Process>>(it->second.u);
+    const ObjRec* r = find(poid);
+    if (r == nullptr) return;
+    Process& w = *std::get<std::unique_ptr<Process>>(r->u);
     if (w.killed_ || w.state_ != Process::State::kBlocked) return;
     // A delaying process waits on nothing; if it is blocked on an object,
     // this timer is stale (the process was woken by a kill/unwind path and
@@ -772,17 +778,14 @@ bool Kernel::dq_dequeue_for(Oid dq, sim::Time timeout, std::uint32_t* out) {
   const std::uint64_t seq = p.wait_seq_ + 1;
   const Oid poid = p.oid();
   m_.engine().post_at(m_.now() + timeout, [this, poid, dq, seq] {
-    auto it = objects_.find(poid);
-    if (it == objects_.end()) return;
-    Process& w = *std::get<std::unique_ptr<Process>>(it->second.u);
+    const ObjRec* r = find(poid);
+    if (r == nullptr) return;
+    Process& w = *std::get<std::unique_ptr<Process>>(r->u);
     if (w.killed_ || w.state_ != Process::State::kBlocked ||
         w.waiting_on_ != dq || w.wait_seq_ != seq)
       return;  // already served, or a different wait: stale timer
-    auto qit = objects_.find(dq);
-    if (qit != objects_.end()) {
-      auto& qq = std::get<DualQueueObj>(qit->second.u);
-      std::erase(qq.waiters, poid);
-    }
+    if (ObjRec* q = find(dq))
+      std::erase(std::get<DualQueueObj>(q->u).waiters, poid);
     w.timed_out_ = true;
     w.waiting_on_ = kNoObject;
     make_ready(w);

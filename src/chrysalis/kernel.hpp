@@ -18,7 +18,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -60,6 +59,7 @@ class Process {
 
  private:
   friend class Kernel;
+  const Kernel* kernel_ = nullptr;  // two kernels may share one machine
   Oid oid_ = kNoObject;
   sim::NodeId node_ = 0;
   State state_ = State::kReady;
@@ -103,7 +103,7 @@ class Kernel {
   Oid create_process(sim::NodeId node, std::function<void()> main,
                      std::string name = {}, std::uint32_t max_segments = 32);
 
-  /// The process running on the calling fiber.
+  /// The process of this kernel running on the calling fiber.
   Process& self();
   bool on_process() const;
 
@@ -120,7 +120,8 @@ class Kernel {
   bool node_alive(sim::NodeId node) const { return m_.node_alive(node); }
   /// Processes that died with their node.
   std::size_t killed_processes() const { return killed_processes_; }
-  /// Snapshot of blocked processes: (name, oid, object waited on).
+  /// Snapshot of blocked processes: (name, oid, object waited on), in oid
+  /// (creation) order.
   struct BlockedInfo {
     std::string name;
     Oid process;
@@ -132,8 +133,10 @@ class Kernel {
   /// blocked_processes(): a wedged run is explained by who is blocked plus
   /// who is ready-but-never-dispatched.
   std::string sched_snapshot() const;
-  /// The process running `f`'s code, or kNoObject for a non-process fiber
-  /// (moviola maps the fibers it watches back to kernel objects).
+  /// The process of this kernel running `f`'s code, or kNoObject for a
+  /// non-process fiber or an exited process (moviola maps the fibers it
+  /// watches back to kernel objects).  `f` must be live: the answer is read
+  /// from the fiber itself.
   Oid process_of(sim::Fiber* f) const;
 
   // --- Schedule exploration (PCT-style; see src/moviola) ---------------------
@@ -318,8 +321,18 @@ class Kernel {
     std::deque<Process*> ready;
   };
 
+  /// The live object `oid`, or nullptr.
+  ObjRec* find(Oid oid) const {
+    return oid < objects_.size() ? objects_[oid].get() : nullptr;
+  }
   ObjRec& rec(Oid oid);
   const ObjRec& rec(Oid oid) const;
+  /// The process of this kernel on fiber `f`, or nullptr.
+  Process* process_on(const sim::Fiber* f) const {
+    if (f == nullptr) return nullptr;
+    auto* p = static_cast<Process*>(f->owner());
+    return p != nullptr && p->kernel_ == this ? p : nullptr;
+  }
   Process& proc(Oid oid);
   Oid new_object(ObjKind kind, Oid owner);
   void adopt(Oid parent, Oid child);
@@ -349,9 +362,13 @@ class Kernel {
   static std::uint32_t sar_block_for(std::uint32_t max_segments);
 
   sim::Machine& m_;
-  std::unordered_map<Oid, ObjRec> objects_;
-  Oid next_oid_ = 1;
-  std::unordered_map<sim::Fiber*, Process*> by_fiber_;
+  // Indexed by oid.  Oids are dense from 1 and never reused, so slot 0 and
+  // the slot of every deleted object stay null.  Records live behind
+  // pointers: callers hold ObjRec references across object creation.
+  std::vector<std::unique_ptr<ObjRec>> objects_;
+  // System-owned memory objects whose creator may still exit: the only
+  // candidates for leak accounting at exit_self.
+  std::vector<Oid> system_memory_;
   std::vector<NodeSched> sched_;
   std::vector<std::uint32_t> sars_free_;
   sim::Time template_busy_until_ = 0;  // serialized process-template resource

@@ -3,6 +3,10 @@
 #include <cassert>
 #include <cstdlib>
 #include <exception>
+#include <new>
+#include <vector>
+
+#include <sys/mman.h>
 
 // AddressSanitizer must be told about every stack switch, or its shadow
 // memory (and the unwinder's notion of the current stack) stays pointed at
@@ -19,6 +23,7 @@
 #endif
 #endif
 #if defined(BFLY_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -139,6 +144,70 @@ inline void switch_context(FiberContext* save, FiberContext* load) {
 #endif
 }
 
+// Fiber stacks are mapped straight from the kernel, outside the malloc
+// heap, so the resident set counts only the pages fibers have touched and
+// does not depend on where the allocator puts other data.  A destroyed
+// fiber's stack goes onto a LIFO free list of same-size stacks, which new
+// fibers take from before mapping more.  The lists are per thread rather
+// than per Machine: a caller that builds a fresh Machine per run reuses the
+// previous run's stacks (already faulted in, and warm when LIFO) instead of
+// paying a map and page faults per fiber.  They hold at most the peak
+// number of fibers that were live at once.
+class StackPool {
+ public:
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+  ~StackPool() {
+    for (const List& l : lists_)
+      for (char* s : l.free) {
+        unpoison(s, l.bytes);
+        munmap(s, l.bytes);
+      }
+  }
+
+  char* take(std::size_t bytes) {
+    std::vector<char*>& free = list(bytes);
+    if (free.empty()) {
+      void* s = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (s == MAP_FAILED) throw std::bad_alloc();
+      return static_cast<char*>(s);
+    }
+    char* s = free.back();
+    free.pop_back();
+    // A stack abandoned mid-call keeps its frames' redzones poisoned; the
+    // next fiber's frames land on them.
+    unpoison(s, bytes);
+    return s;
+  }
+
+  void give(char* s, std::size_t bytes) { list(bytes).push_back(s); }
+
+ private:
+  struct List {
+    std::size_t bytes;
+    std::vector<char*> free;
+  };
+
+  static void unpoison([[maybe_unused]] char* s,
+                       [[maybe_unused]] std::size_t bytes) {
+#if defined(BFLY_ASAN_FIBERS)
+    ASAN_UNPOISON_MEMORY_REGION(s, bytes);
+#endif
+  }
+
+  std::vector<char*>& list(std::size_t bytes) {
+    for (List& l : lists_)
+      if (l.bytes == bytes) return l.free;
+    lists_.push_back(List{bytes, {}});
+    return lists_.back().free;
+  }
+
+  std::vector<List> lists_;
+};
+thread_local StackPool t_stacks;
+
 // Called first thing on arrival in a fiber.  When the departed context is
 // the engine, the out-params record the engine's stack bounds.
 inline void asan_enter_fiber([[maybe_unused]] void* fake_stack) {
@@ -156,7 +225,7 @@ inline void asan_enter_fiber([[maybe_unused]] void* fake_stack) {
 Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes,
              std::string name)
     : body_(std::move(body)),
-      stack_(new char[stack_bytes]),
+      stack_(t_stacks.take(stack_bytes)),
       stack_bytes_(stack_bytes),
       name_(std::move(name)) {
 #if defined(__x86_64__)
@@ -164,7 +233,7 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes,
   // first.  The fiber inherits its creator's FP control settings, as a
   // getcontext-made context would.
   const std::uintptr_t top =
-      (reinterpret_cast<std::uintptr_t>(stack_.get()) + stack_bytes) &
+      (reinterpret_cast<std::uintptr_t>(stack_) + stack_bytes) &
       ~std::uintptr_t{15};
   auto* frame = reinterpret_cast<std::uint64_t*>(top) - 8;
   std::uint32_t mxcsr = 0;
@@ -181,7 +250,7 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes,
   ctx_ = frame;
 #else
   getcontext(&ctx_);
-  ctx_.uc_stack.ss_sp = stack_.get();
+  ctx_.uc_stack.ss_sp = stack_;
   ctx_.uc_stack.ss_size = stack_bytes;
   ctx_.uc_link = nullptr;  // fibers exit through run_body(), never fall off
   const auto ptr = reinterpret_cast<std::uintptr_t>(this);
@@ -193,8 +262,11 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes,
 }
 
 Fiber::~Fiber() {
-  // Destroying a live fiber abandons its stack; that is fine for simulation
-  // teardown (Machine deletes all fibers when a run is abandoned).
+  // Destroying a live fiber abandons whatever its stack still holds; that
+  // is fine for simulation teardown (Machine deletes all fibers when a run
+  // is abandoned).  No fiber is ever destroyed while running on its own
+  // stack, so the stack can go straight back on the free list.
+  t_stacks.give(stack_, stack_bytes_);
 }
 
 #if !defined(__x86_64__)
@@ -234,7 +306,7 @@ void Fiber::resume() {
   g_current = this;
 #if defined(BFLY_ASAN_FIBERS)
   g_from_engine = true;
-  __sanitizer_start_switch_fiber(&g_engine_fake_stack, stack_.get(),
+  __sanitizer_start_switch_fiber(&g_engine_fake_stack, stack_,
                                  stack_bytes_);
 #endif
   switch_context(&g_engine_ctx, &ctx_);
@@ -266,7 +338,7 @@ void Fiber::switch_to(Fiber* next) {
   g_current = next;
 #if defined(BFLY_ASAN_FIBERS)
   g_from_engine = false;
-  __sanitizer_start_switch_fiber(&self->asan_fake_stack_, next->stack_.get(),
+  __sanitizer_start_switch_fiber(&self->asan_fake_stack_, next->stack_,
                                  next->stack_bytes_);
 #endif
   switch_context(&self->ctx_, &next->ctx_);

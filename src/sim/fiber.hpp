@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 namespace bfly::sim {
@@ -77,6 +76,11 @@ class Fiber {
   const std::string& name() const { return name_; }
   void set_name(std::string n) { name_ = std::move(n); }
 
+  /// One opaque word for the layer that runs its code on this fiber (the
+  /// Chrysalis kernel keeps its Process* here).  sim never reads it.
+  void* owner() const { return owner_; }
+  void set_owner(void* o) { owner_ = o; }
+
  private:
   [[noreturn]] static void entry(Fiber* self);
 #if !defined(__x86_64__)
@@ -85,8 +89,12 @@ class Fiber {
   [[noreturn]] void run_body();
 
   std::function<void()> body_;
-  std::unique_ptr<char[]> stack_;
+  // Mapped memory taken from, and given back to, a per-thread free list of
+  // same-size stacks (see fiber.cpp): once the list holds the peak number
+  // of live fibers, a new fiber costs no allocation.
+  char* stack_;
   std::size_t stack_bytes_;
+  void* owner_ = nullptr;
   // ASan bookkeeping: the fake-stack handle saved while this fiber is
   // switched out (see the fiber-switch annotations in fiber.cpp).  Unused
   // (but harmless) in non-sanitized builds.

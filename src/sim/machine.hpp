@@ -17,6 +17,7 @@
 // verification tests depend on.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -259,8 +260,9 @@ class Machine {
   // --- Probes (see sim/observe.hpp) -------------------------------------------
   // Every hook is host-side and uncharged: attaching probes leaves the
   // simulated event stream byte-identical to a bare run.  Annotation sites
-  // pass string literals and integers only, so an unobserved run does no
-  // work beyond one emptiness test and allocates nothing.
+  // pass string literals and integers only (a composed name is passed as a
+  // callable that builds it), so an unobserved run does no work beyond one
+  // emptiness test and allocates nothing.
 
   /// Add `p` to the probe list; probes are called in attach order.
   void attach(Probe* p) { probes_.push_back(p); }
@@ -283,6 +285,13 @@ class Machine {
   /// Name a range of physical memory for diagnostic reports.
   void label_memory(PhysAddr a, std::size_t bytes, const std::string& name) {
     notify([&](Probe& p) { p.on_label(a, bytes, name); });
+  }
+  /// As above, with the name built by `make_name()` only when a probe is
+  /// attached (once, however many are).
+  template <typename MakeName>
+    requires std::invocable<MakeName&>
+  void label_memory(PhysAddr a, std::size_t bytes, MakeName make_name) {
+    if (!probes_.empty()) label_memory(a, bytes, make_name());
   }
   /// The calling fiber is about to block on `chan`.
   void observe_block(std::uint64_t chan, WaitKind kind) {

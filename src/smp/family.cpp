@@ -15,7 +15,7 @@ constexpr sim::Time kReceiveOverhead = 60 * sim::kMicrosecond;
 Member::Member(Family& f, std::uint32_t index, sim::NodeId node,
                std::uint32_t cache_capacity)
     : fam_(f), index_(index), node_(node),
-      cache_(f.kernel().machine(), cache_capacity) {}
+      cache_(f.kernel().machine(), cache_capacity, 2 * f.size()) {}
 
 std::uint32_t Member::size() const { return fam_.size(); }
 
@@ -40,7 +40,7 @@ void Member::send(std::uint32_t dest, std::uint32_t tag, const void* data,
   sim::TraceSpan span(m, "smp", "send", dest);
 
   // Map the channel buffer (SAR cache decides the real cost).
-  cache_.access((static_cast<std::uint64_t>(index_) << 32) | dest);
+  cache_.access(dest);
   m.charge(kSendOverhead);
 
   // The message body lands in a buffer on the receiver's node.
@@ -51,9 +51,10 @@ void Member::send(std::uint32_t dest, std::uint32_t tag, const void* data,
   rec.len = static_cast<std::uint32_t>(len);
   if (len > 0) {
     rec.buf = m.alloc(rcv.node_, len);
-    m.label_memory(rec.buf, len,
-                   "SMP.msg[" + std::to_string(index_) + "->" +
-                       std::to_string(dest) + "]");
+    m.label_memory(rec.buf, len, [&] {
+      return "SMP.msg[" + std::to_string(index_) + "->" +
+             std::to_string(dest) + "]";
+    });
     m.block_write(rec.buf, data, len);
   }
   const std::uint32_t id = fam_.put_record(rec);
@@ -75,7 +76,7 @@ Message Member::receive() {
   msg.payload.resize(rec.len);
   if (rec.len > 0) {
     // Receiver maps the buffer too, then pulls it to local memory.
-    cache_.access((static_cast<std::uint64_t>(rec.from) << 32) | index_);
+    cache_.access(recv_slot(rec.from));
     m.block_read(msg.payload.data(), rec.buf, rec.len);
     m.free(rec.buf, rec.len);
   }
@@ -92,7 +93,7 @@ bool Member::try_receive(Message* out) {
   out->tag = rec.tag;
   out->payload.resize(rec.len);
   if (rec.len > 0) {
-    cache_.access((static_cast<std::uint64_t>(rec.from) << 32) | index_);
+    cache_.access(recv_slot(rec.from));
     fam_.m_.block_read(out->payload.data(), rec.buf, rec.len);
     fam_.m_.free(rec.buf, rec.len);
   }

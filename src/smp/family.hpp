@@ -85,6 +85,12 @@ class Member {
   friend class Family;
   Member(Family& f, std::uint32_t index, sim::NodeId node,
          std::uint32_t cache_capacity);
+  /// SAR cache slot of the channel a message from `from` arrives on.  A
+  /// send to peer j uses slot j; a receive from j uses size()+j, except
+  /// that the self-channel is one buffer and so one slot both ways.
+  std::uint32_t recv_slot(std::uint32_t from) const {
+    return from == index_ ? from : size() + from;
+  }
 
   Family& fam_;
   std::uint32_t index_;

@@ -15,7 +15,7 @@ namespace bfly::smp {
 
 class Topology {
  public:
-  explicit Topology(std::uint32_t n) : adj_(n) {}
+  explicit Topology(std::uint32_t n) : adj_(n), linked_(std::size_t{n} * n) {}
 
   std::uint32_t size() const { return static_cast<std::uint32_t>(adj_.size()); }
 
@@ -23,12 +23,12 @@ class Topology {
   void add_edge(std::uint32_t a, std::uint32_t b) {
     adj_[a].push_back(b);
     adj_[b].push_back(a);
+    linked_[index(a, b)] = true;
+    linked_[index(b, a)] = true;
   }
 
   bool connected(std::uint32_t a, std::uint32_t b) const {
-    for (std::uint32_t x : adj_[a])
-      if (x == b) return true;
-    return false;
+    return a < size() && b < size() && linked_[index(a, b)];
   }
 
   const std::vector<std::uint32_t>& neighbors(std::uint32_t m) const {
@@ -96,7 +96,12 @@ class Topology {
   }
 
  private:
-  std::vector<std::vector<std::uint32_t>> adj_;
+  std::size_t index(std::uint32_t a, std::uint32_t b) const {
+    return std::size_t{a} * adj_.size() + b;
+  }
+
+  std::vector<std::vector<std::uint32_t>> adj_;  // neighbors, in edge order
+  std::vector<bool> linked_;                     // n x n adjacency bits
 };
 
 }  // namespace bfly::smp

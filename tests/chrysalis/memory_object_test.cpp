@@ -145,6 +145,52 @@ TEST(ObjectModel, SystemOwnedObjectsLeak) {
   EXPECT_EQ(k.leaked_bytes(), 1024u) << "Chrysalis tends to leak storage";
 }
 
+TEST(ObjectModel, LeaksAreChargedToEachCreatorAtItsExit) {
+  Machine m(butterfly1(2));
+  Kernel k(m);
+  std::size_t leaked_while_b_runs = 0;
+  k.create_process(0, [&] {
+    k.give_to_system(k.make_memory_object(0, 1024));
+    (void)k.make_memory_object(0, 512);  // owned: reclaimed at exit
+  }, "a");
+  k.create_process(1, [&] {
+    k.give_to_system(k.make_memory_object(1, 4096));
+    const Oid dropped = k.make_memory_object(1, 256);
+    k.give_to_system(dropped);
+    k.delete_object(dropped);  // deleted before its creator exits
+    k.delay(50 * sim::kMillisecond);  // "a" exits meanwhile
+    leaked_while_b_runs = k.leaked_bytes();
+  }, "b");
+  m.run();
+  EXPECT_EQ(leaked_while_b_runs, 1024u) << "only the exited creator's leak";
+  EXPECT_EQ(k.leaked_bytes(), 1024u + 4096u);
+  EXPECT_EQ(k.live_bytes(), 1024u + 4096u);
+}
+
+TEST(ObjectModel, DeletedOidsAreNeverReused) {
+  Machine m(butterfly1(2));
+  Kernel k(m);
+  const Oid a = k.make_memory_object(0, 256);
+  k.delete_object(a);
+  const Oid b = k.make_memory_object(0, 256);
+  EXPECT_GT(b, a);
+  EXPECT_FALSE(k.object_alive(a));
+  EXPECT_TRUE(k.object_alive(b));
+  EXPECT_FALSE(k.object_alive(b + 1));
+  EXPECT_FALSE(k.object_alive(kNoObject));
+  for (const Oid bad : {kNoObject, a, b + 1}) {
+    try {
+      (void)k.object_kind(bad);
+      ADD_FAILURE() << "object_kind(" << bad << ") did not throw";
+    } catch (const ThrowSignal& t) {
+      EXPECT_EQ(t.code, kThrowBadObject);
+      EXPECT_EQ(t.datum, bad);
+    }
+  }
+  k.delete_object(a);  // deleting twice is a no-op
+  EXPECT_EQ(k.object_kind(b), ObjKind::kMemoryObject);
+}
+
 TEST(ObjectModel, ExplicitDeleteFreesMemory) {
   Machine m(butterfly1(2));
   Kernel k(m);

@@ -184,5 +184,85 @@ TEST(Process, SleeperOnIdleNodeDoesNotDelayMidSleepWakeups) {
   EXPECT_FALSE(m.deadlocked());
 }
 
+
+TEST(Process, SelfBelongsToOneKernel) {
+  // Two kernels on one machine: a process of one is not a process of the
+  // other, though both read the same fiber.
+  Machine m(butterfly1(2));
+  Kernel k1(m), k2(m);
+  Oid seen = kNoObject;
+  const Oid p1 = k1.create_process(0, [&] {
+    sim::Fiber* f = sim::Fiber::current();
+    seen = k1.process_of(f);
+    EXPECT_EQ(k1.self().oid(), seen);
+    EXPECT_TRUE(k1.on_process());
+    EXPECT_FALSE(k2.on_process());
+    EXPECT_EQ(k2.process_of(f), kNoObject);
+    EXPECT_THROW((void)k2.self(), sim::SimError);
+  });
+  bool plain_fiber_checked = false;
+  m.spawn(1, [&] {
+    EXPECT_FALSE(k1.on_process());
+    EXPECT_EQ(k1.process_of(sim::Fiber::current()), kNoObject);
+    EXPECT_THROW((void)k1.self(), sim::SimError);
+    plain_fiber_checked = true;
+  });
+  m.run();
+  EXPECT_EQ(seen, p1);
+  EXPECT_TRUE(plain_fiber_checked);
+}
+
+// Asks the kernel, at every span end on a watched fiber, which process the
+// fiber runs.  A process's lifetime span closes after its exit.
+class ProcessOfProbe : public sim::Probe {
+ public:
+  explicit ProcessOfProbe(const Kernel& k) : k_(k) {}
+  void on_span_end(sim::Fiber* f, sim::NodeId /*node*/) override {
+    if (f != nullptr) last = k_.process_of(f);
+  }
+  Oid last = 1234;
+
+ private:
+  const Kernel& k_;
+};
+
+TEST(Process, ProcessOfIsNoObjectAfterExit) {
+  Machine m(butterfly1(2));
+  Kernel k(m);
+  ProcessOfProbe probe(k);
+  m.attach(&probe);
+  Oid during = kNoObject;
+  const Oid p = k.create_process(0, [&] {
+    during = k.process_of(sim::Fiber::current());
+  });
+  m.run();
+  EXPECT_EQ(during, p);
+  EXPECT_EQ(probe.last, kNoObject);
+}
+
+TEST(Process, BlockedProcessesComeBackInOidOrder) {
+  // Later-created processes block first; the snapshot is still in oid
+  // (creation) order.
+  Machine m(butterfly1(8));
+  Kernel k(m);
+  std::vector<Oid> queues, procs;
+  for (std::uint32_t i = 0; i < 6; ++i) queues.push_back(k.make_dual_queue());
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    const Oid q = queues[i];
+    procs.push_back(k.create_process(i, [&k, q, i] {
+      k.delay((6 - i) * sim::kMillisecond);
+      (void)k.dq_dequeue(q);
+    }, "waiter" + std::to_string(i)));
+  }
+  m.run();
+  const auto blocked = k.blocked_processes();
+  ASSERT_EQ(blocked.size(), procs.size());
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    EXPECT_EQ(blocked[i].process, procs[i]);
+    EXPECT_EQ(blocked[i].waiting_on, queues[i]);
+    EXPECT_EQ(blocked[i].name, "waiter" + std::to_string(i));
+  }
+}
+
 }  // namespace
 }  // namespace bfly::chrys

@@ -161,6 +161,34 @@ TEST(Fiber, LocalsSurviveInterleavedRoundRobinSwitches) {
 
 // A -> B -> C -> engine without the engine in between: each switch_to
 // blocks the caller, runs the target and moves current() with it.
+TEST(Fiber, FreedStackIsReusedByTheNextFiberOfItsSize) {
+  // A fiber's locals sit at the same depth of whatever stack it runs on, so
+  // equal addresses mean the same stack.  A blocked fiber's stack is reused
+  // too (destroying a live fiber abandons it), and neither heap allocations
+  // nor a fiber of another size take a freed stack.
+  auto local_address = [](std::size_t stack_bytes, bool block) {
+    std::uintptr_t at = 0;
+    {
+      Fiber f(
+          [&] {
+            volatile int local = 0;
+            at = reinterpret_cast<std::uintptr_t>(&local);
+            if (block) Fiber::yield_to_engine();
+          },
+          stack_bytes);
+      f.resume();
+    }
+    return at;
+  };
+  const std::uintptr_t first = local_address(96 * 1024, true);
+  EXPECT_EQ(local_address(96 * 1024, false), first);
+  EXPECT_EQ(local_address(96 * 1024, false), first);
+  const std::vector<char> heap_block(96 * 1024, 1);
+  (void)local_address(80 * 1024, false);
+  EXPECT_EQ(local_address(96 * 1024, false), first)
+      << "the freed stack must stay reserved for the next fiber of its size";
+}
+
 TEST(Fiber, SwitchToChainsFibersWithoutTheEngine) {
   using S = Fiber::State;
   std::unique_ptr<Fiber> a, b, c;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <numeric>
+#include <random>
+#include <string>
+#include <vector>
 
 namespace bfly::smp {
 namespace {
@@ -203,7 +208,7 @@ TEST(SarCacheT, CacheAvoidsRemapCost) {
 
 TEST(SarCacheT, EvictionWhenChannelsExceedCapacity) {
   Machine m(butterfly1(2));
-  SarCache cache(m, 2);
+  SarCache cache(m, 2, 4);
   Time spent = 0;
   m.spawn(0, [&] {
     cache.access(1);
@@ -218,6 +223,135 @@ TEST(SarCacheT, EvictionWhenChannelsExceedCapacity) {
   EXPECT_EQ(cache.misses(), 4u);
   EXPECT_EQ(cache.evictions(), 2u);
   EXPECT_GT(spent, 0u);
+}
+
+// The reference the slot LRU must agree with: the std::list LRU the cache
+// was first written as.  access() and flush() return the simulated time
+// the real cache must charge for the same call.
+struct ListLru {
+  std::uint32_t capacity;
+  Time map_ns;
+  std::list<std::uint32_t> lru;
+  std::uint64_t hits = 0, misses = 0, evictions = 0;
+
+  Time access(std::uint32_t slot) {
+    if (capacity == 0) {
+      ++misses;
+      return 2 * map_ns;
+    }
+    auto it = std::find(lru.begin(), lru.end(), slot);
+    if (it != lru.end()) {
+      lru.splice(lru.begin(), lru, it);
+      ++hits;
+      return 0;
+    }
+    ++misses;
+    Time cost = map_ns;
+    if (lru.size() >= capacity) {
+      lru.pop_back();
+      cost += map_ns;
+      ++evictions;
+    }
+    lru.push_front(slot);
+    return cost;
+  }
+  Time flush() {
+    const Time cost = lru.size() * map_ns;
+    lru.clear();
+    return cost;
+  }
+};
+
+TEST(SarCacheT, SlotLruMatchesListLru) {
+  constexpr std::uint32_t kSlots = 300;
+  for (const std::uint32_t cap : {0u, 1u, 2u, 7u, 200u}) {
+    SCOPED_TRACE("capacity " + std::to_string(cap));
+    Machine m(butterfly1(2));
+    SarCache cache(m, cap, kSlots);
+    ListLru ref{cap, m.config().sar_map_ns, {}};
+    m.spawn(0, [&] {
+      std::mt19937 rng(cap + 1);
+      // Half the accesses go to a hot set a little larger than the cache,
+      // so every capacity sees hits, misses and evictions.
+      std::uniform_int_distribution<std::uint32_t> hot(0, cap + 3);
+      std::uniform_int_distribution<std::uint32_t> any(0, kSlots - 1);
+      for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 4000; ++i) {
+          const std::uint32_t slot = (rng() & 1) != 0 ? hot(rng) : any(rng);
+          const Time t0 = m.now();
+          cache.access(slot);
+          ASSERT_EQ(m.now() - t0, ref.access(slot)) << "access " << i;
+        }
+        const Time t0 = m.now();
+        cache.flush();
+        ASSERT_EQ(m.now() - t0, ref.flush()) << "flush " << round;
+      }
+    });
+    m.run();
+    EXPECT_EQ(cache.hits(), ref.hits);
+    EXPECT_EQ(cache.misses(), ref.misses);
+    EXPECT_EQ(cache.evictions(), ref.evictions);
+    if (cap >= 2) {
+      EXPECT_GT(ref.hits, 0u);
+      EXPECT_GT(ref.evictions, 0u);
+    }
+  }
+}
+
+TEST(SarCacheT, SelfSendSharesOneSlot) {
+  // Sending to yourself maps one buffer: the receive hits the mapping the
+  // send made.
+  with_family_creator(2, [](chrys::Kernel& k) {
+    Topology self_loop(1);
+    self_loop.add_edge(0, 0);
+    std::uint64_t hits = 0, misses = 0;
+    Family fam(k, self_loop, [&](Member& me) {
+      me.send_value<std::uint32_t>(0, 0, 7);
+      EXPECT_EQ(me.receive().as<std::uint32_t>(), 7u);
+      hits = me.sar_cache().hits();
+      misses = me.sar_cache().misses();
+    });
+    fam.join();
+    EXPECT_EQ(misses, 1u);
+    EXPECT_EQ(hits, 1u);
+  });
+}
+
+// Collects the labels the runtimes give the memory they allocate.
+class LabelProbe : public sim::Probe {
+ public:
+  void on_label(sim::PhysAddr /*a*/, std::size_t /*bytes*/,
+                const std::string& name) override {
+    labels.push_back(name);
+  }
+  std::vector<std::string> labels;
+};
+
+TEST(Family, MessageBuffersAreLabelledForAttachedProbes) {
+  Machine m(butterfly1(4));
+  LabelProbe probe;
+  m.attach(&probe);
+  chrys::Kernel k(m);
+  k.create_process(0, [&] {
+    Family fam(k, Topology::line(3), [&](Member& me) {
+      if (me.index() == 0) {
+        me.send_value<std::uint32_t>(1, 0, 1);
+      } else if (me.index() == 2) {
+        me.send_value<std::uint32_t>(1, 0, 2);
+      } else {
+        (void)me.receive();
+        (void)me.receive();
+        me.send(0, 0, nullptr, 0);  // no payload, no buffer, no label
+      }
+    });
+    fam.join();
+  });
+  m.run();
+  std::vector<std::string> smp;
+  for (const std::string& l : probe.labels)
+    if (l.rfind("SMP.", 0) == 0) smp.push_back(l);
+  std::sort(smp.begin(), smp.end());
+  EXPECT_EQ(smp, (std::vector<std::string>{"SMP.msg[0->1]", "SMP.msg[2->1]"}));
 }
 
 TEST(Family, ManyToOneFunnel) {
