@@ -3,6 +3,13 @@
 #
 # Exits nonzero on the first failure (set -e), so a red step fails the
 # whole job.  Steps:
+#   0. strict doubles  — no CMakeLists.txt (top level or nested) and no
+#                        CMakePresets.json may add -ffast-math, -Ofast,
+#                        -march= or -ffp-contract=fast.  The committed
+#                        BENCH files are byte-compared and the Gauss
+#                        programs must equal the scalar reference exactly;
+#                        both rely on every double being rounded by plain
+#                        IEEE multiply/add, never fused or reassociated
 #   1. default preset  — Release build, full ctest suite
 #      (first, on x86-64: libbfly_sim.a must not reference swapcontext, or
 #       the hand-written fiber switch was compiled out)
@@ -17,7 +24,9 @@
 #                        committed BENCH_*.json (~30 s, almost all of it the
 #                        sync sweep).  A difference means the simulation
 #                        moved: regenerate the file and say why in the
-#                        change
+#                        change.  Then the FIG5 table in EXPERIMENTS.md
+#                        must equal tools/fig5_table.py's render of the
+#                        (now verified) BENCH_fig5.json
 #   3. sched-fuzz smoke— the moviola deadlock detector rides a reduced
 #                        PCT schedule sweep (10 seeds x 4 workloads); any
 #                        finding, lint or wedge on any seed is a failure
@@ -54,6 +63,16 @@ JOBS="${1:-$(nproc)}"
 
 step() { printf '\n=== %s ===\n' "$*"; }
 
+step "strict doubles (no fast-math, -Ofast, -march= or FP contraction)"
+mapfile -t cmake_lists < <(find . \( -name 'build*' -o -name .bench_build \) \
+  -prune -o -name CMakeLists.txt -print)
+if grep -nE -e '-ffast-math|-Ofast|-march=|-ffp-contract=fast' \
+    CMakePresets.json "${cmake_lists[@]}"; then
+  echo "a build file relaxes IEEE double arithmetic: results stop being" \
+       "bit-exact against the committed BENCH files and the Gauss reference"
+  exit 1
+fi
+
 step "configure + build (default preset)"
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
@@ -85,6 +104,7 @@ for b in tserving:serving tpartition:partition tsync_scaling:sync \
   }
 done
 rm -rf "$drift_dir"
+python3 tools/fig5_table.py --check
 
 step "sched-fuzz smoke (moviola detector over PCT schedule seeds)"
 ctest --preset default -L sched-fuzz-smoke --output-on-failure --verbose

@@ -24,6 +24,23 @@ void generate_system(std::uint32_t n, std::uint64_t seed,
   }
 }
 
+void row_update(double* dst, const double* src, double f, std::size_t len) {
+  // A GCC vector extension: elementwise multiply and subtract (SSE2
+  // mulpd/subpd on x86-64), no reassociation, so it rounds each element as
+  // the scalar loop does.  memcpy loads and stores allow any alignment.
+  using v2d = double __attribute__((vector_size(16)));
+  const v2d fv = {f, f};
+  std::size_t j = 0;
+  for (; j + 2 <= len; j += 2) {
+    v2d d, s;
+    std::memcpy(&d, dst + j, sizeof d);
+    std::memcpy(&s, src + j, sizeof s);
+    d -= fv * s;
+    std::memcpy(dst + j, &d, sizeof d);
+  }
+  if (j < len) dst[j] -= f * src[j];
+}
+
 std::vector<double> gauss_reference(std::uint32_t n, std::uint64_t seed) {
   std::vector<double> a, b;
   generate_system(n, seed, a, b);
@@ -111,7 +128,7 @@ GaussResult gauss_us(sim::Machine& m, const GaussConfig& cfg) {
         for (std::uint32_t r = first + c.arg; r < n; r += chunks) {
           c.us.copy_to_local(local.data(), rows[r], row_bytes);
           const double f = local[kk] / piv[kk];
-          for (std::uint32_t j = kk; j <= n; ++j) local[j] -= f * piv[j];
+          row_update(local.data() + kk, piv.data() + kk, f, n + 1 - kk);
           c.m.flops(2 * (n - kk) + 2);
           c.us.copy_from_local(rows[r], local.data(), row_bytes);
         }
@@ -217,8 +234,7 @@ GaussResult gauss_smp(sim::Machine& m, const GaussConfig& cfg) {
             for (std::size_t i = first; i < rows_w.size(); ++i) {
               std::vector<double>& row = rows_w[i];
               const double f = row[kk] / pivot[kk];
-              for (std::uint32_t j = kk; j <= n; ++j)
-                row[j] -= f * pivot[j];
+              row_update(row.data() + kk, pivot.data() + kk, f, n + 1 - kk);
               m.flops(2 * (n - kk) + 2);
             }
           }

@@ -20,6 +20,7 @@
 // that tests verify against a host-side reference elimination.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -47,7 +48,14 @@ struct GaussResult {
 void generate_system(std::uint32_t n, std::uint64_t seed,
                      std::vector<double>& a, std::vector<double>& b);
 
-/// Host-side reference solution (no simulation).
+/// The elimination row update dst[j] -= f * src[j] for j < len, shared by
+/// gauss_us and gauss_smp.  Vectorized two doubles at a time, but each
+/// element is one IEEE multiply and one subtract exactly as in the scalar
+/// loop, so the result is bit-identical to it.
+void row_update(double* dst, const double* src, double f, std::size_t len);
+
+/// Host-side reference solution (no simulation).  Plain scalar loops: it is
+/// the checker the simulated programs are compared against.
 std::vector<double> gauss_reference(std::uint32_t n, std::uint64_t seed);
 
 /// Shared-memory (Uniform System) implementation.

@@ -64,40 +64,32 @@ void Member::send(std::uint32_t dest, std::uint32_t tag, const void* data,
 }
 
 Message Member::receive() {
-  chrys::Kernel& k = fam_.k_;
+  sim::TraceSpan span(fam_.m_, "smp", "recv", index_);
+  return deliver(fam_.k_.dq_dequeue(mailbox_));
+}
+
+bool Member::try_receive(Message* out) {
+  std::uint32_t id = 0;
+  if (!fam_.k_.dq_try_dequeue(mailbox_, &id)) return false;
+  *out = deliver(id);
+  return true;
+}
+
+Message Member::deliver(std::uint32_t id) {
   sim::Machine& m = fam_.m_;
-  sim::TraceSpan span(m, "smp", "recv", index_);
-  const std::uint32_t id = k.dq_dequeue(mailbox_);
-  Family::MsgRec rec = fam_.take_record(id);
+  const Family::MsgRec rec = fam_.take_record(id);
   m.charge(kReceiveOverhead);
   Message msg;
   msg.from = rec.from;
   msg.tag = rec.tag;
-  msg.payload.resize(rec.len);
   if (rec.len > 0) {
     // Receiver maps the buffer too, then pulls it to local memory.
     cache_.access(recv_slot(rec.from));
+    msg.payload.resize(rec.len);
     m.block_read(msg.payload.data(), rec.buf, rec.len);
     m.free(rec.buf, rec.len);
   }
   return msg;
-}
-
-bool Member::try_receive(Message* out) {
-  chrys::Kernel& k = fam_.k_;
-  std::uint32_t id = 0;
-  if (!k.dq_try_dequeue(mailbox_, &id)) return false;
-  Family::MsgRec rec = fam_.take_record(id);
-  fam_.m_.charge(kReceiveOverhead);
-  out->from = rec.from;
-  out->tag = rec.tag;
-  out->payload.resize(rec.len);
-  if (rec.len > 0) {
-    cache_.access(recv_slot(rec.from));
-    fam_.m_.block_read(out->payload.data(), rec.buf, rec.len);
-    fam_.m_.free(rec.buf, rec.len);
-  }
-  return true;
 }
 
 // --- Family ------------------------------------------------------------------

@@ -15,6 +15,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "chrysalis/kernel.hpp"
@@ -25,10 +27,26 @@ namespace bfly::smp {
 
 class Family;
 
+/// std::allocator whose value-less construct() default-initializes, so
+/// resize() leaves new elements indeterminate instead of zeroing them
+/// (construction with arguments falls back to std::construct_at).
+/// Only for buffers that are overwritten in full before they are read.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 struct Message {
   std::uint32_t from = 0;
   std::uint32_t tag = 0;
-  std::vector<std::uint8_t> payload;
+  /// Filled in full by the receive's block_read before the Message is
+  /// handed out, so the allocator's skipped zero-fill is never visible.
+  std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>> payload;
 
   template <typename T>
   T as() const {
@@ -85,6 +103,10 @@ class Member {
   friend class Family;
   Member(Family& f, std::uint32_t index, sim::NodeId node,
          std::uint32_t cache_capacity);
+  /// Turn mailbox record `id` into a Message: charge the receive, map the
+  /// channel buffer and pull the body to local memory.  A fault in the
+  /// block read propagates, and no Message is returned.
+  Message deliver(std::uint32_t id);
   /// SAR cache slot of the channel a message from `from` arrives on.  A
   /// send to peer j uses slot j; a receive from j uses size()+j, except
   /// that the self-channel is one buffer and so one slot both ways.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "sim/rng.hpp"
+
 namespace bfly::apps {
 namespace {
 
@@ -22,13 +26,37 @@ TEST(GaussReference, SolvesTheSystem) {
   }
 }
 
+TEST(GaussRowUpdate, BitIdenticalToTheScalarLoop) {
+  // Short lengths (the vector body, the odd tail, both and neither), a
+  // FIG5-sized row, and start offsets that leave dst and src off 16-byte
+  // alignment, together and apart.
+  sim::Rng rng(5);
+  std::vector<double> src(400), dst(400);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = rng.uniform() * 200 - 100;
+    dst[i] = rng.uniform() * 200 - 100;
+  }
+  const std::vector<std::size_t> lens = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 385};
+  for (double f : {0.0, 0.3125, -0.7, -3.9e4, 1.7e300})
+    for (std::size_t doff : {0, 1})
+      for (std::size_t soff : {0, 1})
+        for (std::size_t len : lens) {
+          std::vector<double> want = dst, got = dst;
+          for (std::size_t j = 0; j < len; ++j)
+            want[doff + j] -= f * src[soff + j];
+          row_update(got.data() + doff, src.data() + soff, f, len);
+          EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * 8), 0)
+              << "f=" << f << " doff=" << doff << " soff=" << soff
+              << " len=" << len;
+        }
+}
+
 TEST(GaussUs, MatchesReference) {
   Machine m(butterfly1(16));
   GaussConfig cfg;
   cfg.n = 32;
   GaussResult r = gauss_us(m, cfg);
-  ASSERT_EQ(r.solution.size(), cfg.n);
-  EXPECT_LT(gauss_error(r, cfg.n, cfg.seed), 1e-9);
+  EXPECT_EQ(r.solution, gauss_reference(cfg.n, cfg.seed));
   EXPECT_GT(r.elapsed, 0u);
   EXPECT_FALSE(m.deadlocked());
 }
@@ -38,8 +66,7 @@ TEST(GaussSmp, MatchesReference) {
   GaussConfig cfg;
   cfg.n = 32;
   GaussResult r = gauss_smp(m, cfg);
-  ASSERT_EQ(r.solution.size(), cfg.n);
-  EXPECT_LT(gauss_error(r, cfg.n, cfg.seed), 1e-9);
+  EXPECT_EQ(r.solution, gauss_reference(cfg.n, cfg.seed));
   EXPECT_GT(r.messages, 0u);
   EXPECT_FALSE(m.deadlocked());
 }
@@ -50,7 +77,7 @@ TEST(GaussSmp, SingleProcessorWorks) {
   cfg.n = 16;
   cfg.processors = 1;
   GaussResult r = gauss_smp(m, cfg);
-  EXPECT_LT(gauss_error(r, cfg.n, cfg.seed), 1e-9);
+  EXPECT_EQ(r.solution, gauss_reference(cfg.n, cfg.seed));
   EXPECT_EQ(r.messages, 0u);
 }
 
@@ -60,7 +87,7 @@ TEST(GaussUs, SingleProcessorWorks) {
   cfg.n = 16;
   cfg.processors = 1;
   GaussResult r = gauss_us(m, cfg);
-  EXPECT_LT(gauss_error(r, cfg.n, cfg.seed), 1e-9);
+  EXPECT_EQ(r.solution, gauss_reference(cfg.n, cfg.seed));
 }
 
 TEST(GaussSmp, MessageVolumeIsPTimesN) {
@@ -96,13 +123,16 @@ struct GaussParam {
 class GaussBothModels : public ::testing::TestWithParam<GaussParam> {};
 
 TEST_P(GaussBothModels, AgreeWithReference) {
+  // Both programs run the reference's arithmetic in the same order, so the
+  // solutions are exactly equal, not merely close.
   const GaussParam p = GaussParam(GetParam());
+  const std::vector<double> ref = gauss_reference(p.n, GaussConfig{}.seed);
   {
     Machine m(butterfly1(16));
     GaussConfig cfg;
     cfg.n = p.n;
     cfg.processors = p.procs;
-    EXPECT_LT(gauss_error(gauss_us(m, cfg), cfg.n, cfg.seed), 1e-8)
+    EXPECT_EQ(gauss_us(m, cfg).solution, ref)
         << "US n=" << p.n << " P=" << p.procs;
   }
   {
@@ -110,7 +140,7 @@ TEST_P(GaussBothModels, AgreeWithReference) {
     GaussConfig cfg;
     cfg.n = p.n;
     cfg.processors = p.procs;
-    EXPECT_LT(gauss_error(gauss_smp(m, cfg), cfg.n, cfg.seed), 1e-8)
+    EXPECT_EQ(gauss_smp(m, cfg).solution, ref)
         << "SMP n=" << p.n << " P=" << p.procs;
   }
 }

@@ -175,6 +175,52 @@ TEST(Family, TryReceiveDoesNotBlock) {
   });
 }
 
+TEST(Family, ReceiveAndTryReceiveDeliverPayloadsByteForByte) {
+  // Both receive paths, a 1-byte, a 4097-byte and a zero-length payload.
+  // try_receive reuses one Message, so the zero-length receive after the
+  // long one must leave it empty.
+  const std::vector<std::size_t> lens = {1, 4097, 0};
+  auto pattern = [](std::size_t len) {
+    std::vector<std::uint8_t> v(len);
+    for (std::size_t i = 0; i < len; ++i)
+      v[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    return v;
+  };
+  with_family_creator(4, [&](chrys::Kernel& k) {
+    std::vector<std::vector<std::uint8_t>> by_receive, by_try;
+    Family fam(k, Topology::line(2), [&](Member& me) {
+      if (me.index() == 0) {
+        for (int round = 0; round < 2; ++round)
+          for (std::size_t len : lens) {
+            const std::vector<std::uint8_t> data = pattern(len);
+            me.send(1, static_cast<std::uint32_t>(len), data.data(), len);
+          }
+        return;
+      }
+      for (std::size_t len : lens) {
+        const Message msg = me.receive();
+        EXPECT_EQ(msg.tag, len);
+        by_receive.emplace_back(msg.payload.begin(), msg.payload.end());
+      }
+      Message msg;
+      for (std::size_t len : lens) {
+        while (!me.try_receive(&msg)) k.delay(sim::kMillisecond);
+        EXPECT_EQ(msg.tag, len);
+        by_try.emplace_back(msg.payload.begin(), msg.payload.end());
+      }
+    });
+    fam.join();
+    ASSERT_EQ(by_receive.size(), lens.size());
+    ASSERT_EQ(by_try.size(), lens.size());
+    for (std::size_t i = 0; i < lens.size(); ++i) {
+      EXPECT_EQ(by_receive[i], pattern(lens[i])) << "receive, len " << lens[i];
+      EXPECT_EQ(by_try[i], pattern(lens[i])) << "try_receive, len " << lens[i];
+    }
+    EXPECT_TRUE(by_receive.back().empty());
+    EXPECT_TRUE(by_try.back().empty());
+  });
+}
+
 TEST(SarCacheT, CacheAvoidsRemapCost) {
   // Repeated sends on one channel: with the cache only the first pays the
   // map; without it every send pays map + unmap.
