@@ -26,7 +26,10 @@
 #                        moved: regenerate the file and say why in the
 #                        change.  Then the FIG5 table in EXPERIMENTS.md
 #                        must equal tools/fig5_table.py's render of the
-#                        (now verified) BENCH_fig5.json
+#                        (now verified) BENCH_fig5.json, and perfbench's
+#                        `sim` sections for gauss, serve and observed at
+#                        seeds 1, 1988 and 404 (tools/perfbench_sim.py)
+#                        must equal ci/perfbench_sim.golden.json
 #   3. sched-fuzz smoke— the moviola deadlock detector rides a reduced
 #                        PCT schedule sweep (10 seeds x 4 workloads); any
 #                        finding, lint or wedge on any seed is a failure
@@ -103,8 +106,14 @@ for b in tserving:serving tpartition:partition tsync_scaling:sync \
     exit 1
   }
 done
-rm -rf "$drift_dir"
 python3 tools/fig5_table.py --check
+python3 tools/perfbench_sim.py >"$drift_dir/perfbench_sim.json"
+cmp "$drift_dir/perfbench_sim.json" ci/perfbench_sim.golden.json || {
+  echo "perfbench's simulated output drifted from ci/perfbench_sim.golden.json:"
+  echo "regenerate it with tools/perfbench_sim.py and say why"
+  exit 1
+}
+rm -rf "$drift_dir"
 
 step "sched-fuzz smoke (moviola detector over PCT schedule seeds)"
 ctest --preset default -L sched-fuzz-smoke --output-on-failure --verbose

@@ -387,8 +387,7 @@ Oid Kernel::pick_waiter(DualQueueObj& q) {
       }
     }
     const Oid w = q.waiters[best];
-    q.waiters.erase(q.waiters.begin() +
-                    static_cast<std::ptrdiff_t>(best));
+    q.waiters.erase_at(best);
     Process& p = proc(w);
     if (p.killed_ || p.state_ == Process::State::kExited) continue;
     // A handoff pick is a scheduling decision: it advances the PCT step
@@ -534,8 +533,7 @@ void Kernel::kill_exit(Process& p) {
   if (p.waiting_on_ != kNoObject) {
     if (ObjRec* r = find(p.waiting_on_)) {
       if (r->kind == ObjKind::kDualQueue) {
-        auto& q = std::get<DualQueueObj>(r->u);
-        std::erase(q.waiters, p.oid());
+        std::get<DualQueueObj>(r->u).waiters.remove(p.oid());
       } else if (r->kind == ObjKind::kEvent) {
         auto& e = std::get<EventObj>(r->u);
         if (e.owner == p.oid()) e.waiting = false;
@@ -624,7 +622,7 @@ void Kernel::delay(sim::Time ns) {
   // Lifetime: look the process up by oid at fire time — it may have exited
   // (or died with its node) and been reclaimed while the timer was armed.
   const Oid poid = p.oid();
-  m_.engine().post_at(wake_at, [this, poid] {
+  m_.engine().post_timer_at(wake_at, [this, poid] {
     const ObjRec* r = find(poid);
     if (r == nullptr) return;
     Process& w = *std::get<std::unique_ptr<Process>>(r->u);
@@ -707,9 +705,7 @@ bool Kernel::event_pending(Oid ev) const {
 Oid Kernel::make_dual_queue(std::size_t capacity) {
   const Oid owner = on_process() ? self().oid() : kNoObject;
   const Oid oid = new_object(ObjKind::kDualQueue, owner);
-  DualQueueObj q;
-  q.capacity = capacity;
-  rec(oid).u = std::move(q);
+  rec(oid).u.emplace<DualQueueObj>().capacity = capacity;
   charge_if_on_fiber(50 * sim::kMicrosecond);
   return oid;
 }
@@ -777,15 +773,20 @@ bool Kernel::dq_dequeue_for(Oid dq, sim::Time timeout, std::uint32_t* out) {
   // same queue cannot cancel it.
   const std::uint64_t seq = p.wait_seq_ + 1;
   const Oid poid = p.oid();
-  m_.engine().post_at(m_.now() + timeout, [this, poid, dq, seq] {
+  m_.engine().post_timer_at(m_.now() + timeout, [this, poid, dq, seq] {
     const ObjRec* r = find(poid);
     if (r == nullptr) return;
     Process& w = *std::get<std::unique_ptr<Process>>(r->u);
-    if (w.killed_ || w.state_ != Process::State::kBlocked ||
-        w.waiting_on_ != dq || w.wait_seq_ != seq)
+    // The wait is live while blocked, and also while the process still
+    // runs block_self()'s switch charge, which outlasts a timeout shorter
+    // than proc_switch_ns; make_ready's wakeup_pending_ then cancels the
+    // block.
+    const bool waiting = w.state_ == Process::State::kBlocked ||
+                         w.state_ == Process::State::kRunning;
+    if (w.killed_ || !waiting || w.waiting_on_ != dq || w.wait_seq_ != seq)
       return;  // already served, or a different wait: stale timer
     if (ObjRec* q = find(dq))
-      std::erase(std::get<DualQueueObj>(q->u).waiters, poid);
+      std::get<DualQueueObj>(q->u).waiters.remove(poid);
     w.timed_out_ = true;
     w.waiting_on_ = kNoObject;
     make_ready(w);

@@ -21,6 +21,7 @@
 #include <variant>
 #include <vector>
 
+#include "chrysalis/small_fifo.hpp"
 #include "chrysalis/types.hpp"
 #include "sim/machine.hpp"
 
@@ -296,10 +297,12 @@ class Kernel {
     bool waiting = false;
     std::uint32_t datum = 0;
   };
+  // Built in place in its ObjRec (make_dual_queue): a short queue costs no
+  // allocation beyond the record.
   struct DualQueueObj {
     std::size_t capacity = 0;
-    std::deque<std::uint32_t> data;
-    std::deque<Oid> waiters;
+    SmallFifo<std::uint32_t, 4> data;
+    SmallFifo<Oid, 4> waiters;
   };
   struct MemObj {
     sim::PhysAddr base;

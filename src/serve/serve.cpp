@@ -135,7 +135,9 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
   const sim::Time deadline_at = t0 + cfg_.deadline;
   const std::uint32_t r_count = cfg_.replicas;
   const chrys::Oid dq = k_.make_dual_queue();
-  std::vector<std::uint8_t> scratch(bridge::kBlockSize);  // hedge arm
+  // The hedge arm's buffer, sized when the first hedge is sent: most reads
+  // never send one.
+  std::vector<std::uint8_t> scratch;
   const auto start = static_cast<std::uint32_t>(rng_.below(r_count));
   Status give_up = Status::kNoReplica;
 
@@ -236,6 +238,7 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
         break;
       }
       if (hedge_pending && m_.now() >= hedge_at && m_.now() < deadline_at) {
+        scratch.resize(bridge::kBlockSize);
         hrid = fs_.submit_read(f, phys_index(f, b, hedge_r),
                                scratch.data(), dq);
         hedge_out = true;

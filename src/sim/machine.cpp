@@ -273,7 +273,13 @@ void Machine::park() {
     check_kill(c);
     return;  // in-flight exception: complete instantly, do not yield
   }
-  hand_off(c, engine_.take_fiber());
+  // A timer fired in place by take_fiber may wake this very fiber, which is
+  // still kRunning on its own stack: `parking` lets wakeup() schedule it, as
+  // it would had the fiber yielded to run() first.
+  c->parking = true;
+  void* next = engine_.take_fiber();
+  c->parking = false;
+  hand_off(c, next);
   if (fault_checks_) check_kill(c);
 }
 
@@ -281,7 +287,8 @@ void Machine::wakeup(Fiber* f, Time delay) {
   FiberCtl* c = ctl(f);
   if (c == nullptr) return;  // already finished
   if (c->killed) return;     // doomed; it unwinds through its own path
-  if (c->resume_pending || f->state() == Fiber::State::kRunning) {
+  if (c->resume_pending ||
+      (f->state() == Fiber::State::kRunning && !c->parking)) {
     // The target is not parked.  Single-threaded cooperative scheduling
     // means a correct synchronization layer re-checks its state before
     // parking, so dropping this wakeup is safe and expected.

@@ -379,6 +379,7 @@ class Machine {
     NodeId node = 0;
     bool resume_pending = false;
     bool killed = false;  // node died; unwind via FiberKill at next yield
+    bool parking = false;  // in park(), firing due timers before it yields
     // Intrusive links for the live list (spawned and not yet finished), in
     // spawn order.  O(1) reap instead of the O(live) vector erase; order is
     // part of the deterministic contract (do_kill unwinds in spawn order).

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "chrysalis/kernel.hpp"
 #include "chrysalis/spinlock.hpp"
 
@@ -397,6 +400,152 @@ TEST(Kill, CreateProcessOnDeadNodeThrows) {
   m.run();
   EXPECT_EQ(err, static_cast<std::uint32_t>(kThrowNodeDead));
   EXPECT_FALSE(m.deadlocked());
+}
+
+// A timeout shorter than the context-switch charge expires during
+// block_self()'s charge, while the process still runs.  The timer must
+// count that wait as live and cancel the block, not drop itself as stale
+// and leave the process blocked forever.
+TEST(DualQueue, TimeoutShorterThanTheSwitchChargeStillExpires) {
+  const sim::MachineConfig cfg = butterfly1(2);
+  ASSERT_LT(50 * sim::kMicrosecond, cfg.proc_switch_ns);
+  Machine m(cfg);
+  Kernel k(m);
+  bool got = true;
+  Time start = 0, woke = 0;
+  k.create_process(0, [&] {
+    const Oid dq = k.make_dual_queue();
+    std::uint32_t v = 0;
+    start = m.now();
+    got = k.dq_dequeue_for(dq, 50 * sim::kMicrosecond, &v);
+    woke = m.now();
+  });
+  m.run();
+  EXPECT_FALSE(got);
+  EXPECT_FALSE(m.deadlocked());
+  EXPECT_EQ(woke - start, cfg.dq_dequeue_ns + cfg.proc_switch_ns);
+}
+
+// --- Dual-queue storage (SmallFifo) through the kernel ---------------------
+
+// A datum handed to a process that dies before consuming it goes back to
+// the head of its queue (push_front), ahead of data posted after it.
+TEST(DualQueue, DatumOfADyingCourierReturnsToTheHead) {
+  sim::FaultPlan plan;
+  plan.kill(1, 10 * sim::kMillisecond);
+  Machine m(butterfly1(2), plan);
+  Kernel k(m);
+  const Oid dq = k.make_dual_queue();
+  std::vector<std::uint32_t> drained;
+  k.create_process(1, [&] { (void)k.dq_dequeue(dq); });  // the courier
+  // Holds node 1's CPU, so the courier is handed 5 but never runs again.
+  k.create_process(1, [&] { m.charge(50 * sim::kMillisecond); });
+  k.create_process(0, [&] {
+    k.delay(2 * sim::kMillisecond);
+    for (std::uint32_t d : {5u, 6u, 7u}) k.dq_enqueue(dq, d);
+    EXPECT_EQ(k.dq_depth(dq), 2u);
+    k.delay(20 * sim::kMillisecond);  // node 1 dies meanwhile
+    std::uint32_t v = 0;
+    while (k.dq_try_dequeue(dq, &v)) drained.push_back(v);
+  });
+  m.run();
+  EXPECT_FALSE(m.deadlocked());
+  EXPECT_EQ(k.killed_processes(), 2u);
+  EXPECT_EQ(drained, (std::vector<std::uint32_t>{5, 6, 7}));
+}
+
+// More waiters and more data than the inline slots hold, with the ring
+// wrapped when it grows: FIFO order throughout.
+TEST(DualQueue, WaitersAndDataSpillPastTheInlineSlotsInOrder) {
+  Machine m(butterfly1(2));
+  Kernel k(m);
+  const Oid dq = k.make_dual_queue();
+  constexpr std::uint32_t kWaiters = 10;
+  std::vector<std::uint32_t> got(kWaiters, 0);
+  for (std::uint32_t i = 0; i < kWaiters; ++i)
+    k.create_process(1, [&, i] { got[i] = k.dq_dequeue(dq); });
+  std::vector<std::uint32_t> drained;
+  k.create_process(0, [&] {
+    k.delay(5 * sim::kMillisecond);
+    for (std::uint32_t i = 0; i < kWaiters; ++i) k.dq_enqueue(dq, 100 + i);
+    std::uint32_t v = 0;
+    for (std::uint32_t d = 0; d < 3; ++d) k.dq_enqueue(dq, d);
+    for (int n = 0; n < 2; ++n) {
+      ASSERT_TRUE(k.dq_try_dequeue(dq, &v));
+      drained.push_back(v);
+    }
+    for (std::uint32_t d = 3; d < 20; ++d) k.dq_enqueue(dq, d);
+    EXPECT_EQ(k.dq_depth(dq), 18u);
+    while (k.dq_try_dequeue(dq, &v)) drained.push_back(v);
+  });
+  m.run();
+  EXPECT_FALSE(m.deadlocked());
+  for (std::uint32_t i = 0; i < kWaiters; ++i) EXPECT_EQ(got[i], 100 + i);
+  std::vector<std::uint32_t> want(20);
+  for (std::uint32_t d = 0; d < 20; ++d) want[d] = d;
+  EXPECT_EQ(drained, want);
+}
+
+// Waiters leave the middle of the queue by value: a killed one and a timed
+// out one.  The posts then go to the waiters on either side, in order.
+TEST(DualQueue, KilledAndTimedOutWaitersLeaveTheMiddleOfTheQueue) {
+  sim::FaultPlan plan;
+  plan.kill(2, 3 * sim::kMillisecond);
+  Machine m(butterfly1(6), plan);
+  Kernel k(m);
+  const Oid dq = k.make_dual_queue();
+  std::vector<std::uint32_t> got(4, 0);
+  bool timed_wait = true;
+  k.create_process(1, [&] { got[0] = k.dq_dequeue(dq); });
+  k.create_process(2, [&] { got[1] = k.dq_dequeue(dq); });  // killed
+  k.create_process(3, [&] {
+    timed_wait = k.dq_dequeue_for(dq, 2 * sim::kMillisecond, &got[2]);
+    k.delay(10 * sim::kMillisecond);  // alive, but no longer waiting
+  });
+  k.create_process(4, [&] { got[3] = k.dq_dequeue(dq); });
+  k.create_process(0, [&] {
+    k.delay(5 * sim::kMillisecond);
+    k.dq_enqueue(dq, 11);
+    k.dq_enqueue(dq, 12);
+  });
+  m.run();
+  EXPECT_FALSE(m.deadlocked());
+  EXPECT_FALSE(timed_wait);
+  EXPECT_EQ(got, (std::vector<std::uint32_t>{11, 0, 0, 12}));
+  EXPECT_EQ(k.dq_depth(dq), 0u);
+}
+
+// Under schedule exploration a post goes to the highest-priority waiter,
+// erased from wherever it sits; every datum still reaches exactly one
+// waiter.
+TEST(DualQueue, ExplorationPicksWaitersFromAnywhereAndLosesNone) {
+  constexpr std::uint32_t kWaiters = 6;
+  int reordered = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Machine m(butterfly1(kWaiters + 1));
+    Kernel k(m);
+    k.set_schedule_exploration(seed);
+    const Oid dq = k.make_dual_queue();
+    std::vector<std::uint32_t> got(kWaiters, 0);
+    for (std::uint32_t i = 0; i < kWaiters; ++i)
+      k.create_process(1 + i, [&, i] { got[i] = k.dq_dequeue(dq); });
+    k.create_process(0, [&] {
+      k.delay(5 * sim::kMillisecond);
+      for (std::uint32_t i = 0; i < kWaiters; ++i) k.dq_enqueue(dq, i);
+    });
+    m.run();
+    ASSERT_FALSE(m.deadlocked()) << "seed " << seed;
+    std::vector<std::uint32_t> sorted = got;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::uint32_t i = 0; i < kWaiters; ++i)
+      ASSERT_EQ(sorted[i], i) << "seed " << seed;
+    for (std::uint32_t i = 0; i < kWaiters; ++i)
+      if (got[i] != i) {
+        ++reordered;
+        break;
+      }
+  }
+  EXPECT_GT(reordered, 0);
 }
 
 }  // namespace

@@ -418,5 +418,176 @@ TEST(Engine, PingPongCountsMatchTheEngineRoundTrip) {
   EXPECT_EQ(got[1].fastpath, 0u);
 }
 
+// --- Timer events -----------------------------------------------------------
+
+// A bare-engine model of charging and parking fibers.  Each actor's step
+// either charges (posts its own resume after a delay), parks until a timer
+// it armed wakes it, or arms a plain closure and charges.  One world
+// dispatches every event from run() (post, then return to run()); the
+// other does what Machine does (post_fiber_and_take / take_fiber, then
+// keeps going with whichever actor they hand back), so its timers fire in
+// place.  Both must take the same steps at the same times and counts.
+struct TimerWorld {
+  struct Step {
+    Time t;
+    int who;  // actor id, or 100 + id for its timer, 200 + id for a closure
+    std::size_t pending_fibers;
+    bool operator==(const Step&) const = default;
+  };
+
+  explicit TimerWorld(bool in_place) : in_place(in_place) {
+    e.set_fiber_handler(
+        [](void* w, void* a) {
+          auto* self = static_cast<TimerWorld*>(w);
+          for (int i = id(a); i >= 0;) i = self->step(i);
+        },
+        this);
+    for (int i = 0; i < kActors; ++i) e.post_fiber_at(0, actor(i));
+  }
+
+  static constexpr int kActors = 6;
+  static void* actor(int i) {
+    return reinterpret_cast<void*>(static_cast<std::intptr_t>(i + 1));
+  }
+  static int id(void* p) {
+    return static_cast<int>(reinterpret_cast<std::intptr_t>(p)) - 1;
+  }
+
+  void note(int who) {
+    log.push_back(Step{e.now(), who, e.pending_fiber_events()});
+  }
+
+  // One step of actor i; returns the actor to continue with, or -1.
+  int step(int i) {
+    note(i);
+    if (--steps_left[i] < 0) return -1;
+    in_step = true;
+    const Time at = e.now() + rng.below(4);
+    int next = -1;
+    switch (rng.below(4)) {
+      case 0:  // park; a timer wakes us
+        e.post_timer_at(at, [this, i] {
+          note(100 + i);
+          if (in_step) ++fired_in_place;
+          e.post_fiber_at(e.now(), actor(i));
+        });
+        if (in_place) next = id(e.take_fiber());
+        break;
+      case 1:  // a plain closure, then charge
+        e.post_at(at, [this, i] { note(200 + i); });
+        [[fallthrough]];
+      default:  // charge
+        if (in_place)
+          next = id(e.post_fiber_and_take(e.now() + rng.below(3), actor(i)));
+        else
+          e.post_fiber_at(e.now() + rng.below(3), actor(i));
+    }
+    in_step = false;
+    return next;
+  }
+
+  Engine e;
+  bool in_place;
+  bool in_step = false;
+  int fired_in_place = 0;
+  Rng rng{21};
+  std::array<int, kActors> steps_left{40, 40, 40, 40, 40, 40};
+  std::vector<Step> log;
+};
+
+TEST(EngineTimer, InPlaceFiringKeepsRunOrderAndCounts) {
+  TimerWorld by_run(false);
+  TimerWorld in_place(true);
+  by_run.e.run();
+  in_place.e.run();
+  EXPECT_EQ(by_run.fired_in_place, 0);
+  EXPECT_GT(in_place.fired_in_place, 20);
+  ASSERT_EQ(in_place.log.size(), by_run.log.size());
+  EXPECT_TRUE(in_place.log == by_run.log);
+  EXPECT_EQ(in_place.e.events_dispatched(), by_run.e.events_dispatched());
+  EXPECT_EQ(in_place.e.now(), by_run.e.now());
+  EXPECT_EQ(in_place.e.pending_fiber_events(), 0u);
+}
+
+TEST(EngineTimer, DueTimersFireBeforeTheTakenFiberEvent) {
+  Engine e;
+  e.set_fiber_handler([](void*, void*) {}, nullptr);
+  int a = 0, b = 0;
+  std::vector<int> order;
+  e.post_timer_at(3, [&] { order.push_back(3); });
+  e.post_timer_at(5, [&] {
+    order.push_back(5);
+    e.post_fiber_at(5, &a);  // a timer's post joins the same order
+  });
+  e.post_timer_at(6, [&] { order.push_back(6); });
+  EXPECT_EQ(e.post_fiber_and_take(6, &b), &a);
+  EXPECT_EQ(order, (std::vector<int>{3, 5}));
+  EXPECT_EQ(e.now(), 5u);
+  // The timer at 6 was posted before b, so it still comes first.
+  EXPECT_EQ(e.take_fiber(), &b);
+  EXPECT_EQ(order, (std::vector<int>{3, 5, 6}));
+  EXPECT_EQ(e.events_dispatched(), 5u);
+  EXPECT_TRUE(e.empty());
+}
+
+TEST(EngineTimer, AClosureOnTopStillYieldsToRun) {
+  Engine e;
+  std::vector<int> order;
+  e.set_fiber_handler(
+      [](void* ctx, void*) {
+        static_cast<std::vector<int>*>(ctx)->push_back(0);
+      },
+      &order);
+  int tag = 0;
+  e.post_at(4, [&] { order.push_back(4); });
+  e.post_timer_at(4, [&] { order.push_back(5); });  // behind the closure
+  EXPECT_EQ(e.post_fiber_and_take(6, &tag), nullptr);
+  EXPECT_EQ(e.take_fiber(), nullptr);
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(e.pending(), 3u);
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{4, 5, 0}));
+}
+
+TEST(EngineTimer, StopHaltsInPlaceFiring) {
+  Engine e;
+  e.set_fiber_handler([](void*, void*) {}, nullptr);
+  int tag = 0;
+  bool fired = false;
+  e.post_at(0, [&] {
+    e.stop();
+    EXPECT_EQ(e.take_fiber(), nullptr);
+    EXPECT_EQ(e.post_fiber_and_take(5, &tag), nullptr);
+    EXPECT_FALSE(fired);
+  });
+  e.post_timer_at(1, [&] { fired = true; });
+  e.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(e.pending(), 2u);
+  EXPECT_EQ(e.pending_fiber_events(), 1u);
+  e.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(e.now(), 5u);
+}
+
+// A timer fired in place by a parking fiber may wake that very fiber, still
+// running on its own stack; the wakeup must not be dropped as "running".
+TEST(EngineTimer, ATimerCanWakeTheFiberThatIsParking) {
+  Machine m(butterfly1(2));
+  Time woke = 0;
+  Fiber* f = nullptr;
+  f = m.spawn(0, [&] {
+    m.engine().post_timer_at(m.now() + 10, [&] { m.wakeup(f); });
+    m.park();
+    woke = m.now();
+  });
+  m.run();
+  EXPECT_FALSE(m.deadlocked());
+  EXPECT_EQ(woke, 10u);
+  const HostPerf hp = m.host_perf();
+  EXPECT_EQ(hp.events_dispatched, 3u);  // start, timer, resume
+  EXPECT_EQ(hp.fiber_resumes, 2u);
+}
+
 }  // namespace
 }  // namespace bfly::sim
