@@ -41,13 +41,7 @@
 #                        trace and fails on any race or blocked process;
 #                        then the standalone validator re-checks the file on
 #                        disk (parses, monotone timestamps, balanced B/E)
-#   5. perf smoke      — the host-simulator microbenchmarks at a tiny
-#                        min-time, run from a scratch directory so the
-#                        BENCH_host_sim.json row they append stays out of
-#                        the committed file.  NON-GATING: CI machines have
-#                        wildly variable throughput, so a slow run only
-#                        warns
-#   5b. perfbench contract — perfbench/selfcheck.py runs every benchmark
+#   5. perfbench contract — perfbench/selfcheck.py runs every benchmark
 #                        workload in smoke mode and checks the output
 #                        contract (named metrics with units, unique keys,
 #                        passing checks, provenance).  Gating
@@ -124,18 +118,6 @@ ctest --preset default -L sync-smoke --output-on-failure
 step "scope smoke (Gauss with all probes -> Chrome trace -> validator)"
 ./build/tools/trace_gauss build/scope_ci_trace.json build/scope_ci_metrics.json
 ./build/tools/trace_validate build/scope_ci_trace.json
-
-step "perf smoke (host simulator microbenchmarks, non-gating)"
-# Note: this google-benchmark takes --benchmark_min_time as a plain double
-# (seconds); the "0.05s" suffix form is a newer addition it rejects.
-perf_dir="$(mktemp -d)"
-if (cd "$perf_dir" && \
-    "$ROOT/build/bench/bench_host_simulator" --benchmark_min_time=0.05); then
-  :
-else
-  echo "perf smoke failed (non-gating; host throughput varies in CI)"
-fi
-rm -rf "$perf_dir"
 
 step "perfbench contract (every workload in smoke mode, gating)"
 python3 perfbench/selfcheck.py

@@ -15,12 +15,15 @@ constexpr sim::Time kShedCost = 100 * sim::kMicrosecond;
 /// Give up re-replicating a block after this many attempts (each with the
 /// retry policy's backoff); the block is then counted lost.
 constexpr std::uint32_t kRepairMaxTries = 8;
+/// Reads hedge past this quantile of the last kHedgeWindow read latencies.
+constexpr double kHedgeQuantile = 0.9;
+constexpr std::uint32_t kHedgeWindow = 64;
 }  // namespace
 
 ReplicatedFs::ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
                            rescue::Membership* mem, ServeConfig cfg)
     : k_(k), m_(k.machine()), fs_(fs), mem_(mem), cfg_(cfg),
-      rng_(cfg.seed), latencies_(cfg.hedge_window) {
+      rng_(cfg.seed), latencies_(kHedgeWindow) {
   if (cfg_.replicas == 0 || cfg_.replicas > fs_.servers())
     throw sim::SimError(
         "serve: replicas must be in [1, servers] — each replica needs its "
@@ -31,8 +34,6 @@ ReplicatedFs::ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
         "Bridge; give every request a budget");
   if (cfg_.retry.attempts == 0)
     throw sim::SimError("serve: retry.attempts must be >= 1");
-  if (cfg_.hedge_window == 0)
-    throw sim::SimError("serve: hedge_window must be >= 1");
   excised_.assign(m_.nodes(), 0);
   repair_dq_ = k_.make_dual_queue();
   // Crash tier: loud kills reach us through the machine-check broadcast
@@ -106,7 +107,7 @@ sim::Time ReplicatedFs::hedge_threshold() const {
       latencies_.count() < cfg_.min_hedge_samples)
     return cfg_.hedge_floor;
   return std::max(cfg_.hedge_floor,
-                  latencies_.quantile(cfg_.hedge_quantile));
+                  latencies_.quantile(kHedgeQuantile));
 }
 
 void ReplicatedFs::settle(chrys::Oid dq, std::uint32_t rid) {

@@ -71,15 +71,12 @@ struct ServeConfig {
   /// with deterministic jitter (attempts, base, cap, jitter).
   rescue::RetryPolicy retry{4, 1 * sim::kMillisecond, 32 * sim::kMillisecond,
                             0.5};
-  /// Hedge a read once it has waited past the hedge_quantile of recent
-  /// read latencies (floored by hedge_floor).
+  /// Hedge a read once it has waited past the 90th percentile of the last
+  /// 64 read latencies (floored by hedge_floor).
   bool hedge_reads = true;
-  double hedge_quantile = 0.9;
   sim::Time hedge_floor = 30 * sim::kMillisecond;
-  /// Recent read latencies the quantile is estimated from (a
-  /// LatencyWindow of this size, >= 1), and the samples required before
-  /// the estimate is trusted (hedge_floor rules until then).
-  std::uint32_t hedge_window = 64;
+  /// Samples required before the percentile is trusted (hedge_floor rules
+  /// until then).
   std::uint32_t min_hedge_samples = 8;
   /// Admission control: a server whose queue (incl. the request being
   /// served) is at least this deep sheds the incoming request.
@@ -268,7 +265,7 @@ class ReplicatedFs {
     return fs_.server_alive(s) &&
            m_.reachable(m_.current_node(), fs_.server_node(s));
   }
-  /// The hedge_quantile of recent read latencies, floored by hedge_floor
+  /// The 90th percentile of recent read latencies, floored by hedge_floor
   /// (and just the floor until min_hedge_samples reads have succeeded).
   sim::Time hedge_threshold() const;
   void queue_repairs_for_node(sim::NodeId n);

@@ -84,9 +84,6 @@ struct MachineConfig {
   /// Which primitive family runtime layers pick when offered a choice (the
   /// Uniform System's completion counter, sync::make_* helpers).
   SyncStrategy sync_strategy = SyncStrategy::kCentral1988;
-  /// Fan-in of the combining-tree barrier when the scalable strategy is
-  /// selected (2..8 are sensible; 4 matches the switch radix).
-  std::uint32_t barrier_arity = 4;
 
   // --- Operating system cost knobs (used by the Chrysalis layer) ----------
   /// Mapping or unmapping one segment costs "over 1 ms" (Section 2.1).
@@ -114,8 +111,6 @@ struct MachineConfig {
   /// 8/16/32/64/128/256.
   std::uint32_t sars_per_node = 512;
   std::uint32_t max_segments_per_process = 256;
-  /// Maximum size of one segment (16-bit offset).
-  std::size_t segment_limit = 1u << 16;
 
   /// Fiber stack size for simulated processes (host resource, not modelled).
   std::size_t fiber_stack_bytes = 192 * 1024;

@@ -109,9 +109,6 @@ class Machine {
     return HostPerf{engine_.events_dispatched(), fiber_resumes_,
                     fastpath_charges_, fastpath_};
   }
-  /// True when charge() may take the switch-free fast path this run
-  /// (MachineConfig::host_fastpath).
-  bool fastpath_enabled() const { return fastpath_; }
 
   // --- Faults ----------------------------------------------------------------
 

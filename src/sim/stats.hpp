@@ -27,23 +27,13 @@ struct NodeStats {
 /// Host-side cost counters for the simulation substrate itself.  Unlike
 /// NodeStats these describe the *host* machine — how many engine events,
 /// context switches, and switch-free charges a run cost — and carry no
-/// paper-reproduction meaning.  They feed bench_host_simulator's
-/// BENCH_host_sim.json trajectory row and never influence simulation.
+/// paper-reproduction meaning.  perfbench reports them in its `substrate`
+/// section, and they never influence simulation.
 struct HostPerf {
   std::uint64_t events_dispatched = 0;  ///< engine events popped and run
   std::uint64_t fiber_resumes = 0;      ///< fiber resumes dispatched
   std::uint64_t fastpath_charges = 0;   ///< charges that warped, no switch
   bool fastpath_enabled = false;
-
-  /// Braceless JSON fragment for bench rows.
-  std::string json() const {
-    json::Writer w(json::Writer::kFragment);
-    w.kv("events_dispatched", events_dispatched)
-        .kv("fiber_resumes", fiber_resumes)
-        .kv("fastpath_charges", fastpath_charges)
-        .kv("fastpath_enabled", fastpath_enabled);
-    return w.take();
-  }
 };
 
 struct MachineStats {

@@ -206,11 +206,15 @@ TEST(ObjectModel, ExplicitDeleteFreesMemory) {
 
 TEST(ObjectModel, SixteenMegabyteAddressSpaceCeiling) {
   // 256 segments x 64 KB = 16 MB: the paper's complaint that only 16 MB of
-  // the machine's 1 GB physical memory is addressable by one process.
+  // the machine's 1 GB physical memory is addressable by one process.  The
+  // segment size is whatever VirtAddr's offset field can span.
   Machine m(butterfly1(2));
+  const std::size_t segment_bytes =
+      static_cast<std::size_t>(VirtAddr(0, ~0u).offset()) + 1;
+  EXPECT_EQ(segment_bytes, 64u * 1024);
   const std::size_t max_addressable =
       static_cast<std::size_t>(m.config().max_segments_per_process) *
-      m.config().segment_limit;
+      segment_bytes;
   EXPECT_EQ(max_addressable, 16u * 1024 * 1024);
 }
 

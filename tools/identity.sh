@@ -4,9 +4,9 @@
 # Builds <base-ref> and the working tree side by side (Release, each in its
 # own build directory under the work directory), runs every simulated
 # output on both, and diffs them:
-#   * every paper bench at BFLY_FAST=1 and at full size: stdout and any
-#     BENCH rows file it writes.  bench_host_simulator and
-#     bench_tscope_overhead are left out: they print host time;
+#   * every paper bench the two trees share, at BFLY_FAST=1 and at full
+#     size: stdout and any BENCH rows file it writes.
+#     bench_tscope_overhead is left out: it prints host time;
 #   * trace_gauss: the exported Chrome trace and its metrics JSON;
 #   * quickstart --trace: stdout and the exported Chrome trace;
 #   * perfbench gauss, serve and observed at seeds 1, 1988 and 404, with
@@ -67,9 +67,9 @@ run_side() {
   cmake -S "$src" -B "$bd" -DCMAKE_BUILD_TYPE=Release >>"$LOG" 2>&1 ||
     fail_build "configure $name"
   local benches=() b
-  for b in "$src"/bench/bench_*.cpp; do
+  for b in "$ROOT"/bench/bench_*.cpp; do
     b="$(basename "$b" .cpp)"
-    case "$b" in bench_host_simulator | bench_tscope_overhead) continue ;; esac
+    [ "$b" != bench_tscope_overhead ] && [ -e "$src/bench/$b.cpp" ] || continue
     benches+=("$b")
   done
   cmake --build "$bd" -j "$JOBS" --target "${benches[@]}" trace_gauss \
