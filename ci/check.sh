@@ -10,6 +10,9 @@
 #                        programs must equal the scalar reference exactly;
 #                        both rely on every double being rounded by plain
 #                        IEEE multiply/add, never fused or reassociated
+#   0b. sim layering   — no file under src/sim may include a project header
+#                        from outside src/sim: the machine model knows no
+#                        layer above it (Chrysalis, the runtimes, rescue)
 #   1. default preset  — Release build, full ctest suite
 #      (first, on x86-64: libbfly_sim.a must not reference swapcontext, or
 #       the hand-written fiber switch was compiled out)
@@ -67,6 +70,14 @@ if grep -nE -e '-ffast-math|-Ofast|-march=|-ffp-contract=fast' \
     CMakePresets.json "${cmake_lists[@]}"; then
   echo "a build file relaxes IEEE double arithmetic: results stop being" \
        "bit-exact against the committed BENCH files and the Gauss reference"
+  exit 1
+fi
+
+step "sim layering (src/sim includes no project header outside src/sim)"
+if grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"' src/sim |
+    grep -vE '#[[:space:]]*include[[:space:]]*"sim/'; then
+  echo "src/sim includes a header from a layer above it: the machine model" \
+       "must not depend on Chrysalis, the runtimes or rescue"
   exit 1
 fi
 

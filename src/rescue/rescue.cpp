@@ -184,7 +184,7 @@ void Membership::declare_suspect(sim::NodeId n) {
   // Publish the new view before notifying anyone, so a subscriber that
   // polls epoch_cell() from a task sees a consistent picture.
   publish_epoch();
-  for (const auto& s : subs_) s.fn(n);
+  subs_.fire(n);
 }
 
 void Membership::mark_unreachable(sim::NodeId n) {
@@ -194,7 +194,6 @@ void Membership::mark_unreachable(sim::NodeId n) {
   ++epoch_;  // fence: decisions made under the old view are refusable
   ++m_.stats().suspects_unreachable;
   publish_epoch();
-  for (const auto& s : reach_subs_) s.fn(n, true);
 }
 
 void Membership::mark_restored(sim::NodeId n) {
@@ -206,40 +205,10 @@ void Membership::mark_restored(sim::NodeId n) {
   ++epoch_;
   ++m_.stats().unreachable_restored;
   publish_epoch();
-  for (const auto& s : reach_subs_) s.fn(n, false);
 }
 
 void Membership::publish_epoch() {
   m_.write<std::uint32_t>(epoch_cell_, static_cast<std::uint32_t>(epoch_));
-}
-
-std::uint64_t Membership::subscribe(std::function<void(sim::NodeId)> fn) {
-  subs_.push_back(Subscriber{next_sub_, std::move(fn)});
-  return next_sub_++;
-}
-
-void Membership::unsubscribe(std::uint64_t id) {
-  for (std::size_t i = 0; i < subs_.size(); ++i) {
-    if (subs_[i].id == id) {
-      subs_.erase(subs_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
-std::uint64_t Membership::subscribe_reach(
-    std::function<void(sim::NodeId, bool)> fn) {
-  reach_subs_.push_back(ReachSubscriber{next_sub_, std::move(fn)});
-  return next_sub_++;
-}
-
-void Membership::unsubscribe_reach(std::uint64_t id) {
-  for (std::size_t i = 0; i < reach_subs_.size(); ++i) {
-    if (reach_subs_[i].id == id) {
-      reach_subs_.erase(reach_subs_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
 }
 
 sim::Time Membership::suspected_at(sim::NodeId n) const {

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "chrysalis/kernel.hpp"
+#include "sim/subscribers.hpp"
 
 namespace bfly::rescue {
 
@@ -97,16 +98,10 @@ class Membership {
   /// Register a callback run when a node is declared dead.  Runs in the
   /// watchdog's process context (or the denouncer's), after the membership
   /// state has been updated.  Returns an id for unsubscribe.
-  std::uint64_t subscribe(std::function<void(sim::NodeId)> fn);
-  void unsubscribe(std::uint64_t id);
-
-  /// Register a callback run on reachability transitions: fn(n, true) when
-  /// `n` enters suspected_unreachable, fn(n, false) when it is restored.
-  /// Runs in the watchdog's (or denouncer's) process context after the
-  /// epoch has been bumped and published.  Returns an id for
-  /// unsubscribe_reach.
-  std::uint64_t subscribe_reach(std::function<void(sim::NodeId, bool)> fn);
-  void unsubscribe_reach(std::uint64_t id);
+  std::uint64_t subscribe(std::function<void(sim::NodeId)> fn) {
+    return subs_.add(std::move(fn));
+  }
+  void unsubscribe(std::uint64_t id) { subs_.remove(id); }
 
   /// Accuse a node directly (e.g. from a retry-exhaustion hook): checked
   /// against ground truth immediately — a live accusee is a false suspect,
@@ -159,17 +154,7 @@ class Membership {
   std::uint32_t members_unreachable_ = 0;
   std::uint64_t epoch_ = 0;
   std::vector<Suspicion> history_;
-  struct Subscriber {
-    std::uint64_t id;
-    std::function<void(sim::NodeId)> fn;
-  };
-  std::vector<Subscriber> subs_;
-  struct ReachSubscriber {
-    std::uint64_t id;
-    std::function<void(sim::NodeId, bool)> fn;
-  };
-  std::vector<ReachSubscriber> reach_subs_;
-  std::uint64_t next_sub_ = 1;
+  sim::Subscribers<sim::NodeId> subs_;
   // Watchdog bookkeeping (host-side; the charged work is the word reads).
   std::vector<std::uint32_t> last_seq_;
   std::vector<sim::Time> last_move_;

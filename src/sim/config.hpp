@@ -80,9 +80,9 @@ struct MachineConfig {
   /// existing contention runs keep their exact timing.
   bool switch_combining = false;
 
-  // --- Synchronization strategy (consulted by src/sync and the US) --------
-  /// Which primitive family runtime layers pick when offered a choice (the
-  /// Uniform System's completion counter, sync::make_* helpers).
+  // --- Synchronization strategy (consulted by the US) ---------------------
+  /// Which outstanding-task counter the Uniform System builds: the 1988
+  /// single hot cell, or per-processor cells with an aggregating read.
   SyncStrategy sync_strategy = SyncStrategy::kCentral1988;
 
   // --- Operating system cost knobs (used by the Chrysalis layer) ----------

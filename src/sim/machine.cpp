@@ -305,44 +305,18 @@ void Machine::kill_node(NodeId node, Time at, bool silent) {
   engine_.post_at(at, [this, node, silent] { do_kill(node, silent); });
 }
 
-std::uint64_t Machine::on_node_death(std::function<void(NodeId)> fn) {
-  const std::uint64_t id = next_observer_id_++;
-  death_observers_.push_back(DeathObserver{id, std::move(fn)});
-  return id;
-}
-
-void Machine::remove_death_observer(std::uint64_t id) {
-  std::erase_if(death_observers_,
-                [id](const DeathObserver& o) { return o.id == id; });
-}
-
-std::uint64_t Machine::on_node_crash(std::function<void(NodeId)> fn) {
-  const std::uint64_t id = next_observer_id_++;
-  crash_observers_.push_back(DeathObserver{id, std::move(fn)});
-  return id;
-}
-
-void Machine::remove_crash_observer(std::uint64_t id) {
-  std::erase_if(crash_observers_,
-                [id](const DeathObserver& o) { return o.id == id; });
-}
-
 void Machine::do_kill(NodeId n, bool silent) {
   if (n >= cfg_.nodes || node_dead_[n]) return;
   node_dead_[n] = 1;
   ++dead_nodes_count_;
   // Observers first: recovery layers capture in-flight state (which task a
   // manager was running, which requests a server held) while the scheduler's
-  // view of the node is still intact.  Index loop: an observer may register
-  // further observers but must not unregister others.
-  for (std::size_t i = 0; i < death_observers_.size(); ++i)
-    death_observers_[i].fn(n);
+  // view of the node is still intact.
+  death_observers_.fire(n);
   // The machine-check broadcast: skipped for a silent kill, so recovery
   // layers stay oblivious until a failure detector or a doomed reference
   // finds the corpse.
-  if (!silent)
-    for (std::size_t i = 0; i < crash_observers_.size(); ++i)
-      crash_observers_[i].fn(n);
+  if (!silent) crash_observers_.fire(n);
   // Now tear down the node's fibers, in spawn order.  Victims are collected
   // as Fiber* and re-validated through the map: one victim's unwind may
   // reap another (a destructor calling abandon()).
@@ -398,8 +372,7 @@ void Machine::check_reach(NodeId req, NodeId home) {
 }
 
 std::uint64_t Machine::on_partition_heal(std::function<void(std::size_t)> fn) {
-  const std::uint64_t id = next_observer_id_++;
-  heal_observers_.push_back(HealObserver{id, std::move(fn)});
+  const std::uint64_t id = heal_observers_.add(std::move(fn));
   // Heal events are posted lazily on first subscription: a plan whose heal
   // lies past the workload's natural end would otherwise keep every
   // unobserved run alive until the cut closed.
@@ -407,23 +380,9 @@ std::uint64_t Machine::on_partition_heal(std::function<void(std::size_t)> fn) {
     heal_events_posted_ = true;
     for (std::size_t i = 0; i < cuts_.size(); ++i)
       if (cuts_[i].heal > engine_.now())
-        engine_.post_at(cuts_[i].heal, [this, i] { fire_heal(i); });
+        engine_.post_at(cuts_[i].heal, [this, i] { heal_observers_.fire(i); });
   }
   return id;
-}
-
-void Machine::remove_heal_observer(std::uint64_t id) {
-  std::erase_if(heal_observers_,
-                [id](const HealObserver& o) { return o.id == id; });
-}
-
-void Machine::fire_heal(std::size_t idx) {
-  for (std::size_t i = 0; i < heal_observers_.size(); ++i)
-    heal_observers_[i].fn(idx);
-}
-
-void Machine::check_node(NodeId home) const {
-  if (home >= cfg_.nodes) throw SimError("bad node in address");
 }
 
 void Machine::check_target(NodeId home) {
@@ -459,27 +418,17 @@ void Machine::ensure_backing(Node& nd, std::size_t end) const {
   }
 }
 
-std::uint8_t* Machine::raw(PhysAddr a, std::size_t n) { return raw_mut(a, n); }
-
-std::uint8_t* Machine::raw_mut(PhysAddr a, std::size_t n) {
+std::uint8_t* Machine::raw(PhysAddr a, std::size_t n) const {
   if (a.node >= cfg_.nodes) throw SimError("bad node in address");
   Node& nd = node_[a.node];
   ensure_backing(nd, static_cast<std::size_t>(a.offset) + n);
   return nd.mem.data() + a.offset;
 }
 
-const std::uint8_t* Machine::raw_const(PhysAddr a, std::size_t n) const {
-  if (a.node >= cfg_.nodes) throw SimError("bad node in address");
-  Node& nd = node_[a.node];
-  ensure_backing(nd, static_cast<std::size_t>(a.offset) + n);
-  return nd.mem.data() + a.offset;
-}
-
-PhysAddr Machine::alloc(NodeId node, std::size_t bytes, std::size_t align) {
+PhysAddr Machine::alloc(NodeId node, std::size_t bytes) {
   if (node >= cfg_.nodes) throw SimError("alloc: bad node");
   if (fault_checks_ && node_dead_[node]) throw NodeDeadError(node);
   if (bytes == 0) bytes = 1;
-  (void)align;  // everything is 8-aligned
   const auto size = static_cast<std::uint32_t>((bytes + 7) & ~std::size_t{7});
   Node& nd = node_[node];
   // First fit over freed blocks.
@@ -539,6 +488,41 @@ std::size_t Machine::allocated_on(NodeId node) const {
   return node_[node].allocated;
 }
 
+double Machine::slow_factor(NodeId n) const {
+  if (!has_slow_) return 1.0;
+  const Time now = engine_.now();
+  for (const FaultPlan::SlowNode& s : faults_.slow_nodes)
+    if (s.node == n && now >= s.from && now < s.until) return s.factor;
+  return 1.0;
+}
+
+// --- Timed memory ----------------------------------------------------------
+//
+// Every timed operation is one PNC transaction (paper §2.1), local or
+// remote: enter() checks its homes, the operation's shape times it, and
+// complete() counts it, reports it to the probes, charges the requester and
+// rolls the memory fault.  The shapes are one reference (reads, writes and
+// atomics, with combining fetch-add as a branch), a block transfer (a head
+// reference plus a stream) and access_words' back-to-back run.  enter()
+// and complete() are forced inline: as calls they cost the single reference,
+// the simulator's hottest path, about a quarter of its host time.
+
+[[gnu::always_inline]] inline Machine::Access Machine::enter(
+    PhysAddr home, std::uint32_t words, MemOp op, const PhysAddr* copy_to) {
+  const Access x{current_node(), home, words, op, copy_to};
+  // Address validation happens before the timing model touches per-node
+  // state: a wild node id must raise SimError, not index off node_[].
+  const NodeId homes[2] = {home.node, copy_to ? copy_to->node : home.node};
+  for (NodeId h : homes)
+    if (h >= cfg_.nodes) throw SimError("bad node in address");
+  if (fault_checks_) {
+    for (NodeId h : homes) check_target(h);
+    if (has_cuts_)
+      for (NodeId h : homes) check_reach(x.req, h);
+  }
+  return x;
+}
+
 Time Machine::reference_finish(NodeId req, NodeId home, std::uint32_t words,
                                Time* queue_ns) {
   const Time t = engine_.now() + cfg_.issue_overhead_ns;
@@ -555,7 +539,7 @@ Time Machine::reference_finish(NodeId req, NodeId home, std::uint32_t words,
   }
   Node& h = node_[home];
   const Time start = std::max(arrive, h.module_busy_until);
-  if (queue_ns) *queue_ns = start - arrive;
+  *queue_ns = start - arrive;
   Time service = static_cast<Time>(words) * cfg_.module_service_ns;
   if (has_slow_) {
     const double f = slow_factor(home);
@@ -568,263 +552,148 @@ Time Machine::reference_finish(NodeId req, NodeId home, std::uint32_t words,
   return finish;
 }
 
-double Machine::slow_factor(NodeId n) const {
-  if (!has_slow_) return 1.0;
-  const Time now = engine_.now();
-  for (const FaultPlan::SlowNode& s : faults_.slow_nodes)
-    if (s.node == n && now >= s.from && now < s.until) return s.factor;
-  return 1.0;
+[[gnu::always_inline]] inline void Machine::complete(const Access& x,
+                                                    Time queue, Time stall,
+                                                    bool serviced) {
+  const NodeId a = x.home.node;
+  const NodeId b = x.copy_to ? x.copy_to->node : a;
+  // access_words is `words` references; every other shape is one.
+  const std::uint32_t refs = x.op == MemOp::kAggregate ? x.words : 1;
+  NodeStats& s = stats_.node[x.req];
+  if (a == x.req && b == x.req) {
+    s.local_refs += refs;
+  } else {
+    s.remote_refs += refs;
+  }
+  if (serviced) {
+    if (a != x.req) stats_.node[a].serviced_remote += refs;
+    if (b != x.req && b != a) stats_.node[b].serviced_remote += refs;
+  }
+  s.queue_ns += queue;
+  observe_reference(x.req, x.home, x.words, x.op, queue);
+  if (x.copy_to)
+    observe_reference(x.req, *x.copy_to, x.words, MemOp::kWrite, 0);
+  s.stall_ns += stall;
+  charge(stall);
+  // A parity error voids the transaction after its time is charged: no
+  // data moves.  Aggregate traffic models volume and moves none, so it
+  // never faults.
+  if (fault_checks_ && x.op != MemOp::kAggregate) maybe_mem_fault(a);
 }
 
-void Machine::reference(PhysAddr a, std::uint32_t words, MemOp op) {
-  const NodeId req = current_node();
-  check_node(a.node);
-  if (fault_checks_) {
-    check_target(a.node);
-    if (has_cuts_) check_reach(req, a.node);
+void Machine::reference(PhysAddr a, std::uint32_t words, MemOp op,
+                        bool combine) {
+  const Access x = enter(a, words, op);
+  const Time now = engine_.now();
+  // A fetch_add that meets an in-flight add's window at a switch stage
+  // merges into it and never reaches the home module.
+  const bool combinable = combine && x.req != a.node;
+  Time fin = 0;
+  if (combinable &&
+      fabric_.combine_add(chan_of(a), now + cfg_.issue_overhead_ns, &fin)) {
+    complete(x, 0, fin > now ? fin - now : 0, /*serviced=*/false);
+    return;
   }
   Time q = 0;
-  const Time finish = reference_finish(req, a.node, words, &q);
-  NodeStats& s = stats_.node[req];
-  if (req == a.node) {
-    ++s.local_refs;
-  } else {
-    ++s.remote_refs;
-    ++stats_.node[a.node].serviced_remote;
-  }
-  s.queue_ns += q;
-  observe_reference(req, a, words, op, q);
-  const Time d = finish - engine_.now();
-  s.stall_ns += d;
-  charge(d);
-  if (fault_checks_) maybe_mem_fault(a.node);
+  const Time finish = reference_finish(x.req, a.node, words, &q);
+  // A leader opens a combining window that stays live until the reply fans
+  // back down.
+  if (combinable) fabric_.record_add(chan_of(a), finish);
+  complete(x, q, finish - now);
+}
+
+template <typename Modify>
+std::uint32_t Machine::read_modify_write(PhysAddr a, Modify modify,
+                                         bool combine) {
+  reference(a, 1, MemOp::kAtomic, combine);
+  std::uint8_t* p = raw(a, 4);
+  std::uint32_t old;
+  std::memcpy(&old, p, 4);
+  const std::uint32_t nv = modify(old);
+  std::memcpy(p, &nv, 4);
+  return old;
 }
 
 std::uint32_t Machine::fetch_add_u32(PhysAddr a, std::uint32_t delta) {
-  if (combining_)
-    combining_fetch_add_reference(a);
-  else
-    reference(a, 1, MemOp::kAtomic);
-  auto* p = raw(a, 4);
-  std::uint32_t old;
-  std::memcpy(&old, p, 4);
-  const std::uint32_t nv = old + delta;
-  std::memcpy(p, &nv, 4);
-  return old;
-}
-
-void Machine::combining_fetch_add_reference(PhysAddr a) {
-  const NodeId req = current_node();
-  check_node(a.node);
-  if (fault_checks_) {
-    check_target(a.node);
-    if (has_cuts_) check_reach(req, a.node);
-  }
-  const std::uint64_t key = chan_of(a);
-  NodeStats& s = stats_.node[req];
-  Time fin = 0;
-  if (req != a.node &&
-      fabric_.combine_add(key, engine_.now() + cfg_.issue_overhead_ns,
-                          &fin)) {
-    // Follower: merged at a switch stage; never touches the home module.
-    ++s.remote_refs;
-    observe_reference(req, a, 1, MemOp::kAtomic, 0);
-    const Time d = fin > engine_.now() ? fin - engine_.now() : 0;
-    s.stall_ns += d;
-    charge(d);
-  } else {
-    // Leader (or local): a normal contended reference, opening a combining
-    // window that stays live until the reply fans back down.
-    Time q = 0;
-    const Time finish = reference_finish(req, a.node, 1, &q);
-    if (req == a.node) {
-      ++s.local_refs;
-    } else {
-      ++s.remote_refs;
-      ++stats_.node[a.node].serviced_remote;
-    }
-    s.queue_ns += q;
-    observe_reference(req, a, 1, MemOp::kAtomic, q);
-    if (req != a.node) fabric_.record_add(key, finish);
-    const Time d = finish - engine_.now();
-    s.stall_ns += d;
-    charge(d);
-  }
-  if (fault_checks_) maybe_mem_fault(a.node);
+  return read_modify_write(
+      a, [delta](std::uint32_t old) { return old + delta; }, combining_);
 }
 
 std::uint32_t Machine::fetch_or_u32(PhysAddr a, std::uint32_t bits) {
-  reference(a, 1, MemOp::kAtomic);
-  auto* p = raw(a, 4);
-  std::uint32_t old;
-  std::memcpy(&old, p, 4);
-  const std::uint32_t nv = old | bits;
-  std::memcpy(p, &nv, 4);
-  return old;
+  return read_modify_write(a, [bits](std::uint32_t old) { return old | bits; });
 }
 
 std::uint32_t Machine::test_and_set(PhysAddr a) {
-  reference(a, 1, MemOp::kAtomic);
-  auto* p = raw(a, 4);
-  std::uint32_t old;
-  std::memcpy(&old, p, 4);
-  const std::uint32_t one = 1;
-  std::memcpy(p, &one, 4);
-  return old;
+  return read_modify_write(a, [](std::uint32_t) { return 1u; });
 }
 
 std::uint32_t Machine::swap_u32(PhysAddr a, std::uint32_t v) {
-  reference(a, 1, MemOp::kAtomic);
-  auto* p = raw(a, 4);
-  std::uint32_t old;
-  std::memcpy(&old, p, 4);
-  std::memcpy(p, &v, 4);
-  return old;
+  return read_modify_write(a, [v](std::uint32_t) { return v; });
 }
 
 std::uint32_t Machine::cas_u32(PhysAddr a, std::uint32_t expect,
                                std::uint32_t desired) {
-  reference(a, 1, MemOp::kAtomic);
-  auto* p = raw(a, 4);
-  std::uint32_t old;
-  std::memcpy(&old, p, 4);
-  if (old == expect) std::memcpy(p, &desired, 4);
-  return old;
+  return read_modify_write(a, [expect, desired](std::uint32_t old) {
+    return old == expect ? desired : old;
+  });
+}
+
+void Machine::block_transfer(PhysAddr head, MemOp op, std::size_t bytes,
+                             const PhysAddr* copy_to) {
+  const std::uint32_t words = word_count(bytes);
+  const Access x = enter(head, words, op, copy_to);
+  // The head pays full reference latency; the words then stream at the
+  // block rate, occupying every module the transfer touches.
+  Time q = 0;
+  const Time start = reference_finish(x.req, head.node, 1, &q);
+  const Time occupancy = static_cast<Time>(words) * cfg_.module_service_ns;
+  auto occupy = [&](NodeId n) {
+    Time& busy = node_[n].module_busy_until;
+    busy = std::max(busy, start) + occupancy;
+  };
+  occupy(head.node);
+  if (copy_to) occupy(copy_to->node);
+  stats_.node[x.req].block_words += words;
+  complete(x, q,
+           (start - engine_.now()) +
+               static_cast<Time>(words) * cfg_.block_word_ns);
 }
 
 void Machine::block_copy(PhysAddr dst, PhysAddr src, std::size_t bytes) {
   if (bytes == 0) return;
-  const NodeId req = current_node();
-  check_node(src.node);
-  check_node(dst.node);
-  if (fault_checks_) {
-    check_target(src.node);
-    check_target(dst.node);
-    if (has_cuts_) {
-      check_reach(req, src.node);
-      check_reach(req, dst.node);
-    }
-  }
-  const std::uint32_t words = word_count(bytes);
-  Time q = 0;
-  // Head of the transfer pays full reference latency to the source...
-  const Time head = reference_finish(req, src.node, 1, &q);
-  // ...then words stream at the block rate, occupying both modules.
-  const Time stream = static_cast<Time>(words) * cfg_.block_word_ns;
-  const Time occupancy =
-      static_cast<Time>(words) * cfg_.module_service_ns;
-  node_[src.node].module_busy_until =
-      std::max(node_[src.node].module_busy_until, head) + occupancy;
-  node_[dst.node].module_busy_until =
-      std::max(node_[dst.node].module_busy_until, head) + occupancy;
-
-  NodeStats& s = stats_.node[req];
-  s.block_words += words;
-  s.queue_ns += q;
-  if (src.node != req || dst.node != req) ++s.remote_refs;
-  else ++s.local_refs;
-  observe_reference(req, src, words, MemOp::kRead, q);
-  observe_reference(req, dst, words, MemOp::kWrite, 0);
-
-  const Time total = (head - engine_.now()) + stream;
-  s.stall_ns += total;
-  // Move the bytes at completion time.
+  block_transfer(src, MemOp::kRead, bytes, &dst);
   std::vector<std::uint8_t> tmp(bytes);
-  charge(total);
-  // A parity error voids the whole transfer: time charged, no data moved
-  // (same contract as reference(); the PNC reports the block as failed).
-  if (fault_checks_) maybe_mem_fault(src.node);
   peek_bytes(tmp.data(), src, bytes);
   poke_bytes(dst, tmp.data(), bytes);
 }
 
 void Machine::block_read(void* host_dst, PhysAddr src, std::size_t bytes) {
   if (bytes == 0) return;
-  const NodeId req = current_node();
-  check_node(src.node);
-  if (fault_checks_) {
-    check_target(src.node);
-    if (has_cuts_) check_reach(req, src.node);
-  }
-  const std::uint32_t words = word_count(bytes);
-  Time q = 0;
-  const Time head = reference_finish(req, src.node, 1, &q);
-  const Time stream = static_cast<Time>(words) * cfg_.block_word_ns;
-  node_[src.node].module_busy_until =
-      std::max(node_[src.node].module_busy_until, head) +
-      static_cast<Time>(words) * cfg_.module_service_ns;
-  NodeStats& s = stats_.node[req];
-  s.block_words += words;
-  s.queue_ns += q;
-  if (src.node != req) ++s.remote_refs;
-  else ++s.local_refs;
-  observe_reference(req, src, words, MemOp::kRead, q);
-  const Time total = (head - engine_.now()) + stream;
-  s.stall_ns += total;
-  charge(total);
-  if (fault_checks_) maybe_mem_fault(src.node);
+  block_transfer(src, MemOp::kRead, bytes, nullptr);
   peek_bytes(host_dst, src, bytes);
 }
 
 void Machine::block_write(PhysAddr dst, const void* host_src,
                           std::size_t bytes) {
   if (bytes == 0) return;
-  const NodeId req = current_node();
-  check_node(dst.node);
-  if (fault_checks_) {
-    check_target(dst.node);
-    if (has_cuts_) check_reach(req, dst.node);
-  }
-  const std::uint32_t words = word_count(bytes);
-  Time q = 0;
-  const Time head = reference_finish(req, dst.node, 1, &q);
-  const Time stream = static_cast<Time>(words) * cfg_.block_word_ns;
-  node_[dst.node].module_busy_until =
-      std::max(node_[dst.node].module_busy_until, head) +
-      static_cast<Time>(words) * cfg_.module_service_ns;
-  NodeStats& s = stats_.node[req];
-  s.block_words += words;
-  s.queue_ns += q;
-  if (dst.node != req) ++s.remote_refs;
-  else ++s.local_refs;
-  observe_reference(req, dst, words, MemOp::kWrite, q);
-  const Time total = (head - engine_.now()) + stream;
-  s.stall_ns += total;
-  charge(total);
-  if (fault_checks_) maybe_mem_fault(dst.node);
+  block_transfer(dst, MemOp::kWrite, bytes, nullptr);
   poke_bytes(dst, host_src, bytes);
 }
 
-void Machine::access_words(PhysAddr a, std::uint32_t n, bool write) {
-  (void)write;
+void Machine::access_words(PhysAddr a, std::uint32_t n) {
   if (n == 0) return;
-  const NodeId req = current_node();
-  check_node(a.node);
-  if (fault_checks_) {
-    check_target(a.node);
-    if (has_cuts_) check_reach(req, a.node);
-  }
+  // Aggregate traffic: counted for contention lints, never race-checked
+  // (these calls model reference volume, not individual data accesses).
+  const Access x = enter(a, n, MemOp::kAggregate);
   // n back-to-back single-word references; the requester is latency-bound,
   // so each starts when the previous completes.  Only the first can queue
   // behind foreign traffic (an approximation that keeps this O(1)).
   Time q = 0;
-  const Time first = reference_finish(req, a.node, 1, &q);
+  const Time first = reference_finish(x.req, a.node, 1, &q);
   const Time per = first - engine_.now() - q;  // uncontended latency
   node_[a.node].module_busy_until +=
       static_cast<Time>(n - 1) * cfg_.module_service_ns;
-  NodeStats& s = stats_.node[req];
-  if (req == a.node) s.local_refs += n;
-  else {
-    s.remote_refs += n;
-    stats_.node[a.node].serviced_remote += n;
-  }
-  s.queue_ns += q;
-  // Aggregate traffic: counted for contention lints, never race-checked
-  // (these calls model reference volume, not individual data accesses).
-  observe_reference(req, a, n, MemOp::kAggregate, q);
-  const Time total = q + static_cast<Time>(n) * per;
-  s.stall_ns += total;
-  charge(total);
+  complete(x, q, q + static_cast<Time>(n) * per);
 }
 
 }  // namespace bfly::sim

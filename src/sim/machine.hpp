@@ -34,6 +34,7 @@
 #include "sim/observe.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
+#include "sim/subscribers.hpp"
 #include "sim/switch_fabric.hpp"
 #include "sim/time.hpp"
 
@@ -135,7 +136,7 @@ class Machine {
   /// subscribed heal — layers that reconcile on heal (bfly::serve) want
   /// exactly that.  Returns a handle for remove_heal_observer.
   std::uint64_t on_partition_heal(std::function<void(std::size_t)> fn);
-  void remove_heal_observer(std::uint64_t id);
+  void remove_heal_observer(std::uint64_t id) { heal_observers_.remove(id); }
 
   /// Gray-failure stretch for `n`'s memory module at the current simulated
   /// time: 1.0 when healthy, the plan's factor inside a slow window.  Layers
@@ -160,8 +161,10 @@ class Machine {
   /// Death observers model the simulator's own bookkeeping: they fire for
   /// every kill, silent or not (the scheduler must stop dispatching a dead
   /// node's processes regardless of who heard the crash).
-  std::uint64_t on_node_death(std::function<void(NodeId)> fn);
-  void remove_death_observer(std::uint64_t id);
+  std::uint64_t on_node_death(std::function<void(NodeId)> fn) {
+    return death_observers_.add(std::move(fn));
+  }
+  void remove_death_observer(std::uint64_t id) { death_observers_.remove(id); }
 
   /// Like on_node_death, but models the machine-check broadcast peers
   /// observe: crash observers do NOT fire for silent kills.  Recovery
@@ -169,8 +172,10 @@ class Machine {
   /// death reaches them only through a failure detector (bfly::rescue) or a
   /// reference that touches the corpse.  Crash observers run after every
   /// death observer, still before the node's fibers unwind.
-  std::uint64_t on_node_crash(std::function<void(NodeId)> fn);
-  void remove_crash_observer(std::uint64_t id);
+  std::uint64_t on_node_crash(std::function<void(NodeId)> fn) {
+    return crash_observers_.add(std::move(fn));
+  }
+  void remove_crash_observer(std::uint64_t id) { crash_observers_.remove(id); }
 
   // --- Time ------------------------------------------------------------------
 
@@ -197,9 +202,10 @@ class Machine {
 
   // --- Physical memory --------------------------------------------------------
 
-  /// First-fit allocation in `node`'s memory.  Throws SimError when the
-  /// node is exhausted.  Untimed (the OS layer charges its own costs).
-  PhysAddr alloc(NodeId node, std::size_t bytes, std::size_t align = 8);
+  /// First-fit, 8-byte-aligned allocation in `node`'s memory.  Throws
+  /// SimError when the node is exhausted.  Untimed (the OS layer charges its
+  /// own costs).
+  PhysAddr alloc(NodeId node, std::size_t bytes);
   void free(PhysAddr addr, std::size_t bytes);
   /// Bytes currently allocated on a node.
   std::size_t allocated_on(NodeId node) const;
@@ -252,7 +258,7 @@ class Machine {
 
   /// Charge `n` back-to-back word references to `target` in a single event
   /// (used by tight inner loops; contention is accounted in aggregate).
-  void access_words(PhysAddr a, std::uint32_t n, bool write = false);
+  void access_words(PhysAddr a, std::uint32_t n);
 
   // --- Probes (see sim/observe.hpp) -------------------------------------------
   // Every hook is host-side and uncharged: attaching probes leaves the
@@ -333,18 +339,18 @@ class Machine {
   template <typename T>
   T peek(PhysAddr a) const {
     T v;
-    std::memcpy(&v, raw_const(a, sizeof(T)), sizeof(T));
+    std::memcpy(&v, raw(a, sizeof(T)), sizeof(T));
     return v;
   }
   template <typename T>
   void poke(PhysAddr a, T v) {
-    std::memcpy(raw_mut(a, sizeof(T)), &v, sizeof(T));
+    std::memcpy(raw(a, sizeof(T)), &v, sizeof(T));
   }
   void peek_bytes(void* dst, PhysAddr a, std::size_t n) const {
-    std::memcpy(dst, raw_const(a, n), n);
+    std::memcpy(dst, raw(a, n), n);
   }
   void poke_bytes(PhysAddr a, const void* src, std::size_t n) {
-    std::memcpy(raw_mut(a, n), src, n);
+    std::memcpy(raw(a, n), src, n);
   }
 
  private:
@@ -399,16 +405,41 @@ class Machine {
     return static_cast<std::uint32_t>((bytes + 3) / 4);
   }
 
-  /// Perform + charge one reference of `words` words to a.node.
-  void reference(PhysAddr a, std::uint32_t words, MemOp op);
-  /// Compute completion time of a reference departing now; updates module
-  /// occupancy and stats but does not charge.
-  /// The fetch_add reference path with switch combining armed: either
-  /// merges into an in-flight add's window or leads a new transaction and
-  /// opens one.  Charged like reference(a, 1, kAtomic).
-  void combining_fetch_add_reference(PhysAddr a);
+  /// One timed memory transaction from `req`: the (head) reference to
+  /// `home` and, for block_copy, the stream into `*copy_to`.
+  struct Access {
+    NodeId req;
+    PhysAddr home;
+    std::uint32_t words;  // reported to the probes; access_words' count
+    MemOp op;
+    const PhysAddr* copy_to;
+  };
+  /// The prologue of every timed operation: the requester, after the
+  /// address checks of every home, then their dead-node checks, then their
+  /// partition checks.
+  Access enter(PhysAddr home, std::uint32_t words, MemOp op,
+               const PhysAddr* copy_to = nullptr);
+  /// Completion time of a reference departing now, its queueing behind the
+  /// home module in `*queue_ns`; updates module occupancy, does not charge.
   Time reference_finish(NodeId requester, NodeId home, std::uint32_t words,
                         Time* queue_ns);
+  /// The accounting and epilogue every timed operation shares: the
+  /// requester's reference, queue and stall counters, one serviced
+  /// reference per remote home (none for a combined add, which never
+  /// reaches it), the probe reports, then the charge and the memory fault.
+  void complete(const Access& x, Time queue, Time stall, bool serviced = true);
+  /// Perform + charge one reference of `words` words to a.node; `combine`
+  /// lets a fetch_add merge at a switch stage (SwitchFabric::combine_add).
+  void reference(PhysAddr a, std::uint32_t words, MemOp op,
+                 bool combine = false);
+  /// The five atomics: one timed reference, then old -> modify(old).
+  template <typename Modify>
+  std::uint32_t read_modify_write(PhysAddr a, Modify modify,
+                                  bool combine = false);
+  /// The three block transfers: a head reference to `head`, then the
+  /// words stream, occupying `head`'s module and `*copy_to`'s.
+  void block_transfer(PhysAddr head, MemOp op, std::size_t bytes,
+                      const PhysAddr* copy_to);
   /// Report one reference, its finish time computed, to the probes
   /// (uncharged).  Fires before the requester is charged.
   void observe_reference(NodeId requester, PhysAddr a, std::uint32_t words,
@@ -422,9 +453,8 @@ class Machine {
   /// fiber is running).
   NodeId trace_node() const;
 
-  std::uint8_t* raw(PhysAddr a, std::size_t n);
-  std::uint8_t* raw_mut(PhysAddr a, std::size_t n);
-  const std::uint8_t* raw_const(PhysAddr a, std::size_t n) const;
+  /// Backing bytes of [a, a + n), grown on demand (node_ is mutable).
+  std::uint8_t* raw(PhysAddr a, std::size_t n) const;
   void ensure_backing(Node& nd, std::size_t end) const;
 
   FiberCtl* ctl(Fiber* f);
@@ -464,9 +494,6 @@ class Machine {
   void check_kill(FiberCtl* c);
   /// Raise NodeDeadError (after charging the failed round trip) when a
   /// timed operation targets a dead node.
-  // Address validation happens before the timing model touches per-node
-  // state: a wild node id must raise SimError, not index off node_[].
-  void check_node(NodeId home) const;
   void check_target(NodeId home);
   void do_kill(NodeId n, bool silent);
   void maybe_mem_fault(NodeId home);
@@ -475,7 +502,6 @@ class Machine {
   /// Raise NetUnreachableError (after charging the PNC's futile retry
   /// budget) when a timed operation crosses an active partition.
   void check_reach(NodeId req, NodeId home);
-  void fire_heal(std::size_t idx);
 
   MachineConfig cfg_;
   FaultPlan faults_;
@@ -512,19 +538,10 @@ class Machine {
   };
   std::vector<Cut> cuts_;
   bool has_cuts_ = false;
-  struct HealObserver {
-    std::uint64_t id;
-    std::function<void(std::size_t)> fn;
-  };
-  std::vector<HealObserver> heal_observers_;
+  Subscribers<std::size_t> heal_observers_;
   bool heal_events_posted_ = false;
-  struct DeathObserver {
-    std::uint64_t id;
-    std::function<void(NodeId)> fn;
-  };
-  std::vector<DeathObserver> death_observers_;
-  std::vector<DeathObserver> crash_observers_;
-  std::uint64_t next_observer_id_ = 1;
+  Subscribers<NodeId> death_observers_;
+  Subscribers<NodeId> crash_observers_;
   std::vector<Probe*> probes_;        // attach order
   int hook_depth_ = 0;               // live HookScopes on this host stack
   std::uint64_t hook_charges_ = 0;   // charges issued from inside a hook

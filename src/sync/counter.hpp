@@ -31,13 +31,6 @@
 
 namespace bfly::sync {
 
-/// Which counter an idle-tracking subsystem should build.
-enum class CounterKind : std::uint8_t {
-  kAuto,         ///< follow MachineConfig::sync_strategy
-  kCentral,      ///< one shared cell (1988 behaviour)
-  kDistributed,  ///< per-node cells + aggregating read
-};
-
 class IdleCounter {
  public:
   /// Returned by add() when the counter cannot cheaply report the previous

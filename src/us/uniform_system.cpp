@@ -64,14 +64,10 @@ void UniformSystem::initialize() {
   k_.give_to_system(work_queue_);  // shared by all managers
 
   // Shared-heap metadata lives on node 0 (a mild hot spot, as on the real
-  // system).  The outstanding-task counter is the strategy's choice: the
-  // 1988 hot cell on node 0, or one cell per pool processor.
-  sync::CounterKind kind = cfg_.idle_counter;
-  if (kind == sync::CounterKind::kAuto)
-    kind = m_.config().sync_strategy == sim::SyncStrategy::kScalable
-               ? sync::CounterKind::kDistributed
-               : sync::CounterKind::kCentral;
-  if (kind == sync::CounterKind::kDistributed) {
+  // system).  The outstanding-task counter follows the machine's
+  // sync_strategy: the 1988 hot cell on node 0, or one cell per pool
+  // processor whose waiter polls the aggregated sum.
+  if (m_.config().sync_strategy == sim::SyncStrategy::kScalable) {
     std::vector<sim::NodeId> cell_nodes(procs_);
     for (std::uint32_t w = 0; w < procs_; ++w) cell_nodes[w] = w;
     idle_counter_ = std::make_unique<sync::DistributedCounter>(

@@ -65,10 +65,6 @@ struct UsConfig {
   /// retry.attempts tries the fault is treated as permanent (the exhaustion
   /// hook fires, then the error propagates).
   sim::RetryPolicy retry;
-  /// Outstanding-task counter strategy.  kAuto follows the machine's
-  /// MachineConfig::sync_strategy: the 1988 single hot cell on node 0, or
-  /// per-processor distributed cells whose waiter polls the aggregated sum.
-  sync::CounterKind idle_counter = sync::CounterKind::kAuto;
 };
 
 class UniformSystem {

@@ -198,10 +198,6 @@ TEST(Membership, PartitionedNodesAreSuspectedUnreachableNotExcised) {
   Machine m(butterfly1(8), plan);
   chrys::Kernel k(m);
   Membership mem(k);  // monitor on node 0, side A
-  std::vector<std::pair<sim::NodeId, bool>> transitions;
-  mem.subscribe_reach([&](sim::NodeId n, bool entering) {
-    transitions.push_back({n, entering});
-  });
   std::uint32_t excisions = 0;
   mem.subscribe([&](sim::NodeId) { ++excisions; });
   std::uint64_t epoch_mid = 0;
@@ -236,17 +232,6 @@ TEST(Membership, PartitionedNodesAreSuspectedUnreachableNotExcised) {
   // Epoch fencing: 4 bumps entering the cut, 4 more on restore.
   EXPECT_EQ(epoch_mid, 4u);
   EXPECT_EQ(mem.epoch(), 8u);
-  ASSERT_EQ(transitions.size(), 8u);
-  std::vector<sim::NodeId> entered, restored;
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(transitions[i].second, i < 4)
-        << "all enters precede all restores";
-    (transitions[i].second ? entered : restored).push_back(transitions[i].first);
-  }
-  std::sort(entered.begin(), entered.end());
-  std::sort(restored.begin(), restored.end());
-  EXPECT_EQ(entered, (std::vector<sim::NodeId>{4, 5, 6, 7}));
-  EXPECT_EQ(restored, (std::vector<sim::NodeId>{4, 5, 6, 7}));
   EXPECT_EQ(excisions, 0u);
 }
 

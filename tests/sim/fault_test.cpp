@@ -271,6 +271,24 @@ TEST(FaultPlan, DeathObserversFireOnceInOrder) {
   m.remove_death_observer(id1);
 }
 
+TEST(FaultPlan, ADeathObserverMayRegisterObserversThatRunInTheSamePass) {
+  // Enough registrations from inside the first callback to grow the list
+  // past its capacity several times while that callback is running.
+  FaultPlan plan;
+  plan.kill(2, kMillisecond);
+  Machine m(butterfly1(4), plan);
+  std::vector<int> calls;
+  (void)m.on_node_death([&](NodeId) {
+    for (int i = 0; i < 64; ++i)
+      (void)m.on_node_death([&calls, i](NodeId) { calls.push_back(i); });
+    calls.push_back(-1);
+  });
+  m.run();
+  ASSERT_EQ(calls.size(), 65u);
+  EXPECT_EQ(calls.front(), -1);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(calls[i + 1], i);
+}
+
 TEST(FaultPlan, BadKillTargetIsRejected) {
   FaultPlan plan;
   plan.kill(9, kMillisecond);  // only 4 nodes

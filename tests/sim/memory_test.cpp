@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "sim/machine.hpp"
 
 namespace bfly::sim {
@@ -229,6 +233,326 @@ TEST(Memory, StatsDistinguishLocalAndRemote) {
   EXPECT_EQ(m.stats().node[0].local_refs, 1u);
   EXPECT_EQ(m.stats().node[0].remote_refs, 2u);
   EXPECT_EQ(m.stats().node[4].serviced_remote, 2u);
+}
+
+// --- The one timed-reference path -------------------------------------------
+
+// Logs each on_reference as "<requester>><home> <op><words> q<queue_ns>".
+class ReferenceLog final : public Probe {
+ public:
+  void on_reference(Fiber*, NodeId req, PhysAddr a, std::uint32_t words,
+                    MemOp op, Time queue_ns, Time) override {
+    static constexpr const char* kOp[] = {"read", "write", "atomic", "aggr"};
+    if (!log.empty()) log += ", ";
+    log += std::to_string(req) + ">" + std::to_string(a.node) + " " +
+           kOp[static_cast<int>(op)] + std::to_string(words) + " q" +
+           std::to_string(queue_ns);
+  }
+  std::string log;
+};
+
+// Every NodeStats field of every node that moved.
+std::string render_stats(const MachineStats& st) {
+  std::string out;
+  for (std::size_t n = 0; n < st.node.size(); ++n) {
+    const NodeStats& s = st.node[n];
+    const std::pair<const char*, std::uint64_t> fields[] = {
+        {"local", s.local_refs},   {"remote", s.remote_refs},
+        {"serviced", s.serviced_remote}, {"stall", s.stall_ns},
+        {"queue", s.queue_ns},     {"compute", s.compute_ns},
+        {"block", s.block_words}};
+    std::string f;
+    for (const auto& [name, v] : fields)
+      if (v != 0) f += " " + std::string(name) + "=" + std::to_string(v);
+    if (f.empty()) continue;
+    if (!out.empty()) out += " ";
+    out += "n" + std::to_string(n) + "{" + f.substr(1) + "}";
+  }
+  return out;
+}
+
+TEST(Memory, EveryTimedOpKeepsItsCostAndAccounting) {
+  // Each operation runs once on node 0 against a cell homed on node 0
+  // (local) or node 5 (remote); block_copy's second end is node 0 or 6.  A
+  // companion on node 2 touches the same cell at the same instant: three
+  // aggregate words that make the operation queue, or, with combining
+  // armed, a fetch_add that leads (companion first) or follows.  Pinned:
+  // the operation's own time, every NodeStats field, the probe's reports.
+  // Remote block transfers count one serviced reference on each module
+  // they occupy; every other value is as the per-operation copies had it.
+  using Op = std::function<void(Machine&, PhysAddr, PhysAddr)>;
+  struct Case {
+    const char* name;
+    NodeId home;
+    bool combining;
+    bool companion_first;
+    Op op;
+    const char* expect;
+  };
+  const Op read = [](Machine& m, PhysAddr a, PhysAddr) {
+    (void)m.read<std::uint32_t>(a);
+  };
+  const Op write = [](Machine& m, PhysAddr a, PhysAddr) {
+    m.write<std::uint64_t>(a, 7);
+  };
+  const Op fetch_add = [](Machine& m, PhysAddr a, PhysAddr) {
+    (void)m.fetch_add_u32(a, 3);
+  };
+  const Op fetch_or = [](Machine& m, PhysAddr a, PhysAddr) {
+    (void)m.fetch_or_u32(a, 4);
+  };
+  const Op tas = [](Machine& m, PhysAddr a, PhysAddr) {
+    (void)m.test_and_set(a);
+  };
+  const Op swap = [](Machine& m, PhysAddr a, PhysAddr) {
+    (void)m.swap_u32(a, 9);
+  };
+  const Op cas = [](Machine& m, PhysAddr a, PhysAddr) {
+    (void)m.cas_u32(a, 0, 1);
+  };
+  const Op copy = [](Machine& m, PhysAddr a, PhysAddr b) {
+    m.block_copy(b, a, 40);
+  };
+  const Op block_read = [](Machine& m, PhysAddr a, PhysAddr) {
+    std::uint8_t buf[40];
+    m.block_read(buf, a, sizeof buf);
+  };
+  const Op block_write = [](Machine& m, PhysAddr a, PhysAddr) {
+    const std::uint8_t buf[40] = {};
+    m.block_write(a, buf, sizeof buf);
+  };
+  const Op aggregate = [](Machine& m, PhysAddr a, PhysAddr) {
+    m.access_words(a, 10);
+  };
+  const Case cases[] = {
+      {"read local", 0, false, true, read,
+       "dt=3100; "
+       "n0{local=1 serviced=3 stall=3100 queue=2300} n2{remote=3 stall=7200}; "
+       "2>0 aggr3 q0, 0>0 read1 q2300"},
+      {"read remote", 5, false, true, read,
+       "dt=3900; "
+       "n0{remote=1 stall=3900 queue=1500} n2{remote=3 stall=7200} "
+       "n5{serviced=4}; "
+       "2>5 aggr3 q0, 0>5 read1 q1500"},
+      {"write local", 0, false, true, write,
+       "dt=3600; "
+       "n0{local=1 serviced=3 stall=3600 queue=2300} n2{remote=3 stall=7200}; "
+       "2>0 aggr3 q0, 0>0 write2 q2300"},
+      {"write remote", 5, false, true, write,
+       "dt=4400; "
+       "n0{remote=1 stall=4400 queue=1500} n2{remote=3 stall=7200} "
+       "n5{serviced=4}; "
+       "2>5 aggr3 q0, 0>5 write2 q1500"},
+      {"fetch_add local", 0, false, true, fetch_add,
+       "dt=3100; "
+       "n0{local=1 serviced=3 stall=3100 queue=2300} n2{remote=3 stall=7200}; "
+       "2>0 aggr3 q0, 0>0 atomic1 q2300"},
+      {"fetch_add remote", 5, false, true, fetch_add,
+       "dt=3900; "
+       "n0{remote=1 stall=3900 queue=1500} n2{remote=3 stall=7200} "
+       "n5{serviced=4}; "
+       "2>5 aggr3 q0, 0>5 atomic1 q1500"},
+      {"fetch_or local", 0, false, true, fetch_or,
+       "dt=3100; "
+       "n0{local=1 serviced=3 stall=3100 queue=2300} n2{remote=3 stall=7200}; "
+       "2>0 aggr3 q0, 0>0 atomic1 q2300"},
+      {"fetch_or remote", 5, false, true, fetch_or,
+       "dt=3900; "
+       "n0{remote=1 stall=3900 queue=1500} n2{remote=3 stall=7200} "
+       "n5{serviced=4}; "
+       "2>5 aggr3 q0, 0>5 atomic1 q1500"},
+      {"test_and_set local", 0, false, true, tas,
+       "dt=3100; "
+       "n0{local=1 serviced=3 stall=3100 queue=2300} n2{remote=3 stall=7200}; "
+       "2>0 aggr3 q0, 0>0 atomic1 q2300"},
+      {"test_and_set remote", 5, false, true, tas,
+       "dt=3900; "
+       "n0{remote=1 stall=3900 queue=1500} n2{remote=3 stall=7200} "
+       "n5{serviced=4}; "
+       "2>5 aggr3 q0, 0>5 atomic1 q1500"},
+      {"swap local", 0, false, true, swap,
+       "dt=3100; "
+       "n0{local=1 serviced=3 stall=3100 queue=2300} n2{remote=3 stall=7200}; "
+       "2>0 aggr3 q0, 0>0 atomic1 q2300"},
+      {"swap remote", 5, false, true, swap,
+       "dt=3900; "
+       "n0{remote=1 stall=3900 queue=1500} n2{remote=3 stall=7200} "
+       "n5{serviced=4}; "
+       "2>5 aggr3 q0, 0>5 atomic1 q1500"},
+      {"cas local", 0, false, true, cas,
+       "dt=3100; "
+       "n0{local=1 serviced=3 stall=3100 queue=2300} n2{remote=3 stall=7200}; "
+       "2>0 aggr3 q0, 0>0 atomic1 q2300"},
+      {"cas remote", 5, false, true, cas,
+       "dt=3900; "
+       "n0{remote=1 stall=3900 queue=1500} n2{remote=3 stall=7200} "
+       "n5{serviced=4}; "
+       "2>5 aggr3 q0, 0>5 atomic1 q1500"},
+      {"block_copy local", 0, false, true, copy,
+       "dt=13100; "
+       "n0{local=1 serviced=3 stall=13100 queue=2300 block=10} "
+       "n2{remote=3 stall=7200}; "
+       "2>0 aggr3 q0, 0>0 read10 q2300, 0>0 write10 q0"},
+      {"block_copy remote", 5, false, true, copy,
+       "dt=13900; "
+       "n0{remote=1 stall=13900 queue=1500 block=10} n2{remote=3 stall=7200} "
+       "n5{serviced=4} n6{serviced=1}; "
+       "2>5 aggr3 q0, 0>5 read10 q1500, 0>6 write10 q0"},
+      {"block_read local", 0, false, true, block_read,
+       "dt=13100; "
+       "n0{local=1 serviced=3 stall=13100 queue=2300 block=10} "
+       "n2{remote=3 stall=7200}; "
+       "2>0 aggr3 q0, 0>0 read10 q2300"},
+      {"block_read remote", 5, false, true, block_read,
+       "dt=13900; "
+       "n0{remote=1 stall=13900 queue=1500 block=10} n2{remote=3 stall=7200} "
+       "n5{serviced=4}; "
+       "2>5 aggr3 q0, 0>5 read10 q1500"},
+      {"block_write local", 0, false, true, block_write,
+       "dt=13100; "
+       "n0{local=1 serviced=3 stall=13100 queue=2300 block=10} "
+       "n2{remote=3 stall=7200}; "
+       "2>0 aggr3 q0, 0>0 write10 q2300"},
+      {"block_write remote", 5, false, true, block_write,
+       "dt=13900; "
+       "n0{remote=1 stall=13900 queue=1500 block=10} n2{remote=3 stall=7200} "
+       "n5{serviced=4}; "
+       "2>5 aggr3 q0, 0>5 write10 q1500"},
+      {"access_words local", 0, false, true, aggregate,
+       "dt=10300; "
+       "n0{local=10 serviced=3 stall=10300 queue=2300} "
+       "n2{remote=3 stall=7200}; "
+       "2>0 aggr3 q0, 0>0 aggr10 q2300"},
+      {"access_words remote", 5, false, true, aggregate,
+       "dt=25500; "
+       "n0{remote=10 stall=25500 queue=1500} n2{remote=3 stall=7200} "
+       "n5{serviced=13}; "
+       "2>5 aggr3 q0, 0>5 aggr10 q1500"},
+      {"combining local", 0, true, true, fetch_add,
+       "dt=2100; "
+       "n0{local=1 serviced=1 stall=2100 queue=1300} n2{remote=1 stall=2400}; "
+       "2>0 atomic1 q0, 0>0 atomic1 q1300"},
+      {"combining leader", 5, true, false, fetch_add,
+       "dt=2400; "
+       "n0{remote=1 stall=2400} n2{remote=1 stall=2400} n5{serviced=1}; "
+       "0>5 atomic1 q0, 2>5 atomic1 q0"},
+      {"combining follower", 5, true, true, fetch_add,
+       "dt=2400; "
+       "n0{remote=1 stall=2400} n2{remote=1 stall=2400} n5{serviced=1}; "
+       "2>5 atomic1 q0, 0>5 atomic1 q0"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    MachineConfig cfg = butterfly1(16);
+    cfg.model_switch_contention = c.combining;
+    cfg.switch_combining = c.combining;
+    Machine m(cfg);
+    ReferenceLog log;
+    m.attach(&log);
+    const PhysAddr a = m.alloc(c.home, 64);
+    const PhysAddr b = m.alloc(c.home == 0 ? 0 : 6, 64);
+    Time dt = 0;
+    auto companion = [&] {
+      if (c.combining)
+        (void)m.fetch_add_u32(a, 1);
+      else
+        m.access_words(a, 3);
+    };
+    auto under_test = [&] {
+      const Time t0 = m.now();
+      c.op(m, a, b);
+      dt = m.now() - t0;
+    };
+    if (c.companion_first) m.spawn(2, companion);
+    m.spawn(0, under_test);
+    if (!c.companion_first) m.spawn(2, companion);
+    m.run();
+    ASSERT_FALSE(m.deadlocked());
+    const std::string got = "dt=" + std::to_string(dt) + "; " +
+                            render_stats(m.stats()) + "; " + log.log;
+    EXPECT_EQ(got, c.expect);
+  }
+}
+
+TEST(Memory, BlockTransfersCountServicedRemoteOnTheModulesTheyOccupy) {
+  // Like a single reference, a block transfer is serviced by every remote
+  // module it occupies: block_copy by its source's and its destination's,
+  // once per module when both ends share one.
+  Machine m(butterfly1(8));
+  const PhysAddr mine = m.alloc(0, 64);
+  const PhysAddr a = m.alloc(3, 64);
+  const PhysAddr b = m.alloc(5, 64);
+  const PhysAddr c = m.alloc(6, 64);
+  on_node(m, 0, [&] {
+    std::uint8_t buf[64] = {};
+    m.block_read(buf, a, 64);
+    m.block_write(b, buf, 64);
+    m.block_copy(c, a, 64);
+    m.block_copy(mine, b, 64);
+    m.block_copy(c.plus(32), c, 32);
+  });
+  const std::vector<NodeStats>& s = m.stats().node;
+  EXPECT_EQ(s[3].serviced_remote, 2u);
+  EXPECT_EQ(s[5].serviced_remote, 2u);
+  EXPECT_EQ(s[6].serviced_remote, 2u);
+  EXPECT_EQ(s[0].serviced_remote, 0u);
+  EXPECT_EQ(s[0].remote_refs, 5u);
+  EXPECT_EQ(s[0].local_refs, 0u);
+}
+
+TEST(Memory, BlockCopyChecksEveryHomeAliveBeforeAnyReach) {
+  // The source sits across an open partition and the destination is dead:
+  // the dead-node check of both homes runs before the partition check.
+  FaultPlan plan;
+  plan.partition({0}, {5}, 1, kSecond);
+  plan.kill(6, 1);
+  Machine m(butterfly1(8), plan);
+  const PhysAddr src = m.alloc(5, 64);
+  const PhysAddr dst = m.alloc(6, 64);
+  std::string raised;
+  m.spawn(
+      0,
+      [&] {
+        try {
+          m.block_copy(dst, src, 16);
+        } catch (const NodeDeadError& e) {
+          raised = "dead " + std::to_string(e.node());
+        } catch (const NetUnreachableError& e) {
+          raised = "unreachable " + std::to_string(e.node());
+        }
+      },
+      "copier", 10);
+  m.run();
+  EXPECT_EQ(raised, "dead 6");
+  EXPECT_EQ(m.stats().dead_node_refs, 1u);
+  EXPECT_EQ(m.stats().net_unreachable_refs, 0u);
+}
+
+TEST(Memory, EveryOperationButAccessWordsRollsTheMemoryFault) {
+  // Every roll faults.  An operation that moves data raises
+  // MemoryFaultError after its time is charged; access_words moves none
+  // and never rolls.
+  FaultPlan plan;
+  plan.mem_fault_prob = 1.0;
+  Machine m(butterfly1(8), plan);
+  const PhysAddr a = m.alloc(3, 64);
+  std::string faulted;
+  on_node(m, 0, [&] {
+    auto attempt = [&](const char* name, const std::function<void()>& op) {
+      try {
+        op();
+      } catch (const MemoryFaultError&) {
+        faulted += name;
+      }
+    };
+    std::uint8_t buf[8] = {};
+    attempt("aggregate ", [&] { m.access_words(a, 4); });
+    attempt("read ", [&] { (void)m.read<std::uint32_t>(a); });
+    attempt("atomic ", [&] { (void)m.fetch_add_u32(a, 1); });
+    attempt("block", [&] { m.block_write(a, buf, sizeof buf); });
+  });
+  EXPECT_EQ(faulted, "read atomic block");
+  EXPECT_EQ(m.stats().mem_faults_injected, 3u);
 }
 
 }  // namespace

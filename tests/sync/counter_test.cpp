@@ -76,11 +76,11 @@ TEST(UsCounter, AutoFollowsTheMachineStrategy) {
 }
 
 TEST(UsCounter, ForAllCompletesOnTheDistributedCounter) {
-  Machine m(butterfly1(8));
+  sim::MachineConfig mc = butterfly1(8);
+  mc.sync_strategy = sim::SyncStrategy::kScalable;
+  Machine m(mc);
   chrys::Kernel k(m);
-  us::UsConfig cfg;
-  cfg.idle_counter = CounterKind::kDistributed;
-  us::UniformSystem us(k, cfg);
+  us::UniformSystem us(k);
   std::uint32_t completed = 0;
   us.run_main([&] {
     us.for_all(0, 100, [&](us::TaskCtx& c) {
@@ -104,11 +104,12 @@ TEST(UsCounter, KillMidWaveIsRecoveredOnTheDistributedCounter) {
   // folds host-side and the wave still drains.
   sim::FaultPlan plan;
   plan.kill(5, 100 * sim::kMillisecond);
-  Machine m(butterfly1(8), plan);
+  sim::MachineConfig mc = butterfly1(8);
+  mc.sync_strategy = sim::SyncStrategy::kScalable;
+  Machine m(mc, plan);
   chrys::Kernel k(m);
   us::UsConfig cfg;
   cfg.processors = 8;
-  cfg.idle_counter = CounterKind::kDistributed;
   us::UniformSystem us(k, cfg);
   std::vector<std::uint32_t> done(200, 0);
   us.run_main([&] {
@@ -132,11 +133,12 @@ TEST(UsCounter, WholePoolDeadReleasesThePollingWaiter) {
   plan.kill(0, 60 * sim::kMillisecond);
   plan.kill(1, 65 * sim::kMillisecond);
   plan.kill(2, 70 * sim::kMillisecond);
-  Machine m(butterfly1(4), plan);
+  sim::MachineConfig mc = butterfly1(4);
+  mc.sync_strategy = sim::SyncStrategy::kScalable;
+  Machine m(mc, plan);
   chrys::Kernel k(m);
   us::UsConfig cfg;
   cfg.processors = 3;  // pool = nodes 0..2; main lives on node 3
-  cfg.idle_counter = CounterKind::kDistributed;
   us::UniformSystem us(k, cfg);
   bool returned = false;
   k.create_process(3, [&] {
@@ -156,11 +158,11 @@ TEST(UsCounter, TransientFaultsAreAbsorbedByTheDistributedCounter) {
   sim::FaultPlan plan;
   plan.mem_fault_prob = 0.01;
   plan.seed = 99;
-  Machine m(butterfly1(8), plan);
+  sim::MachineConfig mc = butterfly1(8);
+  mc.sync_strategy = sim::SyncStrategy::kScalable;
+  Machine m(mc, plan);
   chrys::Kernel k(m);
-  us::UsConfig cfg;
-  cfg.idle_counter = CounterKind::kDistributed;
-  us::UniformSystem us(k, cfg);
+  us::UniformSystem us(k);
   std::uint32_t completed = 0;
   us.run_main([&] {
     us.for_all(0, 100, [&](us::TaskCtx& c) {
