@@ -43,7 +43,16 @@
 #                        race detector, wait-for graph) exports a Chrome
 #                        trace and fails on any race or blocked process;
 #                        then the standalone validator re-checks the file on
-#                        disk (parses, monotone timestamps, balanced B/E)
+#                        disk (parses, monotone timestamps, balanced B/E),
+#                        and the trace and metrics files must match the
+#                        digests in ci/trace_gauss.sha256 (the run is
+#                        deterministic).  After an intended change to what
+#                        the trace records, regenerate the digests from the
+#                        repository root once this step has written the
+#                        files:
+#                          (cd build && sha256sum scope_ci_trace.json \
+#                             scope_ci_metrics.json) >ci/trace_gauss.sha256
+#                        and say in the change why they moved
 #   5. perfbench contract — perfbench/selfcheck.py runs every benchmark
 #                        workload in smoke mode and checks the output
 #                        contract (named metrics with units, unique keys,
@@ -129,6 +138,11 @@ ctest --preset default -L sync-smoke --output-on-failure
 step "scope smoke (Gauss with all probes -> Chrome trace -> validator)"
 ./build/tools/trace_gauss build/scope_ci_trace.json build/scope_ci_metrics.json
 ./build/tools/trace_validate build/scope_ci_trace.json
+(cd build && sha256sum --quiet -c "$ROOT/ci/trace_gauss.sha256") || {
+  echo "trace_gauss's trace or metrics drifted from ci/trace_gauss.sha256:"
+  echo "if intended, regenerate the digests (see the header) and say why"
+  exit 1
+}
 
 step "perfbench contract (every workload in smoke mode, gating)"
 python3 perfbench/selfcheck.py

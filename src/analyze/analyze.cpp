@@ -52,9 +52,6 @@ std::uint32_t Analyzer::actor_of(sim::Fiber* f) {
     actor_ids_.emplace(f, id);
     return id;
   }
-  Actor& a = actors_[it->second];
-  // Runtimes often name a fiber after spawning it; pick the name up lazily.
-  if (a.name != f->name() && !f->name().empty()) a.name = f->name();
   return it->second;
 }
 

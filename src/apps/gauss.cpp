@@ -100,6 +100,9 @@ GaussResult gauss_us(sim::Machine& m, const GaussConfig& cfg) {
       row[n] = b[i];
       m.poke_bytes(rows[i], row.data(), row_bytes);  // untimed distribution
     }
+    // The rows live in simulated memory now; the host copy is dead weight.
+    std::vector<double>().swap(a);
+    std::vector<double>().swap(b);
 
     // Per-worker pivot-row cache: the standard US copy-to-local idiom.
     std::vector<std::int64_t> cached_pivot(procs, -1);
@@ -149,6 +152,7 @@ GaussResult gauss_us(sim::Machine& m, const GaussConfig& cfg) {
     result.elapsed = m.now() - t0;
     result.solution = x;
   });
+  result.task_descriptors = us.descriptor_slots();
 
   for (const auto& s : m.stats().node) {
     result.remote_refs += s.remote_refs;
@@ -185,6 +189,8 @@ GaussResult gauss_smp(sim::Machine& m, const GaussConfig& cfg) {
         mine[w].push_back(std::move(row));
       }
     }
+    std::vector<double>().swap(a);
+    std::vector<double>().swap(b);
 
     const sim::Time t0 = m.now();
     m.stats().reset();
@@ -242,10 +248,12 @@ GaussResult gauss_smp(sim::Machine& m, const GaussConfig& cfg) {
           if (w != 0) {
             for (std::uint32_t r = w; r < n; r += procs)
               me.send(0, 0x10000 + r, row_of(r).data(), (n + 1) * 8);
+            // Sent by value: member 0 holds the only copy it needs.
+            std::vector<std::vector<double>>().swap(rows_w);
           } else {
             std::vector<std::vector<double>> full(n);
             for (std::uint32_t r = 0; r < n; r += procs)
-              full[r] = row_of(r);
+              full[r] = std::move(row_of(r));
             for (std::uint32_t r = 0; r < n; ++r) {
               if (r % procs == 0) continue;
               smp::Message msg = recv_tag(0x10000 + r);

@@ -42,6 +42,9 @@ struct GaussResult {
   std::uint64_t remote_refs = 0;
   std::uint64_t block_words = 0;
   sim::Time queue_ns = 0;           ///< total memory-module queueing
+  /// US only: task descriptor slots the solve needed, i.e. its peak number
+  /// of tasks generated but not yet completed.
+  std::size_t task_descriptors = 0;
 };
 
 /// Deterministic well-conditioned system: A is diagonally dominant.

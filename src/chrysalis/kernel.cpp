@@ -308,32 +308,34 @@ Oid Kernel::create_process(sim::NodeId node, std::function<void()> main,
                       kNoObject);
   p->state_ = Process::State::kReady;
 
-  p->fiber_ = m_.spawn_parked(node, [this, p, body = std::move(main)] {
-    // Lifetime span for the whole process; RAII so a FiberKill unwind
-    // closes it too.
-    sim::TraceSpan span(m_, "chrys", "process", p->oid_);
-    // Top-level fault barrier: an uncaught throw terminates the process,
-    // as when Chrysalis unwinds to the outermost handler.  Machine faults
-    // (dead-node references, parity errors) terminate it the same way.
-    try {
-      body();
-    } catch (const ThrowSignal&) {
-      p->faulted_ = true;
-    } catch (const sim::NodeDeadError&) {
-      p->faulted_ = true;
-    } catch (const sim::NetUnreachableError&) {
-      p->faulted_ = true;
-    } catch (const sim::MemoryFaultError&) {
-      p->faulted_ = true;
-    } catch (const sim::FiberKill&) {
-      // This process's own node died.  Record the death without timed
-      // operations (there is no CPU left to charge) and let the fiber end.
-      kill_exit(*p);
-      return;
-    }
-    exit_self();
-  });
-  p->fiber_->set_name(p->name_);
+  p->fiber_ = m_.spawn_parked(
+      node,
+      [this, p, body = std::move(main)] {
+        // Lifetime span for the whole process; RAII so a FiberKill unwind
+        // closes it too.
+        sim::TraceSpan span(m_, "chrys", "process", p->oid_);
+        // Top-level fault barrier: an uncaught throw terminates the process,
+        // as when Chrysalis unwinds to the outermost handler.  Machine faults
+        // (dead-node references, parity errors) terminate it the same way.
+        try {
+          body();
+        } catch (const ThrowSignal&) {
+          p->faulted_ = true;
+        } catch (const sim::NodeDeadError&) {
+          p->faulted_ = true;
+        } catch (const sim::NetUnreachableError&) {
+          p->faulted_ = true;
+        } catch (const sim::MemoryFaultError&) {
+          p->faulted_ = true;
+        } catch (const sim::FiberKill&) {
+          // This process's own node died.  Record the death without timed
+          // operations (there is no CPU left to charge) and let the fiber end.
+          kill_exit(*p);
+          return;
+        }
+        exit_self();
+      },
+      p->name_);
   p->kernel_ = this;
   p->fiber_->set_owner(p);
   rec(oid).u = std::move(pp);

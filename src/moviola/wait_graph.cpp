@@ -91,9 +91,7 @@ void Detector::on_lock(sim::Fiber* f, std::uint64_t lock, bool held) {
 std::string Detector::fiber_name(sim::Fiber* f) const {
   if (f == nullptr) return "<host>";
   if (!f->name().empty()) return f->name();
-  std::ostringstream os;
-  os << "fiber@" << static_cast<const void*>(f);
-  return os.str();
+  return "fiber#" + std::to_string(f->spawn_index());
 }
 
 std::string Detector::chan_name(std::uint64_t chan) const {

@@ -223,11 +223,12 @@ inline void asan_enter_fiber([[maybe_unused]] void* fake_stack) {
 }  // namespace
 
 Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes,
-             std::string name)
+             std::string name, std::uint64_t spawn_index)
     : body_(std::move(body)),
       stack_(t_stacks.take(stack_bytes)),
       stack_bytes_(stack_bytes),
-      name_(std::move(name)) {
+      name_(std::move(name)),
+      spawn_index_(spawn_index) {
 #if defined(__x86_64__)
   // The frame bfly_fiber_switch pops on the first resume, lowest address
   // first.  The fiber inherits its creator's FP control settings, as a

@@ -46,8 +46,9 @@ class Fiber {
   enum class State { kCreated, kRunnable, kRunning, kBlocked, kFinished };
 
   /// `body` runs on the fiber's own stack the first time it is resumed.
+  /// `spawn_index` is the fiber's creation order within its machine.
   Fiber(std::function<void()> body, std::size_t stack_bytes,
-        std::string name = {});
+        std::string name = {}, std::uint64_t spawn_index = 0);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -74,7 +75,9 @@ class Fiber {
   State state() const { return state_; }
   bool finished() const { return state_ == State::kFinished; }
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
+  /// Creation order within the machine (0, 1, 2, ...): a deterministic
+  /// identity for a fiber without a name, unlike its address.
+  std::uint64_t spawn_index() const { return spawn_index_; }
 
   /// One opaque word for the layer that runs its code on this fiber (the
   /// Chrysalis kernel keeps its Process* here).  sim never reads it.
@@ -102,6 +105,7 @@ class Fiber {
   FiberContext ctx_{};
   State state_ = State::kCreated;
   std::string name_;
+  std::uint64_t spawn_index_;
 };
 
 }  // namespace bfly::sim

@@ -89,7 +89,7 @@ Fiber* Machine::spawn_parked(NodeId node, std::function<void()> body,
   if (fault_checks_ && node_dead_[node]) throw NodeDeadError(node);
   auto fiber = std::make_unique<Fiber>(std::move(body),
                                        cfg_.fiber_stack_bytes,
-                                       std::move(name));
+                                       std::move(name), fibers_spawned_++);
   Fiber* f = fiber.get();
   FiberCtl c;
   c.fiber = std::move(fiber);

@@ -518,6 +518,7 @@ class Machine {
   FiberCtl* live_head_ = nullptr;  // live fibers, intrusive, spawn order
   FiberCtl* live_tail_ = nullptr;
   std::size_t live_count_ = 0;
+  std::uint64_t fibers_spawned_ = 0;  // next Fiber::spawn_index
   FiberCtl* cur_ctl_ = nullptr;  // control block of the running fiber
 
   bool fastpath_ = true;  // cfg.host_fastpath

@@ -176,14 +176,18 @@ void UniformSystem::manager_loop(std::uint32_t worker) {
     // the death observer re-issues exactly this descriptor.
     inflight_[worker] = tid;
     {
-      sim::TraceSpan span(m_, "us", "task", table_[tid].arg);
+      // A copy, not a reference: the body may generate tasks, and a
+      // growing table_ moves its records.  The slot keeps its own handle
+      // in case this node dies and the task is re-issued.
+      const TaskRec task = table_[tid];
+      sim::TraceSpan span(m_, "us", "task", task.arg);
       m_.charge(kDispatchOverhead);
-      TaskCtx ctx{*this, k_, m_, worker, node, table_[tid].arg};
+      TaskCtx ctx{*this, k_, m_, worker, node, task.arg};
       // A task that throws — or hits a machine fault — must not take its
       // manager down with it: the processor would silently drop out of the
       // crowd.  Trap, count, move on.
       try {
-        table_[tid].fn(ctx);
+        (*task.fn)(ctx);
       } catch (const chrys::ThrowSignal&) {
         ++tasks_faulted_;
       } catch (const sim::NodeDeadError&) {
@@ -200,6 +204,8 @@ void UniformSystem::manager_loop(std::uint32_t worker) {
     // host-side (no yields), so the death observer always sees exactly one
     // of: "reissue the task" / "apply the owed decrement" / "all settled".
     inflight_[worker] = kNoTask;
+    table_[tid].fn.reset();
+    free_tids_.push_back(tid);
     decrementing_[worker] = 1;
     // With a distributed counter this add is local and returns kUnknown —
     // no manager can tell it drained the count, so nobody posts and the
@@ -218,7 +224,17 @@ void UniformSystem::manager_loop(std::uint32_t worker) {
   --managers_alive_;
 }
 
-void UniformSystem::enqueue_descriptor(std::uint32_t tid) {
+void UniformSystem::enqueue_descriptor(
+    const std::shared_ptr<const TaskFn>& fn, std::uint32_t arg) {
+  std::uint32_t tid;
+  if (free_tids_.empty()) {
+    tid = static_cast<std::uint32_t>(table_.size());
+    table_.push_back(TaskRec{fn, arg});
+  } else {
+    tid = free_tids_.back();
+    free_tids_.pop_back();
+    table_[tid] = TaskRec{fn, arg};
+  }
   k_.dq_enqueue(work_queue_, tid);
 }
 
@@ -323,24 +339,23 @@ void UniformSystem::handle_node_death(sim::NodeId n) {
 }
 
 void UniformSystem::gen_task(TaskFn fn, std::uint32_t arg) {
-  table_.push_back(TaskRec{std::move(fn), arg});
-  const auto tid = static_cast<std::uint32_t>(table_.size() - 1);
-  m_.trace_instant("us", "gen_task", tid);
+  // The instant counts generated tasks; slot ids repeat once recycled.
+  m_.trace_instant("us", "gen_task", tasks_generated_++);
   (void)counter_add_retry(1);
-  enqueue_descriptor(tid);
+  enqueue_descriptor(std::make_shared<const TaskFn>(std::move(fn)), arg);
 }
 
 void UniformSystem::gen_on_index(std::uint32_t lo, std::uint32_t hi,
                                  TaskFn fn) {
   if (lo >= hi) return;
   m_.trace_instant("us", "gen_on_index", hi - lo);
-  // One shared TaskRec; the per-index argument rides in the descriptor's
-  // low bits via distinct records (kept simple: one record per index, the
-  // closure is shared).
   (void)counter_add_retry(hi - lo);
+  // One closure for the whole range; each descriptor holds a handle to it
+  // and its own index.
+  const auto shared = std::make_shared<const TaskFn>(std::move(fn));
   for (std::uint32_t i = lo; i < hi; ++i) {
-    table_.push_back(TaskRec{fn, i});
-    enqueue_descriptor(static_cast<std::uint32_t>(table_.size() - 1));
+    ++tasks_generated_;
+    enqueue_descriptor(shared, i);
     // A large generation holds this CPU for many milliseconds of charged
     // enqueues; let co-resident processes run between descriptors (free
     // when nothing is ready).

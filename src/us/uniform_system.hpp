@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -143,6 +142,10 @@ class UniformSystem {
   std::uint64_t tasks_run() const { return tasks_run_; }
   /// Tasks that ended in an uncaught throw (trapped by the manager).
   std::uint64_t tasks_faulted() const { return tasks_faulted_; }
+  /// Task descriptor slots ever allocated.  A slot is recycled when its
+  /// task completes, so this is the peak number of tasks generated but not
+  /// yet completed, not the number ever generated.
+  std::size_t descriptor_slots() const { return table_.size(); }
 
   // --- Degraded-machine operation ---------------------------------------------
   // When a FaultPlan kills a node, the Uniform System drops that processor
@@ -175,9 +178,12 @@ class UniformSystem {
   }
 
  private:
+  // A task descriptor; its slot index (the tid) is what travels through
+  // the work queue.  Every task of one generation (a gen_task call or a
+  // gen_on_index range) shares one closure, released with its last task.
   struct TaskRec {
-    TaskFn fn;
-    std::uint32_t arg;
+    std::shared_ptr<const TaskFn> fn;
+    std::uint32_t arg = 0;
   };
 
   void manager_loop(std::uint32_t worker);
@@ -186,7 +192,8 @@ class UniformSystem {
   // it (a kill that lands during initialization); no-op if the death
   // observer got there first.
   void mark_manager_dead(std::uint32_t worker);
-  void enqueue_descriptor(std::uint32_t tid);
+  void enqueue_descriptor(const std::shared_ptr<const TaskFn>& fn,
+                          std::uint32_t arg);
   void handle_node_death(sim::NodeId n);
   sim::PhysAddr allocate_with_lock(sim::NodeId node, std::size_t bytes);
   // Infrastructure accesses (completion counter, scatter cursor) retry
@@ -207,7 +214,11 @@ class UniformSystem {
   bool initialized_ = false;
 
   chrys::Oid work_queue_ = chrys::kNoObject;
-  std::deque<TaskRec> table_;
+  // Descriptor slots, recycled through free_tids_ when a manager finishes
+  // the task: the table is bounded by the work in flight.
+  std::vector<TaskRec> table_;
+  std::vector<std::uint32_t> free_tids_;
+  std::uint64_t tasks_generated_ = 0;  // gen_task's trace argument
   std::vector<chrys::Oid> managers_;
 
   // Shared-heap bookkeeping.

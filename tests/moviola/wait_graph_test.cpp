@@ -193,6 +193,41 @@ TEST(OrphanWait, NoPosterIsNotADeadlock) {
   EXPECT_EQ(findings[0].members, (std::vector<std::string>{"lonely"}));
 }
 
+// Raw Machine fibers have no name: the detector calls them by spawn order,
+// so the same program reports the same text in every machine, whatever
+// addresses the host gave its fibers.
+struct UnnamedCycle {
+  Machine m{butterfly1(2)};
+  Detector d{m};
+  std::string run() {
+    const std::uint64_t ca = sim::chan_of_oid(1), cb = sim::chan_of_oid(2);
+    auto half = [&](std::uint64_t mine, std::uint64_t other) {
+      return [&, mine, other] {
+        m.observe_post(other, sim::PostOutcome::kQueued);
+        m.charge(sim::kMillisecond);  // both posts land before either waits
+        m.observe_block(mine, sim::WaitKind::kEvent);
+        m.park();
+      };
+    };
+    m.spawn(0, half(ca, cb));
+    m.spawn(1, half(cb, ca));
+    m.run();
+    EXPECT_TRUE(m.deadlocked());
+    (void)d.analyze();
+    return d.report();
+  }
+};
+
+TEST(Deadlock, UnnamedFibersAreNamedBySpawnOrderNotAddress) {
+  // Both machines stay alive, so their fibers cannot share addresses.
+  UnnamedCycle first, second;
+  const std::string a = first.run(), b = second.run();
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a.find("deadlock: fiber#0 waits event#1; fiber#1 waits event#2;"),
+            std::string::npos)
+      << a;
+}
+
 // The Figure 6 view: report() names the blocked process and the dual queue
 // it waits on.
 TEST(Moviola, DeadlockReportNamesTheWaiters) {
