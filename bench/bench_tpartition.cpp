@@ -26,10 +26,11 @@
 //                    service holds >= 60% of fault-free goodput, the
 //                    membership layer parks the far side in
 //                    suspected_unreachable instead of excising it and
-//                    restores it after the heal, the heal replays the
-//                    dirty log through the majority vote, and a full
-//                    read-back finds every acked write intact: zero acked
-//                    writes lost.
+//                    restores it after the heal, the heal's resync pass
+//                    rewrites the replicas the cut left stale, a full
+//                    read-back finds every acked write intact (zero acked
+//                    writes lost), and a foreground resync after the
+//                    read-back finds nothing left to rewrite.
 //   part 4 (replay): part 3 runs twice with the same seeds; elapsed time,
 //                    every counter, and the content hash must be equal —
 //                    the partition machinery sits inside the deterministic
@@ -91,6 +92,8 @@ struct RunResult {
   std::uint64_t verified = 0;     // acked blocks read back
   std::uint64_t content_hash = 0;
   std::vector<sim::Time> resp;
+  std::vector<sim::Time> write_resp;  // writes only
+  std::uint32_t resync_rewrites = 0;  // foreground resync after the audit
   serve::ServeCounters counters;
   std::uint64_t suspects = 0;
   std::uint64_t suspects_unreachable = 0;
@@ -196,6 +199,7 @@ RunResult run_partition(const Scenario& sc) {
             }
             const sim::Time done = m.now();
             r.resp.push_back(done - next);
+            if (is_write) r.write_resp.push_back(done - next);
             const bool in_cut =
                 sc.split && issue >= kCutStart && done <= heal_at;
             switch (st) {
@@ -220,12 +224,12 @@ RunResult run_partition(const Scenario& sc) {
       if (m.now() < kWarm) k.delay(kWarm - m.now());
       r.setup = m.now();
       while (workers_done < kWorkers) k.delay(20 * sim::kMillisecond);
-      // Let the heal-driven reconciliation drain before the audit.
+      // Let the heal's resync pass drain before the audit.
       for (int i = 0; i < 1000 && !rfs.repair_idle(); ++i)
         k.delay(10 * sim::kMillisecond);
       // Zero-acked-write-loss audit: every block whose writer got an ack
       // must read back as the *last* acked salt — a split-brain ack or a
-      // reconciliation that picked the wrong side both fail here.
+      // resync that picked the wrong version both fail here.
       std::vector<std::uint8_t> back(bridge::kBlockSize), expect;
       std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
       for (std::uint32_t blkno = 0; blkno < kBlocks; ++blkno) {
@@ -244,6 +248,9 @@ RunResult run_partition(const Scenario& sc) {
       }
       r.content_hash = h;
       r.counters = rfs.counters();
+      // Every replica converged: a foreground pass finds nothing to fix.
+      for (std::uint32_t f = 0; f < kFiles; ++f)
+        r.resync_rewrites += rfs.resync(files[f]);
       mem.stop();
       rfs.stop_repair();
       for (int i = 0; i < 100 && !rfs.repair_idle(); ++i)
@@ -290,12 +297,13 @@ std::string row_json(const Scenario& sc, RunResult& r) {
       .kv("cut_goodput_per_s", cut_goodput(r, sc))
       .kv("p50_ms", pct_ms(r.resp, 0.50))
       .kv("p99_ms", pct_ms(r.resp, 0.99))
+      .kv("write_p99_ms", pct_ms(r.write_resp, 0.99))
       .kv("minority_acks", r.minority_acks)
       .kv("verified", r.verified)
       .kv("verify_fail", r.verify_fail)
       .kv("suspects", r.suspects)
-      .kv("dirty_logged", r.counters.dirty_logged)
       .kv("reconciled", r.counters.reconciled)
+      .kv("resync_rewrites", r.resync_rewrites)
       .kv("quorum_rejects", r.counters.quorum_rejects)
       .kv("setup_s", bench::seconds(r.setup))
       .kv("elapsed_s", bench::seconds(r.elapsed))
@@ -382,10 +390,10 @@ int main() {
               "membership must park the far side in suspected_unreachable");
   report.gate(rs.unreachable_restored > 0,
               "healed nodes must be restored to full membership");
-  report.gate(rs.counters.dirty_logged > 0,
-              "majority-side acks with a cut-off arm must be dirty-logged");
   report.gate(rs.counters.reconciled > 0,
-              "the heal must replay the dirty log through the majority vote");
+              "the heal pass must rewrite the replicas the cut left stale");
+  report.gate(rs.resync_rewrites == 0,
+              "after the heal pass a foreground resync must rewrite nothing");
   report.gate(rs.verify_fail == 0,
               "zero acked writes lost across partition and heal");
   report.gate(rs.counters.lost_blocks == 0, "no block may lose every replica");
@@ -401,9 +409,9 @@ int main() {
               "replay: status counts must be equal");
   report.gate(rs2.content_hash == rs.content_hash,
               "replay: final content hash must be equal");
-  report.gate(rs2.counters.dirty_logged == rs.counters.dirty_logged &&
-                  rs2.counters.reconciled == rs.counters.reconciled &&
-                  rs2.counters.quorum_rejects == rs.counters.quorum_rejects,
+  report.gate(rs2.counters.reconciled == rs.counters.reconciled &&
+                  rs2.counters.quorum_rejects == rs.counters.quorum_rejects &&
+                  rs2.resync_rewrites == rs.resync_rewrites,
               "replay: partition counters must be equal");
   Scenario replay = split;
   replay.part = "split_replay";
@@ -413,7 +421,8 @@ int main() {
       "\nshape check: a dead stage-0 card costs one extra hop and nothing\n"
       "else; the 50/50 split turns ~half the writes into quorum refusals\n"
       "while reads and majority writes keep flowing; the heal restores\n"
-      "membership and replays the dirty log, and the audit finds every\n"
-      "acked write -- no split-brain, no silent loss, bit-equal replays.\n"
+      "membership, its resync pass brings the stale replicas up to date,\n"
+      "and the audit finds every acked write -- no split-brain, no silent\n"
+      "loss, bit-equal replays.\n"
       "\n");
 }

@@ -22,6 +22,13 @@
 //                    service stretched 12x).  Hedged reads escape to another
 //                    replica past a latency-quantile trigger.  Gate: hedged
 //                    read p999 beats unhedged by >= 2x.
+//   part 4 (overload): 3000 ops/s, past saturation, on seeds 1, 1988 and
+//                    404.  Admission control sheds write arms, so some
+//                    writes commit on fewer replicas than were asked.  After
+//                    the window every block is read, resync_block()ed and
+//                    read again; the second read must return the block's
+//                    last acked write or one concurrent with it.  Gate:
+//                    zero lost acknowledged writes.
 //
 // Fully deterministic: fixed fault plans, seeded arrival/jitter PRNGs,
 // simulated time.  Output: human tables, one JSON line per run, and the
@@ -30,6 +37,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -70,6 +78,7 @@ struct Scenario {
   double slow_factor;   // 0 = healthy; else gray-fail node 2 by this factor
   bool hedge;
   std::uint64_t seed;
+  bool audit = false;   // read every block back after the window
 };
 
 struct RunResult {
@@ -82,6 +91,10 @@ struct RunResult {
   std::uint64_t noreplica = 0;
   std::vector<sim::Time> resp;       // scheduled-arrival to completion
   std::vector<sim::Time> read_resp;  // reads only (hedging's jurisdiction)
+  std::vector<sim::Time> write_resp;
+  std::uint64_t readback_blocks = 0;
+  std::uint64_t readback_stale = 0;  // first read-any missed the last write
+  std::uint64_t readback_lost = 0;   // still missing after resync_block
   serve::ServeCounters counters;
   std::uint64_t suspects = 0;
   std::string fault_json;
@@ -89,11 +102,48 @@ struct RunResult {
   bool deadlocked = true;
 };
 
+/// Block content for (file, block, tag): the tag in the first eight bytes,
+/// then a pattern tied to all three.  Each write carries a unique tag, so a
+/// read names the write it returns; the seed data has tag 0.
 void fill_block(std::vector<std::uint8_t>& blk, std::uint32_t f,
-                std::uint32_t b) {
+                std::uint32_t b, std::uint64_t tag) {
   blk.assign(bridge::kBlockSize, 0);
-  for (std::size_t i = 0; i < blk.size(); ++i)
-    blk[i] = static_cast<std::uint8_t>((f * 131 + b * 37 + i * 11) % 251);
+  std::memcpy(blk.data(), &tag, sizeof tag);
+  for (std::size_t i = sizeof tag; i < blk.size(); ++i)
+    blk[i] = static_cast<std::uint8_t>(
+        (f * 131 + b * 37 + i * 11 + tag * 7) % 251);
+}
+
+/// One write as its client saw it.
+struct WriteSeen {
+  std::uint64_t tag = 0;
+  sim::Time issue = 0;
+  sim::Time done = 0;
+  bool acked = false;
+};
+
+/// A block may return write w only if no write acked to a client was
+/// issued after w returned: w is the last acked write or concurrent with
+/// it.  The seed data qualifies only while no write was acked.
+bool readback_ok(const std::vector<WriteSeen>& writes,
+                 const std::vector<std::uint8_t>& got, std::uint32_t f,
+                 std::uint32_t b) {
+  std::uint64_t tag = 0;
+  std::memcpy(&tag, got.data(), sizeof tag);
+  std::vector<std::uint8_t> want;
+  fill_block(want, f, b, tag);
+  if (want != got) return false;
+  sim::Time last_acked_issue = 0;
+  bool any_acked = false;
+  for (const WriteSeen& w : writes) {
+    if (!w.acked) continue;
+    any_acked = true;
+    last_acked_issue = std::max(last_acked_issue, w.issue);
+  }
+  if (tag == 0) return !any_acked;
+  for (const WriteSeen& w : writes)
+    if (w.tag == tag) return !any_acked || w.done >= last_acked_issue;
+  return false;
 }
 
 RunResult run_serving(const Scenario& sc) {
@@ -108,6 +158,8 @@ RunResult run_serving(const Scenario& sc) {
   chrys::Kernel k(m);
   RunResult r;
   std::uint32_t workers_done = 0;
+  std::uint64_t last_tag = 0;
+  std::vector<std::vector<WriteSeen>> writes(kFiles * kBlocksPerFile);
 
   k.create_process(15, [&] {
     // ~3 ms service per server: the 8-server cluster saturates around 2.2k
@@ -121,7 +173,7 @@ RunResult run_serving(const Scenario& sc) {
       for (std::uint32_t f = 0; f < kFiles; ++f) {
         files[f] = rfs.open("serve" + std::to_string(f), kBlocksPerFile);
         for (std::uint32_t b = 0; b < kBlocksPerFile; ++b) {
-          fill_block(blk, f, b);
+          fill_block(blk, f, b, 0);
           rfs.write(files[f], b, blk.data());
         }
       }
@@ -150,9 +202,10 @@ RunResult run_serving(const Scenario& sc) {
                 rng.below(kBlocksPerFile));
             const bool is_write = rng.below(10) == 0;
             const sim::Time issue = m.now();
+            const std::uint64_t tag = is_write ? ++last_tag : 0;
             serve::Status st;
             if (is_write) {
-              fill_block(wblk, f, b);
+              fill_block(wblk, f, b, tag);
               st = rfs.write(files[f], b, wblk.data());
             } else {
               st = rfs.read(files[f], b, back.data());
@@ -160,7 +213,10 @@ RunResult run_serving(const Scenario& sc) {
             const sim::Time done = m.now();
             r.worst_svc = std::max(r.worst_svc, done - issue);
             r.resp.push_back(done - next);
-            if (!is_write) r.read_resp.push_back(done - next);
+            (is_write ? r.write_resp : r.read_resp).push_back(done - next);
+            if (is_write)
+              writes[f * kBlocksPerFile + b].push_back(
+                  {tag, issue, done, st == serve::Status::kOk});
             switch (st) {
               case serve::Status::kOk: ++r.ok; break;
               case serve::Status::kTimeout: ++r.timeouts; break;
@@ -184,6 +240,23 @@ RunResult run_serving(const Scenario& sc) {
       for (int i = 0; i < 1000 && !rfs.repair_idle(); ++i)
         k.delay(10 * sim::kMillisecond);
       r.counters = rfs.counters();
+      // The read-back: a read-any may land on a replica that missed the
+      // last acked write (stale, reported); after resync_block the block
+      // must return it or a write concurrent with it, else it is lost.
+      std::vector<std::uint8_t> got(bridge::kBlockSize);
+      const std::size_t audited = sc.audit ? writes.size() : 0;
+      for (std::uint32_t blkno = 0; blkno < audited; ++blkno) {
+        const std::uint32_t f = blkno / kBlocksPerFile;
+        const std::uint32_t b = blkno % kBlocksPerFile;
+        const auto returns_acked = [&] {
+          return rfs.read(files[f], b, got.data()) == serve::Status::kOk &&
+                 readback_ok(writes[blkno], got, f, b);
+        };
+        ++r.readback_blocks;
+        if (!returns_acked()) ++r.readback_stale;
+        rfs.resync_block(files[f], b);
+        if (!returns_acked()) ++r.readback_lost;
+      }
       mem.stop();
       rfs.stop_repair();
       for (int i = 0; i < 100 && !rfs.repair_idle(); ++i)
@@ -226,10 +299,15 @@ std::string row_json(const Scenario& sc, RunResult& r) {
       .kv("worst_svc_ms", bench::seconds(r.worst_svc) * 1e3)
       .kv("suspects", r.suspects)
       .kv("setup_s", bench::seconds(r.setup))
-      .kv("elapsed_s", bench::seconds(r.elapsed))
-      .raw(r.fault_json)
-      .raw(r.serve_json)
-      .end_object();
+      .kv("elapsed_s", bench::seconds(r.elapsed));
+  if (sc.audit) {
+    jw.kv("seed", sc.seed)
+        .kv("write_p99_ms", pct_ms(r.write_resp, 0.99))
+        .kv("readback_blocks", r.readback_blocks)
+        .kv("readback_stale", r.readback_stale)
+        .kv("readback_lost", r.readback_lost);
+  }
+  jw.raw(r.fault_json).raw(r.serve_json).end_object();
   return jw.str();
 }
 
@@ -340,6 +418,21 @@ int main() {
       hedged_p999 * 2.0 <= unhedged_p999,
       "hedged read p999 must beat unhedged by >= 2x under gray failure");
 
+  // --- part 4: overload read-back audit ------------------------------------
+  for (const std::uint64_t seed : {1u, 1988u, 404u}) {
+    Scenario sc{"overload", 3000, dur1, 0, 0.0, true, seed};
+    sc.audit = true;
+    RunResult r = run_serving(sc);
+    report.gate(!r.deadlocked, "overload run must not deadlock");
+    report.gate(r.worst_svc <= svc_bound,
+                "overload: request outlived its deadline");
+    report.gate(r.readback_blocks == kFiles * kBlocksPerFile,
+                "overload: every block must be read back");
+    report.gate(r.readback_lost == 0,
+                "overload: no acknowledged write may be lost");
+    emit(report, sc, r);
+  }
+
   return report.finish(
       "\nshape check: under capacity (~2.2k ops/s with this mix) goodput\n"
       "tracks offered load and p50 sits at the ~3.5 ms service time; past\n"
@@ -347,5 +440,6 @@ int main() {
       "explodes, while issue-to-return service stays deadline-bounded and\n"
       "admission control sheds attempts; 4 silent kills cost >= 70% of\n"
       "fault-free goodput and zero lost blocks; the gray-failed server is\n"
-      "never suspected, yet hedged read p999 beats unhedged >= 2x.\n");
+      "never suspected, yet hedged read p999 beats unhedged >= 2x; at\n"
+      "3000 ops/s no acknowledged write is lost to shed arms.\n");
 }

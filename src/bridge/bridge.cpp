@@ -31,8 +31,12 @@ BridgeFs::BridgeFs(chrys::Kernel& k, std::uint32_t servers, DiskParams disk,
           "count; interleaving would scramble every file");
     for (const auto& fi : persist_->files)
       files_.push_back(FileMeta{fi.name, fi.nblocks});
-    for (std::uint32_t s = 0; s < nservers_; ++s)
+    for (std::uint32_t s = 0; s < nservers_; ++s) {
       servers_[s]->store = persist_->stores[s];
+      for (const auto& file : servers_[s]->store)
+        for (const Block& blk : file)
+          last_version_ = std::max(last_version_, blk.version);
+    }
   }
   for (std::uint32_t s = 0; s < nservers_; ++s) {
     k_.create_process(servers_[s]->node, [this, s] { server_loop(s); },
@@ -122,12 +126,12 @@ bool BridgeFs::lookup(const std::string& name, FileId* out) const {
 
 std::uint32_t BridgeFs::blocks(FileId f) const { return files_[f].nblocks; }
 
-std::vector<std::uint8_t>& BridgeFs::block_ref(std::uint32_t s, FileId f,
-                                               std::uint32_t local) {
+Block& BridgeFs::block_ref(std::uint32_t s, FileId f, std::uint32_t local) {
   auto& file_store = servers_[s]->store[f];
   if (file_store.size() <= local) file_store.resize(local + 1);
-  if (file_store[local].empty()) file_store[local].assign(kBlockSize, 0);
-  return file_store[local];
+  Block& blk = file_store[local];
+  if (blk.bytes.empty()) blk.bytes.assign(kBlockSize, 0);
+  return blk;
 }
 
 void BridgeFs::charge_disk(Server& sv, std::uint32_t lbn) {
@@ -160,19 +164,26 @@ void BridgeFs::server_loop(std::uint32_t s) {
       case Request::kRead: {
         const std::uint32_t local = rq.index / nservers_;
         charge_disk(sv, rq.file * 65536 + local);
-        const auto& blk = block_ref(s, rq.file, local);
+        const Block& blk = block_ref(s, rq.file, local);
         // The client may have abandoned us during the disk charge and its
         // buffer may be gone: re-check before every data move.
-        if (!rq.abandoned) std::memcpy(rq.rdata, blk.data(), kBlockSize);
+        if (!rq.abandoned) {
+          std::memcpy(rq.rdata, blk.bytes.data(), kBlockSize);
+          rq.version = blk.version;
+        }
         break;
       }
       case Request::kWrite: {
         const std::uint32_t local = rq.index / nservers_;
         charge_disk(sv, rq.file * 65536 + local);
-        auto& blk = block_ref(s, rq.file, local);
+        Block& blk = block_ref(s, rq.file, local);
         // An abandoned write does not commit — the deadline passed, the
         // caller counts it failed, and the replica is repaired by resync.
-        if (!rq.abandoned) std::memcpy(blk.data(), rq.wdata, kBlockSize);
+        // A write older than the stored block is acknowledged unchanged.
+        if (!rq.abandoned && (rq.version == 0 || rq.version >= blk.version)) {
+          std::memcpy(blk.bytes.data(), rq.wdata, kBlockSize);
+          blk.version = rq.version;
+        }
         break;
       }
       case Request::kToolCopy: {
@@ -191,7 +202,7 @@ void BridgeFs::server_loop(std::uint32_t s) {
         for (std::uint32_t l = 0; l < n; ++l) {
           charge_disk(sv, rq.file * 65536 + l);
           m_.compute(kScanOpsPerBlock);
-          for (std::uint8_t b : block_ref(s, rq.file, l))
+          for (std::uint8_t b : block_ref(s, rq.file, l).bytes)
             if (b == rq.needle) ++count;
         }
         rq.result = count;
@@ -204,7 +215,8 @@ void BridgeFs::server_loop(std::uint32_t s) {
           charge_disk(sv, rq.file * 65536 + l);
           charge_disk(sv, rq.file2 * 65536 + l);
           m_.compute(kScanOpsPerBlock);
-          if (block_ref(s, rq.file, l) != block_ref(s, rq.file2, l)) ++diff;
+          if (block_ref(s, rq.file, l).bytes != block_ref(s, rq.file2, l).bytes)
+            ++diff;
         }
         rq.result = diff;
         break;
@@ -215,7 +227,7 @@ void BridgeFs::server_loop(std::uint32_t s) {
         recs.reserve(static_cast<std::size_t>(n) * (kBlockSize / 4));
         for (std::uint32_t l = 0; l < n; ++l) {
           charge_disk(sv, rq.file * 65536 + l);
-          const auto& blk = block_ref(s, rq.file, l);
+          const auto& blk = block_ref(s, rq.file, l).bytes;
           const auto* p = reinterpret_cast<const std::uint32_t*>(blk.data());
           recs.insert(recs.end(), p, p + kBlockSize / 4);
         }
@@ -225,7 +237,7 @@ void BridgeFs::server_loop(std::uint32_t s) {
         }
         for (std::uint32_t l = 0; l < n; ++l) {
           charge_disk(sv, rq.file * 65536 + l);
-          auto& blk = block_ref(s, rq.file, l);
+          auto& blk = block_ref(s, rq.file, l).bytes;
           std::memcpy(blk.data(), recs.data() + l * (kBlockSize / 4),
                       kBlockSize);
         }
@@ -270,7 +282,7 @@ void BridgeFs::read_block(FileId f, std::uint32_t index, void* out) {
 }
 
 bool BridgeFs::write_block_for(FileId f, std::uint32_t index, const void* data,
-                               sim::Time budget) {
+                               sim::Time budget, std::uint64_t version) {
   const std::uint32_t s = index % nservers_;
   if (!servers_[s]->alive)
     throw chrys::ThrowSignal{chrys::kThrowNodeDead, servers_[s]->node};
@@ -296,6 +308,7 @@ bool BridgeFs::write_block_for(FileId f, std::uint32_t index, const void* data,
   rq.file = f;
   rq.index = index;
   rq.wdata = data;
+  rq.version = version;
   rq.reply_dq = reply;
   const std::uint32_t rid = put_request(std::move(rq));
   k_.dq_enqueue(servers_[s]->req_dq, rid);
@@ -322,7 +335,7 @@ bool BridgeFs::write_block_for(FileId f, std::uint32_t index, const void* data,
 }
 
 bool BridgeFs::read_block_for(FileId f, std::uint32_t index, void* out,
-                              sim::Time budget) {
+                              sim::Time budget, std::uint64_t* version) {
   const std::uint32_t s = index % nservers_;
   if (!servers_[s]->alive)
     throw chrys::ThrowSignal{chrys::kThrowNodeDead, servers_[s]->node};
@@ -349,6 +362,7 @@ bool BridgeFs::read_block_for(FileId f, std::uint32_t index, void* out,
     (void)k_.dq_try_dequeue_uncharged(reply, &tok);
   }
   const bool failed = reqs_[rid].failed;
+  if (version != nullptr) *version = reqs_[rid].version;
   release_request(rid);
   if (failed) {
     k_.delete_object(reply);
@@ -403,7 +417,8 @@ std::uint32_t BridgeFs::submit_read(FileId f, std::uint32_t index, void* out,
 }
 
 std::uint32_t BridgeFs::submit_write(FileId f, std::uint32_t index,
-                                     const void* data, chrys::Oid reply_dq) {
+                                     const void* data, chrys::Oid reply_dq,
+                                     std::uint64_t version) {
   const std::uint32_t s = index % nservers_;
   sim::TraceSpan span(m_, "bridge", "submit_write", index);
   Request rq;
@@ -411,6 +426,7 @@ std::uint32_t BridgeFs::submit_write(FileId f, std::uint32_t index,
   rq.file = f;
   rq.index = index;
   rq.wdata = data;
+  rq.version = version;
   rq.reply_dq = reply_dq;
   m_.charge(kRequestOverhead);
   if (!servers_[s]->alive) return put_failed(std::move(rq), reply_dq);

@@ -70,6 +70,14 @@ class Disk {
 
 using FileId = std::uint32_t;
 
+/// One stored block: its bytes and the version stamp of the write that
+/// installed them.  Version 0 is an unversioned write (plain write_block,
+/// the tools, checkpoints).
+struct Block {
+  std::vector<std::uint8_t> bytes;  ///< empty = never written
+  std::uint64_t version = 0;
+};
+
 /// Host-side image of the disks' contents: stable storage that outlives one
 /// Machine incarnation.  A BridgeFs constructed with a StableStore loads the
 /// blocks written by a previous run and flushes its own on destruction (or
@@ -82,8 +90,8 @@ struct StableStore {
   };
   std::uint32_t servers = 0;  ///< geometry the image was written with
   std::vector<FileImage> files;
-  /// [server][file][local block] block bytes (empty = never written).
-  std::vector<std::vector<std::vector<std::vector<std::uint8_t>>>> stores;
+  /// [server][file][local block] blocks, versions included.
+  std::vector<std::vector<std::vector<Block>>> stores;
 
   bool empty() const { return files.empty(); }
 };
@@ -122,10 +130,20 @@ class BridgeFs {
   // by a node-death suspicion).  budget 0 means wait forever — identical
   // charge sequence to the plain calls.  A dead-stripe failure still throws
   // chrys::ThrowSignal{kThrowNodeDead}, exactly like the plain calls.
+  //
+  // Versions: a write stamped `version` > 0 installs only if the stored
+  // block's version is not higher; an older write is acknowledged and
+  // leaves the block unchanged.  Version 0 always installs.  A read
+  // reports the stored block's version through `version` when non-null.
   bool write_block_for(FileId f, std::uint32_t index, const void* data,
-                       sim::Time budget);
+                       sim::Time budget, std::uint64_t version = 0);
   bool read_block_for(FileId f, std::uint32_t index, void* out,
-                      sim::Time budget);
+                      sim::Time budget, std::uint64_t* version = nullptr);
+
+  /// A fresh version stamp, above every stamp this file system issued or
+  /// loaded from its StableStore: layers sharing one BridgeFs, and a
+  /// rebooted one, never reuse a stamp.
+  std::uint64_t next_version() { return ++last_version_; }
 
   // --- Asynchronous interface (the serve layer's building block) ----------
   // submit_* ships the request and returns immediately; the request id is
@@ -147,9 +165,10 @@ class BridgeFs {
   /// caller charges it after a successful reply (see read_block_for).
   std::uint32_t submit_read(FileId f, std::uint32_t index, void* out,
                             chrys::Oid reply_dq);
-  /// Submit a block write (the data ships with the request, charged here).
+  /// Submit a block write (the data ships with the request, charged here),
+  /// stamped as write_block_for describes.
   std::uint32_t submit_write(FileId f, std::uint32_t index, const void* data,
-                             chrys::Oid reply_dq);
+                             chrys::Oid reply_dq, std::uint64_t version = 0);
   bool request_failed(std::uint32_t rid) const { return reqs_[rid].failed; }
   /// True when a failed request failed for lack of a network path (the
   /// server may be alive on the far side of a partition) rather than a
@@ -229,6 +248,7 @@ class BridgeFs {
     const void* wdata = nullptr;  // write
     void* rdata = nullptr;        // read
     std::uint64_t result = 0;     // tool results
+    std::uint64_t version = 0;    // write: stamp; read: the block's stamp
     bool failed = false;          // server died before serving it
     bool unreachable = false;     // failed because no path, not death
     bool abandoned = false;       // client stopped waiting; skip data moves
@@ -243,9 +263,9 @@ class BridgeFs {
     sim::NodeId node = 0;
     Disk disk;
     chrys::Oid req_dq = chrys::kNoObject;
-    // Per (file, local index) block contents; block k of file f lives on
-    // server k % D at local index k / D.
-    std::vector<std::vector<std::vector<std::uint8_t>>> store;  // [file][local]
+    // Per (file, local index) blocks; block k of file f lives on server
+    // k % D at local index k / D.
+    std::vector<std::vector<Block>> store;  // [file][local]
     std::uint32_t next_lbn = 0;  // disk block allocation cursor
     bool alive = true;
     std::uint32_t current_rid = 0xffffffffu;  // request being served, if any
@@ -259,8 +279,7 @@ class BridgeFs {
   void fail_abandoned(std::uint32_t s);
   std::uint64_t ship_to_all(Request::Op op, FileId f, FileId f2,
                             std::uint8_t needle);
-  std::vector<std::uint8_t>& block_ref(std::uint32_t s, FileId f,
-                                       std::uint32_t local);
+  Block& block_ref(std::uint32_t s, FileId f, std::uint32_t local);
   void charge_disk(Server& sv, std::uint32_t lbn);
   std::uint32_t local_count(FileId f, std::uint32_t s) const;
   std::uint32_t put_request(Request rq);
@@ -290,6 +309,7 @@ class BridgeFs {
   std::uint32_t servers_alive_ = 0;
   std::uint32_t servers_lost_ = 0;
   std::uint64_t tool_shards_failed_ = 0;
+  std::uint64_t last_version_ = 0;  // highest stamp issued or loaded
   std::uint64_t crash_observer_ = 0;
   StableStore* persist_ = nullptr;
 };

@@ -8,7 +8,7 @@ namespace bfly::serve {
 namespace {
 constexpr std::uint32_t kNoRid = 0xffffffffu;
 constexpr std::uint32_t kStopJob = 0xffffffffu;
-constexpr std::uint32_t kReconcileJob = 0xfffffffeu;
+constexpr std::uint32_t kHealJob = 0xfffffffeu;
 constexpr std::uint32_t kNoReplicaIdx = 0xffffffffu;
 /// What a shed costs the client: the rejected request's round trip.
 constexpr sim::Time kShedCost = 100 * sim::kMicrosecond;
@@ -43,11 +43,11 @@ ReplicatedFs::ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
       m_.on_node_crash([this](sim::NodeId n) { excise_node(n); });
   if (mem_ != nullptr)
     mem_sub_ = mem_->subscribe([this](sim::NodeId n) { excise_node(n); });
-  // Partition tier: when a cut heals, replay the dirty log so the stale
-  // side converges without waiting for a foreground resync().
+  // Partition tier: when a cut heals, one resync() pass over the open files
+  // brings the replicas the cut left behind up to date.
   if (m_.faults_possible())
-    heal_observer_ = m_.on_partition_heal(
-        [this](std::size_t) { queue_reconcile(); });
+    heal_observer_ =
+        m_.on_partition_heal([this](std::size_t) { queue_heal(); });
 }
 
 ReplicatedFs::~ReplicatedFs() {
@@ -279,60 +279,29 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
                         "above the declared capacity");
   sim::TraceSpan span(m_, "serve", "write", b);
   ++counters_.writes;
-  // A write racing a resync_block() scan of the same block can be outvoted
-  // by the replicas read before it landed and silently reverted — an acked
-  // write lost.  Stall until the scan is done; reconciliation is rare and
-  // short, and a stale *read* during it is already allowed by read-any.
-  const std::uint64_t fb =
-      (static_cast<std::uint64_t>(f) << 32) | b;
-  while (resync_busy_.count(fb) != 0) k_.delay(1 * sim::kMillisecond);
+  const std::uint64_t version = fs_.next_version();
   const sim::Time deadline_at = m_.now() + cfg_.deadline;
   if (b >= nlogical_[f]) nlogical_[f] = b + 1;
   const std::uint32_t r_count = cfg_.replicas;
   const chrys::Oid dq = k_.make_dual_queue();
+  // Per-arm fate.  A dead arm's server is a corpse: it leaves the quorum's
+  // denominator and repair relocates the replica.  An unreachable arm's
+  // server is alive across a cut: it stays in the denominator and the heal
+  // pass brings it up to date.
   std::vector<std::uint8_t> need(r_count, 1);
-  // Per-arm fate: dead arms shrink the quorum denominator (their server is
-  // a corpse; repair relocates them), unreachable arms arm the quorum rule
-  // (their server will return; the dirty log reconverges them at heal).
-  std::vector<std::uint8_t> dead_arm(r_count, 0);
-  std::vector<std::uint8_t> unreach_arm(r_count, 0);
-  std::vector<std::uint8_t> committed_arm(r_count, 0);
-  std::uint32_t committed = 0;
-  bool any_shed_last = false;
-
-  // An ack with any unreachable arm needs commits on a majority of the
-  // non-dead replicas — the side of the split holding fewer than half of a
-  // block's replicas must refuse, or a heal faces two acked histories.
-  // With no unreachable arm the legacy any-commit ack stands unchanged.
-  const auto decide = [&](Status on_none) -> Status {
-    std::uint32_t dead = 0, unreach = 0;
-    for (std::uint32_t r = 0; r < r_count; ++r) {
-      dead += dead_arm[r];
-      unreach += unreach_arm[r];
+  std::uint32_t dead = 0, unreach = 0, committed = 0;
+  const auto quorum = [&] { return (r_count - dead) / 2 + 1; };
+  const auto lose_arm = [&](std::uint32_t r, bool unreachable) {
+    need[r] = 0;
+    if (unreachable) {
+      ++unreach;
+      return;
     }
-    if (unreach == 0) return committed > 0 ? Status::kOk : on_none;
-    const auto log_dirty = [&](const std::vector<std::uint8_t>& arms) {
-      for (std::uint32_t r = 0; r < r_count; ++r) {
-        if (!arms[r]) continue;
-        if (dirty_.insert(key(f, b, r)).second) {
-          ++counters_.dirty_logged;
-        }
-      }
-    };
-    const std::uint32_t quorum = (r_count - dead) / 2 + 1;
-    if (committed < quorum) {
-      // Refused — but any arm that *did* commit is now a rogue replica
-      // carrying unacked content.  Log it so the heal's majority vote
-      // reverts it; without this a post-heal read-any could surface a
-      // write the client was told failed.
-      if (committed > 0) log_dirty(committed_arm);
-      ++counters_.quorum_rejects;
-      m_.trace_instant("serve", "no_quorum", b);
-      return Status::kNoQuorum;
-    }
-    log_dirty(unreach_arm);
-    return Status::kOk;
+    ++counters_.failed_replicas;
+    ++dead;
+    queue_repair(f, b, r);
   };
+  Status fail = Status::kNoReplica;
 
   for (std::uint32_t attempt = 0; attempt < cfg_.retry.max_attempts();
        ++attempt) {
@@ -343,36 +312,35 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
       m_.trace_instant("serve", "retry", attempt);
       k_.delay(back);
     }
-    // Write-all: one arm per live replica still needing the block.
-    std::vector<std::uint32_t> rids;
-    std::vector<std::uint32_t> rid_rep;
-    any_shed_last = false;
+    std::uint32_t in_reach = committed;
     for (std::uint32_t r = 0; r < r_count; ++r) {
       if (!need[r]) continue;
-      if (!replica_alive(f, b, r)) {
-        ++counters_.failed_replicas;
-        queue_repair(f, b, r);
-        need[r] = 0;
-        dead_arm[r] = 1;
-        continue;
-      }
-      if (!replica_reachable(f, b, r)) {
-        // Alive across a partition: no repair (the replica is not lost)
-        // and no charged attempts against a cut we already know about —
-        // the arm goes to the quorum rule and, on ack, the dirty log.
-        need[r] = 0;
-        unreach_arm[r] = 1;
-        continue;
-      }
+      if (!replica_alive(f, b, r))
+        lose_arm(r, false);
+      else if (!replica_reachable(f, b, r))
+        lose_arm(r, true);  // no charged attempts against a known cut
+      else
+        ++in_reach;
+    }
+    // A majority out of reach: refuse before shipping an arm, so the
+    // minority side of a split commits nothing.
+    if (in_reach < quorum()) break;
+    // Write-all: one arm per replica still needing the block.
+    std::vector<std::uint32_t> rids;
+    std::vector<std::uint32_t> rid_rep;
+    fail = Status::kNoReplica;
+    for (std::uint32_t r = 0; r < r_count; ++r) {
+      if (!need[r]) continue;
       const std::uint32_t s = server_of_replica(f, b, r);
       if (fs_.queue_depth(s) >= cfg_.queue_limit) {
         ++counters_.sheds;
         m_.trace_instant("serve", "shed", s);
         m_.charge(kShedCost);
-        any_shed_last = true;
+        fail = Status::kShed;
         continue;  // still needed next attempt
       }
-      rids.push_back(fs_.submit_write(f, phys_index(f, b, r), data, dq));
+      rids.push_back(
+          fs_.submit_write(f, phys_index(f, b, r), data, dq, version));
       rid_rep.push_back(r);
     }
 
@@ -381,12 +349,9 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
     bool timed_out = false;
     while (left > 0) {
       const sim::Time now = m_.now();
-      if (now >= deadline_at) {
-        timed_out = true;
-        break;
-      }
       std::uint32_t tok;
-      if (!k_.dq_dequeue_for(dq, deadline_at - now, &tok)) {
+      if (now >= deadline_at ||
+          !k_.dq_dequeue_for(dq, deadline_at - now, &tok)) {
         timed_out = true;
         break;
       }
@@ -394,45 +359,37 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
         if (rids[i] != tok || !outstanding[i]) continue;
         outstanding[i] = 0;
         --left;
-        if (fs_.request_failed(tok)) {
-          if (fs_.request_unreachable(tok)) {
-            // The cut opened mid-request: partition fate, not death —
-            // no relocation; reconciliation owns this arm after the heal.
-            need[rid_rep[i]] = 0;
-            unreach_arm[rid_rep[i]] = 1;
-          } else {
-            ++counters_.failed_replicas;
-            queue_repair(f, b, rid_rep[i]);
-            need[rid_rep[i]] = 0;  // its server is dead; repair relocates
-            dead_arm[rid_rep[i]] = 1;
-          }
-        } else {
+        if (!fs_.request_failed(tok)) {
           need[rid_rep[i]] = 0;
-          committed_arm[rid_rep[i]] = 1;
           ++committed;
+        } else {
+          // A cut that opened mid-request is partition fate, not death.
+          lose_arm(rid_rep[i], fs_.request_unreachable(tok));
         }
         fs_.finish_request(tok);
         break;
       }
     }
     if (timed_out) {
+      // Abandoned arms do not commit.
       for (std::size_t i = 0; i < rids.size(); ++i)
         if (outstanding[i]) settle(dq, rids[i]);
       ++counters_.timeouts;
       m_.trace_instant("serve", "timeout", b);
-      fs_.release_reply_queue(dq);
-      // Partial success still serves readers; abandoned arms may or may
-      // not have committed — resync() is the converger either way.  Under
-      // a partition the quorum rule overrides: no minority-side acks.
-      return decide(Status::kTimeout);
+      fail = Status::kTimeout;
+      break;
     }
-    bool done = true;
-    for (std::uint32_t r = 0; r < r_count; ++r)
-      if (need[r]) done = false;
-    if (done) break;
+    if (std::count(need.begin(), need.end(), 1) == 0) break;
   }
   fs_.release_reply_queue(dq);
-  return decide(any_shed_last ? Status::kShed : Status::kNoReplica);
+  // The one ack rule: a majority of the non-dead replicas committed.
+  if (committed >= quorum()) return Status::kOk;
+  if (unreach > 0) {
+    ++counters_.quorum_rejects;
+    m_.trace_instant("serve", "no_quorum", b);
+    return Status::kNoQuorum;
+  }
+  return fail;
 }
 
 // --- Excision & repair ----------------------------------------------------
@@ -493,50 +450,22 @@ void ReplicatedFs::stop_repair() {
     k_.delay(1 * sim::kMillisecond);
 }
 
-void ReplicatedFs::queue_reconcile() {
-  if (dirty_.empty() || reconcile_queued_) return;
-  reconcile_queued_ = true;
+void ReplicatedFs::queue_heal() {
+  if (heal_queued_) return;  // the queued pass has not started: it covers us
+  heal_queued_ = true;
   ++pending_repairs_;
   // Uncharged: heal observers fire from engine context, not a process.
-  k_.dq_enqueue_uncharged(repair_dq_, kReconcileJob);
-}
-
-void ReplicatedFs::reconcile() {
-  // Sorted keys, one resync_block per distinct (file, block): the replay
-  // order is a pure function of the log's contents, so Instant Replay
-  // holds across the heal.
-  std::vector<std::uint64_t> keys(dirty_.begin(), dirty_.end());
-  std::sort(keys.begin(), keys.end());
-  for (std::size_t i = 0; i < keys.size();) {
-    const std::uint64_t fb = keys[i] >> 8;
-    std::size_t end = i;
-    while (end < keys.size() && (keys[end] >> 8) == fb) ++end;
-    const auto f = static_cast<bridge::FileId>(fb >> 32);
-    const auto b = static_cast<std::uint32_t>(fb & 0xffffffffu);
-    bool healed = true;
-    try {
-      resync_block(f, b);
-    } catch (const chrys::ThrowSignal&) {
-      // A server died (or a new cut opened) mid-reconcile: keep this
-      // block's keys dirty; a later heal or foreground resync converges.
-      healed = false;
-    }
-    if (healed) {
-      for (std::size_t kki = i; kki < end; ++kki) dirty_.erase(keys[kki]);
-      ++counters_.reconciled;
-      m_.trace_instant("serve", "reconcile", b);
-    }
-    i = end;
-  }
+  k_.dq_enqueue_uncharged(repair_dq_, kHealJob);
 }
 
 void ReplicatedFs::repair_loop() {
   while (true) {
     const std::uint32_t j = k_.dq_dequeue(repair_dq_);
     if (j == kStopJob) break;
-    if (j == kReconcileJob) {
-      reconcile_queued_ = false;
-      reconcile();
+    if (j == kHealJob) {
+      heal_queued_ = false;
+      for (bridge::FileId f = 0; f < nlogical_.size(); ++f)
+        counters_.reconciled += resync(f);
       --pending_repairs_;
       continue;
     }
@@ -577,14 +506,15 @@ bool ReplicatedFs::do_repair(const RepairJob& j) {
   // A duplicate or raced job whose replica is already reachable is moot.
   if (replica_alive(j.file, j.block, j.replica)) return true;
   sim::TraceSpan span(m_, "serve", "repair", j.block);
-  // 1. Read any surviving replica.
+  // 1. Read any surviving replica, version included.
   std::vector<std::uint8_t> buf(bridge::kBlockSize);
+  std::uint64_t version = 0;
   bool have = false;
   for (std::uint32_t r2 = 0; r2 < cfg_.replicas && !have; ++r2) {
     if (r2 == j.replica || !replica_alive(j.file, j.block, r2)) continue;
     try {
       have = fs_.read_block_for(j.file, phys_index(j.file, j.block, r2),
-                                buf.data(), cfg_.deadline);
+                                buf.data(), cfg_.deadline, &version);
     } catch (const chrys::ThrowSignal&) {
       // that server just died too; try the next replica
     }
@@ -607,7 +537,8 @@ bool ReplicatedFs::do_repair(const RepairJob& j) {
     const std::uint32_t slot = repair_next_[j.file]++;
     const std::uint32_t phys = slot * d + t;
     try {
-      if (!fs_.write_block_for(j.file, phys, buf.data(), cfg_.deadline))
+      if (!fs_.write_block_for(j.file, phys, buf.data(), cfg_.deadline,
+                               version))
         continue;  // slot wasted, target considered again next try
     } catch (const chrys::ThrowSignal&) {
       continue;
@@ -629,59 +560,43 @@ std::uint32_t ReplicatedFs::live_replicas(bridge::FileId f,
 }
 
 std::uint32_t ReplicatedFs::resync_block(bridge::FileId f, std::uint32_t b) {
-  // Fence concurrent writers off this block for the whole scan-vote-rewrite
-  // pass (see the stall in write()); the guard survives the throws the
-  // per-replica try/catches below can let escape.
-  const std::uint64_t fb = (static_cast<std::uint64_t>(f) << 32) | b;
-  struct BusyGuard {
-    std::unordered_set<std::uint64_t>& set;
-    std::uint64_t key;
-    ~BusyGuard() { set.erase(key); }
-  } guard{resync_busy_, fb};
-  resync_busy_.insert(fb);
   const std::uint32_t r_count = cfg_.replicas;
   std::uint32_t rewrites = 0;
   std::vector<std::vector<std::uint8_t>> copy(r_count);
-  std::vector<std::uint8_t> okr(r_count, 0);
-  std::uint32_t have = 0;
+  std::vector<std::uint64_t> version(r_count, 0);
+  std::uint32_t best = kNoReplicaIdx;
   for (std::uint32_t r = 0; r < r_count; ++r) {
-    copy[r].assign(bridge::kBlockSize, 0);
     if (!replica_alive(f, b, r)) continue;
+    copy[r].resize(bridge::kBlockSize);
+    bool read = false;
     try {
-      if (fs_.read_block_for(f, phys_index(f, b, r), copy[r].data(),
-                             cfg_.deadline)) {
-        okr[r] = 1;
-        ++have;
-      }
+      read = fs_.read_block_for(f, phys_index(f, b, r), copy[r].data(),
+                                cfg_.deadline, &version[r]);
     } catch (const chrys::ThrowSignal&) {
     }
+    if (!read) {
+      copy[r].clear();  // unreadable: rewritten below
+      continue;
+    }
+    // The highest version wins; ties go to the lowest replica.
+    if (best == kNoReplicaIdx || version[r] > version[best]) best = r;
   }
-  if (have == 0) {
+  if (best == kNoReplicaIdx) {
     ++counters_.lost_blocks;
     return 0;
   }
-  // Majority content vote; ties break to the lowest replica index.
-  std::uint32_t best = kNoReplicaIdx;
-  std::uint32_t best_votes = 0;
+  // Rewrite every replica that does not hold the winner.  The rewrites
+  // carry the winner's version, so a newer write that lands after the
+  // reads above outranks them in Bridge and is never reverted.
   for (std::uint32_t r = 0; r < r_count; ++r) {
-    if (!okr[r]) continue;
-    std::uint32_t votes = 0;
-    for (std::uint32_t r2 = 0; r2 < r_count; ++r2)
-      if (okr[r2] && copy[r2] == copy[r]) ++votes;
-    if (votes > best_votes) {
-      best_votes = votes;
-      best = r;
-    }
-  }
-  for (std::uint32_t r = 0; r < r_count; ++r) {
-    if (okr[r] && copy[r] == copy[best]) continue;
+    if (version[r] == version[best] && copy[r] == copy[best]) continue;
     if (!replica_alive(f, b, r)) {
       queue_repair(f, b, r);  // relocation is the background path
       continue;
     }
     try {
       if (fs_.write_block_for(f, phys_index(f, b, r), copy[best].data(),
-                              cfg_.deadline))
+                              cfg_.deadline, version[best]))
         ++rewrites;
     } catch (const chrys::ThrowSignal&) {
     }

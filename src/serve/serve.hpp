@@ -12,6 +12,13 @@
 //     a collection of smaller ones" — no directory, any client computes any
 //     replica's home.  Reads go to any replica (read-any), writes to all
 //     live replicas (write-all).
+//   * One write rule, Gifford's weighted voting with equal weights: every
+//     write carries a fresh version stamp from Bridge, and is acked only
+//     when a majority of the non-dead replicas commit it, whatever made
+//     the other arms fail (shed, timeout, unreachable).  A write that
+//     cannot reach such a majority ships nothing.  resync_block() keeps
+//     the highest version it can read, and Bridge never lets an older
+//     stamp overwrite a newer one, so no repair reverts an acked write.
 //   * Epoch-driven excision: when bfly::rescue suspects a node, its
 //     replicas are routed around immediately and re-replicated onto
 //     surviving servers in the background by a repair worker; the redirect
@@ -32,14 +39,11 @@
 //   * Partition tolerance: replicas that are alive but *unreachable* (a
 //     FaultPlan partition window, or all switch paths crossing dead cards)
 //     are routed around, not repaired — the node is not a corpse and its
-//     data will return.  Write-all degrades to majority-quorum: with any
-//     unreachable arm, an ack requires commits on a majority of the
-//     non-dead replicas, so a client on the minority side of a split gets
-//     kNoQuorum instead of a split-brain ack.  Every ack taken with an
-//     unreachable arm logs that arm in a dirty log; when the machine's
-//     partition heals, the repair worker replays the log through
-//     resync_block()'s majority vote, converging the stale side.  With no
-//     unreachable arms the legacy any-commit ack is unchanged.
+//     data will return.  The write rule needs nothing more: a client on
+//     the minority side of a split gets kNoQuorum, and when the partition
+//     heals the repair worker runs one resync() pass over the open files,
+//     bringing the replicas the cut left behind up to date.  A read-any
+//     may return a stale replica until then; that is reported, not failed.
 //
 // Everything is driven by the config's seeded PRNG plus the deterministic
 // engine, so a serving run — retries, hedges, sheds and all — is a pure
@@ -90,7 +94,8 @@ enum class Status {
   kTimeout,    ///< deadline budget exhausted
   kShed,       ///< retries exhausted, every candidate was shedding load
   kNoReplica,  ///< retries exhausted, no live replica could serve
-  kNoQuorum,   ///< partition: a majority of non-dead replicas is unreachable
+  kNoQuorum,   ///< no majority of the non-dead replicas committed, and
+               ///< some were unreachable (the minority side of a cut)
 };
 
 /// Host-side counters of one ReplicatedFs (read them with counters()).
@@ -106,8 +111,7 @@ struct ServeCounters {
   std::uint64_t failed_replicas = 0;  ///< write arms lost to dead servers
   std::uint64_t lost_blocks = 0;      ///< repairs with no surviving replica
   std::uint64_t quorum_rejects = 0;   ///< writes refused on the minority side
-  std::uint64_t dirty_logged = 0;     ///< replica arms logged for heal-time fix
-  std::uint64_t reconciled = 0;       ///< blocks re-converged after a heal
+  std::uint64_t reconciled = 0;       ///< replicas the heal passes rewrote
 
   /// The serving counters as a braceless JSON fragment (serve_* keys), for
   /// bench rows that append it after sim::MachineStats::fault_json().
@@ -120,7 +124,6 @@ struct ServeCounters {
         .kv("serve_timeouts", timeouts)
         .kv("serve_rereplications", rereplications)
         .kv("serve_quorum_rejects", quorum_rejects)
-        .kv("serve_dirty_logged", dirty_logged)
         .kv("serve_reconciled", reconciled);
     return w.take();
   }
@@ -203,22 +206,22 @@ class ReplicatedFs {
   /// arrive automatically via the crash broadcast.  No-op for live nodes.
   void excise_node(sim::NodeId n);
 
-  /// Foreground convergence pass: re-reads every replica of every block of
-  /// `f`, votes on the canonical content (majority, ties to the lowest
-  /// replica), and rewrites divergent or unreadable replicas.  Returns the
-  /// number of replicas rewritten.  This is the restart path: a rebooted
-  /// machine reloads Bridge's stable store, but blocks written while a
-  /// replica's server was dead are stale there until resync.
+  /// Foreground convergence pass: resync_block() over every block of `f`.
+  /// Returns the number of replicas rewritten.  This is the restart path
+  /// (a rebooted machine reloads Bridge's stable store, versions included,
+  /// but blocks written while a replica's server was dead are stale there
+  /// until resync) and the heal path.
   std::uint32_t resync(bridge::FileId f);
 
-  /// One block of resync(): read every live replica, majority-vote the
-  /// canonical content (ties to the lowest replica), rewrite divergent
-  /// replicas.  Returns replicas rewritten.  This is also the heal-time
-  /// reconciliation primitive the dirty log is replayed through.
+  /// One block of resync(): read every live replica, keep the one with the
+  /// highest version (ties to the lowest replica), and rewrite each
+  /// replica that differs from it or could not be read, stamped with the
+  /// winner's version.  Dead replicas are queued for repair instead.  A
+  /// write that lands on a replica after its read here carries a higher
+  /// version, so the rewrite leaves it in place: an acked write holds on a
+  /// majority, the reads see at least one copy of it, and nothing older
+  /// replaces it.  Returns replicas rewritten.
   std::uint32_t resync_block(bridge::FileId f, std::uint32_t b);
-
-  /// Dirty-log entries awaiting heal-time reconciliation (for tests).
-  std::size_t dirty_blocks() const { return dirty_.size(); }
 
   const ServeCounters& counters() const { return counters_; }
   /// Live replicas of block b (for tests asserting convergence to N).
@@ -270,10 +273,9 @@ class ReplicatedFs {
   sim::Time hedge_threshold() const;
   void queue_repairs_for_node(sim::NodeId n);
   void queue_repair(bridge::FileId f, std::uint32_t b, std::uint32_t r);
-  /// Hand the dirty log to the repair worker (idempotent while queued).
-  void queue_reconcile();
-  /// Replay the dirty log through resync_block(), oldest key first.
-  void reconcile();
+  /// Hand one resync() pass over the open files to the repair worker
+  /// (idempotent while queued).
+  void queue_heal();
   void repair_loop();
   /// Perform one repair job; true if the block is back to full strength or
   /// the job is moot, false if it should be retried later.
@@ -294,14 +296,6 @@ class ReplicatedFs {
   std::vector<std::uint32_t> repair_next_;  // per file: next repair slot
   // (f,b,r) -> physical index, for replicas moved by repair.
   std::unordered_map<std::uint64_t, std::uint32_t> redirect_;
-  // (f,b,r) keys acked while the arm was unreachable: the heal-time
-  // reconciliation work list.  Replayed in sorted-key order so the
-  // reconcile pass is deterministic (Instant Replay holds).
-  std::unordered_set<std::uint64_t> dirty_;
-  // Blocks (f<<32|b) a resync_block() is scanning right now.  A write
-  // landing mid-scan could be outvoted by two stale replicas and reverted
-  // after its ack; writers stall until the scan is over instead.
-  std::unordered_set<std::uint64_t> resync_busy_;
 
   // Recent successful read latencies, for the hedge quantile estimate.
   LatencyWindow latencies_;
@@ -321,7 +315,7 @@ class ReplicatedFs {
   // failure detector both report loud kills; excise once).
   std::vector<std::uint8_t> excised_;
 
-  bool reconcile_queued_ = false;
+  bool heal_queued_ = false;
 
   ServeCounters counters_;
   std::uint64_t crash_observer_ = 0;

@@ -402,6 +402,71 @@ TEST(Bridge, StableStoreSurvivesAMachineReboot) {
   }
 }
 
+TEST(Bridge, VersionsSurviveARebootAndOlderWritesChangeNothing) {
+  StableStore store;
+  std::uint64_t v1 = 0, v2 = 0;
+  std::vector<std::uint8_t> a, b, back(kBlockSize);
+  fill_block(a, 1);
+  fill_block(b, 2);
+  // First incarnation: two stamped writes; an older stamp is acknowledged
+  // and leaves the newer block as it was.
+  {
+    Machine m(butterfly1(8));
+    chrys::Kernel k(m);
+    k.create_process(7, [&] {
+      BridgeFs fs(k, 4, DiskParams{}, &store);
+      const FileId f = fs.create("data");
+      v1 = fs.next_version();
+      v2 = fs.next_version();
+      EXPECT_LT(v1, v2);
+      EXPECT_TRUE(fs.write_block_for(f, 0, a.data(), 0, v2));
+      EXPECT_TRUE(fs.write_block_for(f, 1, a.data(), 0, v1));
+      EXPECT_TRUE(fs.write_block_for(f, 0, b.data(), 0, v1));
+      std::uint64_t ver = 0;
+      EXPECT_TRUE(fs.read_block_for(f, 0, back.data(), 0, &ver));
+      EXPECT_EQ(back, a) << "the older write left the block unchanged";
+      EXPECT_EQ(ver, v2);
+      fs.shutdown();
+    });
+    m.run();
+    ASSERT_FALSE(m.deadlocked());
+  }
+  // Reboot: the versions come back with the bytes, and the next stamp
+  // outranks every loaded one.
+  {
+    Machine m(butterfly1(8));
+    chrys::Kernel k(m);
+    k.create_process(7, [&] {
+      BridgeFs fs(k, 4, DiskParams{}, &store);
+      FileId f = 0;
+      ASSERT_TRUE(fs.lookup("data", &f));
+      std::uint64_t ver = 0;
+      EXPECT_TRUE(fs.read_block_for(f, 0, back.data(), 0, &ver));
+      EXPECT_EQ(back, a);
+      EXPECT_EQ(ver, v2);
+      EXPECT_TRUE(fs.read_block_for(f, 1, back.data(), 0, &ver));
+      EXPECT_EQ(ver, v1);
+      const std::uint64_t v3 = fs.next_version();
+      EXPECT_GT(v3, v2);
+      EXPECT_TRUE(fs.write_block_for(f, 0, b.data(), 0, v3));
+      EXPECT_TRUE(fs.read_block_for(f, 0, back.data(), 0, &ver));
+      EXPECT_EQ(back, b) << "the post-reboot write installs";
+      EXPECT_EQ(ver, v3);
+      // An older stamp still changes nothing; version 0 always installs.
+      EXPECT_TRUE(fs.write_block_for(f, 0, a.data(), 0, v2));
+      EXPECT_TRUE(fs.read_block_for(f, 0, back.data(), 0, &ver));
+      EXPECT_EQ(back, b);
+      fs.write_block(f, 0, a.data());
+      EXPECT_TRUE(fs.read_block_for(f, 0, back.data(), 0, &ver));
+      EXPECT_EQ(back, a);
+      EXPECT_EQ(ver, 0u);
+      fs.shutdown();
+    });
+    m.run();
+    ASSERT_FALSE(m.deadlocked());
+  }
+}
+
 TEST(BridgeDeadline, BudgetedCallsRoundTripOnAHealthyFs) {
   with_fs(8, 4, [](chrys::Kernel&, BridgeFs& fs) {
     const FileId f = fs.create("data");

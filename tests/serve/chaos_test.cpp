@@ -377,8 +377,9 @@ TEST(ServeChaos, KillDuringCheckpointRestartsAndResyncsToFullStrength) {
 
   // Incarnation 2: the machine reboots with every node back (the platters
   // survived; the node was repaired).  The checkpoint falls back to the
-  // last valid buffer, and resync() votes the stale replicas back into
-  // agreement — converging every block to 3 identical live copies.
+  // last valid buffer, and resync() carries the highest version (loaded
+  // from the platters with the bytes) back to the stale replicas —
+  // converging every block to 3 identical live copies.
   {
     Machine m(butterfly1(8));
     chrys::Kernel k(m);

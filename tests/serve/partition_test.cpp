@@ -1,8 +1,8 @@
 // Partition tolerance for bfly::serve: majority-quorum writes under a
-// split-brain cut (no minority-side acks), the per-block dirty log driving
-// heal-time reconciliation, resync()'s majority vote over divergent
-// committed writes, and Instant Replay log equality across a full
-// cut-and-heal cycle.
+// split-brain cut (no minority-side acks), the heal-time resync pass that
+// brings the cut-off replicas up to date, resync()'s highest-version rule
+// against a write landing mid-scan, and Instant Replay log equality across
+// a full cut-and-heal cycle.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -46,7 +46,7 @@ std::array<sim::NodeId, 3> replica_nodes_of_block0() {
   return nodes;
 }
 
-// --- Quorum refusal, dirty log, heal-driven reconciliation ----------------
+// --- Quorum refusal, heal-driven resync -------------------------------------
 // The cut isolates replica 0 (plus a client on node 4) from replicas 1-2
 // (plus a client on node 5).  The fourth server, the orchestrator (node 7)
 // and the repair worker (node 6) sit on neither side and keep full
@@ -62,7 +62,7 @@ TEST(ServePartition, MinoritySideIsRefusedWhileMajorityAcksThenHealReconciles) {
   Status st_minority = Status::kOk;
   Status st_majority = Status::kTimeout;
   std::uint32_t clients_done = 0;
-  std::size_t dirty_mid = 0;
+  std::uint64_t reconciled_mid = 1;
   bool mid_read_ok = false, mid_matches_majority = false;
   k.create_process(7, [&] {
     bridge::BridgeFs fs(k, 4);
@@ -74,9 +74,8 @@ TEST(ServePartition, MinoritySideIsRefusedWhileMajorityAcksThenHealReconciles) {
       EXPECT_EQ(rfs.write(f, 0, seed.data()), Status::kOk);  // pre-cut: 3-way
       rfs.start_repair(6);
 
-      // Minority client: reaches only replica 0 — one commit out of a
-      // 2-of-3 quorum, so the write must be refused, and the rogue commit
-      // dirty-logged for the heal to revert.
+      // Minority client: reaches only replica 0 of a 2-of-3 quorum, so the
+      // write must be refused before any arm ships.
       k.create_process(4, [&] {
         k.delay(300 * sim::kMillisecond);
         std::vector<std::uint8_t> y;
@@ -85,7 +84,7 @@ TEST(ServePartition, MinoritySideIsRefusedWhileMajorityAcksThenHealReconciles) {
         ++clients_done;
       });
       // Majority client: replicas 1-2 commit, replica 0 is unreachable —
-      // acked, with the stale arm dirty-logged.
+      // acked, leaving replica 0 stale until the heal.
       k.create_process(5, [&] {
         k.delay(400 * sim::kMillisecond);
         fill_block(majority_blk, 0, 3);
@@ -98,20 +97,19 @@ TEST(ServePartition, MinoritySideIsRefusedWhileMajorityAcksThenHealReconciles) {
         ++clients_done;
       });
       while (clients_done < 2) k.delay(10 * sim::kMillisecond);
-      dirty_mid = rfs.dirty_blocks();
+      reconciled_mid = rfs.counters().reconciled;
       while (m.now() < 700 * sim::kMillisecond)
         k.delay(10 * sim::kMillisecond);  // heal fires at 600 ms
       for (int i = 0; i < 200 && !rfs.repair_idle(); ++i)
         k.delay(10 * sim::kMillisecond);
       EXPECT_TRUE(rfs.repair_idle());
-      EXPECT_EQ(rfs.dirty_blocks(), 0u) << "dirty log drained by the heal";
+      EXPECT_EQ(rfs.counters().reconciled, 1u)
+          << "the heal pass rewrote exactly the replica the cut left stale";
       EXPECT_EQ(rfs.read(f, 0, back.data()), Status::kOk);
       EXPECT_EQ(back, majority_blk) << "the acked write is the survivor";
       EXPECT_EQ(rfs.live_replicas(f, 0), 3u);
-      EXPECT_EQ(rfs.resync(f), 0u) << "reconciliation already converged it";
+      EXPECT_EQ(rfs.resync(f), 0u) << "the heal pass already converged it";
       EXPECT_EQ(rfs.counters().quorum_rejects, 1u);
-      EXPECT_GE(rfs.counters().dirty_logged, 1u);
-      EXPECT_EQ(rfs.counters().reconciled, 1u);
       EXPECT_EQ(rfs.counters().lost_blocks, 0u);
       rfs.stop_repair();
     }
@@ -123,16 +121,16 @@ TEST(ServePartition, MinoritySideIsRefusedWhileMajorityAcksThenHealReconciles) {
   EXPECT_EQ(st_majority, Status::kOk);
   EXPECT_TRUE(mid_read_ok);
   EXPECT_TRUE(mid_matches_majority);
-  EXPECT_EQ(dirty_mid, 1u) << "both cut-window writes key the same arm";
+  EXPECT_EQ(reconciled_mid, 0u) << "nothing converges before the heal";
 }
 
-// --- resync() with divergent committed writes on both sides ---------------
-// At heal time replica 0 holds the refused minority write and replicas 1-2
-// hold the acked majority write: three committed copies, two contents.  The
-// foreground majority vote must pick the acked content and rewrite the
-// rogue replica — zero acked writes lost.
+// --- resync() after a cut --------------------------------------------------
+// The minority write is refused before it ships, so at heal time replica 0
+// still holds the seed while replicas 1-2 hold the acked majority write.
+// A foreground resync must keep the acked (highest) version and rewrite the
+// stale replica — zero acked writes lost.
 
-TEST(ServePartition, ResyncMajorityVoteHealsDivergentCommittedWrites) {
+TEST(ServePartition, ResyncBringsTheReplicaACutLeftStaleUpToDate) {
   const auto rep = replica_nodes_of_block0();
   sim::FaultPlan plan;
   plan.partition({rep[0], 4}, {rep[1], rep[2], 5}, 100 * sim::kMillisecond,
@@ -154,7 +152,7 @@ TEST(ServePartition, ResyncMajorityVoteHealsDivergentCommittedWrites) {
         k.delay(150 * sim::kMillisecond);
         std::vector<std::uint8_t> y;
         fill_block(y, 0, 2);
-        minority = rfs.write(f, 0, y.data());  // rogue commit on replica 0
+        minority = rfs.write(f, 0, y.data());  // reaches replica 0 only
         ++done;
       });
       k.create_process(5, [&] {
@@ -167,11 +165,11 @@ TEST(ServePartition, ResyncMajorityVoteHealsDivergentCommittedWrites) {
       while (done < 2) k.delay(10 * sim::kMillisecond);
       while (m.now() < 450 * sim::kMillisecond)
         k.delay(10 * sim::kMillisecond);  // past the heal
-      EXPECT_EQ(rfs.resync_block(f, 0), 1u) << "one rogue replica rewritten";
+      EXPECT_EQ(rfs.resync_block(f, 0), 1u) << "one stale replica rewritten";
       EXPECT_EQ(rfs.resync_block(f, 0), 0u) << "second pass: converged";
       EXPECT_EQ(rfs.read(f, 0, back.data()), Status::kOk);
       fill_block(x, 0, 3);
-      EXPECT_EQ(back, x) << "majority (acked) content wins the vote";
+      EXPECT_EQ(back, x) << "the acked (highest) version wins";
       EXPECT_EQ(rfs.live_replicas(f, 0), 3u);
     }
     fs.shutdown();
@@ -182,10 +180,84 @@ TEST(ServePartition, ResyncMajorityVoteHealsDivergentCommittedWrites) {
   EXPECT_EQ(majority, Status::kOk);
 }
 
+// --- A write landing between resync_block()'s reads and its rewrites ------
+// Replica 0 holds a refused write (v2) that committed there alone: the
+// other arms were shed.  resync_block() reads v2, v1, v1 and decides to
+// rewrite replicas 1-2 with v2.  While it reads replica 2, a client cut off
+// from replica 0 writes v3 onto replicas 1-2 — a majority, so acked.  The
+// rewrites then reach replicas 1-2 behind v3 and must not revert it: Bridge
+// keeps the newer version.  After the heal, resync carries v3 to replica 0.
+
+TEST(ServePartition, ResyncNeverRevertsAWriteThatLandsMidScan) {
+  const auto rep = replica_nodes_of_block0();
+  sim::FaultPlan plan;
+  plan.partition({rep[0]}, {5}, 1 * sim::kMillisecond,
+                 2 * sim::kSecond);
+  Machine m(butterfly1(8), plan);
+  chrys::Kernel k(m);
+  Status overload = Status::kOk;
+  Status mid_scan = Status::kTimeout;
+  bool scanning = false;
+  bool writer_done = false;
+  k.create_process(7, [&] {
+    bridge::BridgeFs fs(k, 4);
+    {
+      ServeConfig cfg;
+      cfg.queue_limit = 3;
+      ReplicatedFs rfs(k, fs, nullptr, cfg);
+      const bridge::FileId f = rfs.open("midscan", 4);
+      std::vector<std::uint8_t> v1, v2, v3, back(bridge::kBlockSize);
+      fill_block(v1, 0, 1);
+      fill_block(v2, 0, 2);
+      fill_block(v3, 0, 3);
+      ASSERT_EQ(rfs.write(f, 0, v1.data()), Status::kOk);
+
+      // Busy replicas 1-2's servers past the queue limit, so v2's arms to
+      // them are shed on every attempt while replica 0 commits.
+      const bridge::FileId junk = fs.create("junk");
+      const chrys::Oid dq = k.make_dual_queue();
+      std::vector<std::vector<std::uint8_t>> bufs(8);
+      for (std::uint32_t i = 0; i < 8; ++i) {
+        bufs[i].resize(bridge::kBlockSize);
+        fs.submit_read(junk, rfs.replica_server(f, 0, 1 + i % 2),
+                       bufs[i].data(), dq);
+      }
+      overload = rfs.write(f, 0, v2.data());
+      for (std::uint32_t i = 0; i < 8; ++i) fs.finish_request(k.dq_dequeue(dq));
+      fs.release_reply_queue(dq);
+
+      const std::uint32_t s2 = rfs.replica_server(f, 0, 2);
+      k.create_process(5, [&] {
+        while (!scanning || fs.queue_depth(s2) == 0)
+          k.delay(1 * sim::kMillisecond);
+        mid_scan = rfs.write(f, 0, v3.data());  // replica 0 is cut off
+        writer_done = true;
+      });
+      scanning = true;
+      EXPECT_EQ(rfs.resync_block(f, 0), 2u) << "replicas 1-2 were behind v2";
+      while (!writer_done) k.delay(10 * sim::kMillisecond);
+
+      while (m.now() < 2100 * sim::kMillisecond)
+        k.delay(10 * sim::kMillisecond);  // past the heal
+      EXPECT_EQ(rfs.resync_block(f, 0), 1u) << "replica 0 catches up";
+      EXPECT_EQ(rfs.resync_block(f, 0), 0u) << "second pass: converged";
+      for (int i = 0; i < 3; ++i) {  // read-any: any replica will do
+        ASSERT_EQ(rfs.read(f, 0, back.data()), Status::kOk);
+        EXPECT_EQ(back, v3) << "the acked mid-scan write survived";
+      }
+    }
+    fs.shutdown();
+  });
+  m.run();
+  ASSERT_FALSE(m.deadlocked());
+  EXPECT_EQ(overload, Status::kShed) << "one commit of three is no ack";
+  EXPECT_EQ(mid_scan, Status::kOk);
+}
+
 // --- Instant Replay log equality across a cut-and-heal cycle --------------
 // Three actors race monitored writes while driving serve traffic through a
 // partition that cuts them off from two of the four servers: quorum
-// refusals, dirty logging and the heal-time reconcile all ride the layer's
+// refusals and the heal-time resync pass all ride the layer's
 // seeded PRNG, so two runs must produce field-identical record logs.
 
 struct PartitionReplayRun {
@@ -254,7 +326,7 @@ PartitionReplayRun run_partition_replay_workload() {
       }
       while (live > 0) k.delay(20 * sim::kMillisecond);
       while (m.now() < 750 * sim::kMillisecond)
-        k.delay(20 * sim::kMillisecond);  // the heal (and its reconcile) fire at 700 ms
+        k.delay(20 * sim::kMillisecond);  // the heal (and its resync) fire at 700 ms
       for (int i = 0; i < 200 && !rfs.repair_idle(); ++i)
         k.delay(20 * sim::kMillisecond);
       EXPECT_TRUE(rfs.repair_idle());
@@ -273,14 +345,13 @@ TEST(ServePartition, InstantReplayLogEqualityHoldsAcrossCutAndHeal) {
   const PartitionReplayRun a = run_partition_replay_workload();
   const PartitionReplayRun b = run_partition_replay_workload();
   // The workload genuinely exercised the partition paths...
-  EXPECT_GT(a.counters.dirty_logged, 0u);
+  EXPECT_GT(a.counters.quorum_rejects, 0u);
   EXPECT_GT(a.counters.reconciled, 0u);
   // ...and both runs agree on every observable.
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.noquorum, b.noquorum);
   EXPECT_EQ(a.counters.quorum_rejects, b.counters.quorum_rejects);
-  EXPECT_EQ(a.counters.dirty_logged, b.counters.dirty_logged);
   EXPECT_EQ(a.counters.reconciled, b.counters.reconciled);
   EXPECT_EQ(a.counters.retries, b.counters.retries);
   EXPECT_EQ(a.counters.timeouts, b.counters.timeouts);

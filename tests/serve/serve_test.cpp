@@ -182,6 +182,57 @@ TEST(Serve, AdmissionControlShedsWhenEveryQueueIsOverLimit) {
              });
 }
 
+TEST(Serve, OverloadWriteOnOneReplicaIsRefusedAndResyncKeepsAckedWrites) {
+  // Replicas 1-2's servers are busy past the queue limit, so a write's arms
+  // to them are shed on every attempt while replica 0 commits: one commit
+  // of three is no ack.  resync_block() afterwards must never hand back
+  // content older than the last acked write — here the acked seed, or the
+  // refused write issued after it, which resync is free to keep (it is
+  // the highest version).  An any-commit ack would call the overload write
+  // acked, and a majority content vote would then revert it.
+  ServeConfig cfg = quiet_cfg();
+  cfg.queue_limit = 3;
+  with_serve(
+      8, 4, cfg, sim::FaultPlan{},
+      [](chrys::Kernel& k, Machine&, bridge::BridgeFs& fs, ReplicatedFs& rfs) {
+        const bridge::FileId f = rfs.open("data", 16);
+        std::vector<std::vector<std::uint8_t>> issued(2);
+        std::vector<Status> status(2);
+        fill_block(issued[0], 0, 1);
+        fill_block(issued[1], 0, 2);
+        status[0] = rfs.write(f, 0, issued[0].data());
+
+        const bridge::FileId junk = fs.create("junk");
+        const chrys::Oid dq = k.make_dual_queue();
+        std::vector<std::vector<std::uint8_t>> bufs(
+            8, std::vector<std::uint8_t>(bridge::kBlockSize));
+        for (std::uint32_t i = 0; i < 8; ++i)
+          fs.submit_read(junk, rfs.replica_server(f, 0, 1 + i % 2),
+                         bufs[i].data(), dq);
+        status[1] = rfs.write(f, 0, issued[1].data());
+        for (std::uint32_t i = 0; i < 8; ++i)
+          fs.finish_request(k.dq_dequeue(dq));
+        fs.release_reply_queue(dq);
+        EXPECT_EQ(status[0], Status::kOk);
+        EXPECT_EQ(status[1], Status::kShed) << "one commit of three";
+        EXPECT_GT(rfs.counters().sheds, 0u);
+
+        rfs.resync_block(f, 0);
+        EXPECT_EQ(rfs.resync_block(f, 0), 0u) << "second pass: converged";
+        std::size_t last_acked = 0;
+        for (std::size_t i = 0; i < status.size(); ++i)
+          if (status[i] == Status::kOk) last_acked = i;
+        std::vector<std::uint8_t> back(bridge::kBlockSize);
+        for (int i = 0; i < 3; ++i) {  // read-any: any replica will do
+          ASSERT_EQ(rfs.read(f, 0, back.data()), Status::kOk);
+          const auto it = std::find(issued.begin(), issued.end(), back);
+          ASSERT_NE(it, issued.end());
+          EXPECT_GE(static_cast<std::size_t>(it - issued.begin()), last_acked)
+              << "an acked write was reverted";
+        }
+      });
+}
+
 TEST(Serve, DeadlineBoundsRequestsAgainstAnAllSlowCluster) {
   // Both servers gray-fail with a 100x service stretch: nothing can answer
   // inside the budget, so reads and writes return kTimeout close to the
