@@ -13,6 +13,13 @@
 #   0b. sim layering   — no file under src/sim may include a project header
 #                        from outside src/sim: the machine model knows no
 #                        layer above it (Chrysalis, the runtimes, rescue)
+#   0c. ground truth   — ratchet on the simulator's oracle: the count of
+#                        `.node_alive(` / `.reachable(` calls per file in
+#                        src/ outside src/sim and src/chrysalis may only
+#                        shrink, and no new file may start asking (the list
+#                        is below; lower a count when a call goes away).
+#                        Fault handling should run on what a node could
+#                        know; ROADMAP item 4 removes these calls
 #   1. default preset  — Release build, full ctest suite
 #      (first, on x86-64: libbfly_sim.a must not reference swapcontext, or
 #       the hand-written fiber switch was compiled out)
@@ -87,6 +94,28 @@ if grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"' src/sim |
     grep -vE '#[[:space:]]*include[[:space:]]*"sim/'; then
   echo "src/sim includes a header from a layer above it: the machine model" \
        "must not depend on Chrysalis, the runtimes or rescue"
+  exit 1
+fi
+
+step "ground truth (oracle calls outside sim/chrysalis may only shrink)"
+ground_truth_allowed="\
+1 src/bridge/bridge.cpp
+2 src/net/mesh.cpp
+7 src/rescue/rescue.cpp
+2 src/serve/serve.cpp
+1 src/serve/serve.hpp
+1 src/sync/counter.cpp
+2 src/us/uniform_system.cpp"
+ground_truth_now="$(grep -roE '\.(node_alive|reachable)\(' src \
+    --include='*.cpp' --include='*.hpp' |
+  grep -vE '^src/(sim|chrysalis)/' | cut -d: -f1 | sort | uniq -c)"
+if ! awk 'NR == FNR { allowed[$2] = $1; next }
+          !($2 in allowed) { print "new caller: " $2 " (" $1 ")"; bad = 1; next }
+          $1 > allowed[$2] { print $2 ": " $1 " calls, allowed " allowed[$2]; bad = 1 }
+          END { exit bad }' \
+    <(echo "$ground_truth_allowed") <(echo "$ground_truth_now"); then
+  echo "production code gained a Machine::node_alive/reachable call: fault" \
+       "handling must use what a node could know (ROADMAP item 4)"
   exit 1
 fi
 

@@ -180,9 +180,14 @@ void BridgeFs::server_loop(std::uint32_t s) {
         // An abandoned write does not commit — the deadline passed, the
         // caller counts it failed, and the replica is repaired by resync.
         // A write older than the stored block is acknowledged unchanged.
-        if (!rq.abandoned && (rq.version == 0 || rq.version >= blk.version)) {
-          std::memcpy(blk.bytes.data(), rq.wdata, kBlockSize);
-          blk.version = rq.version;
+        // Either way the reply carries the stored version, so the caller
+        // can tell an install from an outranked write.
+        if (!rq.abandoned) {
+          if (rq.version == 0 || rq.version >= blk.version) {
+            std::memcpy(blk.bytes.data(), rq.wdata, kBlockSize);
+            blk.version = rq.version;
+          }
+          rq.version = blk.version;
         }
         break;
       }
@@ -282,7 +287,8 @@ void BridgeFs::read_block(FileId f, std::uint32_t index, void* out) {
 }
 
 bool BridgeFs::write_block_for(FileId f, std::uint32_t index, const void* data,
-                               sim::Time budget, std::uint64_t version) {
+                               sim::Time budget, std::uint64_t version,
+                               std::uint64_t* stored) {
   const std::uint32_t s = index % nservers_;
   if (!servers_[s]->alive)
     throw chrys::ThrowSignal{chrys::kThrowNodeDead, servers_[s]->node};
@@ -327,6 +333,7 @@ bool BridgeFs::write_block_for(FileId f, std::uint32_t index, const void* data,
     (void)k_.dq_try_dequeue_uncharged(reply, &tok);  // reply raced us in
   }
   const bool failed = reqs_[rid].failed;
+  if (stored != nullptr) *stored = reqs_[rid].version;
   release_request(rid);
   k_.delete_object(reply);
   if (failed)

@@ -134,9 +134,12 @@ class BridgeFs {
   // Versions: a write stamped `version` > 0 installs only if the stored
   // block's version is not higher; an older write is acknowledged and
   // leaves the block unchanged.  Version 0 always installs.  A read
-  // reports the stored block's version through `version` when non-null.
+  // reports the stored block's version through `version`, and a write the
+  // version stored after it through `stored`, when non-null: a write
+  // installed exactly when `*stored` equals its own stamp.
   bool write_block_for(FileId f, std::uint32_t index, const void* data,
-                       sim::Time budget, std::uint64_t version = 0);
+                       sim::Time budget, std::uint64_t version = 0,
+                       std::uint64_t* stored = nullptr);
   bool read_block_for(FileId f, std::uint32_t index, void* out,
                       sim::Time budget, std::uint64_t* version = nullptr);
 
@@ -248,7 +251,7 @@ class BridgeFs {
     const void* wdata = nullptr;  // write
     void* rdata = nullptr;        // read
     std::uint64_t result = 0;     // tool results
-    std::uint64_t version = 0;    // write: stamp; read: the block's stamp
+    std::uint64_t version = 0;    // request: write's stamp; reply: stored
     bool failed = false;          // server died before serving it
     bool unreachable = false;     // failed because no path, not death
     bool abandoned = false;       // client stopped waiting; skip data moves

@@ -77,15 +77,11 @@ class SpinLock {
 
   void release() {
     // A transient memory fault on the release write would leave the lock
-    // held forever and wedge every spinner; the PNC retries the store.
+    // held forever and wedge every spinner; the PNC retries the store, back
+    // to back.
     m_.observe_lock(sim::chan_of(cell_), false);
-    for (;;) {
-      try {
-        m_.write<std::uint32_t>(cell_, 0);
-        return;
-      } catch (const sim::MemoryFaultError&) {
-      }
-    }
+    m_.retry(sim::RetryPolicy::forever(0),
+             [&] { m_.write<std::uint32_t>(cell_, 0); });
   }
 
   std::uint64_t acquisitions() const { return acquisitions_; }

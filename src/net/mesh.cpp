@@ -27,11 +27,12 @@ void Stream::write(const void* data, std::size_t n) {
   // up to here is visible to whoever reads this stream.  (The dual-queue
   // hand-off publishes an edge too; this one names the stream itself.)
   m.observe_release(sim::chan_of_stream(id_));
-  // The chunk body lands in a buffer on the reader's node.
+  // The chunk body lands in a buffer on the reader's node; a transient
+  // fault on either block transfer is retried under the default policy.
   Mesh::Chunk c;
   c.len = static_cast<std::uint32_t>(n);
   c.buf = m.alloc(reader_node_, n);
-  mesh_.with_retry([&] { m.block_write(c.buf, data, n); });
+  m.retry(sim::RetryPolicy{}, [&] { m.block_write(c.buf, data, n); });
   std::uint32_t cid;
   if (!mesh_.chunk_free_.empty()) {
     cid = mesh_.chunk_free_.back();
@@ -87,7 +88,8 @@ void Stream::read(void* out, std::size_t n) {
     Mesh::Chunk c = mesh_.chunks_[cid];
     mesh_.chunk_free_.push_back(cid);
     std::vector<std::uint8_t> tmp(c.len);
-    mesh_.with_retry([&] { m.block_read(tmp.data(), c.buf, c.len); });
+    m.retry(sim::RetryPolicy{},
+            [&] { m.block_read(tmp.data(), c.buf, c.len); });
     m.free(c.buf, c.len);
     buffered_.insert(buffered_.end(), tmp.begin(), tmp.end());
   }
@@ -184,21 +186,6 @@ Mesh::Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
 
 Mesh::~Mesh() {
   if (crash_observer_ != 0) m_.remove_crash_observer(crash_observer_);
-}
-
-void Mesh::with_retry(const std::function<void()>& op) {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      op();
-      return;
-    } catch (const sim::MemoryFaultError& e) {
-      if (attempt + 1 >= std::max(1u, opt_.retry.attempts)) {
-        if (retry_exhausted_) retry_exhausted_(e.node());
-        throw;
-      }
-      m_.charge(opt_.retry.backoff(attempt));
-    }
-  }
 }
 
 void Mesh::excise_node(sim::NodeId n) {

@@ -93,9 +93,6 @@ struct MeshOptions {
   bool wrap_rows = false;  ///< torus in the row direction
   bool wrap_cols = false;  ///< cylinder / torus in the column direction
   sim::NodeId base_node = 0;
-  /// Bounded retry for the chunk block transfers; a transient memory fault
-  /// on a stream is retried with backoff before propagating.
-  sim::RetryPolicy retry;
   /// When nonzero, a blocked read re-checks the writer's liveness every
   /// `read_timeout` of simulated time and raises kThrowBrokenStream if the
   /// writer's node is gone — the reader's own failure detection, needed for
@@ -136,12 +133,6 @@ class Mesh {
   /// a node that is still alive or already excised.
   void excise_node(sim::NodeId n);
 
-  /// Called when a stream transfer exhausts its RetryPolicy, before the
-  /// fault propagates (feed to rescue::Membership::denounce).
-  void set_retry_exhausted_hook(std::function<void(sim::NodeId)> fn) {
-    retry_exhausted_ = std::move(fn);
-  }
-
  private:
   friend class Stream;
   /// Sentinel chunk id: "this stream's writer is gone".  Posted uncharged
@@ -156,9 +147,6 @@ class Mesh {
   Stream* make_stream(sim::NodeId reader_node, sim::NodeId writer_node);
   void element_gone(std::size_t idx);
   void handle_node_death(sim::NodeId n);
-  /// Run `op` under the mesh's RetryPolicy: transient memory faults are
-  /// retried with backoff; exhaustion fires the hook and rethrows.
-  void with_retry(const std::function<void()>& op);
 
   chrys::Kernel& k_;
   sim::Machine& m_;
@@ -174,7 +162,6 @@ class Mesh {
   std::uint64_t elements_faulted_ = 0;
   std::uint64_t elements_lost_ = 0;
   std::uint64_t crash_observer_ = 0;
-  std::function<void(sim::NodeId)> retry_exhausted_;
 };
 
 }  // namespace bfly::net

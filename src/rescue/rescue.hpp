@@ -32,9 +32,13 @@
 //     and notifies subscribers (wire us::UniformSystem::excise_node,
 //     net::Mesh::excise_node and bridge::BridgeFs::excise_node here).
 //
-// Retry exhaustion is the complementary accusation path: when a bounded
-// RetryPolicy gives up on a node, denounce() turns that into an immediate
-// suspicion check instead of waiting out the heartbeat timeout.
+// A transient memory fault is not an accusation.  Every layer retries one
+// through sim::Machine::retry: bounded (6 tries, exponential backoff) for
+// the Uniform System's and net::Stream's infrastructure words, forever at
+// the probe interval for the sync lock and barrier words and the spin-lock
+// release, whose waiters would otherwise wedge.  A fault that outlasts a
+// bounded retry comes from a flaky module on a live node, so nothing feeds
+// it to denounce(): that could only book a false suspect.  (DESIGN.md §4a.)
 #pragma once
 
 #include <cstdint>
@@ -45,13 +49,6 @@
 #include "sim/subscribers.hpp"
 
 namespace bfly::rescue {
-
-/// The rescue layer's retry engine is the simulator's RetryPolicy (see
-/// sim/fault.hpp): bounded exponential backoff with optional deterministic
-/// jitter.  Aliased here because retry exhaustion is a rescue-layer concept
-/// — it is what graduates into a denounce() — and callers (bfly::serve)
-/// reach it through this namespace.
-using RetryPolicy = sim::RetryPolicy;
 
 struct RescueConfig {
   /// How often each node's daemon refreshes its heartbeat word.
@@ -103,9 +100,9 @@ class Membership {
   }
   void unsubscribe(std::uint64_t id) { subs_.remove(id); }
 
-  /// Accuse a node directly (e.g. from a retry-exhaustion hook): checked
-  /// against ground truth immediately — a live accusee is a false suspect,
-  /// a dead one is declared without waiting for the heartbeat timeout.
+  /// Accuse a node directly: checked against ground truth immediately — a
+  /// live accusee is a false suspect, a dead one is declared without
+  /// waiting for the heartbeat timeout.
   void denounce(sim::NodeId n);
 
   /// Is the node in the current membership view?  An unreachable node is
@@ -120,7 +117,8 @@ class Membership {
   std::uint32_t members_unreachable() const { return members_unreachable_; }
   /// Members remaining in the current view.
   std::uint32_t members_alive() const { return members_alive_; }
-  /// Bumped once per declared suspicion.
+  /// Bumped once per view change: a declared suspicion, and a member
+  /// entering or leaving suspected_unreachable.
   std::uint64_t epoch() const { return epoch_; }
   const std::vector<Suspicion>& history() const { return history_; }
   /// Shared-memory cell (on the monitor node) holding the current epoch:

@@ -142,8 +142,7 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
   const auto start = static_cast<std::uint32_t>(rng_.below(r_count));
   Status give_up = Status::kNoReplica;
 
-  for (std::uint32_t attempt = 0; attempt < cfg_.retry.max_attempts();
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < cfg_.retry.attempts; ++attempt) {
     if (attempt > 0) {
       const sim::Time back = cfg_.retry.backoff_jittered(attempt - 1, rng_);
       if (m_.now() + back >= deadline_at) break;  // no budget for a retry
@@ -303,8 +302,7 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
   };
   Status fail = Status::kNoReplica;
 
-  for (std::uint32_t attempt = 0; attempt < cfg_.retry.max_attempts();
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < cfg_.retry.attempts; ++attempt) {
     if (attempt > 0) {
       const sim::Time back = cfg_.retry.backoff_jittered(attempt - 1, rng_);
       if (m_.now() + back >= deadline_at) break;
@@ -587,7 +585,8 @@ std::uint32_t ReplicatedFs::resync_block(bridge::FileId f, std::uint32_t b) {
   }
   // Rewrite every replica that does not hold the winner.  The rewrites
   // carry the winner's version, so a newer write that lands after the
-  // reads above outranks them in Bridge and is never reverted.
+  // reads above outranks them in Bridge and is never reverted.  Only a
+  // rewrite Bridge installed counts.
   for (std::uint32_t r = 0; r < r_count; ++r) {
     if (version[r] == version[best] && copy[r] == copy[best]) continue;
     if (!replica_alive(f, b, r)) {
@@ -595,8 +594,10 @@ std::uint32_t ReplicatedFs::resync_block(bridge::FileId f, std::uint32_t b) {
       continue;
     }
     try {
+      std::uint64_t stored = 0;
       if (fs_.write_block_for(f, phys_index(f, b, r), copy[best].data(),
-                              cfg_.deadline, version[best]))
+                              cfg_.deadline, version[best], &stored) &&
+          stored == version[best])
         ++rewrites;
     } catch (const chrys::ThrowSignal&) {
     }

@@ -25,7 +25,7 @@
 //     map the repairs build is consulted on every subsequent access.
 //   * Per-request deadline budget: every read/write carries a time budget;
 //     inside it, failed replicas are retried with deterministic jittered
-//     exponential backoff (rescue::RetryPolicy); at its end the caller gets
+//     exponential backoff (sim::RetryPolicy); at its end the caller gets
 //     kTimeout, never a hang.
 //   * Tail-latency hedging: a read that has waited past a running latency
 //     quantile issues a second read to another replica; first reply wins,
@@ -73,8 +73,8 @@ struct ServeConfig {
   sim::Time deadline = 400 * sim::kMillisecond;
   /// Retry engine for failed/shed replicas: bounded exponential backoff
   /// with deterministic jitter (attempts, base, cap, jitter).
-  rescue::RetryPolicy retry{4, 1 * sim::kMillisecond, 32 * sim::kMillisecond,
-                            0.5};
+  sim::RetryPolicy retry{4, 1 * sim::kMillisecond, 32 * sim::kMillisecond,
+                         0.5};
   /// Hedge a read once it has waited past the 90th percentile of the last
   /// 64 read latencies (floored by hedge_floor).
   bool hedge_reads = true;
@@ -220,7 +220,8 @@ class ReplicatedFs {
   /// write that lands on a replica after its read here carries a higher
   /// version, so the rewrite leaves it in place: an acked write holds on a
   /// majority, the reads see at least one copy of it, and nothing older
-  /// replaces it.  Returns replicas rewritten.
+  /// replaces it.  Returns the replicas the rewrites installed on: one a
+  /// newer write outranked is not counted.
   std::uint32_t resync_block(bridge::FileId f, std::uint32_t b);
 
   const ServeCounters& counters() const { return counters_; }

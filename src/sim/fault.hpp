@@ -96,12 +96,15 @@ class MemoryFaultError : public SimError {
   NodeId node_;
 };
 
-/// Bounded retry with exponential backoff for remote operations.  The real
-/// PNC retried failed transactions in microcode; the runtime layers retry a
-/// few more times in software before giving a node up for dead.  Exhaustion
-/// is how a transient-looking fault graduates into a membership accusation
-/// (see bfly::rescue::Membership::denounce).
+/// A retry schedule: how many tries and how long to back off between them.
+/// Machine::retry runs a memory operation under one after transient faults
+/// (DESIGN.md, fault model, says which layers use which schedule); serve
+/// uses one, jittered, for whole requests.  The default is bounded
+/// exponential backoff; forever() retries at a fixed interval.
 struct RetryPolicy {
+  /// `attempts` value that never runs out.
+  static constexpr std::uint32_t kUnbounded = 0xffffffffu;
+
   /// Total tries (first attempt included).  Must be >= 1.
   std::uint32_t attempts = 6;
   /// Backoff charged before the second try; doubles per retry.
@@ -114,8 +117,10 @@ struct RetryPolicy {
   /// existing users stay byte-identical.
   double jitter = 0.0;
 
-  std::uint32_t max_attempts() const { return attempts; }
-  Time backoff_cap() const { return cap; }
+  /// Retry without end, `interval` apart (0: back to back, uncharged).
+  static RetryPolicy forever(Time interval) {
+    return RetryPolicy{kUnbounded, interval, interval, 0.0};
+  }
 
   /// Backoff to charge after failed attempt number `attempt` (0-based).
   Time backoff(std::uint32_t attempt) const {

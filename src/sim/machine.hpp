@@ -181,6 +181,24 @@ class Machine {
 
   /// Consume `ns` of CPU time on the calling fiber.
   void charge(Time ns);
+  /// Run `op`, one memory operation, under `policy`: after each
+  /// MemoryFaultError charge policy.backoff(attempt) and try again; the
+  /// fault of the last of policy.attempts tries propagates.  A zero backoff
+  /// charges nothing, because charge(0) can still yield and reorder the run.
+  /// Every other error (a dead node, no path) propagates at once.
+  template <typename Op>
+  decltype(auto) retry(const RetryPolicy& policy, Op&& op) {
+    for (std::uint32_t attempt = 0;; ++attempt) {
+      try {
+        return op();
+      } catch (const MemoryFaultError&) {
+        if (policy.attempts != RetryPolicy::kUnbounded &&
+            attempt + 1 >= policy.attempts)
+          throw;
+        if (const Time b = policy.backoff(attempt); b != 0) charge(b);
+      }
+    }
+  }
   /// Consume integer-op time (`n` register-level operations).
   void compute(std::uint64_t n) { charged_compute(n * cfg_.int_op_ns); }
   /// Consume floating-point time.

@@ -14,6 +14,7 @@ CentralBarrier::CentralBarrier(sim::Machine& m, sim::NodeId home,
       n_(workers),
       probe_(probe),
       probe_backoff_max_(probe_backoff_max),
+      retry_(sim::RetryPolicy::forever(probe)),
       epoch_(workers, 0) {
   count_ = m_.alloc(home, 8);
   m_.poke<std::uint32_t>(count_, 0);
@@ -26,35 +27,14 @@ CentralBarrier::CentralBarrier(sim::Machine& m, sim::NodeId home,
 void CentralBarrier::arrive(std::uint32_t w) {
   const auto sense = static_cast<std::uint32_t>((++epoch_[w]) & 1);
   m_.observe_release(sim::chan_of(sense_));
-  std::uint32_t c;
-  for (;;) {
-    try {
-      c = m_.fetch_add_u32(count_, 1);
-      break;
-    } catch (const sim::MemoryFaultError&) {
-      m_.charge(probe_);
-    }
-  }
+  const std::uint32_t c =
+      m_.retry(retry_, [&] { return m_.fetch_add_u32(count_, 1); });
   if (c + 1 == n_) {
     // Last arrival: reset the counter for the next episode *before*
     // flipping the sense word (re-arrivals must see a zero count), then
     // release everyone.
-    for (;;) {
-      try {
-        m_.swap_u32(count_, 0);
-        break;
-      } catch (const sim::MemoryFaultError&) {
-        m_.charge(probe_);
-      }
-    }
-    for (;;) {
-      try {
-        m_.swap_u32(sense_, sense);
-        break;
-      } catch (const sim::MemoryFaultError&) {
-        m_.charge(probe_);
-      }
-    }
+    m_.retry(retry_, [&] { return m_.swap_u32(count_, 0); });
+    m_.retry(retry_, [&] { return m_.swap_u32(sense_, sense); });
     ++m_.stats().barrier_episodes;
   } else {
     // Spin across the switch on the shared sense word — every probe holds
@@ -88,6 +68,7 @@ TreeBarrier::TreeBarrier(sim::Machine& m,
       arity_(std::min(8u, std::max(2u, arity))),
       local_probe_(local_probe),
       probe_backoff_max_(probe_backoff_max),
+      retry_(sim::RetryPolicy::forever(local_probe)),
       epoch_(worker_nodes.size(), 0) {
   const auto workers = static_cast<std::uint32_t>(worker_nodes.size());
   // Per-worker sense flags in each worker's own memory.
@@ -134,40 +115,16 @@ TreeBarrier::TreeBarrier(sim::Machine& m,
   }
 }
 
-std::uint32_t TreeBarrier::fetch_add_retry(sim::PhysAddr a, std::uint32_t d) {
-  for (;;) {
-    try {
-      return m_.fetch_add_u32(a, d);
-    } catch (const sim::MemoryFaultError&) {
-      m_.charge(local_probe_);
-    }
-  }
-}
-
-std::uint32_t TreeBarrier::swap_retry(sim::PhysAddr a, std::uint32_t v) {
-  for (;;) {
-    try {
-      return m_.swap_u32(a, v);
-    } catch (const sim::MemoryFaultError&) {
-      m_.charge(local_probe_);
-    }
-  }
-}
-
-std::uint32_t TreeBarrier::read_retry(sim::PhysAddr a) {
-  for (;;) {
-    try {
-      return m_.read<std::uint32_t>(a);
-    } catch (const sim::MemoryFaultError&) {
-      m_.charge(local_probe_);
-    }
-  }
-}
-
 void TreeBarrier::arrive(std::uint32_t w) {
   const auto sense = static_cast<std::uint32_t>((++epoch_[w]) & 1);
   const std::uint64_t chan = sim::chan_of(root_cell());
   m_.observe_release(chan);
+  auto swap = [&](sim::PhysAddr a, std::uint32_t v) {
+    m_.retry(retry_, [&] { return m_.swap_u32(a, v); });
+  };
+  auto read = [&](sim::PhysAddr a) {
+    return m_.retry(retry_, [&] { return m_.read<std::uint32_t>(a); });
+  };
   // Climb: while we are the last arrival of our group, carry the arrival a
   // level up; remember every node we closed — we own its release.
   struct Owned {
@@ -182,8 +139,9 @@ void TreeBarrier::arrive(std::uint32_t w) {
   bool root_winner = false;
   for (;;) {
     TreeNode& nd = tree_[level][group];
-    if (level > 0) swap_retry(nd.reps[slot], w + 1);
-    const std::uint32_t c = fetch_add_retry(nd.count, 1);
+    if (level > 0) swap(nd.reps[slot], w + 1);
+    const std::uint32_t c =
+        m_.retry(retry_, [&] { return m_.fetch_add_u32(nd.count, 1); });
     if (c + 1 < nd.fanin) break;  // someone is still below: wait for release
     owned.push_back({level, group});
     if (level + 1 == tree_.size()) {
@@ -198,11 +156,11 @@ void TreeBarrier::arrive(std::uint32_t w) {
     // Nobody wakes the machine-wide winner, so nobody advances its flag;
     // bring it to the episode's sense here or the *next* episode's spin
     // would see the stale value already matching and sail through.
-    swap_retry(flag_[w], sense);
+    swap(flag_[w], sense);
   } else {
     // Spin on my own node's flag: zero switch traffic while waiting.
     sim::Time wait = local_probe_;
-    while (read_retry(flag_[w]) != sense) {
+    while (read(flag_[w]) != sense) {
       ++local_spins_;
       ++m_.stats().lock_spins;
       m_.observe_spin(chan);
@@ -215,17 +173,17 @@ void TreeBarrier::arrive(std::uint32_t w) {
   // wakeup fans out with O(arity) remote writes per level per releaser.
   for (auto it = owned.rbegin(); it != owned.rend(); ++it) {
     TreeNode& nd = tree_[it->level][it->group];
-    swap_retry(nd.count, 0);  // next episode's arrivals must see zero
+    swap(nd.count, 0);  // next episode's arrivals must see zero
     if (it->level == 0) {
       const std::uint32_t base = it->group * arity_;
       for (std::uint32_t i = 0; i < nd.fanin; ++i) {
         const std::uint32_t x = base + i;
-        if (x != w) swap_retry(flag_[x], sense);
+        if (x != w) swap(flag_[x], sense);
       }
     } else {
       for (std::uint32_t s = 0; s < nd.fanin; ++s) {
-        const std::uint32_t r = read_retry(nd.reps[s]);
-        if (r != 0 && r - 1 != w) swap_retry(flag_[r - 1], sense);
+        const std::uint32_t r = read(nd.reps[s]);
+        if (r != 0 && r - 1 != w) swap(flag_[r - 1], sense);
       }
     }
   }

@@ -64,15 +64,13 @@ class McsLock {
   std::uint64_t local_spins() const { return local_spins_; }
 
  private:
-  std::uint32_t swap_retry(sim::PhysAddr a, std::uint32_t v);
-  std::uint32_t read_retry(sim::PhysAddr a);
-
   sim::Machine& m_;
   sim::PhysAddr tail_;                  // 0 = free, else worker index + 1
   std::vector<sim::PhysAddr> next_;     // per worker, on the worker's node
   std::vector<sim::PhysAddr> locked_;   // per worker, on the worker's node
   sim::Time local_probe_;
   sim::Time probe_backoff_max_;
+  sim::RetryPolicy retry_;  // word operations: forever, one probe apart
   std::uint64_t acquisitions_ = 0;
   std::uint64_t local_spins_ = 0;
 };

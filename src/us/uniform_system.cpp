@@ -210,7 +210,7 @@ void UniformSystem::manager_loop(std::uint32_t worker) {
     // With a distributed counter this add is local and returns kUnknown —
     // no manager can tell it drained the count, so nobody posts and the
     // waiter polls instead (see wait_idle).
-    const std::uint32_t before = counter_add_retry(0xffffffffu);
+    const std::uint32_t before = counter_add(0xffffffffu);
     decrementing_[worker] = 0;
     if (before == 1 && waiter_proc_ != chrys::kNoObject) {
       // Post first, clear second: if this node dies inside the post's
@@ -238,61 +238,12 @@ void UniformSystem::enqueue_descriptor(
   k_.dq_enqueue(work_queue_, tid);
 }
 
-std::uint32_t UniformSystem::fetch_add_retry(sim::PhysAddr a,
-                                             std::uint32_t d) {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      return m_.fetch_add_u32(a, d);
-    } catch (const sim::MemoryFaultError& e) {
-      if (attempt + 1 >= std::max(1u, cfg_.retry.attempts)) {
-        if (retry_exhausted_) retry_exhausted_(e.node());
-        throw;
-      }
-      m_.charge(cfg_.retry.backoff(attempt));
-    }
-  }
+std::uint32_t UniformSystem::counter_add(std::uint32_t d) {
+  return m_.retry(sim::RetryPolicy{}, [&] { return idle_counter_->add(d); });
 }
 
-std::uint32_t UniformSystem::read_u32_retry(sim::PhysAddr a) {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      return m_.read<std::uint32_t>(a);
-    } catch (const sim::MemoryFaultError& e) {
-      if (attempt + 1 >= std::max(1u, cfg_.retry.attempts)) {
-        if (retry_exhausted_) retry_exhausted_(e.node());
-        throw;
-      }
-      m_.charge(cfg_.retry.backoff(attempt));
-    }
-  }
-}
-
-std::uint32_t UniformSystem::counter_add_retry(std::uint32_t d) {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      return idle_counter_->add(d);
-    } catch (const sim::MemoryFaultError& e) {
-      if (attempt + 1 >= std::max(1u, cfg_.retry.attempts)) {
-        if (retry_exhausted_) retry_exhausted_(e.node());
-        throw;
-      }
-      m_.charge(cfg_.retry.backoff(attempt));
-    }
-  }
-}
-
-std::uint32_t UniformSystem::counter_read_retry() {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      return idle_counter_->read();
-    } catch (const sim::MemoryFaultError& e) {
-      if (attempt + 1 >= std::max(1u, cfg_.retry.attempts)) {
-        if (retry_exhausted_) retry_exhausted_(e.node());
-        throw;
-      }
-      m_.charge(cfg_.retry.backoff(attempt));
-    }
-  }
+std::uint32_t UniformSystem::counter_read() {
+  return m_.retry(sim::RetryPolicy{}, [&] { return idle_counter_->read(); });
 }
 
 void UniformSystem::excise_node(sim::NodeId n) {
@@ -341,7 +292,7 @@ void UniformSystem::handle_node_death(sim::NodeId n) {
 void UniformSystem::gen_task(TaskFn fn, std::uint32_t arg) {
   // The instant counts generated tasks; slot ids repeat once recycled.
   m_.trace_instant("us", "gen_task", tasks_generated_++);
-  (void)counter_add_retry(1);
+  (void)counter_add(1);
   enqueue_descriptor(std::make_shared<const TaskFn>(std::move(fn)), arg);
 }
 
@@ -349,7 +300,7 @@ void UniformSystem::gen_on_index(std::uint32_t lo, std::uint32_t hi,
                                  TaskFn fn) {
   if (lo >= hi) return;
   m_.trace_instant("us", "gen_on_index", hi - lo);
-  (void)counter_add_retry(hi - lo);
+  (void)counter_add(hi - lo);
   // One closure for the whole range; each descriptor holds a handle to it
   // and its own index.
   const auto shared = std::make_shared<const TaskFn>(std::move(fn));
@@ -373,7 +324,7 @@ void UniformSystem::wait_idle() {
     // false zero while only decrements are in flight, and the untimed peek
     // re-confirms the zero against cells folded by crash handlers.
     for (;;) {
-      if (counter_read_retry() == 0 && idle_counter_->peek_total() == 0)
+      if (counter_read() == 0 && idle_counter_->peek_total() == 0)
         return;
       // Whole pool dead: the queued tasks will never run.  Return degraded
       // instead of polling forever.
@@ -382,14 +333,14 @@ void UniformSystem::wait_idle() {
     }
   }
   chrys::Process& p = k_.self();
-  if (counter_read_retry() == 0) return;
+  if (counter_read() == 0) return;
   // Whole pool dead: the queued tasks will never run, and nobody is left to
   // post the idle event.  Return degraded instead of parking forever.
   if (managers_alive_ == 0) return;
   idle_event_ = k_.make_event(p.oid());
   waiter_proc_ = p.oid();
   // Re-check: the last task may have completed while we created the event.
-  if (counter_read_retry() == 0) {
+  if (counter_read() == 0) {
     if (waiter_proc_ != chrys::kNoObject) {
       // No manager claimed the post: nothing outstanding, just clean up.
       waiter_proc_ = chrys::kNoObject;
@@ -451,7 +402,8 @@ sim::PhysAddr UniformSystem::allocate_with_lock(sim::NodeId node,
 }
 
 sim::PhysAddr UniformSystem::alloc_global(std::size_t bytes) {
-  const std::uint32_t idx = fetch_add_retry(rr_counter_, 1);
+  const std::uint32_t idx = m_.retry(
+      sim::RetryPolicy{}, [&] { return m_.fetch_add_u32(rr_counter_, 1); });
   return allocate_with_lock(idx % mem_nodes_, bytes);
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "../render_stats.hpp"
+
 namespace bfly::net {
 namespace {
 
@@ -379,6 +384,54 @@ TEST(MeshFaults, BytesBufferedBeforeTheBreakAreStillReadable) {
   ASSERT_FALSE(m.deadlocked());
   EXPECT_EQ(got, (std::vector<std::uint8_t>{9, 8, 7}));
   EXPECT_EQ(err, chrys::kThrowBrokenStream);
+}
+
+TEST(MeshFaults, TransientFaultsStillDeliverBytesInOrder) {
+  // Every chunk's block write and block read may fault; the stream retries
+  // the transfer, so a four-element pipeline still delivers every byte in
+  // order.  Pinned: the run's end time and every node's accounting.
+  sim::FaultPlan plan;
+  plan.mem_fault_prob = 0.05;
+  plan.seed = 15;
+  Machine m(butterfly1(8), plan);
+  chrys::Kernel k(m);
+  constexpr std::uint32_t kChunks = 200;
+  constexpr std::size_t kLen = 16;
+  std::vector<std::uint8_t> got;
+  k.create_process(0, [&] {
+    Mesh mesh(k, 1, 4, [&](Element& e) {
+      std::vector<std::uint8_t> buf(kLen);
+      for (std::uint32_t c = 0; c < kChunks; ++c) {
+        if (e.col() == 0) {
+          for (std::size_t i = 0; i < kLen; ++i)
+            buf[i] = static_cast<std::uint8_t>((c * kLen + i) % 251);
+        } else {
+          e.in(Direction::kWest)->read(buf.data(), kLen);
+        }
+        if (e.out(Direction::kEast) != nullptr)
+          e.out(Direction::kEast)->write(buf.data(), kLen);
+        else
+          got.insert(got.end(), buf.begin(), buf.end());
+      }
+    });
+    mesh.join();
+    EXPECT_EQ(mesh.elements_faulted(), 0u);
+  });
+  m.run();
+  ASSERT_FALSE(m.deadlocked());
+  ASSERT_EQ(got.size(), kChunks * kLen);
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], static_cast<std::uint8_t>(i % 251)) << "byte " << i;
+  EXPECT_EQ("now=" + std::to_string(m.now()) +
+                " faults=" + std::to_string(m.stats().mem_faults_injected) +
+                "; " + test::render_stats(m.stats()),
+            "now=51462400 faults=56; "
+            "n0{remote=211 stall=1350800 queue=400 block=844} "
+            "n1{local=203 remote=213 serviced=211 stall=2351900 queue=14300 "
+            "block=1664} "
+            "n2{local=207 remote=212 serviced=213 stall=2359800 queue=9400 "
+            "block=1676} "
+            "n3{local=210 serviced=212 stall=1008000 block=840}");
 }
 
 }  // namespace

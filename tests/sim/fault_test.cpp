@@ -3,6 +3,7 @@
 // (config, FaultPlan) alone.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -538,8 +539,8 @@ TEST(FaultPlan, PartitionedRunIsDeterministic) {
 
 TEST(RetryPolicy, FixedScheduleDoublesToCap) {
   const RetryPolicy p{4, 100, 350, 0.0};
-  EXPECT_EQ(p.max_attempts(), 4u);
-  EXPECT_EQ(p.backoff_cap(), 350);
+  EXPECT_EQ(p.attempts, 4u);
+  EXPECT_EQ(p.cap, 350);
   EXPECT_EQ(p.backoff(0), 100);
   EXPECT_EQ(p.backoff(1), 200);
   EXPECT_EQ(p.backoff(2), 350);  // capped
@@ -581,6 +582,124 @@ TEST(RetryPolicy, JitteredScheduleIsReproducibleFromTheSeed) {
   for (std::uint32_t i = 0; i < 6; ++i)
     if (p.backoff_jittered(i, c) != p.backoff_jittered(i, d)) any_diff = true;
   EXPECT_TRUE(any_diff);
+}
+
+// --- Machine::retry: the one transient-fault retry --------------------------
+
+TEST(Retry, BoundedPolicyRaisesAfterExactlyItsAttemptsAndChargesTheBackoffs) {
+  // Every reference faults.  One bare read prices a faulted reference;
+  // the retried read must cost exactly four of them plus the three
+  // backoffs charged between the tries (100 + 200 + capped 350).
+  FaultPlan plan;
+  plan.mem_fault_prob = 1.0;
+  Machine m(butterfly1(4), plan);
+  const PhysAddr a = m.alloc(2, 8);
+  const RetryPolicy p{4, 100, 350, 0.0};
+  Time bare = 0, retried = 0;
+  std::uint32_t tries = 0;
+  bool raised = false;
+  m.spawn(0, [&] {
+    Time t0 = m.now();
+    EXPECT_THROW((void)m.read<std::uint32_t>(a), MemoryFaultError);
+    bare = m.now() - t0;
+    t0 = m.now();
+    try {
+      (void)m.retry(p, [&] {
+        ++tries;
+        return m.read<std::uint32_t>(a);
+      });
+    } catch (const MemoryFaultError& e) {
+      raised = true;
+      EXPECT_EQ(e.node(), 2u);
+    }
+    retried = m.now() - t0;
+  });
+  m.run();
+  EXPECT_TRUE(raised);
+  EXPECT_EQ(tries, 4u);
+  EXPECT_EQ(m.stats().mem_faults_injected, 5u);
+  EXPECT_GT(bare, 0);
+  EXPECT_EQ(retried, 4 * bare + 100 + 200 + 350);
+}
+
+TEST(Retry, ASucceedingOperationChargesNothingExtra) {
+  Machine m(butterfly1(4));
+  const PhysAddr a = m.alloc(2, 8);
+  m.poke<std::uint32_t>(a, 42);
+  Time bare = 0, retried = 0;
+  m.spawn(0, [&] {
+    Time t0 = m.now();
+    (void)m.read<std::uint32_t>(a);
+    bare = m.now() - t0;
+    t0 = m.now();
+    EXPECT_EQ(m.retry(RetryPolicy{},
+                      [&] { return m.read<std::uint32_t>(a); }),
+              42u);
+    retried = m.now() - t0;
+  });
+  m.run();
+  EXPECT_EQ(retried, bare);
+}
+
+TEST(Retry, ZeroBackoffAddsNoEngineEvent) {
+  // Three faulted reads caught by hand, against the same three tries under
+  // a policy whose backoff is zero: the retry must not post a charge(0)
+  // resume between tries (it could reorder the run), so both runs end at
+  // the same time after the same engine events.
+  auto run = [](bool through_retry) {
+    FaultPlan plan;
+    plan.mem_fault_prob = 1.0;
+    Machine m(butterfly1(4), plan);
+    const PhysAddr a = m.alloc(2, 8);
+    m.spawn(0, [&] {
+      if (through_retry) {
+        EXPECT_THROW((void)m.retry(RetryPolicy{3, 0, 0, 0.0},
+                                   [&] { return m.read<std::uint32_t>(a); }),
+                     MemoryFaultError);
+      } else {
+        for (int i = 0; i < 3; ++i)
+          EXPECT_THROW((void)m.read<std::uint32_t>(a), MemoryFaultError);
+      }
+    });
+    const Time end = m.run();
+    return std::pair<Time, std::uint64_t>(end,
+                                          m.host_perf().events_dispatched);
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST(Retry, ForeverRetriesAtAFixedInterval) {
+  const RetryPolicy p = RetryPolicy::forever(700);
+  EXPECT_EQ(p.attempts, RetryPolicy::kUnbounded);
+  EXPECT_EQ(p.backoff(0), 700);
+  EXPECT_EQ(p.backoff(40), 700);
+  // Half the references fault: a forever policy keeps going until one
+  // lands, charging the interval after each fault.  A faulted write costs
+  // what a landed one does.
+  Time write_ns = 0;
+  {
+    Machine clean(butterfly1(4));
+    const PhysAddr a = clean.alloc(2, 8);
+    clean.spawn(0, [&] { clean.write<std::uint32_t>(a, 7); });
+    write_ns = clean.run();
+  }
+  FaultPlan plan;
+  plan.mem_fault_prob = 0.5;
+  plan.seed = 3;
+  Machine m(butterfly1(4), plan);
+  const PhysAddr a = m.alloc(2, 8);
+  std::uint32_t landed = 0;
+  m.spawn(0, [&] {
+    for (int i = 0; i < 50; ++i) {
+      m.retry(p, [&] { m.write<std::uint32_t>(a, 7); });
+      ++landed;
+    }
+  });
+  const Time end = m.run();
+  const std::uint64_t faults = m.stats().mem_faults_injected;
+  EXPECT_EQ(landed, 50u);
+  EXPECT_GT(faults, 10u);
+  EXPECT_EQ(end, static_cast<Time>((50 + faults) * write_ns + faults * 700));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "../render_stats.hpp"
 #include "sim/machine.hpp"
 
 namespace bfly::sim {
@@ -251,25 +252,7 @@ class ReferenceLog final : public Probe {
   std::string log;
 };
 
-// Every NodeStats field of every node that moved.
-std::string render_stats(const MachineStats& st) {
-  std::string out;
-  for (std::size_t n = 0; n < st.node.size(); ++n) {
-    const NodeStats& s = st.node[n];
-    const std::pair<const char*, std::uint64_t> fields[] = {
-        {"local", s.local_refs},   {"remote", s.remote_refs},
-        {"serviced", s.serviced_remote}, {"stall", s.stall_ns},
-        {"queue", s.queue_ns},     {"compute", s.compute_ns},
-        {"block", s.block_words}};
-    std::string f;
-    for (const auto& [name, v] : fields)
-      if (v != 0) f += " " + std::string(name) + "=" + std::to_string(v);
-    if (f.empty()) continue;
-    if (!out.empty()) out += " ";
-    out += "n" + std::to_string(n) + "{" + f.substr(1) + "}";
-  }
-  return out;
-}
+using test::render_stats;
 
 TEST(Memory, EveryTimedOpKeepsItsCostAndAccounting) {
   // Each operation runs once on node 0 against a cell homed on node 0
