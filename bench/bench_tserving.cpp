@@ -15,9 +15,10 @@
 //   part 2 (kills):  a fixed offered load while 0, 1, or 4 of the 8 server
 //                    nodes are killed *silently* mid-run.  Suspicion routes
 //                    around the corpses, repair re-replicates in the
-//                    background.  Gate: goodput with 4 kills stays >= 70% of
-//                    the fault-free run, and no request outlives its
-//                    deadline budget.
+//                    background.  After the window every block is read back
+//                    as in part 4.  Gate: goodput with 4 kills stays >= 70%
+//                    of the fault-free run, no request outlives its
+//                    deadline budget, and no acknowledged write is lost.
 //   part 3 (gray):   one server turns slow-but-alive (heartbeats unaffected,
 //                    service stretched 12x).  Hedged reads escape to another
 //                    replica past a latency-quantile trigger.  Gate: hedged
@@ -49,7 +50,10 @@ using namespace bfly;
 
 namespace {
 
+using bench::fill_block;
 using bench::pct_ms;
+using bench::readback_ok;
+using bench::WriteSeen;
 
 constexpr std::uint32_t kServers = 8;
 constexpr std::uint32_t kFiles = 4;
@@ -101,50 +105,6 @@ struct RunResult {
   std::string serve_json;  // final counters, read with fault_json
   bool deadlocked = true;
 };
-
-/// Block content for (file, block, tag): the tag in the first eight bytes,
-/// then a pattern tied to all three.  Each write carries a unique tag, so a
-/// read names the write it returns; the seed data has tag 0.
-void fill_block(std::vector<std::uint8_t>& blk, std::uint32_t f,
-                std::uint32_t b, std::uint64_t tag) {
-  blk.assign(bridge::kBlockSize, 0);
-  std::memcpy(blk.data(), &tag, sizeof tag);
-  for (std::size_t i = sizeof tag; i < blk.size(); ++i)
-    blk[i] = static_cast<std::uint8_t>(
-        (f * 131 + b * 37 + i * 11 + tag * 7) % 251);
-}
-
-/// One write as its client saw it.
-struct WriteSeen {
-  std::uint64_t tag = 0;
-  sim::Time issue = 0;
-  sim::Time done = 0;
-  bool acked = false;
-};
-
-/// A block may return write w only if no write acked to a client was
-/// issued after w returned: w is the last acked write or concurrent with
-/// it.  The seed data qualifies only while no write was acked.
-bool readback_ok(const std::vector<WriteSeen>& writes,
-                 const std::vector<std::uint8_t>& got, std::uint32_t f,
-                 std::uint32_t b) {
-  std::uint64_t tag = 0;
-  std::memcpy(&tag, got.data(), sizeof tag);
-  std::vector<std::uint8_t> want;
-  fill_block(want, f, b, tag);
-  if (want != got) return false;
-  sim::Time last_acked_issue = 0;
-  bool any_acked = false;
-  for (const WriteSeen& w : writes) {
-    if (!w.acked) continue;
-    any_acked = true;
-    last_acked_issue = std::max(last_acked_issue, w.issue);
-  }
-  if (tag == 0) return !any_acked;
-  for (const WriteSeen& w : writes)
-    if (w.tag == tag) return !any_acked || w.done >= last_acked_issue;
-  return false;
-}
 
 RunResult run_serving(const Scenario& sc) {
   sim::FaultPlan plan;
@@ -373,13 +333,16 @@ int main() {
   const sim::Time dur2 = (fast ? 4 : 5) * sim::kSecond;
   double faultfree_goodput = 0;
   for (const std::uint32_t kills : {0u, 1u, 4u}) {
-    const Scenario sc{"kills", offered2, dur2, kills, 0.0, true, 23};
+    Scenario sc{"kills", offered2, dur2, kills, 0.0, true, 23};
+    sc.audit = true;
     RunResult r = run_serving(sc);
     report.gate(!r.deadlocked, "kills run must not deadlock");
     report.gate(r.suspects == kills, "every silent kill must be suspected");
     report.gate(r.worst_svc <= svc_bound,
                 "kills: request outlived its deadline");
     report.gate(r.counters.lost_blocks == 0, "no block may lose every replica");
+    report.gate(r.readback_lost == 0,
+                "kills: no acknowledged write may be lost");
     const double gp = goodput(r, sc);
     if (kills == 0) faultfree_goodput = gp;
     else
@@ -438,8 +401,9 @@ int main() {
       "tracks offered load and p50 sits at the ~3.5 ms service time; past\n"
       "capacity the backlog grows and response time from scheduled arrival\n"
       "explodes, while issue-to-return service stays deadline-bounded and\n"
-      "admission control sheds attempts; 4 silent kills cost >= 70% of\n"
-      "fault-free goodput and zero lost blocks; the gray-failed server is\n"
-      "never suspected, yet hedged read p999 beats unhedged >= 2x; at\n"
-      "3000 ops/s no acknowledged write is lost to shed arms.\n");
+      "admission control sheds attempts; 4 silent kills keep >= 70% of\n"
+      "fault-free goodput and lose no block and no acknowledged write; the\n"
+      "gray-failed server is never suspected, yet hedged read p999 beats\n"
+      "unhedged >= 2x; at 3000 ops/s no acknowledged write is lost to shed\n"
+      "arms.\n");
 }

@@ -12,8 +12,8 @@ constexpr std::uint32_t kHealJob = 0xfffffffeu;
 constexpr std::uint32_t kNoReplicaIdx = 0xffffffffu;
 /// What a shed costs the client: the rejected request's round trip.
 constexpr sim::Time kShedCost = 100 * sim::kMicrosecond;
-/// Give up re-replicating a block after this many attempts (each with the
-/// retry policy's backoff); the block is then counted lost.
+/// Give up repairing a block still below full strength after this many
+/// attempts (each with the retry policy's backoff); it is then counted lost.
 constexpr std::uint32_t kRepairMaxTries = 8;
 /// Reads hedge past this quantile of the last kHedgeWindow read latencies.
 constexpr double kHedgeQuantile = 0.9;
@@ -284,9 +284,9 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
   const std::uint32_t r_count = cfg_.replicas;
   const chrys::Oid dq = k_.make_dual_queue();
   // Per-arm fate.  A dead arm's server is a corpse: it leaves the quorum's
-  // denominator and repair relocates the replica.  An unreachable arm's
-  // server is alive across a cut: it stays in the denominator and the heal
-  // pass brings it up to date.
+  // denominator and the repair of the block relocates the replica.  An
+  // unreachable arm's server is alive across a cut: it stays in the
+  // denominator and the heal pass brings it up to date.
   std::vector<std::uint8_t> need(r_count, 1);
   std::uint32_t dead = 0, unreach = 0, committed = 0;
   const auto quorum = [&] { return (r_count - dead) / 2 + 1; };
@@ -298,7 +298,7 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
     }
     ++counters_.failed_replicas;
     ++dead;
-    queue_repair(f, b, r);
+    queue_repair(f, b);
   };
   Status fail = Status::kNoReplica;
 
@@ -405,26 +405,31 @@ void ReplicatedFs::queue_repairs_for_node(sim::NodeId n) {
   for (bridge::FileId f = 0; f < nlogical_.size(); ++f) {
     for (std::uint32_t b = 0; b < nlogical_[f]; ++b) {
       for (std::uint32_t r = 0; r < cfg_.replicas; ++r) {
-        const std::uint32_t s = server_of_replica(f, b, r);
-        if (fs_.server_node(s) == n) queue_repair(f, b, r);
+        if (fs_.server_node(server_of_replica(f, b, r)) == n) {
+          queue_repair(f, b);
+          break;
+        }
       }
     }
   }
 }
 
-void ReplicatedFs::queue_repair(bridge::FileId f, std::uint32_t b,
-                                std::uint32_t r) {
-  if (!repair_inflight_.insert(key(f, b, r)).second) return;  // queued
+void ReplicatedFs::queue_repair(bridge::FileId f, std::uint32_t b) {
+  if (!repair_inflight_.insert(key(f, b)).second) return;  // queued
+  ++pending_repairs_;
+  enqueue_repair(RepairJob{f, b, 0});
+}
+
+void ReplicatedFs::enqueue_repair(const RepairJob& job) {
   std::uint32_t j;
   if (!repair_free_.empty()) {
     j = repair_free_.back();
     repair_free_.pop_back();
-    repair_jobs_[j] = RepairJob{f, b, r, 0};
+    repair_jobs_[j] = job;
   } else {
-    repair_jobs_.push_back(RepairJob{f, b, r, 0});
+    repair_jobs_.push_back(job);
     j = static_cast<std::uint32_t>(repair_jobs_.size() - 1);
   }
-  ++pending_repairs_;
   // Uncharged: repairs are queued from observer context (node death).
   k_.dq_enqueue_uncharged(repair_dq_, j);
 }
@@ -469,84 +474,53 @@ void ReplicatedFs::repair_loop() {
     }
     RepairJob job = repair_jobs_[j];
     repair_free_.push_back(j);
-    bool settled = false;
-    try {
-      settled = do_repair(job);
-    } catch (const chrys::ThrowSignal&) {
-      settled = false;  // a server died under us; retry elsewhere
+    {
+      sim::TraceSpan span(m_, "serve", "repair", job.block);
+      counters_.reconciled += resync_block(job.file, job.block);
     }
+    const bool settled = live_replicas(job.file, job.block) == cfg_.replicas;
     if (!settled && job.tries + 1 < kRepairMaxTries) {
       ++job.tries;
       k_.delay(cfg_.retry.backoff(job.tries));
-      std::uint32_t nj;
-      if (!repair_free_.empty()) {
-        nj = repair_free_.back();
-        repair_free_.pop_back();
-        repair_jobs_[nj] = job;
-      } else {
-        repair_jobs_.push_back(job);
-        nj = static_cast<std::uint32_t>(repair_jobs_.size() - 1);
-      }
-      k_.dq_enqueue_uncharged(repair_dq_, nj);
+      enqueue_repair(job);
       continue;  // still pending; inflight key stays claimed
     }
     if (!settled) {
       ++counters_.lost_blocks;
       m_.trace_instant("serve", "repair_lost", job.block);
     }
-    repair_inflight_.erase(key(job.file, job.block, job.replica));
+    repair_inflight_.erase(key(job.file, job.block));
     --pending_repairs_;
   }
   repair_running_ = false;
 }
 
-bool ReplicatedFs::do_repair(const RepairJob& j) {
-  // A duplicate or raced job whose replica is already reachable is moot.
-  if (replica_alive(j.file, j.block, j.replica)) return true;
-  sim::TraceSpan span(m_, "serve", "repair", j.block);
-  // 1. Read any surviving replica, version included.
-  std::vector<std::uint8_t> buf(bridge::kBlockSize);
-  std::uint64_t version = 0;
-  bool have = false;
-  for (std::uint32_t r2 = 0; r2 < cfg_.replicas && !have; ++r2) {
-    if (r2 == j.replica || !replica_alive(j.file, j.block, r2)) continue;
-    try {
-      have = fs_.read_block_for(j.file, phys_index(j.file, j.block, r2),
-                                buf.data(), cfg_.deadline, &version);
-    } catch (const chrys::ThrowSignal&) {
-      // that server just died too; try the next replica
-    }
-  }
-  if (!have) return false;
-  // 2. Place the new copy on the first live server (in hash rotation
-  //    order) that holds no other replica of this block.
+void ReplicatedFs::relocate(bridge::FileId f, std::uint32_t b,
+                            std::uint32_t r, const void* data,
+                            std::uint64_t version) {
   const std::uint32_t d = fs_.servers();
-  const auto base = static_cast<std::uint32_t>(
-      (mix(j.file, j.block) + j.replica) % d);
+  const auto base = static_cast<std::uint32_t>((mix(f, b) + r) % d);
   for (std::uint32_t i = 1; i < d; ++i) {
     const std::uint32_t t = (base + i) % d;
     if (!fs_.server_alive(t)) continue;
     bool taken = false;
     for (std::uint32_t r2 = 0; r2 < cfg_.replicas; ++r2) {
-      if (r2 != j.replica && server_of_replica(j.file, j.block, r2) == t)
-        taken = true;
+      if (r2 != r && server_of_replica(f, b, r2) == t) taken = true;
     }
     if (taken) continue;
-    const std::uint32_t slot = repair_next_[j.file]++;
+    const std::uint32_t slot = repair_next_[f]++;
     const std::uint32_t phys = slot * d + t;
     try {
-      if (!fs_.write_block_for(j.file, phys, buf.data(), cfg_.deadline,
-                               version))
+      if (!fs_.write_block_for(f, phys, data, cfg_.deadline, version))
         continue;  // slot wasted, target considered again next try
     } catch (const chrys::ThrowSignal&) {
       continue;
     }
-    redirect_[key(j.file, j.block, j.replica)] = phys;
+    redirect_[key(f, b, r)] = phys;
     ++counters_.rereplications;
-    m_.trace_instant("serve", "rereplicate", j.block);
-    return true;
+    m_.trace_instant("serve", "rereplicate", b);
+    return;
   }
-  return false;
 }
 
 std::uint32_t ReplicatedFs::live_replicas(bridge::FileId f,
@@ -580,17 +554,19 @@ std::uint32_t ReplicatedFs::resync_block(bridge::FileId f, std::uint32_t b) {
     if (best == kNoReplicaIdx || version[r] > version[best]) best = r;
   }
   if (best == kNoReplicaIdx) {
-    ++counters_.lost_blocks;
+    // Nothing readable: the repair worker retries the block, and counts it
+    // lost when it stays below full strength.
+    queue_repair(f, b);
     return 0;
   }
-  // Rewrite every replica that does not hold the winner.  The rewrites
-  // carry the winner's version, so a newer write that lands after the
-  // reads above outranks them in Bridge and is never reverted.  Only a
-  // rewrite Bridge installed counts.
+  // Rewrite every live replica that does not hold the winner, and relocate
+  // every dead one.  The copies carry the winner's version, so a newer
+  // write that lands after the reads above outranks them in Bridge and is
+  // never reverted.  Only a rewrite Bridge installed in place counts.
   for (std::uint32_t r = 0; r < r_count; ++r) {
     if (version[r] == version[best] && copy[r] == copy[best]) continue;
     if (!replica_alive(f, b, r)) {
-      queue_repair(f, b, r);  // relocation is the background path
+      relocate(f, b, r, copy[best].data(), version[best]);
       continue;
     }
     try {

@@ -16,13 +16,18 @@
 //     write carries a fresh version stamp from Bridge, and is acked only
 //     when a majority of the non-dead replicas commit it, whatever made
 //     the other arms fail (shed, timeout, unreachable).  A write that
-//     cannot reach such a majority ships nothing.  resync_block() keeps
-//     the highest version it can read, and Bridge never lets an older
-//     stamp overwrite a newer one, so no repair reverts an acked write.
+//     cannot reach such a majority ships nothing.
+//   * One repair rule: resync_block() is the only code that repairs a
+//     block (foreground resync, the heal pass, the repair worker after a
+//     death).  It reads every live replica, keeps the highest version,
+//     rewrites stale live replicas and relocates dead ones; Bridge never
+//     lets an older stamp overwrite a newer one, so no repair reverts an
+//     acked write.
 //   * Epoch-driven excision: when bfly::rescue suspects a node, its
-//     replicas are routed around immediately and re-replicated onto
-//     surviving servers in the background by a repair worker; the redirect
-//     map the repairs build is consulted on every subsequent access.
+//     replicas are routed around immediately and its blocks are repaired
+//     onto surviving servers in the background by a repair worker; the
+//     redirect map the relocations build is consulted on every subsequent
+//     access.
 //   * Per-request deadline budget: every read/write carries a time budget;
 //     inside it, failed replicas are retried with deterministic jittered
 //     exponential backoff (sim::RetryPolicy); at its end the caller gets
@@ -109,9 +114,10 @@ struct ServeCounters {
   std::uint64_t timeouts = 0;
   std::uint64_t rereplications = 0;
   std::uint64_t failed_replicas = 0;  ///< write arms lost to dead servers
-  std::uint64_t lost_blocks = 0;      ///< repairs with no surviving replica
+  std::uint64_t lost_blocks = 0;      ///< blocks repair left below strength
   std::uint64_t quorum_rejects = 0;   ///< writes refused on the minority side
-  std::uint64_t reconciled = 0;       ///< replicas the heal passes rewrote
+  std::uint64_t reconciled = 0;       ///< replicas the repair worker rewrote
+                                      ///< in place (heal passes and repairs)
 
   /// The serving counters as a braceless JSON fragment (serve_* keys), for
   /// bench rows that append it after sim::MachineStats::fault_json().
@@ -201,27 +207,29 @@ class ReplicatedFs {
   /// True when no repair jobs are queued or in progress.
   bool repair_idle() const { return pending_repairs_ == 0; }
 
-  /// Route around a dead node now and queue re-replication of everything it
+  /// Route around a dead node now and queue the repair of every block it
   /// held.  Wired to rescue::Membership when one is attached; loud kills
   /// arrive automatically via the crash broadcast.  No-op for live nodes.
   void excise_node(sim::NodeId n);
 
   /// Foreground convergence pass: resync_block() over every block of `f`.
-  /// Returns the number of replicas rewritten.  This is the restart path
-  /// (a rebooted machine reloads Bridge's stable store, versions included,
-  /// but blocks written while a replica's server was dead are stale there
-  /// until resync) and the heal path.
+  /// Returns the number of replicas rewritten in place.  This is the
+  /// restart path (a rebooted machine reloads Bridge's stable store,
+  /// versions included, but blocks written while a replica's server was
+  /// dead are stale there until resync) and the heal path.
   std::uint32_t resync(bridge::FileId f);
 
-  /// One block of resync(): read every live replica, keep the one with the
-  /// highest version (ties to the lowest replica), and rewrite each
-  /// replica that differs from it or could not be read, stamped with the
-  /// winner's version.  Dead replicas are queued for repair instead.  A
-  /// write that lands on a replica after its read here carries a higher
-  /// version, so the rewrite leaves it in place: an acked write holds on a
-  /// majority, the reads see at least one copy of it, and nothing older
-  /// replaces it.  Returns the replicas the rewrites installed on: one a
-  /// newer write outranked is not counted.
+  /// Repair one block: the one routine behind resync(), the heal pass and
+  /// the repair worker.  Read every live replica, keep the one with the
+  /// highest version (ties to the lowest replica), rewrite in place each
+  /// live replica that differs from it or could not be read, and relocate
+  /// each dead one, all stamped with the winner's version.  A write that
+  /// lands after its read here carries a higher version, so the rewrite
+  /// leaves it in place: an acked write holds on a majority, the reads see
+  /// a copy of it, and nothing older replaces it.  With nothing readable
+  /// the block goes to the repair worker.  Returns the in-place installs (a
+  /// rewrite a newer write outranked is not one; relocations count in
+  /// rereplications).
   std::uint32_t resync_block(bridge::FileId f, std::uint32_t b);
 
   const ServeCounters& counters() const { return counters_; }
@@ -239,13 +247,13 @@ class ReplicatedFs {
   struct RepairJob {
     bridge::FileId file = 0;
     std::uint32_t block = 0;
-    std::uint32_t replica = 0;
     std::uint32_t tries = 0;  ///< failed attempts so far (bounded)
   };
 
   static std::uint64_t mix(std::uint64_t f, std::uint64_t b);
+  /// Key of replica r of (f, b); key(f, b) keys the block.
   static std::uint64_t key(bridge::FileId f, std::uint32_t b,
-                           std::uint32_t r) {
+                           std::uint32_t r = 0) {
     return (static_cast<std::uint64_t>(f) << 40) |
            (static_cast<std::uint64_t>(b) << 8) | r;
   }
@@ -273,14 +281,20 @@ class ReplicatedFs {
   /// (and just the floor until min_hedge_samples reads have succeeded).
   sim::Time hedge_threshold() const;
   void queue_repairs_for_node(sim::NodeId n);
-  void queue_repair(bridge::FileId f, std::uint32_t b, std::uint32_t r);
+  /// Queue block (f, b) for the repair worker (idempotent while queued).
+  void queue_repair(bridge::FileId f, std::uint32_t b);
+  /// Put `job` in a free job slot and hand the slot to the worker.
+  void enqueue_repair(const RepairJob& job);
   /// Hand one resync() pass over the open files to the repair worker
   /// (idempotent while queued).
   void queue_heal();
   void repair_loop();
-  /// Perform one repair job; true if the block is back to full strength or
-  /// the job is moot, false if it should be retried later.
-  bool do_repair(const RepairJob& j);
+  /// Move dead replica r of (f, b) to the first live server, in hash
+  /// rotation order from its home, that holds no other replica: write
+  /// `data` stamped `version` into a fresh repair slot there and redirect
+  /// the replica to it.  Leaves it dead if no server takes the copy.
+  void relocate(bridge::FileId f, std::uint32_t b, std::uint32_t r,
+                const void* data, std::uint64_t version);
   /// Settle an outstanding async arm: abandon it, or drain its raced-in
   /// reply token and free the slot.
   void settle(chrys::Oid dq, std::uint32_t rid);
@@ -304,8 +318,8 @@ class ReplicatedFs {
   // Repair machinery.
   std::vector<RepairJob> repair_jobs_;      // host-side job slots
   std::vector<std::uint32_t> repair_free_;
-  // (f,b,r) keys queued or being repaired — dedups the excise sweep
-  // against per-write dead-arm discoveries.
+  // (f,b) keys of blocks queued or being repaired — dedups the excise
+  // sweep against per-write dead-arm discoveries.
   std::unordered_set<std::uint64_t> repair_inflight_;
   chrys::Oid repair_dq_ = chrys::kNoObject;
   std::uint32_t pending_repairs_ = 0;

@@ -34,8 +34,8 @@ McsLock::~McsLock() = default;
 void McsLock::acquire(std::uint32_t w) {
   // Reset my qnode.  Local plain writes: no other worker touches these
   // words except through the atomic link/handoff swaps below.
-  m_.write<std::uint32_t>(next_[w], 0);
-  m_.write<std::uint32_t>(locked_[w], 1);
+  m_.retry(retry_, [&] { m_.write<std::uint32_t>(next_[w], 0); });
+  m_.retry(retry_, [&] { m_.write<std::uint32_t>(locked_[w], 1); });
   // Enqueue with one atomic swap on the tail — the only switch transaction
   // a contended acquire ever issues.
   const std::uint32_t pred =

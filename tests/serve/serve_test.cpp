@@ -233,6 +233,55 @@ TEST(Serve, OverloadWriteOnOneReplicaIsRefusedAndResyncKeepsAckedWrites) {
       });
 }
 
+TEST(Serve, RepairCopiesTheNewestSurvivor) {
+  // Replica 0's server is busy past the queue limit while v2 is written, so
+  // v2 is acked on replicas 1-2 alone and replica 0 keeps v1.  Replica 1's
+  // server then dies: its repair must copy v2 from replica 2, not v1 from
+  // replica 0, or the second death (replica 2's) leaves only v1 behind and
+  // the acked write is gone.
+  ServeConfig cfg = quiet_cfg();
+  cfg.queue_limit = 3;
+  with_serve(
+      16, 8, cfg, sim::FaultPlan{},
+      [](chrys::Kernel& k, Machine& m, bridge::BridgeFs& fs,
+         ReplicatedFs& rfs) {
+        const bridge::FileId f = rfs.open("data", 16);
+        std::vector<std::uint8_t> v1, v2, back(bridge::kBlockSize);
+        fill_block(v1, 0, 1);
+        fill_block(v2, 0, 2);
+        ASSERT_EQ(rfs.write(f, 0, v1.data()), Status::kOk);
+
+        const bridge::FileId junk = fs.create("junk");
+        const chrys::Oid dq = k.make_dual_queue();
+        std::vector<std::vector<std::uint8_t>> bufs(
+            4, std::vector<std::uint8_t>(bridge::kBlockSize));
+        for (std::uint32_t i = 0; i < 4; ++i)
+          fs.submit_read(junk, rfs.replica_server(f, 0, 0), bufs[i].data(),
+                         dq);
+        ASSERT_EQ(rfs.write(f, 0, v2.data()), Status::kOk)
+            << "acked on replicas 1-2";
+        for (std::uint32_t i = 0; i < 4; ++i)
+          fs.finish_request(k.dq_dequeue(dq));
+        fs.release_reply_queue(dq);
+
+        rfs.start_repair(14);  // a client node, not a server
+        const auto kill_and_repair = [&](std::uint32_t r) {
+          const sim::NodeId n = fs.server_node(rfs.replica_server(f, 0, r));
+          m.kill_node(n, m.now() + sim::kMillisecond);
+          while (k.node_alive(n)) k.delay(10 * sim::kMillisecond);
+          for (int i = 0; i < 400 && !rfs.repair_idle(); ++i)
+            k.delay(20 * sim::kMillisecond);
+          ASSERT_TRUE(rfs.repair_idle());
+        };
+        kill_and_repair(1);
+        kill_and_repair(2);
+        rfs.resync_block(f, 0);
+        ASSERT_EQ(rfs.read(f, 0, back.data()), Status::kOk);
+        EXPECT_EQ(back, v2) << "the acked write was lost";
+        EXPECT_EQ(rfs.counters().lost_blocks, 0u);
+      });
+}
+
 TEST(Serve, DeadlineBoundsRequestsAgainstAnAllSlowCluster) {
   // Both servers gray-fail with a 100x service stretch: nothing can answer
   // inside the budget, so reads and writes return kTimeout close to the

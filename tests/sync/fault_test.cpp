@@ -41,16 +41,7 @@ TEST(SyncFaults, McsLockKeepsMutualExclusion) {
   for (std::uint32_t w = 0; w < 8; ++w) {
     m.spawn(nodes[w], [&, w] {
       for (int r = 0; r < 20; ++r) {
-        // acquire's two qnode-reset writes are not retried inside the
-        // lock; a fault there aborts acquire before it enqueues, so the
-        // caller may simply call it again.
-        for (;;) {
-          try {
-            lock.acquire(w);
-            break;
-          } catch (const sim::MemoryFaultError&) {
-          }
-        }
+        lock.acquire(w);
         max_in_cs = std::max(max_in_cs, ++in_cs);
         m.charge(50 * sim::kMicrosecond);
         --in_cs;
@@ -66,15 +57,15 @@ TEST(SyncFaults, McsLockKeepsMutualExclusion) {
   EXPECT_EQ(total, 8 * 20);
   EXPECT_EQ(lock.acquisitions(), 160u);
   EXPECT_EQ(pinned(m),
-            "now=8789900 faults=1656; "
-            "n0{local=4129 remote=43 serviced=192 stall=3503000 queue=96600} "
-            "n1{local=3959 remote=60 serviced=41 stall=3320800 queue=9600} "
-            "n2{local=3988 remote=63 serviced=42 stall=3347500 queue=5900} "
-            "n3{local=4020 remote=62 serviced=41 stall=3372200 queue=7400} "
-            "n4{local=4049 remote=61 serviced=41 stall=3397900 queue=12300} "
-            "n5{local=4075 remote=64 serviced=41 stall=3426400 queue=12800} "
-            "n6{local=4108 remote=64 serviced=41 stall=3445100 queue=5100} "
-            "n7{local=4171 remote=63 serviced=41 stall=3496900 queue=8900}");
+            "now=8835800 faults=1661; "
+            "n0{local=4149 remote=45 serviced=194 stall=3527100 queue=99900} "
+            "n1{local=3984 remote=62 serviced=39 stall=3341300 queue=5300} "
+            "n2{local=4015 remote=63 serviced=44 stall=3367800 queue=4600} "
+            "n3{local=4043 remote=63 serviced=44 stall=3394500 queue=8900} "
+            "n4{local=4070 remote=64 serviced=42 stall=3423000 queue=13400} "
+            "n5{local=4100 remote=66 serviced=43 stall=3445700 queue=7300} "
+            "n6{local=4133 remote=65 serviced=42 stall=3468400 queue=6000} "
+            "n7{local=4194 remote=64 serviced=44 stall=3517800 queue=9000}");
 }
 
 // Every worker bumps its phase, crosses the barrier, checks that all phases

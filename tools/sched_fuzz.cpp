@@ -14,9 +14,12 @@
 //   us      — the Uniform System task machinery (manager loops, the task
 //             dual queue, nested gen_task, the wait_idle completion
 //             counter) that the whole application suite runs on;
-//   serve   — a miniature replicated-Bridge serving cell with silent
-//             kills, rescue membership and background repair, where
-//             Membership::stop()'s join paths race daemon wakeups.
+//   serve   — a miniature replicated-Bridge serving cell with a silent
+//             kill, rescue membership and background repair, where
+//             Membership::stop()'s join paths race daemon wakeups.  Once
+//             repair is idle every block must be back at full replication
+//             and, after resync_block(), read back its last acknowledged
+//             write or one concurrent with it: no schedule may lose one.
 //
 // Every seed is deterministic: a failure prints its seed, and re-running
 // with that seed reproduces the run exactly (record the monitor workload
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "../bench/serving_common.hpp"
 #include "bridge/bridge.hpp"
 #include "chrysalis/kernel.hpp"
 #include "moviola/wait_graph.hpp"
@@ -201,9 +205,7 @@ bool run_us(std::uint64_t seed) {
 
 // --- serve: mini chaos cell with membership join on the way out ------------
 bool run_serve(std::uint64_t seed) {
-  bfly::sim::FaultPlan plan;
-  plan.kill_silent(1, 400 * bfly::sim::kMillisecond);
-  Machine m(butterfly1(16), plan);
+  Machine m(butterfly1(16));
   bfly::chrys::Kernel k(m);
   Detector d(m, &k);
   k.set_schedule_exploration(seed);
@@ -222,6 +224,8 @@ bool run_serve(std::uint64_t seed) {
   constexpr std::uint32_t kWorkers = 3;
   constexpr std::uint32_t kOpsPer = 8;
   std::uint32_t done = 0;
+  std::vector<std::vector<bfly::bench::WriteSeen>> writes(kWorkers);
+  std::string lost;  // what the durability check found, if anything
 
   k.create_process(15, [&] {
     bfly::bridge::BridgeFs fs(k, 8);
@@ -233,9 +237,17 @@ bool run_serve(std::uint64_t seed) {
       cfg.min_hedge_samples = 1u << 20;
       bfly::serve::ReplicatedFs rfs(k, fs, &mem, cfg);
       const bfly::bridge::FileId f = rfs.open("fuzz", 16);
-      std::vector<std::uint8_t> blk(bfly::bridge::kBlockSize, 7);
-      for (std::uint32_t b = 0; b < kWorkers; ++b)
+      // Silently kill the server of block 0's first replica mid-run, so
+      // repair has a replica to move.
+      m.kill_node(fs.server_node(rfs.replica_server(f, 0, 0)),
+                  400 * bfly::sim::kMillisecond, /*silent=*/true);
+      // Tagged content (bench/serving_common.hpp): the seed data has tag 0,
+      // and every worker write a tag of its own.
+      std::vector<std::uint8_t> blk;
+      for (std::uint32_t b = 0; b < kWorkers; ++b) {
+        bfly::bench::fill_block(blk, f, b, 0);
         (void)rfs.write(f, b, blk.data());
+      }
       mem.start();
       rfs.start_repair(13);
       for (std::uint32_t w = 0; w < kWorkers; ++w) {
@@ -243,17 +255,39 @@ bool run_serve(std::uint64_t seed) {
           std::vector<std::uint8_t> buf(bfly::bridge::kBlockSize);
           for (std::uint32_t op = 0; op < kOpsPer; ++op) {
             k.delay(10 * bfly::sim::kMillisecond);
-            if (op % 3 == 2)
-              (void)rfs.write(f, w, buf.data());
-            else
+            if (op % 3 == 2) {
+              const std::uint64_t tag = 1 + w * kOpsPer + op;
+              bfly::bench::fill_block(buf, f, w, tag);
+              const bfly::sim::Time issue = m.now();
+              const bool acked =
+                  rfs.write(f, w, buf.data()) == bfly::serve::Status::kOk;
+              writes[w].push_back({tag, issue, m.now(), acked});
+            } else {
               (void)rfs.read(f, w, buf.data());
+            }
           }
           ++done;
         }, "worker" + std::to_string(w));
       }
       while (done < kWorkers) k.delay(40 * bfly::sim::kMillisecond);
-      for (int i = 0; i < 200 && !rfs.repair_idle(); ++i)
+      for (int i = 0; i < 200 && (m.stats().suspects_declared == 0 ||
+                                  !rfs.repair_idle());
+           ++i)
         k.delay(20 * bfly::sim::kMillisecond);
+      // Durability: repair restored every block, and no acknowledged write
+      // was lost on the way.
+      std::vector<std::uint8_t> got(bfly::bridge::kBlockSize);
+      for (std::uint32_t b = 0; b < kWorkers; ++b) {
+        const std::uint32_t live = rfs.live_replicas(f, b);
+        rfs.resync_block(f, b);
+        const bool kept =
+            rfs.read(f, b, got.data()) == bfly::serve::Status::kOk &&
+            bfly::bench::readback_ok(writes[b], got, f, b);
+        if (live != cfg.replicas || !kept)
+          lost += "  block " + std::to_string(b) + ": " +
+                  std::to_string(live) + " live replicas, last acked write " +
+                  (kept ? "kept" : "lost") + "\n";
+      }
       // The join paths under perturbed dispatch: stop() must wait for
       // every daemon on a live node, no matter who gets scheduled first.
       mem.stop();
@@ -273,6 +307,12 @@ bool run_serve(std::uint64_t seed) {
       std::fprintf(stderr, "  blocked: %s (oid %u) on oid %u\n",
                    b.name.c_str(), b.process, b.waiting_on);
     std::fprintf(stderr, "%s", k.sched_snapshot().c_str());
+    (void)report_run("serve", seed, m, d);
+    return false;
+  }
+  if (!lost.empty()) {
+    std::fprintf(stderr, "sched_fuzz: serve seed %llu lost durability\n%s",
+                 static_cast<unsigned long long>(seed), lost.c_str());
     (void)report_run("serve", seed, m, d);
     return false;
   }
