@@ -5,12 +5,14 @@
 // file-based operations, including copying, sorting, searching, and
 // comparing."
 //
-// Gate: copy speedup stays within 5% of linear through 32 disks.
+// Gate: copy speedup stays within 5% of linear through 32 disks.  One JSON
+// row per disk count goes to BENCH_bridge.json in the working directory.
 
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "bridge/bridge.hpp"
+#include "sim/json.hpp"
 
 namespace {
 
@@ -62,7 +64,7 @@ int main() {
   bench::header("T-BRIDGE", "interleaved-file operations vs number of disks",
                 "near-linear speedup on several dozen disks for copy / "
                 "search / compare; sort gains but pays a serial merge tail");
-  bench::Report report;
+  bench::Report report("tbridge", "BENCH_bridge.json");
   const std::uint32_t blocks = bench::fast_mode() ? 96 : 384;
   std::printf("file: %u blocks of %zu bytes\n\n", blocks, bridge::kBlockSize);
   std::printf("%6s %10s %10s %10s %10s | %8s %8s\n", "disks", "copy(s)",
@@ -77,6 +79,21 @@ int main() {
                 bench::seconds(t.compare), bench::seconds(t.sort),
                 sim::ratio(base.copy, t.copy),
                 sim::ratio(base.search, t.search));
+    sim::json::Writer jw;
+    jw.begin_object()
+        .kv("bench", "tbridge")
+        .kv("disks", d)
+        .kv("blocks", blocks)
+        .kv("copy_s", bench::seconds(t.copy))
+        .kv("search_s", bench::seconds(t.search))
+        .kv("compare_s", bench::seconds(t.compare))
+        .kv("sort_s", bench::seconds(t.sort))
+        .kv("copy_speedup", sim::ratio(base.copy, t.copy))
+        .kv("search_speedup", sim::ratio(base.search, t.search))
+        .kv("compare_speedup", sim::ratio(base.compare, t.compare))
+        .kv("sort_speedup", sim::ratio(base.sort, t.sort))
+        .end_object();
+    report.row(jw.str());
     if (d <= 32)
       report.gate(sim::ratio(base.copy, t.copy) >= 0.95 * d,
                   "T-BRIDGE: copy speedup must be >= 0.95x disks through 32");

@@ -16,7 +16,8 @@
 //                      sweep and an odd-even transposition sort.  The final
 //                      answer must match an uninterrupted run bit-for-bit.
 //
-// Output: human-readable tables plus one JSON line per configuration.
+// Output: human-readable tables; one JSON row per configuration goes to
+// BENCH_recovery.json in the working directory.
 
 #include <cstdio>
 #include <vector>
@@ -249,6 +250,7 @@ int main() {
   bench::header("TRECOVERY", "failure detection and checkpoint/restart cost",
                 "recovery must be bounded in time, not contingent on a "
                 "survivor touching the corpse");
+  bench::Report report("trecovery", "BENCH_recovery.json");
 
   // --- part 1 --------------------------------------------------------------
   const std::uint32_t tasks = fast ? 256 : 400;
@@ -295,7 +297,7 @@ int main() {
           .kv("overhead_pct", over * 100.0)
           .kv("false_suspects", r.false_suspects)
           .end_object();
-      std::printf("%s\n", jw.str().c_str());
+      report.row(jw.str());
     }
   }
 
@@ -329,13 +331,14 @@ int main() {
           .kv("match", r.match)
           .raw(r.fault_json)
           .end_object();
-      std::printf("%s\n", jw.str().c_str());
+      report.row(jw.str());
+      report.gate(r.match, "TRECOVERY: every restart must finish with the "
+                           "uninterrupted run's bytes");
     }
   }
-  std::printf(
+  return report.finish(
       "\nshape check: detect(ms) tracks 4 x hb_period + 2 ms; zero-kill\n"
       "grind overhead stays in the single-digit percent range; recover(s)\n"
       "decreases monotonically as checkpoints get more frequent; every\n"
       "recovery row must say match=yes (bit-for-bit).\n");
-  return 0;
 }

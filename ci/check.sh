@@ -28,15 +28,16 @@
 #                        rows file never touches the committed copy; gated
 #                        on the exit code, which carries each bench's
 #                        self-gates (label bench-smoke)
-#   2b. bench drift    — tserving, tpartition, tsync and fig5 regenerate
-#                        their rows files at full size in a scratch
-#                        directory; each must be byte-identical to the
-#                        committed BENCH_*.json (~30 s, almost all of it the
-#                        sync sweep).  A difference means the simulation
-#                        moved: regenerate the file and say why in the
-#                        change.  Then the FIG5 table in EXPERIMENTS.md
-#                        must equal tools/fig5_table.py's render of the
-#                        (now verified) BENCH_fig5.json, and perfbench's
+#   2b. bench drift    — tserving, tpartition, tsync, fig5, tbridge and
+#                        trecovery regenerate their rows files at full
+#                        size in a scratch directory; each must be
+#                        byte-identical to the committed BENCH_*.json
+#                        (~30 s, almost all of it the sync sweep).  A
+#                        difference means the simulation moved: regenerate
+#                        the file and say why in the change.  Then the
+#                        FIG5 table in EXPERIMENTS.md must equal
+#                        tools/fig5_table.py's render of the (now
+#                        verified) BENCH_fig5.json, and perfbench's
 #                        `sim` sections for gauss, serve and observed at
 #                        seeds 1, 1988 and 404 (tools/perfbench_sim.py)
 #                        must equal ci/perfbench_sim.golden.json
@@ -141,7 +142,7 @@ ctest --preset default -L bench-smoke --output-on-failure
 step "bench drift (full-size rows files vs the committed BENCH_*.json)"
 drift_dir="$(mktemp -d)"
 for b in tserving:serving tpartition:partition tsync_scaling:sync \
-         fig5_gauss:fig5; do
+         fig5_gauss:fig5 tbridge_scaling:bridge trecovery:recovery; do
   bin="bench_${b%%:*}" file="BENCH_${b##*:}.json"
   (cd "$drift_dir" && "$ROOT/build/bench/$bin" >/dev/null)
   cmp "$drift_dir/$file" "$file" || {

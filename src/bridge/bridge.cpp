@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <optional>
 
 namespace bfly::bridge {
 
@@ -70,18 +71,27 @@ void BridgeFs::excise_node(sim::NodeId n) {
   handle_node_death(n);
 }
 
+void BridgeFs::fail_reply(std::uint32_t rid) {
+  Request& rq = reqs_[rid];
+  if (rq.abandoned) {
+    release_request(rid);  // nobody is waiting; just reclaim
+    return;
+  }
+  rq.failed = true;
+  send_reply(rid);
+}
+
+void BridgeFs::send_reply(std::uint32_t rid) {
+  Request& rq = reqs_[rid];
+  assert(!rq.abandoned && "an abandoned request's reply queue may be gone");
+  k_.dq_enqueue_uncharged(rq.reply_dq, rid);
+  rq.replied = true;
+}
+
 void BridgeFs::fail_abandoned(std::uint32_t s) {
   std::uint32_t rid;
-  while (k_.dq_try_dequeue_uncharged(servers_[s]->req_dq, &rid)) {
-    Request& rq = reqs_[rid];
-    if (rq.abandoned) {
-      complete_abandoned(rid);  // nobody is waiting; just reclaim
-      continue;
-    }
-    rq.failed = true;
-    rq.replied = true;
-    k_.dq_enqueue_uncharged(rq.reply_dq, rid);
-  }
+  while (k_.dq_try_dequeue_uncharged(servers_[s]->req_dq, &rid))
+    fail_reply(rid);
 }
 
 void BridgeFs::handle_node_death(sim::NodeId n) {
@@ -94,14 +104,7 @@ void BridgeFs::handle_node_death(sim::NodeId n) {
     // Every client is owed exactly one reply per request.  Fail-reply the
     // one being served when the node died, then everything still queued.
     if (sv.current_rid != kNoRid) {
-      Request& rq = reqs_[sv.current_rid];
-      if (rq.abandoned) {
-        complete_abandoned(sv.current_rid);
-      } else {
-        rq.failed = true;
-        rq.replied = true;
-        k_.dq_enqueue_uncharged(rq.reply_dq, sv.current_rid);
-      }
+      fail_reply(sv.current_rid);
       sv.current_rid = kNoRid;
     }
     fail_abandoned(s);
@@ -153,7 +156,7 @@ void BridgeFs::server_loop(std::uint32_t s) {
     if (rq.abandoned) {
       // Cancelled while queued: the client is gone, skip the disk entirely
       // (this is what makes a hedge's losing arm cheap).
-      complete_abandoned(rid);
+      release_request(rid);
       sv.current_rid = kNoRid;
       continue;
     }
@@ -254,17 +257,14 @@ void BridgeFs::server_loop(std::uint32_t s) {
         break;
     }
     // The reply is a charged enqueue, and the client may abandon the
-    // request during that charge too: check both before and after it.
+    // request during that charge too: check both before and after it.  The
+    // token goes out only after the charge completes: if the node dies
+    // mid-enqueue, the death observer still owes this rid its fail-reply.
     if (!rq.abandoned) m_.charge(m_.config().dq_enqueue_ns);
-    if (rq.abandoned) {
-      complete_abandoned(rid);
-    } else {
-      k_.dq_enqueue_uncharged(rq.reply_dq, rid);
-      // Mark replied only after the charged enqueue completes: if the node
-      // dies mid-enqueue the token was not delivered, and the death
-      // observer must still fail-reply this rid.
-      rq.replied = true;
-    }
+    if (rq.abandoned)
+      release_request(rid);
+    else
+      send_reply(rid);
     sv.current_rid = kNoRid;
     if (stop) break;
   }
@@ -290,124 +290,40 @@ bool BridgeFs::write_block_for(FileId f, std::uint32_t index, const void* data,
                                sim::Time budget, std::uint64_t version,
                                std::uint64_t* stored) {
   const std::uint32_t s = index % nservers_;
-  if (!servers_[s]->alive)
-    throw chrys::ThrowSignal{chrys::kThrowNodeDead, servers_[s]->node};
-  files_[f].nblocks = std::max(files_[f].nblocks, index + 1);
+  if (!servers_[s]->alive) raise_if_failed(Transfer::kDead, s);
   sim::TraceSpan span(m_, "bridge", "write_block", index);
-  m_.charge(kRequestOverhead);
-  try {
-    // The block travels to the server's node across the switch.
-    m_.access_words(sim::PhysAddr{servers_[s]->node, 0}, kBlockSize / 4 / 8);
-  } catch (const sim::NodeDeadError&) {
-    // Touching the corpse revealed a silent death; keep the documented
-    // contract (dead stripe throws the Chrysalis signal, not a raw
-    // machine error).
-    throw chrys::ThrowSignal{chrys::kThrowNodeDead, servers_[s]->node};
-  } catch (const sim::NetUnreachableError&) {
-    // The server is cut off, not dead: same signal discipline, distinct
-    // code, so callers can retry after the heal instead of repairing.
-    throw chrys::ThrowSignal{chrys::kThrowNetUnreachable, servers_[s]->node};
-  }
-  const chrys::Oid reply = k_.make_dual_queue();
   Request rq;
   rq.op = Request::kWrite;
   rq.file = f;
   rq.index = index;
   rq.wdata = data;
   rq.version = version;
-  rq.reply_dq = reply;
-  const std::uint32_t rid = put_request(std::move(rq));
-  k_.dq_enqueue(servers_[s]->req_dq, rid);
-  // The server may have died while we shipped the request, after its death
-  // observer drained the queue; fail-reply our own stranded rid.
-  if (!servers_[s]->alive) fail_abandoned(s);
-  std::uint32_t tok;
-  if (budget == 0) {
-    (void)k_.dq_dequeue(reply);
-  } else if (!k_.dq_dequeue_for(reply, budget, &tok)) {
-    if (!abandon_request(rid)) {
-      // Still in flight: the bridge owns the slot now, we walk away.
-      release_reply_queue(reply);
-      return false;
-    }
-    (void)k_.dq_try_dequeue_uncharged(reply, &tok);  // reply raced us in
-  }
-  const bool failed = reqs_[rid].failed;
-  if (stored != nullptr) *stored = reqs_[rid].version;
-  release_request(rid);
-  k_.delete_object(reply);
-  if (failed)
-    throw chrys::ThrowSignal{chrys::kThrowNodeDead, servers_[s]->node};
-  return true;
+  raise_if_failed(ship(s, rq), s);
+  rq.reply_dq = k_.make_dual_queue();
+  return await(post(s, std::move(rq)), s, budget, stored);
 }
 
 bool BridgeFs::read_block_for(FileId f, std::uint32_t index, void* out,
                               sim::Time budget, std::uint64_t* version) {
   const std::uint32_t s = index % nservers_;
-  if (!servers_[s]->alive)
-    throw chrys::ThrowSignal{chrys::kThrowNodeDead, servers_[s]->node};
+  if (!servers_[s]->alive) raise_if_failed(Transfer::kDead, s);
   sim::TraceSpan span(m_, "bridge", "read_block", index);
-  m_.charge(kRequestOverhead);
-  const chrys::Oid reply = k_.make_dual_queue();
   Request rq;
   rq.op = Request::kRead;
   rq.file = f;
   rq.index = index;
   rq.rdata = out;
-  rq.reply_dq = reply;
-  const std::uint32_t rid = put_request(std::move(rq));
-  k_.dq_enqueue(servers_[s]->req_dq, rid);
-  if (!servers_[s]->alive) fail_abandoned(s);
-  std::uint32_t tok;
-  if (budget == 0) {
-    (void)k_.dq_dequeue(reply);
-  } else if (!k_.dq_dequeue_for(reply, budget, &tok)) {
-    if (!abandon_request(rid)) {
-      release_reply_queue(reply);
-      return false;
-    }
-    (void)k_.dq_try_dequeue_uncharged(reply, &tok);
-  }
-  const bool failed = reqs_[rid].failed;
-  if (version != nullptr) *version = reqs_[rid].version;
-  release_request(rid);
-  if (failed) {
-    k_.delete_object(reply);
-    throw chrys::ThrowSignal{chrys::kThrowNodeDead, servers_[s]->node};
-  }
-  try {
-    // The block travels back across the switch.
-    m_.access_words(sim::PhysAddr{servers_[s]->node, 0}, kBlockSize / 4 / 8);
-  } catch (const sim::NodeDeadError&) {
-    // The server died between its reply and our data pull: the block is
-    // gone with the node.  Same documented signal as a dead-at-entry
-    // stripe.
-    k_.delete_object(reply);
-    throw chrys::ThrowSignal{chrys::kThrowNodeDead, servers_[s]->node};
-  } catch (const sim::NetUnreachableError&) {
-    // A partition opened between the reply and our data pull: the block
-    // survives on the far side, but this read cannot complete.
-    k_.delete_object(reply);
-    throw chrys::ThrowSignal{chrys::kThrowNetUnreachable, servers_[s]->node};
-  }
-  k_.delete_object(reply);
+  raise_if_failed(ship(s, rq), s);
+  rq.reply_dq = k_.make_dual_queue();
+  if (!await(post(s, std::move(rq)), s, budget, version)) return false;
+  // A server that died between its reply and the pull took the block with
+  // it; a cut that opened there leaves it on the far side.
+  raise_if_failed(pull(s), s);
   return true;
-}
-
-std::uint32_t BridgeFs::put_failed(Request rq, chrys::Oid reply_dq,
-                                   bool unreachable) {
-  rq.failed = true;
-  rq.unreachable = unreachable;
-  rq.replied = true;
-  rq.reply_dq = reply_dq;
-  const std::uint32_t rid = put_request(std::move(rq));
-  k_.dq_enqueue_uncharged(reply_dq, rid);
-  return rid;
 }
 
 std::uint32_t BridgeFs::submit_read(FileId f, std::uint32_t index, void* out,
                                     chrys::Oid reply_dq) {
-  const std::uint32_t s = index % nservers_;
   sim::TraceSpan span(m_, "bridge", "submit_read", index);
   Request rq;
   rq.op = Request::kRead;
@@ -415,18 +331,12 @@ std::uint32_t BridgeFs::submit_read(FileId f, std::uint32_t index, void* out,
   rq.index = index;
   rq.rdata = out;
   rq.reply_dq = reply_dq;
-  m_.charge(kRequestOverhead);
-  if (!servers_[s]->alive) return put_failed(std::move(rq), reply_dq);
-  const std::uint32_t rid = put_request(std::move(rq));
-  k_.dq_enqueue(servers_[s]->req_dq, rid);
-  if (!servers_[s]->alive) fail_abandoned(s);
-  return rid;
+  return submit(std::move(rq));
 }
 
 std::uint32_t BridgeFs::submit_write(FileId f, std::uint32_t index,
                                      const void* data, chrys::Oid reply_dq,
                                      std::uint64_t version) {
-  const std::uint32_t s = index % nservers_;
   sim::TraceSpan span(m_, "bridge", "submit_write", index);
   Request rq;
   rq.op = Request::kWrite;
@@ -435,55 +345,88 @@ std::uint32_t BridgeFs::submit_write(FileId f, std::uint32_t index,
   rq.wdata = data;
   rq.version = version;
   rq.reply_dq = reply_dq;
+  return submit(std::move(rq));
+}
+
+std::uint32_t BridgeFs::submit(Request rq) {
+  const std::uint32_t s = rq.index % nservers_;
+  const Transfer t = ship(s, rq);
+  if (t == Transfer::kOk) return post(s, std::move(rq));
+  // Failed before it reached the server: fail-reply at once, uncharged, so
+  // the caller's reply loop stays uniform.  An unreachable server keeps
+  // its replica (stale, not lost).
+  rq.unreachable = t == Transfer::kUnreachable;
+  const std::uint32_t rid = put_request(std::move(rq));
+  fail_reply(rid);
+  return rid;
+}
+
+Transfer BridgeFs::ship(std::uint32_t s, const Request& rq) {
   m_.charge(kRequestOverhead);
-  if (!servers_[s]->alive) return put_failed(std::move(rq), reply_dq);
-  files_[f].nblocks = std::max(files_[f].nblocks, index + 1);
+  if (!servers_[s]->alive) return Transfer::kDead;  // died during the charge
+  if (rq.op != Request::kWrite) return Transfer::kOk;
+  files_[rq.file].nblocks = std::max(files_[rq.file].nblocks, rq.index + 1);
+  // The block crosses the switch to the server: a read's pull, reversed.
+  return pull(s);
+}
+
+Transfer BridgeFs::pull(std::uint32_t s) {
   try {
-    // The block travels to the server's node across the switch.
     m_.access_words(sim::PhysAddr{servers_[s]->node, 0}, kBlockSize / 4 / 8);
   } catch (const sim::NodeDeadError&) {
-    // Touching the corpse revealed a silent death before any detector did.
-    return put_failed(std::move(rq), reply_dq);
+    // Touching the corpse revealed a death no detector had reported yet.
+    return Transfer::kDead;
   } catch (const sim::NetUnreachableError&) {
-    // No path to the server (partition or dead switch hardware): fail the
-    // request but flag it unreachable — the replica is stale, not lost.
-    return put_failed(std::move(rq), reply_dq, /*unreachable=*/true);
+    // No path to the server (partition or dead switch hardware).
+    return Transfer::kUnreachable;
   }
+  return Transfer::kOk;
+}
+
+std::uint32_t BridgeFs::post(std::uint32_t s, Request rq) {
   const std::uint32_t rid = put_request(std::move(rq));
   k_.dq_enqueue(servers_[s]->req_dq, rid);
+  // The server may have died during the enqueue, after its death observer
+  // drained the queue: fail-reply our own stranded rid.
   if (!servers_[s]->alive) fail_abandoned(s);
   return rid;
+}
+
+bool BridgeFs::await(std::uint32_t rid, std::uint32_t s, sim::Time budget,
+                     std::uint64_t* version) {
+  const chrys::Oid reply = reqs_[rid].reply_dq;
+  std::uint32_t tok;
+  // A reply that raced the deadline in still counts; its token dies with
+  // the queue.
+  if (!k_.dq_dequeue_for(
+          reply, budget == 0 ? std::nullopt : std::optional(budget), &tok) &&
+      !abandon_request(rid)) {
+    k_.delete_object(reply);  // the bridge owns the slot now
+    return false;
+  }
+  const bool failed = reqs_[rid].failed;
+  if (version != nullptr) *version = reqs_[rid].version;
+  release_request(rid);
+  k_.delete_object(reply);
+  if (failed) raise_if_failed(Transfer::kDead, s);
+  return true;
+}
+
+void BridgeFs::raise_if_failed(Transfer t, std::uint32_t s) const {
+  // The dead-stripe contract: the Chrysalis signal, never a raw machine
+  // error; an unreachable server gets its own code so callers can retry
+  // after the heal instead of repairing.
+  if (t == Transfer::kOk) return;
+  throw chrys::ThrowSignal{t == Transfer::kDead ? chrys::kThrowNodeDead
+                                                : chrys::kThrowNetUnreachable,
+                           servers_[s]->node};
 }
 
 bool BridgeFs::abandon_request(std::uint32_t rid) {
   Request& rq = reqs_[rid];
   if (rq.replied) return true;  // too late; the token is already out
   rq.abandoned = true;
-  ++abandoned_on_dq_[rq.reply_dq];
   return false;
-}
-
-void BridgeFs::release_reply_queue(chrys::Oid dq) {
-  if (abandoned_on_dq_.count(dq) > 0) {
-    // The last abandoned completion deletes it.  Until then the bridge owns
-    // it: the client may exit first, and its exit must not reclaim a queue
-    // a server is about to reply on.
-    k_.give_to_system(dq);
-    dq_deferred_.insert(dq);
-    return;
-  }
-  k_.delete_object(dq);
-}
-
-void BridgeFs::complete_abandoned(std::uint32_t rid) {
-  const chrys::Oid dq = reqs_[rid].reply_dq;
-  release_request(rid);
-  auto it = abandoned_on_dq_.find(dq);
-  if (it == abandoned_on_dq_.end()) return;
-  if (--it->second == 0) {
-    abandoned_on_dq_.erase(it);
-    if (dq_deferred_.erase(dq) > 0) k_.delete_object(dq);
-  }
 }
 
 std::size_t BridgeFs::queue_depth(std::uint32_t s) const {
@@ -511,18 +454,15 @@ std::uint64_t BridgeFs::ship_to_all(Request::Op op, FileId f, FileId f2,
   std::uint32_t shipped = 0;
   for (std::uint32_t s = 0; s < nservers_; ++s) {
     if (!servers_[s]->alive) continue;  // degraded: surviving stripes only
-    m_.charge(kRequestOverhead);
-    if (!servers_[s]->alive) continue;  // died during the charge
     Request rq;
     rq.op = op;
     rq.file = f;
     rq.file2 = f2;
     rq.needle = needle;
     rq.reply_dq = reply;
-    const std::uint32_t rid = put_request(std::move(rq));
-    k_.dq_enqueue(servers_[s]->req_dq, rid);
+    if (ship(s, rq) != Transfer::kOk) continue;  // died during the charge
+    (void)post(s, std::move(rq));
     ++shipped;
-    if (!servers_[s]->alive) fail_abandoned(s);
   }
   std::uint64_t total = 0;
   for (std::uint32_t i = 0; i < shipped; ++i) {

@@ -18,10 +18,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "chrysalis/kernel.hpp"
@@ -69,6 +66,9 @@ class Disk {
 };
 
 using FileId = std::uint32_t;
+
+/// Outcome of moving a block across the switch to or from a server.
+enum class Transfer { kOk, kDead, kUnreachable };
 
 /// One stored block: its bytes and the version stamp of the write that
 /// installed them.  Version 0 is an unversioned write (plain write_block,
@@ -155,17 +155,14 @@ class BridgeFs {
   // request_failed(rid) and call finish_request(rid).
   //
   // A caller that stops waiting calls abandon_request(rid).  If the reply
-  // already arrived it returns true and the caller consumes the token as
-  // usual.  Otherwise the bridge takes ownership of the slot: the server
-  // skips the data transfer when it eventually reaches the request (its
-  // buffers may be gone) and the slot is reclaimed internally.  When the
-  // caller is done with a reply queue it calls release_reply_queue instead
-  // of deleting the Oid directly, so a queue with abandoned requests still
-  // in flight survives until the last one drains, even past the exit of the
-  // process that created it.
+  // already arrived it returns true and the caller finishes the request as
+  // usual.  Otherwise the bridge takes the slot: no reply is ever enqueued
+  // for an abandoned request, the server skips its data moves (the
+  // buffers may be gone), and the slot is reclaimed internally.  So the
+  // caller may delete its reply queue as soon as it stops waiting.
 
   /// Submit a block read.  No data-return transfer is charged here; the
-  /// caller charges it after a successful reply (see read_block_for).
+  /// caller charges it with pull() after a successful reply.
   std::uint32_t submit_read(FileId f, std::uint32_t index, void* out,
                             chrys::Oid reply_dq);
   /// Submit a block write (the data ships with the request, charged here),
@@ -182,7 +179,10 @@ class BridgeFs {
   }
   void finish_request(std::uint32_t rid) { release_request(rid); }
   bool abandon_request(std::uint32_t rid);
-  void release_reply_queue(chrys::Oid dq);
+  /// A read's data return: the block travels back from server `s` across
+  /// the switch (charged).  kDead when the server died after its reply,
+  /// kUnreachable when a cut opened in between.
+  Transfer pull(std::uint32_t s);
 
   /// Admission-control visibility: requests queued at server `s` plus the
   /// one being served, host-side and uncharged.
@@ -278,8 +278,31 @@ class BridgeFs {
 
   void server_loop(std::uint32_t s);
   void handle_node_death(sim::NodeId n);
+  // One request lifecycle, shared by the blocking, asynchronous and tool
+  // calls: ship -> post -> reply or fail-reply.
+  /// Charge the request overhead and, for a write, ship the block; reports
+  /// a server that is dead (or died during the charge) or unreachable.
+  Transfer ship(std::uint32_t s, const Request& rq);
+  /// Take a slot and enqueue the request at server `s`; fail-reply it if
+  /// the server died meanwhile.
+  std::uint32_t post(std::uint32_t s, Request rq);
+  /// ship + post for submit_*, fail-replying a request that never left.
+  std::uint32_t submit(Request rq);
+  /// The one fail-reply rule: reclaim an abandoned request, otherwise mark
+  /// it failed and reply.
+  void fail_reply(std::uint32_t rid);
+  /// Enqueue rid's reply token.  Never for an abandoned request: its reply
+  /// queue may already be deleted.
+  void send_reply(std::uint32_t rid);
   /// Fail-reply every request stranded in a dead server's queue.
   void fail_abandoned(std::uint32_t s);
+  /// A blocking call's wait on its one-shot reply queue (budget 0 =
+  /// forever).  Frees the slot and the queue; false when the budget ran
+  /// out and the request was abandoned; throws on a fail-reply.
+  bool await(std::uint32_t rid, std::uint32_t s, sim::Time budget,
+             std::uint64_t* version);
+  /// Throw the Chrysalis signal for a failed transfer to server `s`.
+  void raise_if_failed(Transfer t, std::uint32_t s) const;
   std::uint64_t ship_to_all(Request::Op op, FileId f, FileId f2,
                             std::uint8_t needle);
   Block& block_ref(std::uint32_t s, FileId f, std::uint32_t local);
@@ -287,14 +310,6 @@ class BridgeFs {
   std::uint32_t local_count(FileId f, std::uint32_t s) const;
   std::uint32_t put_request(Request rq);
   void release_request(std::uint32_t rid);
-  /// Reclaim an abandoned request the moment its server-side story ends;
-  /// deletes the reply queue too once the caller released it and no other
-  /// abandoned request still points there.
-  void complete_abandoned(std::uint32_t rid);
-  /// Immediately fail-reply a request whose stripe server is dead, without
-  /// shipping anything (uncharged token so the client loop stays uniform).
-  std::uint32_t put_failed(Request rq, chrys::Oid reply_dq,
-                           bool unreachable = false);
 
   chrys::Kernel& k_;
   sim::Machine& m_;
@@ -304,10 +319,6 @@ class BridgeFs {
   std::vector<FileMeta> files_;
   std::deque<Request> reqs_;            // host-side request slots (stable refs)
   std::vector<std::uint32_t> req_free_;
-  // Abandoned-request bookkeeping: in-flight abandoned rids per reply
-  // queue, and queues whose deletion waits on that count reaching zero.
-  std::unordered_map<chrys::Oid, std::uint32_t> abandoned_on_dq_;
-  std::unordered_set<chrys::Oid> dq_deferred_;
   chrys::Oid done_dq_ = chrys::kNoObject;
   std::uint32_t servers_alive_ = 0;
   std::uint32_t servers_lost_ = 0;

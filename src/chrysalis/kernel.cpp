@@ -575,18 +575,22 @@ void Kernel::handle_node_death(sim::NodeId n) {
 
 void Kernel::deliver_or_queue(Oid dq, std::uint32_t datum) {
   DualQueueObj& q = std::get<DualQueueObj>(rec(dq).u);
-  if (const Oid woid = pick_waiter(q); woid != kNoObject) {
-    Process& w = proc(woid);
-    w.wait_datum_ = datum;
-    w.waiting_on_ = kNoObject;
-    w.dq_handoff_from_ = dq;
-    m_.observe_post(sim::chan_of_oid(dq), sim::PostOutcome::kHandoff);
-    make_ready(w);
-    return;
-  }
+  if (hand_to_waiter(dq, q, datum)) return;
   // Head, not tail: the datum was logically already dequeued once.
   m_.observe_post(sim::chan_of_oid(dq), sim::PostOutcome::kQueued);
   q.data.push_front(datum);
+}
+
+bool Kernel::hand_to_waiter(Oid dq, DualQueueObj& q, std::uint32_t datum) {
+  const Oid woid = pick_waiter(q);
+  if (woid == kNoObject) return false;
+  Process& w = proc(woid);
+  w.wait_datum_ = datum;
+  w.waiting_on_ = kNoObject;
+  w.dq_handoff_from_ = dq;  // in flight until the dequeue call consumes it
+  m_.observe_post(sim::chan_of_oid(dq), sim::PostOutcome::kHandoff);
+  make_ready(w);
+  return true;
 }
 
 void Kernel::yield() {
@@ -720,15 +724,7 @@ void Kernel::dq_enqueue(Oid dq, std::uint32_t datum) {
 void Kernel::dq_enqueue_uncharged(Oid dq, std::uint32_t datum) {
   m_.observe_release(sim::chan_of_oid(dq));
   DualQueueObj& q = std::get<DualQueueObj>(rec(dq).u);
-  if (const Oid woid = pick_waiter(q); woid != kNoObject) {
-    Process& w = proc(woid);
-    w.wait_datum_ = datum;
-    w.waiting_on_ = kNoObject;
-    w.dq_handoff_from_ = dq;  // in flight until the dequeue call consumes it
-    m_.observe_post(sim::chan_of_oid(dq), sim::PostOutcome::kHandoff);
-    make_ready(w);
-    return;
-  }
+  if (hand_to_waiter(dq, q, datum)) return;
   if (q.capacity != 0 && q.data.size() >= q.capacity)
     throw ThrowSignal{kThrowQueueFull, dq};
   m_.observe_post(sim::chan_of_oid(dq), sim::PostOutcome::kQueued);
@@ -736,27 +732,13 @@ void Kernel::dq_enqueue_uncharged(Oid dq, std::uint32_t datum) {
 }
 
 std::uint32_t Kernel::dq_dequeue(Oid dq) {
-  Process& p = self();
-  sim::TraceSpan span(m_, "chrys", "dq_wait", dq);
-  m_.charge(m_.config().dq_dequeue_ns);
-  DualQueueObj& q = std::get<DualQueueObj>(rec(dq).u);
-  if (!q.data.empty()) {
-    const std::uint32_t v = q.data.front();
-    q.data.pop_front();
-    m_.observe_acquire(sim::chan_of_oid(dq));
-    return v;
-  }
-  q.waiters.push_back(p.oid());
-  p.waiting_on_ = dq;
-  m_.observe_block(sim::chan_of_oid(dq), sim::WaitKind::kDualQueue);
-  block_self();
-  m_.observe_wake(sim::chan_of_oid(dq), sim::WakeReason::kServed);
-  p.dq_handoff_from_ = kNoObject;  // datum safely in our hands
-  m_.observe_acquire(sim::chan_of_oid(dq));
-  return p.wait_datum_;
+  std::uint32_t v = 0;
+  (void)dq_dequeue_for(dq, std::nullopt, &v);
+  return v;
 }
 
-bool Kernel::dq_dequeue_for(Oid dq, sim::Time timeout, std::uint32_t* out) {
+bool Kernel::dq_dequeue_for(Oid dq, std::optional<sim::Time> timeout,
+                            std::uint32_t* out) {
   Process& p = self();
   sim::TraceSpan span(m_, "chrys", "dq_wait", dq);
   m_.charge(m_.config().dq_dequeue_ns);
@@ -772,27 +754,29 @@ bool Kernel::dq_dequeue_for(Oid dq, sim::Time timeout, std::uint32_t* out) {
   p.timed_out_ = false;
   // block_self() bumps wait_seq_ exactly once; a timer for THIS wait must
   // match that value, so a stale timer firing during some later wait on the
-  // same queue cannot cancel it.
-  const std::uint64_t seq = p.wait_seq_ + 1;
-  const Oid poid = p.oid();
-  m_.engine().post_timer_at(m_.now() + timeout, [this, poid, dq, seq] {
-    const ObjRec* r = find(poid);
-    if (r == nullptr) return;
-    Process& w = *std::get<std::unique_ptr<Process>>(r->u);
-    // The wait is live while blocked, and also while the process still
-    // runs block_self()'s switch charge, which outlasts a timeout shorter
-    // than proc_switch_ns; make_ready's wakeup_pending_ then cancels the
-    // block.
-    const bool waiting = w.state_ == Process::State::kBlocked ||
-                         w.state_ == Process::State::kRunning;
-    if (w.killed_ || !waiting || w.waiting_on_ != dq || w.wait_seq_ != seq)
-      return;  // already served, or a different wait: stale timer
-    if (ObjRec* q = find(dq))
-      std::get<DualQueueObj>(q->u).waiters.remove(poid);
-    w.timed_out_ = true;
-    w.waiting_on_ = kNoObject;
-    make_ready(w);
-  });
+  // same queue cannot cancel it.  An untimed wait posts no timer at all.
+  if (timeout) {
+    const std::uint64_t seq = p.wait_seq_ + 1;
+    const Oid poid = p.oid();
+    m_.engine().post_timer_at(m_.now() + *timeout, [this, poid, dq, seq] {
+      const ObjRec* r = find(poid);
+      if (r == nullptr) return;
+      Process& w = *std::get<std::unique_ptr<Process>>(r->u);
+      // The wait is live while blocked, and also while the process still
+      // runs block_self()'s switch charge, which outlasts a timeout shorter
+      // than proc_switch_ns; make_ready's wakeup_pending_ then cancels the
+      // block.
+      const bool waiting = w.state_ == Process::State::kBlocked ||
+                           w.state_ == Process::State::kRunning;
+      if (w.killed_ || !waiting || w.waiting_on_ != dq || w.wait_seq_ != seq)
+        return;  // already served, or a different wait: stale timer
+      if (ObjRec* q = find(dq))
+        std::get<DualQueueObj>(q->u).waiters.remove(poid);
+      w.timed_out_ = true;
+      w.waiting_on_ = kNoObject;
+      make_ready(w);
+    });
+  }
   m_.observe_block(sim::chan_of_oid(dq), sim::WaitKind::kDualQueue);
   block_self();
   m_.observe_wake(sim::chan_of_oid(dq), p.timed_out_ ? sim::WakeReason::kTimeout

@@ -278,7 +278,9 @@ class Kernel {
   /// Dequeue with a deadline: returns false if `timeout` elapses first.
   /// The microcoded queues had no such operation; recovery code needs one,
   /// so it is built from a timer event plus a wait-generation counter.
-  bool dq_dequeue_for(Oid dq, sim::Time timeout, std::uint32_t* out);
+  /// std::nullopt waits without a timer: that is dq_dequeue.
+  bool dq_dequeue_for(Oid dq, std::optional<sim::Time> timeout,
+                      std::uint32_t* out);
   std::size_t dq_depth(Oid dq) const;
 
   // --- Catch / throw ---------------------------------------------------------------
@@ -359,6 +361,9 @@ class Kernel {
   /// Uncharged delivery used by recovery paths: hand `datum` to a live
   /// waiter or put it back at the head of the queue.
   void deliver_or_queue(Oid dq, std::uint32_t datum);
+  /// Give `datum` to a live waiter of `q` and make it ready; false when
+  /// nobody waits.  The one hand-off of every dual-queue post.
+  bool hand_to_waiter(Oid dq, DualQueueObj& q, std::uint32_t datum);
   void charge_if_on_fiber(sim::Time ns);
 
   static std::size_t standard_size(std::size_t bytes);

@@ -110,23 +110,19 @@ sim::Time ReplicatedFs::hedge_threshold() const {
                   latencies_.quantile(kHedgeQuantile));
 }
 
-void ReplicatedFs::settle(chrys::Oid dq, std::uint32_t rid) {
-  if (rid == kNoRid) return;
-  if (!fs_.abandon_request(rid)) return;  // in flight; the bridge owns it
-  // The reply raced our abandonment in: its token is in the queue (the
-  // main loop consumes tokens the moment it sees them, so an outstanding
-  // arm's token can only be here).  Drain until we meet it, re-enqueueing
-  // tokens that belong to other still-outstanding arms.
-  const std::size_t depth = k_.dq_depth(dq);
-  std::uint32_t t;
-  for (std::size_t i = 0; i <= depth; ++i) {
-    if (!k_.dq_try_dequeue_uncharged(dq, &t)) break;
-    if (t == rid) {
-      fs_.finish_request(rid);
-      return;
-    }
-    k_.dq_enqueue_uncharged(dq, t);
-  }
+void ReplicatedFs::settle(std::uint32_t rid) {
+  // An arm still in flight passes to the bridge.  One whose reply raced in
+  // is finished here; its token dies with the queue each caller deletes
+  // next.
+  if (rid != kNoRid && fs_.abandon_request(rid)) fs_.finish_request(rid);
+}
+
+bool ReplicatedFs::admit(std::uint32_t s) {
+  if (fs_.queue_depth(s) < cfg_.queue_limit) return true;
+  ++counters_.sheds;
+  m_.trace_instant("serve", "shed", s);
+  m_.charge(kShedCost);
+  return false;
 }
 
 Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
@@ -163,13 +159,7 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
       if (!replica_reachable(f, b, r)) continue;
       any_live = true;
       if (primary_r == kNoReplicaIdx) {
-        const std::uint32_t s = server_of_replica(f, b, r);
-        if (fs_.queue_depth(s) >= cfg_.queue_limit) {
-          ++counters_.sheds;
-          m_.trace_instant("serve", "shed", s);
-          m_.charge(kShedCost);
-          continue;
-        }
+        if (!admit(server_of_replica(f, b, r))) continue;
         primary_r = r;
       } else if (server_of_replica(f, b, r) !=
                  server_of_replica(f, b, primary_r)) {
@@ -220,20 +210,10 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
           std::memcpy(out, scratch.data(), bridge::kBlockSize);
         }
         fs_.finish_request(tok);
-        try {
-          // The block travels back across the switch.
-          m_.access_words(sim::PhysAddr{fs_.server_node(ws), 0},
-                          bridge::kBlockSize / 4 / 8);
-        } catch (const sim::NodeDeadError&) {
-          // The server died between its reply and our data pull — the
-          // block died with it.  Treat it exactly like a fail-reply: the
-          // other arm (or the next attempt) can still win.
-          continue;
-        } catch (const sim::NetUnreachableError&) {
-          // A partition window opened between the reply and the pull.
-          // Same recovery: let the other arm or the next rotation try.
-          continue;
-        }
+        // A server that died between its reply and the pull, or a cut that
+        // opened there, fails this arm like a fail-reply: the other arm (or
+        // the next attempt) can still win.
+        if (fs_.pull(ws) != bridge::Transfer::kOk) continue;
         won = true;
         break;
       }
@@ -250,24 +230,24 @@ Status ReplicatedFs::read(bridge::FileId f, std::uint32_t b, void* out) {
     }
 
     if (won) {
-      if (primary_out) settle(dq, prid);
-      if (hedge_out) settle(dq, hrid);
-      fs_.release_reply_queue(dq);
+      if (primary_out) settle(prid);
+      if (hedge_out) settle(hrid);
+      k_.delete_object(dq);
       latencies_.record(m_.now() - t0);
       return Status::kOk;
     }
     if (m_.now() >= deadline_at) {
-      if (primary_out) settle(dq, prid);
-      if (hedge_out) settle(dq, hrid);
+      if (primary_out) settle(prid);
+      if (hedge_out) settle(hrid);
       ++counters_.timeouts;
       m_.trace_instant("serve", "timeout", b);
-      fs_.release_reply_queue(dq);
+      k_.delete_object(dq);
       return Status::kTimeout;
     }
     // Every issued arm fail-replied (its server died): rotate replicas.
     give_up = Status::kNoReplica;
   }
-  fs_.release_reply_queue(dq);
+  k_.delete_object(dq);
   return give_up;
 }
 
@@ -329,11 +309,7 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
     fail = Status::kNoReplica;
     for (std::uint32_t r = 0; r < r_count; ++r) {
       if (!need[r]) continue;
-      const std::uint32_t s = server_of_replica(f, b, r);
-      if (fs_.queue_depth(s) >= cfg_.queue_limit) {
-        ++counters_.sheds;
-        m_.trace_instant("serve", "shed", s);
-        m_.charge(kShedCost);
+      if (!admit(server_of_replica(f, b, r))) {
         fail = Status::kShed;
         continue;  // still needed next attempt
       }
@@ -371,7 +347,7 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
     if (timed_out) {
       // Abandoned arms do not commit.
       for (std::size_t i = 0; i < rids.size(); ++i)
-        if (outstanding[i]) settle(dq, rids[i]);
+        if (outstanding[i]) settle(rids[i]);
       ++counters_.timeouts;
       m_.trace_instant("serve", "timeout", b);
       fail = Status::kTimeout;
@@ -379,7 +355,7 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
     }
     if (std::count(need.begin(), need.end(), 1) == 0) break;
   }
-  fs_.release_reply_queue(dq);
+  k_.delete_object(dq);
   // The one ack rule: a majority of the non-dead replicas committed.
   if (committed >= quorum()) return Status::kOk;
   if (unreach > 0) {

@@ -295,9 +295,12 @@ class ReplicatedFs {
   /// the replica to it.  Leaves it dead if no server takes the copy.
   void relocate(bridge::FileId f, std::uint32_t b, std::uint32_t r,
                 const void* data, std::uint64_t version);
-  /// Settle an outstanding async arm: abandon it, or drain its raced-in
-  /// reply token and free the slot.
-  void settle(chrys::Oid dq, std::uint32_t rid);
+  /// Settle an outstanding async arm before its reply queue is deleted:
+  /// abandon it, or free the slot of one whose reply raced in.
+  void settle(std::uint32_t rid);
+  /// Admission control: false (and a shed, charged kShedCost) when server
+  /// `s` already holds queue_limit requests.
+  bool admit(std::uint32_t s);
 
   chrys::Kernel& k_;
   sim::Machine& m_;

@@ -553,7 +553,7 @@ TEST(BridgeDeadline, AbandonedRequestsDoNotStrandTheServerOrTheSlots) {
       EXPECT_FALSE(fs.request_failed(rid));
       fs.finish_request(rid);
     }
-    fs.release_reply_queue(dq);
+    k.delete_object(dq);
     // The abandoned request was served meanwhile without touching `back`.
     fs.read_block(f, 2, back.data());
     EXPECT_EQ(back, blk);
@@ -605,6 +605,135 @@ TEST(BridgeDeadline, ClientExitAfterAbandoningMidReplyStrandsNoServer) {
   m.run();
   EXPECT_GT(timeouts, 0);
   EXPECT_GT(successes, 0);
+  ASSERT_FALSE(m.deadlocked());
+}
+
+TEST(BridgeDeadline, AbandonedRequestNeverTouchesItsReplyQueue) {
+  // No reply is ever enqueued for an abandoned request, so its client may
+  // delete the reply queue the moment it stops waiting.  Abandon requests
+  // at every stage of their life, delete each queue at once, and check
+  // that the file system keeps serving and shuts down.  A server that
+  // replied to an abandoned request would enqueue on a deleted queue.
+  Machine m(butterfly1(8));
+  chrys::Kernel k(m);
+  bool shut_down = false;
+  k.create_process(7, [&] {
+    BridgeFs fs(k, 6);  // server s on node s; stripe s = block s
+    const FileId f = fs.create("data");
+    std::vector<std::uint8_t> blk, back(kBlockSize);
+    for (std::uint32_t b = 0; b < 6; ++b) {
+      fill_block(blk, b);
+      fs.write_block(f, b, blk.data());
+    }
+    // Buffers of requests abandoned before their disk access completes:
+    // the server must never fill them.
+    std::vector<std::vector<std::uint8_t>> untouched;
+    const auto submit = [&](std::uint32_t b, chrys::Oid q) {
+      untouched.emplace_back(kBlockSize, 0xee);
+      return fs.submit_read(f, b, untouched.back().data(), q);
+    };
+    // Abandon `rid` and delete its queue; true when it was still in flight.
+    const auto abandon = [&](std::uint32_t rid, chrys::Oid q) {
+      const bool replied = fs.abandon_request(rid);
+      if (replied) fs.finish_request(rid);
+      k.delete_object(q);
+      return !replied;
+    };
+    untouched.reserve(16);
+
+    // While queued: server 0 is busy with a read whose reply we take.
+    {
+      const chrys::Oid busy = k.make_dual_queue();
+      std::vector<std::uint8_t> buf(kBlockSize);
+      const std::uint32_t first = fs.submit_read(f, 0, buf.data(), busy);
+      for (int i = 0; i < 2; ++i) {
+        const chrys::Oid q = k.make_dual_queue();
+        EXPECT_TRUE(abandon(submit(0, q), q)) << "queued " << i;
+      }
+      EXPECT_EQ(k.dq_dequeue(busy), first);
+      fs.finish_request(first);
+      k.delete_object(busy);
+    }
+    // Mid-disk-charge: seek plus transfer is ~26 ms.
+    {
+      const chrys::Oid q = k.make_dual_queue();
+      const std::uint32_t rid = submit(1, q);
+      k.delay(5 * sim::kMillisecond);
+      EXPECT_EQ(fs.queue_depth(1), 1u) << "server 1 is serving it";
+      EXPECT_TRUE(abandon(rid, q));
+    }
+    // Mid-reply-charge: sweep the abandon time across the end of one round
+    // trip to idle server 2 in quarters of the reply's enqueue charge.  The
+    // outcomes flip from abandoned to replied once, at the reply, so the
+    // last abandon lands inside the reply charge.
+    {
+      std::vector<std::uint8_t> buf(kBlockSize);
+      const chrys::Oid q0 = k.make_dual_queue();
+      const Time t0 = m.now();
+      const std::uint32_t rid0 = fs.submit_read(f, 2, buf.data(), q0);
+      EXPECT_EQ(k.dq_dequeue(q0), rid0);
+      const Time round_trip = m.now() - t0;
+      fs.finish_request(rid0);
+      k.delete_object(q0);
+      const Time step = m.config().dq_enqueue_ns / 4;
+      int abandoned = 0, replied = 0;
+      for (Time d = round_trip - round_trip / 20; d <= round_trip; d += step) {
+        const chrys::Oid q = k.make_dual_queue();
+        const std::uint32_t rid = fs.submit_read(f, 2, buf.data(), q);
+        k.delay(d);
+        if (abandon(rid, q)) {
+          EXPECT_EQ(replied, 0) << "abandoned after a reply at d=" << d;
+          ++abandoned;
+        } else {
+          ++replied;
+        }
+        k.delay(50 * sim::kMillisecond);  // the server goes idle again
+      }
+      EXPECT_GT(abandoned, 0);
+      EXPECT_GT(replied, 0);
+    }
+    // Loud and silent deaths: one request abandoned mid-service and one
+    // abandoned while queued behind it, then a kept request that must get
+    // its fail-reply.  Server 3's node crashes with a broadcast; server 4's
+    // dies silently and a detector's verdict reaches excise_node.
+    for (const bool silent : {false, true}) {
+      const std::uint32_t s = silent ? 4 : 3;
+      const chrys::Oid q1 = k.make_dual_queue();
+      const std::uint32_t in_service = submit(s, q1);
+      k.delay(5 * sim::kMillisecond);
+      const chrys::Oid q2 = k.make_dual_queue();
+      const std::uint32_t queued = submit(s, q2);
+      const chrys::Oid kept = k.make_dual_queue();
+      std::vector<std::uint8_t> buf(kBlockSize);
+      const std::uint32_t rid = fs.submit_read(f, s, buf.data(), kept);
+      EXPECT_EQ(fs.queue_depth(s), 3u);
+      EXPECT_TRUE(abandon(in_service, q1));
+      EXPECT_TRUE(abandon(queued, q2));
+      m.kill_node(s, m.now() + sim::kMillisecond, silent);
+      k.delay(10 * sim::kMillisecond);
+      if (silent) fs.excise_node(s);
+      EXPECT_EQ(k.dq_dequeue(kept), rid);
+      EXPECT_TRUE(fs.request_failed(rid));
+      fs.finish_request(rid);
+      k.delete_object(kept);
+    }
+    EXPECT_EQ(fs.servers_lost(), 2u);
+
+    // Later requests round-trip on every live stripe, and no abandoned
+    // request filled its client's buffer.
+    for (const std::uint32_t b : {0u, 1u, 2u, 5u}) {
+      fill_block(blk, b + 10);
+      fs.write_block(f, b, blk.data());
+      fs.read_block(f, b, back.data());
+      EXPECT_EQ(back, blk) << "block " << b;
+    }
+    for (const auto& buf : untouched)
+      EXPECT_EQ(buf, std::vector<std::uint8_t>(kBlockSize, 0xee));
+    fs.shutdown();
+    shut_down = true;
+  });
+  m.run();
+  EXPECT_TRUE(shut_down);
   ASSERT_FALSE(m.deadlocked());
 }
 

@@ -224,7 +224,7 @@ TEST(ServePartition, ResyncNeverRevertsAWriteThatLandsMidScan) {
       }
       overload = rfs.write(f, 0, v2.data());
       for (std::uint32_t i = 0; i < 8; ++i) fs.finish_request(k.dq_dequeue(dq));
-      fs.release_reply_queue(dq);
+      k.delete_object(dq);
 
       const std::uint32_t s2 = rfs.replica_server(f, 0, 2);
       k.create_process(5, [&] {

@@ -212,7 +212,7 @@ TEST(Serve, OverloadWriteOnOneReplicaIsRefusedAndResyncKeepsAckedWrites) {
         status[1] = rfs.write(f, 0, issued[1].data());
         for (std::uint32_t i = 0; i < 8; ++i)
           fs.finish_request(k.dq_dequeue(dq));
-        fs.release_reply_queue(dq);
+        k.delete_object(dq);
         EXPECT_EQ(status[0], Status::kOk);
         EXPECT_EQ(status[1], Status::kShed) << "one commit of three";
         EXPECT_GT(rfs.counters().sheds, 0u);
@@ -262,7 +262,7 @@ TEST(Serve, RepairCopiesTheNewestSurvivor) {
             << "acked on replicas 1-2";
         for (std::uint32_t i = 0; i < 4; ++i)
           fs.finish_request(k.dq_dequeue(dq));
-        fs.release_reply_queue(dq);
+        k.delete_object(dq);
 
         rfs.start_repair(14);  // a client node, not a server
         const auto kill_and_repair = [&](std::uint32_t r) {
