@@ -140,7 +140,7 @@ RunResult run_partition(const Scenario& sc) {
     bridge::BridgeFs fs(k, kServers, bench::serving_disk());
     {
       rescue::Membership mem(k, bench::serving_detector());
-      serve::ReplicatedFs rfs(k, fs, &mem);
+      serve::ReplicatedFs rfs(k, fs);
       bridge::FileId files[kFiles];
       std::vector<std::uint8_t> blk;
       for (std::uint32_t f = 0; f < kFiles; ++f) {

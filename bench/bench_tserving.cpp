@@ -127,7 +127,7 @@ RunResult run_serving(const Scenario& sc) {
     bridge::BridgeFs fs(k, kServers, bench::serving_disk());
     {
       rescue::Membership mem(k, bench::serving_detector());
-      serve::ReplicatedFs rfs(k, fs, &mem, serving_config(sc.hedge));
+      serve::ReplicatedFs rfs(k, fs, nullptr, serving_config(sc.hedge));
       bridge::FileId files[kFiles];
       std::vector<std::uint8_t> blk;
       for (std::uint32_t f = 0; f < kFiles; ++f) {

@@ -44,8 +44,8 @@ BridgeFs::BridgeFs(chrys::Kernel& k, std::uint32_t servers, DiskParams disk,
                       "bridge-srv" + std::to_string(s));
   }
   servers_alive_ = nservers_;
-  // Crash tier: the file system hears broadcast deaths; a silently killed
-  // server node is reported by a failure detector through excise_node.
+  // Crash tier: the file system hears broadcast deaths, loud kills and a
+  // failure detector's verdicts on silent ones.
   crash_observer_ =
       m_.on_node_crash([this](sim::NodeId n) { handle_node_death(n); });
 }
@@ -64,11 +64,6 @@ void BridgeFs::persist() {
   persist_->stores.assign(nservers_, {});
   for (std::uint32_t s = 0; s < nservers_; ++s)
     persist_->stores[s] = servers_[s]->store;
-}
-
-void BridgeFs::excise_node(sim::NodeId n) {
-  if (n >= m_.nodes() || m_.node_alive(n)) return;  // never excise the living
-  handle_node_death(n);
 }
 
 void BridgeFs::fail_reply(std::uint32_t rid) {

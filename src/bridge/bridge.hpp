@@ -215,12 +215,6 @@ class BridgeFs {
   /// destructor does this too; explicit calls make restart harnesses clear.
   void persist();
 
-  /// Excise a node a failure detector declared dead: fail-reply the
-  /// in-flight and queued requests of every server homed there.  Loud
-  /// kills arrive automatically via the crash broadcast; silent kills need
-  /// this call.  No-op for a live or already-excised node.
-  void excise_node(sim::NodeId n);
-
   std::uint64_t disk_ops() const;
 
   // --- Degraded operation ------------------------------------------------
@@ -269,7 +263,6 @@ class BridgeFs {
     // Per (file, local index) blocks; block k of file f lives on server
     // k % D at local index k / D.
     std::vector<std::vector<Block>> store;  // [file][local]
-    std::uint32_t next_lbn = 0;  // disk block allocation cursor
     bool alive = true;
     std::uint32_t current_rid = 0xffffffffu;  // request being served, if any
 

@@ -199,11 +199,6 @@ void Kernel::unmap_segment(std::uint32_t segment) {
   m_.charge(m_.config().sar_map_ns);
 }
 
-Oid Kernel::segment_object(std::uint32_t segment) {
-  Process& p = self();
-  return segment < p.segments_.size() ? p.segments_[segment] : kNoObject;
-}
-
 sim::PhysAddr Kernel::translate(VirtAddr va, std::size_t bytes) {
   Process& p = self();
   const std::uint32_t seg = va.segment();
@@ -213,13 +208,6 @@ sim::PhysAddr Kernel::translate(VirtAddr va, std::size_t bytes) {
   if (va.offset() + bytes > mo.size)
     throw ThrowSignal{kThrowSegmentFault, va.raw};
   return mo.base.plus(va.offset());
-}
-
-std::uint32_t Process::mapped_segments() const {
-  std::uint32_t n = 0;
-  for (Oid s : segments_)
-    if (s != kNoObject) ++n;
-  return n;
 }
 
 // --- Processes ------------------------------------------------------------------
@@ -700,10 +688,6 @@ std::uint32_t Kernel::event_wait(Oid ev) {
   m_.observe_wake(sim::chan_of_oid(ev), sim::WakeReason::kServed);
   m_.observe_acquire(sim::chan_of_oid(ev));
   return p.wait_datum_;
-}
-
-bool Kernel::event_pending(Oid ev) const {
-  return std::get<EventObj>(rec(ev).u).pending;
 }
 
 // --- Dual queues ---------------------------------------------------------------------

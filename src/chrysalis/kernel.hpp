@@ -55,8 +55,6 @@ class Process {
   /// While blocked: the event or dual queue this process is waiting on
   /// (kNoObject otherwise).  Moviola uses this for its deadlock view.
   Oid waiting_on() const { return waiting_on_; }
-  /// Segments currently mapped.
-  std::uint32_t mapped_segments() const;
 
  private:
   friend class Kernel;
@@ -225,9 +223,6 @@ class Kernel {
   /// the segment number.  Costs over 1 ms (Section 2.1).
   std::uint32_t map_object(Oid mo);
   void unmap_segment(std::uint32_t segment);
-  /// Which memory object a segment of the calling process maps (kNoObject
-  /// when unmapped).
-  Oid segment_object(std::uint32_t segment);
 
   /// Timed virtual-memory access through the calling process's segments.
   template <typename T>
@@ -258,7 +253,6 @@ class Kernel {
   void event_post(Oid ev, std::uint32_t datum = 0);
   /// Wait (owner only); returns the posted datum.
   std::uint32_t event_wait(Oid ev);
-  bool event_pending(Oid ev) const;
 
   // --- Dual queues ----------------------------------------------------------------
 

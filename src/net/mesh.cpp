@@ -140,8 +140,9 @@ Mesh::Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
     }
   }
   element_active_.assign(elements_.size(), 1);
-  // Crash tier: the mesh hears only broadcast deaths.  Silent kills reach
-  // it through excise_node (a failure detector) or a reader's timeout.
+  // Crash tier: the mesh hears only broadcast deaths, loud kills and a
+  // failure detector's verdicts.  Otherwise a silent kill reaches it
+  // through a reader's timeout.
   crash_observer_ =
       m_.on_node_crash([this](sim::NodeId n) { handle_node_death(n); });
   for (std::size_t i = 0; i < elements_.size(); ++i) {
@@ -186,11 +187,6 @@ Mesh::Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
 
 Mesh::~Mesh() {
   if (crash_observer_ != 0) m_.remove_crash_observer(crash_observer_);
-}
-
-void Mesh::excise_node(sim::NodeId n) {
-  if (n >= m_.nodes() || m_.node_alive(n)) return;  // never excise the living
-  handle_node_death(n);
 }
 
 void Mesh::element_gone(std::size_t idx) {

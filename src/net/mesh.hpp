@@ -126,13 +126,6 @@ class Mesh {
   /// Elements lost outright to node deaths.
   std::uint64_t elements_lost() const { return elements_lost_; }
 
-  /// Excise a node a failure detector has declared dead: readers of its
-  /// elements' streams get EOF, join() gets their completion tokens.  Loud
-  /// kills arrive here automatically via the crash broadcast; silent kills
-  /// need this call (wire it to rescue::Membership::subscribe).  No-op for
-  /// a node that is still alive or already excised.
-  void excise_node(sim::NodeId n);
-
  private:
   friend class Stream;
   /// Sentinel chunk id: "this stream's writer is gone".  Posted uncharged

@@ -181,10 +181,12 @@ void Membership::declare_suspect(sim::NodeId n) {
   ++epoch_;
   ++m_.stats().suspects_declared;
   history_.push_back(Suspicion{n, m_.now(), epoch_});
-  // Publish the new view before notifying anyone, so a subscriber that
-  // polls epoch_cell() from a task sees a consistent picture.
+  // Publish the new view before the broadcast, so a crash observer whose
+  // layer polls epoch_cell() from a task sees a consistent picture.  The
+  // crash observers run here, in the watchdog's (or the denouncer's)
+  // process context.
   publish_epoch();
-  subs_.fire(n);
+  m_.broadcast_crash(n);
 }
 
 void Membership::mark_unreachable(sim::NodeId n) {

@@ -29,8 +29,10 @@
 //     view is fenced: any decision tagged with the old epoch is refusable;
 //   * a confirmed suspicion bumps the membership epoch, appends to the
 //     suspicion history, publishes the new epoch to a shared-memory cell,
-//     and notifies subscribers (wire us::UniformSystem::excise_node,
-//     net::Mesh::excise_node and bridge::BridgeFs::excise_node here).
+//     and broadcasts the crash (sim::Machine::broadcast_crash): every
+//     recovery layer on the machine (Uniform System, net::Mesh, Bridge,
+//     serve) hears a silent death through its crash observer, exactly as
+//     it hears a loud one.  There is nothing to wire.
 //
 // A transient memory fault is not an accusation.  Every layer retries one
 // through sim::Machine::retry: bounded (6 tries, exponential backoff) for
@@ -42,11 +44,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "chrysalis/kernel.hpp"
-#include "sim/subscribers.hpp"
 
 namespace bfly::rescue {
 
@@ -91,14 +91,6 @@ class Membership {
   /// and are not waited for.  Call before the main process returns or
   /// run() never drains.
   void stop();
-
-  /// Register a callback run when a node is declared dead.  Runs in the
-  /// watchdog's process context (or the denouncer's), after the membership
-  /// state has been updated.  Returns an id for unsubscribe.
-  std::uint64_t subscribe(std::function<void(sim::NodeId)> fn) {
-    return subs_.add(std::move(fn));
-  }
-  void unsubscribe(std::uint64_t id) { subs_.remove(id); }
 
   /// Accuse a node directly: checked against ground truth immediately — a
   /// live accusee is a false suspect, a dead one is declared without
@@ -152,7 +144,6 @@ class Membership {
   std::uint32_t members_unreachable_ = 0;
   std::uint64_t epoch_ = 0;
   std::vector<Suspicion> history_;
-  sim::Subscribers<sim::NodeId> subs_;
   // Watchdog bookkeeping (host-side; the charged work is the word reads).
   std::vector<std::uint32_t> last_seq_;
   std::vector<sim::Time> last_move_;

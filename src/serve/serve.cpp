@@ -21,8 +21,8 @@ constexpr std::uint32_t kHedgeWindow = 64;
 }  // namespace
 
 ReplicatedFs::ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
-                           rescue::Membership* mem, ServeConfig cfg)
-    : k_(k), m_(k.machine()), fs_(fs), mem_(mem), cfg_(cfg),
+                           rescue::Membership*, ServeConfig cfg)
+    : k_(k), m_(k.machine()), fs_(fs), cfg_(cfg),
       rng_(cfg.seed), latencies_(kHedgeWindow) {
   if (cfg_.replicas == 0 || cfg_.replicas > fs_.servers())
     throw sim::SimError(
@@ -34,15 +34,15 @@ ReplicatedFs::ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
         "Bridge; give every request a budget");
   if (cfg_.retry.attempts == 0)
     throw sim::SimError("serve: retry.attempts must be >= 1");
-  excised_.assign(m_.nodes(), 0);
   repair_dq_ = k_.make_dual_queue();
-  // Crash tier: loud kills reach us through the machine-check broadcast
-  // (after Bridge's own observer, which registered first, fail-replied the
-  // dead servers' queues).  Silent kills arrive via the failure detector.
-  crash_observer_ =
-      m_.on_node_crash([this](sim::NodeId n) { excise_node(n); });
-  if (mem_ != nullptr)
-    mem_sub_ = mem_->subscribe([this](sim::NodeId n) { excise_node(n); });
+  // Crash tier: a broadcast death (a loud kill, or a failure detector's
+  // verdict) reaches us after Bridge's own observer, which registered
+  // first and fail-replied the dead servers' queues.  The broadcast fires
+  // once per node, so this excises once.
+  crash_observer_ = m_.on_node_crash([this](sim::NodeId n) {
+    m_.trace_instant("serve", "excise", n);
+    queue_repairs_for_node(n);
+  });
   // Partition tier: when a cut heals, one resync() pass over the open files
   // brings the replicas the cut left behind up to date.
   if (m_.faults_possible())
@@ -52,7 +52,6 @@ ReplicatedFs::ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
 
 ReplicatedFs::~ReplicatedFs() {
   if (crash_observer_ != 0) m_.remove_crash_observer(crash_observer_);
-  if (mem_ != nullptr && mem_sub_ != 0) mem_->unsubscribe(mem_sub_);
   if (heal_observer_ != 0) m_.remove_heal_observer(heal_observer_);
 }
 
@@ -367,15 +366,6 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
 }
 
 // --- Excision & repair ----------------------------------------------------
-
-void ReplicatedFs::excise_node(sim::NodeId n) {
-  if (n >= m_.nodes() || m_.node_alive(n)) return;  // never the living
-  if (excised_[n]) return;
-  excised_[n] = 1;
-  m_.trace_instant("serve", "excise", n);
-  fs_.excise_node(n);  // no-op if the crash broadcast already did it
-  queue_repairs_for_node(n);
-}
 
 void ReplicatedFs::queue_repairs_for_node(sim::NodeId n) {
   for (bridge::FileId f = 0; f < nlogical_.size(); ++f) {

@@ -23,7 +23,8 @@
 //     rewrites stale live replicas and relocates dead ones; Bridge never
 //     lets an older stamp overwrite a newer one, so no repair reverts an
 //     acked write.
-//   * Epoch-driven excision: when bfly::rescue suspects a node, its
+//   * Excision on the crash broadcast: when a node's death is broadcast
+//     (a loud kill, or bfly::rescue's verdict on a silent one), its
 //     replicas are routed around immediately and its blocks are repaired
 //     onto surviving servers in the background by a repair worker; the
 //     redirect map the relocations build is consulted on every subsequent
@@ -172,12 +173,14 @@ class LatencyWindow {
 
 class ReplicatedFs {
  public:
-  /// Layer over an existing BridgeFs.  `mem` wires suspicion-driven
-  /// excision (may be null: loud kills still excise via the crash
-  /// broadcast).  Must be constructed from a Chrysalis process context or
-  /// before run(); registers a crash observer it removes on destruction.
+  /// Layer over an existing BridgeFs.  Must be constructed from a
+  /// Chrysalis process context or before run(); registers a crash observer
+  /// it removes on destruction, and that observer is how every death
+  /// reaches it: a loud kill, or a failure detector's verdict on a silent
+  /// one (rescue::Membership broadcasts it; nothing to wire).
+  // The Membership parameter is unused; perfbench still passes one.
   ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
-               rescue::Membership* mem = nullptr, ServeConfig cfg = {});
+               rescue::Membership* = nullptr, ServeConfig cfg = {});
   ~ReplicatedFs();
 
   ReplicatedFs(const ReplicatedFs&) = delete;
@@ -206,11 +209,6 @@ class ReplicatedFs {
   void stop_repair();
   /// True when no repair jobs are queued or in progress.
   bool repair_idle() const { return pending_repairs_ == 0; }
-
-  /// Route around a dead node now and queue the repair of every block it
-  /// held.  Wired to rescue::Membership when one is attached; loud kills
-  /// arrive automatically via the crash broadcast.  No-op for live nodes.
-  void excise_node(sim::NodeId n);
 
   /// Foreground convergence pass: resync_block() over every block of `f`.
   /// Returns the number of replicas rewritten in place.  This is the
@@ -305,7 +303,6 @@ class ReplicatedFs {
   chrys::Kernel& k_;
   sim::Machine& m_;
   bridge::BridgeFs& fs_;
-  rescue::Membership* mem_ = nullptr;
   ServeConfig cfg_;
   sim::Rng rng_;
 
@@ -329,15 +326,10 @@ class ReplicatedFs {
   bool repair_running_ = false;
   bool repair_stopping_ = false;
   sim::NodeId repair_node_ = 0;  ///< where the worker runs, for the join
-  // Nodes already excised by this layer (the crash broadcast and the
-  // failure detector both report loud kills; excise once).
-  std::vector<std::uint8_t> excised_;
-
   bool heal_queued_ = false;
 
   ServeCounters counters_;
   std::uint64_t crash_observer_ = 0;
-  std::uint64_t mem_sub_ = 0;
   std::uint64_t heal_observer_ = 0;
 };
 

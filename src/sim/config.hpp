@@ -24,18 +24,6 @@ namespace bfly::sim {
 /// Identifies one processing node (processor + memory module).
 using NodeId = std::uint32_t;
 
-/// Which synchronization primitives the runtime layers default to.  The
-/// 1988 style (centralized spin locks, one hot completion counter) is what
-/// the paper's software actually did; the scalable style (MCS queue locks,
-/// combining-tree barriers, per-node distributed counters — see src/sync)
-/// is what the Ultracomputer -> exascale line of work replaced it with.
-/// Only layers that consult it change behaviour; the machine model itself
-/// is identical under both.
-enum class SyncStrategy : std::uint8_t {
-  kCentral1988,  ///< hot-word spin locks and counters, as on the Butterfly
-  kScalable,     ///< MCS / combining-tree / distributed-counter primitives
-};
-
 struct MachineConfig {
   /// Number of processing nodes; Rochester's machine had 128 (max 256).
   std::uint32_t nodes = 128;
@@ -79,11 +67,6 @@ struct MachineConfig {
   /// tree saturation that the contention model creates.  Off by default so
   /// existing contention runs keep their exact timing.
   bool switch_combining = false;
-
-  // --- Synchronization strategy (consulted by the US) ---------------------
-  /// Which outstanding-task counter the Uniform System builds: the 1988
-  /// single hot cell, or per-processor cells with an aggregating read.
-  SyncStrategy sync_strategy = SyncStrategy::kCentral1988;
 
   // --- Operating system cost knobs (used by the Chrysalis layer) ----------
   /// Mapping or unmapping one segment costs "over 1 ms" (Section 2.1).
@@ -177,8 +160,8 @@ inline MachineConfig butterfly_plus(std::uint32_t nodes = 128) {
 /// lock or counter saturates its home module long before 16K nodes while
 /// MCS locks, combining trees, and per-node counters keep scaling.  Local
 /// reference: 5 + 10 = 15 ns; remote: 5 + 2x(6x150) + 10 ~ 1.8 us at 4K
-/// nodes.  Selects the scalable primitives by default; benches A/B against
-/// the 1988 ones by flipping sync_strategy back.
+/// nodes.  The profile selects no primitives: the layers that have a
+/// choice take it in their own config (us::UsConfig::sync_strategy).
 inline MachineConfig exascale_ish(std::uint32_t nodes = 4096) {
   MachineConfig c;
   c.nodes = nodes;
@@ -201,7 +184,6 @@ inline MachineConfig exascale_ish(std::uint32_t nodes = 4096) {
   c.proc_create_serial_ns = 20 * kMicrosecond;
   c.proc_switch_ns = 5 * kMicrosecond;
   c.thread_switch_ns = kMicrosecond;
-  c.sync_strategy = SyncStrategy::kScalable;
   // Thousands of fibers per run: keep host stacks lean (lazily committed,
   // so resident cost tracks actual use).
   c.fiber_stack_bytes = 64 * 1024;

@@ -14,7 +14,8 @@ Machine::Machine(MachineConfig cfg, FaultPlan faults)
       fault_rng_(faults_.seed),
       stats_(cfg.nodes),
       node_(cfg.nodes),
-      node_dead_(cfg.nodes, 0) {
+      node_dead_(cfg.nodes, 0),
+      crash_broadcast_(cfg.nodes, 0) {
   engine_.set_fiber_handler(&Machine::fiber_event, this);
   fastpath_ = cfg_.host_fastpath;
   combining_ = fabric_.combining();
@@ -314,9 +315,9 @@ void Machine::do_kill(NodeId n, bool silent) {
   // view of the node is still intact.
   death_observers_.fire(n);
   // The machine-check broadcast: skipped for a silent kill, so recovery
-  // layers stay oblivious until a failure detector or a doomed reference
-  // finds the corpse.
-  if (!silent) crash_observers_.fire(n);
+  // layers stay oblivious until a failure detector broadcasts its verdict
+  // or a doomed reference finds the corpse.
+  if (!silent) broadcast_crash(n);
   // Now tear down the node's fibers, in spawn order.  Victims are collected
   // as Fiber* and re-validated through the map: one victim's unwind may
   // reap another (a destructor calling abandon()).
@@ -339,6 +340,12 @@ void Machine::do_kill(NodeId n, bool silent) {
     // through run_body, running destructors along the way.
     do_resume(c);
   }
+}
+
+void Machine::broadcast_crash(NodeId n) {
+  if (n >= cfg_.nodes || !node_dead_[n] || crash_broadcast_[n]) return;
+  crash_broadcast_[n] = 1;
+  crash_observers_.fire(n);
 }
 
 bool Machine::cut_between(NodeId a, NodeId b) const {

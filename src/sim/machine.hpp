@@ -166,16 +166,22 @@ class Machine {
   }
   void remove_death_observer(std::uint64_t id) { death_observers_.remove(id); }
 
-  /// Like on_node_death, but models the machine-check broadcast peers
-  /// observe: crash observers do NOT fire for silent kills.  Recovery
-  /// layers (Uniform System, net::Mesh, Bridge) subscribe here; a silent
-  /// death reaches them only through a failure detector (bfly::rescue) or a
-  /// reference that touches the corpse.  Crash observers run after every
-  /// death observer, still before the node's fibers unwind.
+  /// The crash tier: what peers learn of a death, where death observers
+  /// are what the simulator knows.  Crash observers fire once per dead
+  /// node, at the crash broadcast: for a loud kill that is the kill itself
+  /// (after every death observer, before the node's fibers unwind); for a
+  /// silent kill it is broadcast_crash(), which a failure detector
+  /// (bfly::rescue) calls on its verdict.  Recovery layers (Uniform System,
+  /// net::Mesh, Bridge, serve) register here and nowhere else.
   std::uint64_t on_node_crash(std::function<void(NodeId)> fn) {
     return crash_observers_.add(std::move(fn));
   }
   void remove_crash_observer(std::uint64_t id) { crash_observers_.remove(id); }
+  /// Fire the crash observers for `n` if it is dead and its crash has not
+  /// been broadcast yet; a no-op for a live node or a repeat.  This is
+  /// where "never excise the living" is enforced: a wrong verdict reaches
+  /// no recovery layer.
+  void broadcast_crash(NodeId n);
 
   // --- Time ------------------------------------------------------------------
 
@@ -547,6 +553,7 @@ class Machine {
   bool combining_ = false;     // switch combining armed (fetch_add hot path)
   bool has_slow_ = false;      // plan carries slow-node windows
   std::vector<std::uint8_t> node_dead_;
+  std::vector<std::uint8_t> crash_broadcast_;  // crash observers fired
   std::uint32_t dead_nodes_count_ = 0;
   // Partition windows, precomputed as per-node side maps (0 = unlisted,
   // 1 = side_a, 2 = side_b) for O(1) cut checks on the reference path.

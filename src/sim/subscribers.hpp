@@ -1,5 +1,4 @@
-// An id-keyed callback list: the machine's death, crash and heal observers
-// and rescue::Membership's suspicion subscribers.
+// An id-keyed callback list: the machine's death, crash and heal observers.
 #pragma once
 
 #include <cstdint>

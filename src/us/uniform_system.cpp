@@ -64,10 +64,10 @@ void UniformSystem::initialize() {
   k_.give_to_system(work_queue_);  // shared by all managers
 
   // Shared-heap metadata lives on node 0 (a mild hot spot, as on the real
-  // system).  The outstanding-task counter follows the machine's
-  // sync_strategy: the 1988 hot cell on node 0, or one cell per pool
-  // processor whose waiter polls the aggregated sum.
-  if (m_.config().sync_strategy == sim::SyncStrategy::kScalable) {
+  // system).  The outstanding-task counter follows cfg_.sync_strategy: the
+  // 1988 hot cell on node 0, or one cell per pool processor whose waiter
+  // polls the aggregated sum.
+  if (cfg_.sync_strategy == SyncStrategy::kScalable) {
     std::vector<sim::NodeId> cell_nodes(procs_);
     for (std::uint32_t w = 0; w < procs_; ++w) cell_nodes[w] = w;
     idle_counter_ = std::make_unique<sync::DistributedCounter>(
@@ -98,9 +98,9 @@ void UniformSystem::initialize() {
   decrementing_.assign(procs_, 0);
   manager_alive_.assign(procs_, 1);
   managers_alive_ = procs_;
-  // Crash tier, not death tier: the Uniform System only learns of deaths
-  // the hardware broadcasts.  A silent kill reaches handle_node_death via
-  // excise_node (a failure detector's verdict) instead.
+  // Crash tier, not death tier: the Uniform System learns of a death only
+  // when it is broadcast, by the hardware for a loud kill or by a failure
+  // detector's verdict for a silent one.
   crash_observer_ =
       m_.on_node_crash([this](sim::NodeId n) { handle_node_death(n); });
   if (!cfg_.tree_init) {
@@ -244,14 +244,6 @@ std::uint32_t UniformSystem::counter_add(std::uint32_t d) {
 
 std::uint32_t UniformSystem::counter_read() {
   return m_.retry(sim::RetryPolicy{}, [&] { return idle_counter_->read(); });
-}
-
-void UniformSystem::excise_node(sim::NodeId n) {
-  // A live node must never be excised: its manager is still running and
-  // would later double-apply every completion we faked here.  Membership
-  // filters false suspicions before calling, but stay defensive.
-  if (n >= m_.nodes() || m_.node_alive(n)) return;
-  handle_node_death(n);
 }
 
 void UniformSystem::handle_node_death(sim::NodeId n) {

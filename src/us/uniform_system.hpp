@@ -44,6 +44,14 @@ struct TaskCtx {
 
 using TaskFn = std::function<void(TaskCtx&)>;
 
+/// Which outstanding-task counter the Uniform System builds.  The 1988
+/// style is what the paper's software did; the scalable style is what the
+/// Ultracomputer -> exascale line of work replaced it with (see src/sync).
+enum class SyncStrategy : std::uint8_t {
+  kCentral1988,  ///< one hot completion counter on node 0, as on the Butterfly
+  kScalable,     ///< one cell per pool processor, polled by the waiter
+};
+
 struct UsConfig {
   /// Processors to run managers on (0 = every node of the machine).
   std::uint32_t processors = 0;
@@ -59,6 +67,9 @@ struct UsConfig {
   /// Create managers through a fan-out tree instead of serially (the
   /// "faster initialization" Rochester contributed to the BBN release).
   bool tree_init = false;
+  /// The outstanding-task counter: the 1988 single hot cell, or
+  /// per-processor cells with an aggregating read.
+  SyncStrategy sync_strategy = SyncStrategy::kCentral1988;
 };
 
 class UniformSystem {
@@ -156,15 +167,6 @@ class UniformSystem {
   /// Managers still serving the work queue.
   std::uint32_t managers_alive() const { return managers_alive_; }
 
-  /// Excise a node the caller knows to be dead (a failure detector's
-  /// verdict): re-issue its in-flight task, apply any owed completion
-  /// decrement, rescue a stranded wait_idle.  Loud kills arrive here
-  /// automatically through the machine's crash broadcast; silent kills
-  /// need this call — typically wired to rescue::Membership::subscribe.
-  /// No-op if the node is still alive (a false suspicion must not disturb
-  /// a running manager) or was already excised.
-  void excise_node(sim::NodeId n);
-
  private:
   // A task descriptor; its slot index (the tid) is what travels through
   // the work queue.  Every task of one generation (a gen_task call or a
@@ -182,6 +184,10 @@ class UniformSystem {
   void mark_manager_dead(std::uint32_t worker);
   void enqueue_descriptor(const std::shared_ptr<const TaskFn>& fn,
                           std::uint32_t arg);
+  // The crash observer, the one way a death reaches the Uniform System
+  // (a loud kill, or a failure detector's broadcast of a silent one):
+  // re-issue the node's in-flight task, apply any owed completion
+  // decrement, rescue a stranded wait_idle.  No-op if already handled.
   void handle_node_death(sim::NodeId n);
   sim::PhysAddr allocate_with_lock(sim::NodeId node, std::size_t bytes);
   // Infrastructure accesses (completion counter, scatter cursor) retry a

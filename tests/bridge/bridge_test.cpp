@@ -311,23 +311,21 @@ TEST(BridgeFaults, DiskKilledMidRequestFailsInFlightAndSubsequentOps) {
 
 TEST(BridgeFaults, SilentlyDeadServerIsExcisedByAFailureDetector) {
   // A silent kill fires no crash broadcast: the client blocked on the dead
-  // server's reply stays blocked until a failure detector's verdict
-  // arrives through excise_node, which fail-replies the in-flight request.
+  // server's reply stays blocked until a failure detector broadcasts its
+  // verdict, and Bridge's crash observer fail-replies the in-flight request.
   sim::FaultPlan plan;
   plan.kill_silent(0, 100 * sim::kMillisecond);
   Machine m(butterfly1(4), plan);
   chrys::Kernel k(m);
   bool threw = false;
-  BridgeFs* fsp = nullptr;
   k.create_process(3, [&] {
     BridgeFs fs(k, 2);
-    fsp = &fs;
     // A stand-in detector on another node: notices the death (ground truth
     // here; rescue::Membership in real use) and reports it a while later.
     k.create_process(2, [&] {
       while (k.node_alive(0)) k.delay(20 * sim::kMillisecond);
       k.delay(50 * sim::kMillisecond);
-      fsp->excise_node(0);
+      m.broadcast_crash(0);
     });
     const FileId f = fs.create("data");
     std::vector<std::uint8_t> blk(kBlockSize, 2);
@@ -521,7 +519,7 @@ TEST(BridgeDeadline, ReadTimesOutOnASilentlyDeadServerInsteadOfHanging) {
     EXPECT_EQ(back, blk);
     // A detector's verdict finally lands: the abandoned request parked on
     // the corpse is reclaimed and shutdown no longer waits on it.
-    fs.excise_node(0);
+    m.broadcast_crash(0);
     fs.shutdown();
   });
   m.run();
@@ -695,7 +693,7 @@ TEST(BridgeDeadline, AbandonedRequestNeverTouchesItsReplyQueue) {
     // Loud and silent deaths: one request abandoned mid-service and one
     // abandoned while queued behind it, then a kept request that must get
     // its fail-reply.  Server 3's node crashes with a broadcast; server 4's
-    // dies silently and a detector's verdict reaches excise_node.
+    // dies silently and a detector's verdict is broadcast.
     for (const bool silent : {false, true}) {
       const std::uint32_t s = silent ? 4 : 3;
       const chrys::Oid q1 = k.make_dual_queue();
@@ -711,7 +709,7 @@ TEST(BridgeDeadline, AbandonedRequestNeverTouchesItsReplyQueue) {
       EXPECT_TRUE(abandon(queued, q2));
       m.kill_node(s, m.now() + sim::kMillisecond, silent);
       k.delay(10 * sim::kMillisecond);
-      if (silent) fs.excise_node(s);
+      if (silent) m.broadcast_crash(s);
       EXPECT_EQ(k.dq_dequeue(kept), rid);
       EXPECT_TRUE(fs.request_failed(rid));
       fs.finish_request(rid);

@@ -291,7 +291,6 @@ TEST(MeshFaults, ReadTimeoutDetectsASilentlyDeadWriter) {
   Machine m(sim::butterfly1(4), plan);
   chrys::Kernel k(m);
   std::uint32_t first = 0, err = 0;
-  Mesh* meshp = nullptr;
   k.create_process(0, [&] {
     MeshOptions opt;
     opt.base_node = 1;
@@ -308,13 +307,13 @@ TEST(MeshFaults, ReadTimeoutDetectsASilentlyDeadWriter) {
             first = in->read_value<std::uint32_t>();
             err = k.catch_block(
                 [&] { (void)in->read_value<std::uint32_t>(); });
-            // The reader found the corpse itself; report it so the dead
-            // element's join token gets posted.
-            meshp->excise_node(1);
+            // The reader found the corpse itself; broadcast it, as a
+            // failure detector would, so the dead element's join token
+            // gets posted.
+            m.broadcast_crash(1);
           }
         },
         opt);
-    meshp = &mesh;
     mesh.join();
     EXPECT_EQ(mesh.elements_lost(), 1u);
   });

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "bridge/bridge.hpp"
 #include "us/uniform_system.hpp"
 
 namespace bfly::rescue {
@@ -54,9 +55,10 @@ TEST(Membership, SilentKillWithNoDetectorDeadlocksTheUniformSystem) {
 TEST(Membership, HeartbeatDetectionAloneCompletesTheStrandedRun) {
   // Same machine, same silent kill — plus the membership service.  The
   // watchdog notices node 5's heartbeat word stop moving, declares it, and
-  // the subscription excises it from the Uniform System pool: the stranded
-  // task is re-issued and the run completes.  Nobody ever referenced the
-  // dead node's memory; detection came from the heartbeat timeout alone.
+  // its crash broadcast excises the node from the Uniform System pool: the
+  // stranded task is re-issued and the run completes.  Nobody ever
+  // referenced the dead node's memory; detection came from the heartbeat
+  // timeout alone.
   sim::FaultPlan plan;
   plan.kill_silent(5, 50 * sim::kMillisecond);
   Machine m(butterfly1(8), plan);
@@ -64,7 +66,6 @@ TEST(Membership, HeartbeatDetectionAloneCompletesTheStrandedRun) {
   GrindSetup s;
   us::UniformSystem us(k, s.cfg);
   Membership mem(k, s.rc);  // 2 ms heartbeats, suspect after 8 ms stale
-  mem.subscribe([&](sim::NodeId n) { us.excise_node(n); });
   std::vector<std::uint8_t> done(GrindSetup::kTasks, 0);
   us.run_main([&] {
     mem.start();
@@ -90,16 +91,59 @@ TEST(Membership, HeartbeatDetectionAloneCompletesTheStrandedRun) {
   EXPECT_LT(detect, 80 * sim::kMillisecond);
 }
 
+TEST(Membership, VerdictReachesEveryLayerOnceWithNoWiring) {
+  // The verdict is the machine's crash broadcast, so every recovery layer
+  // on the machine hears it through its crash observer without being
+  // wired to the detector: the Uniform System re-issues the stranded task
+  // and Bridge writes off the server homed on node 5.  Repeats (a second
+  // broadcast, an accusation of the declared node) reach nobody.  Bridge
+  // and the membership service take ~70 ms to come up, so the kill lands
+  // at 150 ms, inside a grind of 4 ms tasks.
+  sim::FaultPlan plan;
+  plan.kill_silent(5, 150 * sim::kMillisecond);
+  Machine m(butterfly1(8), plan);
+  chrys::Kernel k(m);
+  GrindSetup s;
+  us::UniformSystem us(k, s.cfg);
+  Membership mem(k, s.rc);
+  std::vector<sim::NodeId> crashes;
+  (void)m.on_node_crash([&](sim::NodeId n) { crashes.push_back(n); });
+  std::uint32_t servers_lost = 0;
+  std::uint32_t completed = 0;
+  us.run_main([&] {
+    bridge::BridgeFs fs(k, 8);  // one server per node, server 5 on node 5
+    mem.start();
+    ASSERT_LT(m.now(), 150 * sim::kMillisecond) << "service up pre-kill";
+    us.for_all(0, GrindSetup::kTasks, [&](us::TaskCtx& c) {
+      c.m.compute(8000);
+      ++completed;
+    });
+    m.broadcast_crash(5);
+    mem.denounce(5);
+    mem.stop();
+    servers_lost = fs.servers_lost();
+    fs.shutdown();
+  });
+  ASSERT_FALSE(m.deadlocked());
+  EXPECT_GE(completed, GrindSetup::kTasks);
+  EXPECT_EQ(crashes, (std::vector<sim::NodeId>{5}));
+  EXPECT_EQ(us.nodes_lost(), 1u);
+  EXPECT_GE(us.tasks_reissued(), 1u) << "the kill must strand a task";
+  EXPECT_EQ(servers_lost, 1u);
+  EXPECT_EQ(m.stats().suspects_declared, 1u);
+  EXPECT_EQ(mem.history().size(), 1u);
+}
+
 TEST(Membership, FalseAccusationIsCountedAndChangesNothing) {
   Machine m(butterfly1(8));
   chrys::Kernel k(m);
   us::UniformSystem us(k);
   std::uint32_t notified = 0;
   Membership mem(k);
-  mem.subscribe([&](sim::NodeId) { ++notified; });
+  (void)m.on_node_crash([&](sim::NodeId) { ++notified; });
   us.run_main([&] {
-    mem.denounce(3);       // node 3 is perfectly healthy
-    us.excise_node(3);     // and a direct excision is refused too
+    mem.denounce(3);         // node 3 is perfectly healthy
+    m.broadcast_crash(3);    // and a direct broadcast is refused too
     us.for_all(0, 16, [](us::TaskCtx& c) { c.m.compute(500); });
   });
   ASSERT_FALSE(m.deadlocked());
@@ -122,7 +166,7 @@ TEST(Membership, DenounceOfAGenuinelyDeadNodeDeclaresImmediately) {
   chrys::Kernel k(m);
   std::vector<sim::NodeId> notified;
   Membership mem(k);  // never started: denounce alone drives it
-  mem.subscribe([&](sim::NodeId n) { notified.push_back(n); });
+  (void)m.on_node_crash([&](sim::NodeId n) { notified.push_back(n); });
   k.create_process(0, [&] {
     k.delay(20 * sim::kMillisecond);
     mem.denounce(2);
@@ -136,26 +180,6 @@ TEST(Membership, DenounceOfAGenuinelyDeadNodeDeclaresImmediately) {
   EXPECT_FALSE(mem.member(2));
 }
 
-TEST(Membership, UnsubscribedCallbackStopsFiring) {
-  sim::FaultPlan plan;
-  plan.kill_silent(1, 5 * sim::kMillisecond);
-  plan.kill_silent(2, 5 * sim::kMillisecond);
-  Machine m(butterfly1(4), plan);
-  chrys::Kernel k(m);
-  std::uint32_t calls = 0;
-  Membership mem(k);
-  const auto id = mem.subscribe([&](sim::NodeId) { ++calls; });
-  k.create_process(0, [&] {
-    k.delay(10 * sim::kMillisecond);
-    mem.denounce(1);
-    mem.unsubscribe(id);
-    mem.denounce(2);
-  });
-  m.run();
-  EXPECT_EQ(calls, 1u);
-  EXPECT_EQ(mem.epoch(), 2u);
-}
-
 TEST(Membership, ZeroFaultAnswerIsUnchangedByTheInstrumentation) {
   // The membership service charges real simulated time (heartbeats cross
   // the switch), so timing shifts — but on a healthy machine the *answer*
@@ -165,7 +189,6 @@ TEST(Membership, ZeroFaultAnswerIsUnchangedByTheInstrumentation) {
     chrys::Kernel k(m);
     us::UniformSystem us(k);
     Membership mem(k);
-    if (with_rescue) mem.subscribe([&](sim::NodeId n) { us.excise_node(n); });
     std::vector<std::uint32_t> out(64, 0);
     us.run_main([&] {
       if (with_rescue) mem.start();
@@ -199,7 +222,7 @@ TEST(Membership, PartitionedNodesAreSuspectedUnreachableNotExcised) {
   chrys::Kernel k(m);
   Membership mem(k);  // monitor on node 0, side A
   std::uint32_t excisions = 0;
-  mem.subscribe([&](sim::NodeId) { ++excisions; });
+  (void)m.on_node_crash([&](sim::NodeId) { ++excisions; });
   std::uint64_t epoch_mid = 0;
   k.create_process(0, [&] {
     mem.start();

@@ -72,7 +72,7 @@ ChaosResult run_chaos() {
       ServeConfig cfg;
       cfg.hedge_floor = 60 * sim::kMillisecond;
       cfg.min_hedge_samples = 1u << 20;  // pin the hedge trigger to the floor
-      ReplicatedFs rfs(k, fs, &mem, cfg);
+      ReplicatedFs rfs(k, fs, nullptr, cfg);
       const bridge::FileId f = rfs.open("chaos", 32);
       std::vector<std::uint8_t> blk;
       for (std::uint32_t b = 0; b < kWorkers * kBlocksPer; ++b) {
@@ -234,7 +234,7 @@ ReplayRun run_replay_workload(const sim::FaultPlan& plan,
         mem = std::make_unique<rescue::Membership>(k, rc);
         mem->start();
       }
-      ReplicatedFs rfs(k, fs, mem.get(), cfg);
+      ReplicatedFs rfs(k, fs, nullptr, cfg);
       const bridge::FileId f = rfs.open("data", 16);
       std::vector<std::uint8_t> blk;
       for (std::uint32_t b = 0; b < 6; ++b) {

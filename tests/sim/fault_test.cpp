@@ -205,6 +205,7 @@ TEST(FaultPlan, SilentKillSkipsCrashObserversButNotDeathObservers) {
   FaultPlan plan;
   plan.kill_silent(1, kMillisecond);
   plan.kill(2, 2 * kMillisecond);
+  plan.kill_silent(3, 3 * kMillisecond);
   Machine m(butterfly1(4), plan);
   std::vector<NodeId> deaths, crashes;
   (void)m.on_node_death([&](NodeId n) { deaths.push_back(n); });
@@ -212,12 +213,26 @@ TEST(FaultPlan, SilentKillSkipsCrashObserversButNotDeathObservers) {
   m.spawn(0, [&] { m.charge(10 * kMillisecond); });
   m.run();
   // The simulator always knows (death tier); the machine-check broadcast
-  // (crash tier) fires only for the loud kill — node 1 died silently.
-  EXPECT_EQ(deaths, (std::vector<NodeId>{1, 2}));
+  // (crash tier) fires only for the loud kill — nodes 1 and 3 died silently.
+  EXPECT_EQ(deaths, (std::vector<NodeId>{1, 2, 3}));
   EXPECT_EQ(crashes, (std::vector<NodeId>{2}));
   EXPECT_FALSE(m.node_alive(1));
   EXPECT_FALSE(m.node_alive(2));
+  // A failure detector's verdict: broadcasting silent-killed node 1 fires
+  // the crash tier once.  A repeat, the already-broadcast loud kill, a live
+  // node and a bad id reach nobody.
+  m.broadcast_crash(1);
+  EXPECT_EQ(crashes, (std::vector<NodeId>{2, 1}));
+  m.broadcast_crash(1);
+  m.broadcast_crash(2);
+  m.broadcast_crash(0);
+  m.broadcast_crash(4);
+  EXPECT_EQ(crashes, (std::vector<NodeId>{2, 1}));
+  EXPECT_TRUE(m.node_alive(0));
+  // A removed observer hears no later broadcast.
   m.remove_crash_observer(cid);
+  m.broadcast_crash(3);
+  EXPECT_EQ(crashes, (std::vector<NodeId>{2, 1}));
 }
 
 TEST(FaultPlan, SilentKillStillUnwindsFibers) {

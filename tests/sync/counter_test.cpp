@@ -60,27 +60,27 @@ TEST(DistributedCounter, ExciseFoldsTheCellValue) {
   EXPECT_EQ(c.peek_total(), 0u);
 }
 
-TEST(UsCounter, AutoFollowsTheMachineStrategy) {
-  {
-    Machine m(butterfly1(8));
-    chrys::Kernel k(m);
-    us::UniformSystem us(k);
-    us.run_main([&] { EXPECT_TRUE(us.idle_counter().exact()); });
-  }
-  {
+TEST(UsCounter, ConfigSelectsTheCounter) {
+  // The strategy belongs to the Uniform System, not the machine: the same
+  // exascale_ish machine gets whichever counter UsConfig asks for.
+  for (const us::SyncStrategy st :
+       {us::SyncStrategy::kCentral1988, us::SyncStrategy::kScalable}) {
     Machine m(exascale_ish(8));
     chrys::Kernel k(m);
-    us::UniformSystem us(k);
-    us.run_main([&] { EXPECT_FALSE(us.idle_counter().exact()); });
+    us::UsConfig cfg;
+    cfg.sync_strategy = st;
+    us::UniformSystem us(k, cfg);
+    const bool central = st == us::SyncStrategy::kCentral1988;
+    us.run_main([&] { EXPECT_EQ(us.idle_counter().exact(), central); });
   }
 }
 
 TEST(UsCounter, ForAllCompletesOnTheDistributedCounter) {
-  sim::MachineConfig mc = butterfly1(8);
-  mc.sync_strategy = sim::SyncStrategy::kScalable;
-  Machine m(mc);
+  Machine m(butterfly1(8));
   chrys::Kernel k(m);
-  us::UniformSystem us(k);
+  us::UsConfig cfg;
+  cfg.sync_strategy = us::SyncStrategy::kScalable;
+  us::UniformSystem us(k, cfg);
   std::uint32_t completed = 0;
   us.run_main([&] {
     us.for_all(0, 100, [&](us::TaskCtx& c) {
@@ -104,11 +104,10 @@ TEST(UsCounter, KillMidWaveIsRecoveredOnTheDistributedCounter) {
   // folds host-side and the wave still drains.
   sim::FaultPlan plan;
   plan.kill(5, 100 * sim::kMillisecond);
-  sim::MachineConfig mc = butterfly1(8);
-  mc.sync_strategy = sim::SyncStrategy::kScalable;
-  Machine m(mc, plan);
+  Machine m(butterfly1(8), plan);
   chrys::Kernel k(m);
   us::UsConfig cfg;
+  cfg.sync_strategy = us::SyncStrategy::kScalable;
   cfg.processors = 8;
   us::UniformSystem us(k, cfg);
   std::vector<std::uint32_t> done(200, 0);
@@ -133,11 +132,10 @@ TEST(UsCounter, WholePoolDeadReleasesThePollingWaiter) {
   plan.kill(0, 60 * sim::kMillisecond);
   plan.kill(1, 65 * sim::kMillisecond);
   plan.kill(2, 70 * sim::kMillisecond);
-  sim::MachineConfig mc = butterfly1(4);
-  mc.sync_strategy = sim::SyncStrategy::kScalable;
-  Machine m(mc, plan);
+  Machine m(butterfly1(4), plan);
   chrys::Kernel k(m);
   us::UsConfig cfg;
+  cfg.sync_strategy = us::SyncStrategy::kScalable;
   cfg.processors = 3;  // pool = nodes 0..2; main lives on node 3
   us::UniformSystem us(k, cfg);
   bool returned = false;
@@ -158,11 +156,11 @@ TEST(UsCounter, TransientFaultsAreAbsorbedByTheDistributedCounter) {
   sim::FaultPlan plan;
   plan.mem_fault_prob = 0.01;
   plan.seed = 99;
-  sim::MachineConfig mc = butterfly1(8);
-  mc.sync_strategy = sim::SyncStrategy::kScalable;
-  Machine m(mc, plan);
+  Machine m(butterfly1(8), plan);
   chrys::Kernel k(m);
-  us::UniformSystem us(k);
+  us::UsConfig cfg;
+  cfg.sync_strategy = us::SyncStrategy::kScalable;
+  us::UniformSystem us(k, cfg);
   std::uint32_t completed = 0;
   us.run_main([&] {
     us.for_all(0, 100, [&](us::TaskCtx& c) {

@@ -235,7 +235,7 @@ bool run_serve(std::uint64_t seed) {
       bfly::rescue::Membership mem(k, rc);
       bfly::serve::ServeConfig cfg;
       cfg.min_hedge_samples = 1u << 20;
-      bfly::serve::ReplicatedFs rfs(k, fs, &mem, cfg);
+      bfly::serve::ReplicatedFs rfs(k, fs, nullptr, cfg);
       const bfly::bridge::FileId f = rfs.open("fuzz", 16);
       // Silently kill the server of block 0's first replica mid-run, so
       // repair has a replica to move.
