@@ -26,11 +26,13 @@
 //                    service holds >= 60% of fault-free goodput, the
 //                    membership layer parks the far side in
 //                    suspected_unreachable instead of excising it and
-//                    restores it after the heal, the heal's resync pass
-//                    rewrites the replicas the cut left stale, a full
-//                    read-back finds every acked write intact (zero acked
-//                    writes lost), and a foreground resync after the
-//                    read-back finds nothing left to rewrite.
+//                    restores it after the heal, the repair worker
+//                    rewrites the replicas the cut left stale (it resyncs
+//                    only the blocks a write reached past the cut, so
+//                    fewer than all of them), a full read-back finds every
+//                    acked write intact (zero acked writes lost), and a
+//                    foreground resync after the read-back finds nothing
+//                    left to rewrite.
 //   part 4 (replay): part 3 runs twice with the same seeds; elapsed time,
 //                    every counter, and the content hash must be equal —
 //                    the partition machinery sits inside the deterministic
@@ -224,7 +226,8 @@ RunResult run_partition(const Scenario& sc) {
       if (m.now() < kWarm) k.delay(kWarm - m.now());
       r.setup = m.now();
       while (workers_done < kWorkers) k.delay(20 * sim::kMillisecond);
-      // Let the heal's resync pass drain before the audit.
+      // Let the repairs of the blocks the cut left stale drain before the
+      // audit.
       for (int i = 0; i < 1000 && !rfs.repair_idle(); ++i)
         k.delay(10 * sim::kMillisecond);
       // Zero-acked-write-loss audit: every block whose writer got an ack
@@ -302,8 +305,10 @@ std::string row_json(const Scenario& sc, RunResult& r) {
       .kv("verified", r.verified)
       .kv("verify_fail", r.verify_fail)
       .kv("suspects", r.suspects)
-      .kv("reconciled", r.counters.reconciled)
-      .kv("resync_rewrites", r.resync_rewrites)
+      .kv("reconciled", r.counters.reconciled);
+  // The blocks the repair worker resynced, to show what the heal read.
+  if (sc.split) jw.kv("repaired_blocks", r.counters.repaired_blocks);
+  jw.kv("resync_rewrites", r.resync_rewrites)
       .kv("quorum_rejects", r.counters.quorum_rejects)
       .kv("setup_s", bench::seconds(r.setup))
       .kv("elapsed_s", bench::seconds(r.elapsed))
@@ -391,9 +396,11 @@ int main() {
   report.gate(rs.unreachable_restored > 0,
               "healed nodes must be restored to full membership");
   report.gate(rs.counters.reconciled > 0,
-              "the heal pass must rewrite the replicas the cut left stale");
+              "the repairs must rewrite the replicas the cut left stale");
+  report.gate(rs.counters.repaired_blocks < kBlocks,
+              "the heal must resync only the blocks the cut left stale");
   report.gate(rs.resync_rewrites == 0,
-              "after the heal pass a foreground resync must rewrite nothing");
+              "after the repairs a foreground resync must rewrite nothing");
   report.gate(rs.verify_fail == 0,
               "zero acked writes lost across partition and heal");
   report.gate(rs.counters.lost_blocks == 0, "no block may lose every replica");
@@ -410,6 +417,8 @@ int main() {
   report.gate(rs2.content_hash == rs.content_hash,
               "replay: final content hash must be equal");
   report.gate(rs2.counters.reconciled == rs.counters.reconciled &&
+                  rs2.counters.repaired_blocks ==
+                      rs.counters.repaired_blocks &&
                   rs2.counters.quorum_rejects == rs.counters.quorum_rejects &&
                   rs2.resync_rewrites == rs.resync_rewrites,
               "replay: partition counters must be equal");
@@ -421,8 +430,8 @@ int main() {
       "\nshape check: a dead stage-0 card costs one extra hop and nothing\n"
       "else; the 50/50 split turns ~half the writes into quorum refusals\n"
       "while reads and majority writes keep flowing; the heal restores\n"
-      "membership, its resync pass brings the stale replicas up to date,\n"
-      "and the audit finds every acked write -- no split-brain, no silent\n"
-      "loss, bit-equal replays.\n"
+      "membership, the repair worker resyncs only the blocks a write\n"
+      "reached past the cut, and the audit finds every acked write -- no\n"
+      "split-brain, no silent loss, bit-equal replays.\n"
       "\n");
 }

@@ -39,15 +39,31 @@ BridgeFs::BridgeFs(chrys::Kernel& k, std::uint32_t servers, DiskParams disk,
           last_version_ = std::max(last_version_, blk.version);
     }
   }
-  for (std::uint32_t s = 0; s < nservers_; ++s) {
-    k_.create_process(servers_[s]->node, [this, s] { server_loop(s); },
-                      "bridge-srv" + std::to_string(s));
-  }
   servers_alive_ = nservers_;
   // Crash tier: the file system hears broadcast deaths, loud kills and a
-  // failure detector's verdicts on silent ones.
+  // failure detector's verdicts on silent ones.  Registered before the
+  // servers start, so a kill landing mid-construction reaches it.
   crash_observer_ =
       m_.on_node_crash([this](sim::NodeId n) { handle_node_death(n); });
+  for (std::uint32_t s = 0; s < nservers_; ++s) {
+    Server& sv = *servers_[s];
+    if (!sv.alive) continue;  // its node died while an earlier one started
+    try {
+      k_.create_process(sv.node, [this, s] { server_loop(s); },
+                        "bridge-srv" + std::to_string(s));
+    } catch (const chrys::ThrowSignal& t) {
+      if (t.code != chrys::kThrowNodeDead &&
+          t.code != chrys::kThrowNetUnreachable)
+        throw;
+      // A server that cannot start is lost from the start: its stripe
+      // fail-replies like a dead one's, and the others serve.
+      if (sv.alive) {
+        sv.alive = false;
+        --servers_alive_;
+        ++servers_lost_;
+      }
+    }
+  }
 }
 
 BridgeFs::~BridgeFs() {

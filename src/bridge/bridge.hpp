@@ -99,7 +99,9 @@ struct StableStore {
 class BridgeFs {
  public:
   /// Create `servers` Bridge server processes on nodes [0, servers), each
-  /// with one disk.  Must be called from a Chrysalis process.  When
+  /// with one disk.  Must be called from a Chrysalis process.  A server
+  /// whose node is dead (or cut off) at creation counts as lost from the
+  /// start: its stripe fails like a dead server's.  When
   /// `persist` is given, a non-empty image is loaded (its server count must
   /// match) and the store is flushed back on destruction.
   BridgeFs(chrys::Kernel& k, std::uint32_t servers, DiskParams disk = {},

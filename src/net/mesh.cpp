@@ -12,10 +12,8 @@ constexpr sim::Time kReadOverhead = 40 * sim::kMicrosecond;
 
 // --- Stream -------------------------------------------------------------
 
-Stream::Stream(Mesh& mesh, std::uint32_t id, sim::NodeId reader_node,
-               sim::NodeId writer_node)
-    : mesh_(mesh), id_(id), reader_node_(reader_node),
-      writer_node_(writer_node) {}
+Stream::Stream(Mesh& mesh, std::uint32_t id, sim::NodeId reader_node)
+    : mesh_(mesh), id_(id), reader_node_(reader_node) {}
 
 void Stream::write(const void* data, std::size_t n) {
   if (n == 0) return;
@@ -61,22 +59,8 @@ void Stream::read(void* out, std::size_t n) {
     }
     if (broken_)
       throw chrys::ThrowSignal{chrys::kThrowBrokenStream, id_};
-    // Pull the next chunk (blocks until a writer supplies one).  With a
-    // read timeout configured, each expiry re-checks the writer's liveness:
-    // a silently dead writer posts no EOF sentinel, so the reader's own
-    // timeout is what turns "blocked forever" into a broken-stream error.
-    std::uint32_t cid;
-    if (mesh_.opt_.read_timeout > 0) {
-      while (!k.dq_dequeue_for(chunk_queue_, mesh_.opt_.read_timeout, &cid)) {
-        if (!k.node_alive(writer_node_)) {
-          broken_ = true;
-          k.dq_enqueue_uncharged(chunk_queue_, Mesh::kEofCid);
-          throw chrys::ThrowSignal{chrys::kThrowBrokenStream, id_};
-        }
-      }
-    } else {
-      cid = k.dq_dequeue(chunk_queue_);
-    }
+    // Pull the next chunk (blocks until a writer supplies one).
+    const std::uint32_t cid = k.dq_dequeue(chunk_queue_);
     if (cid == Mesh::kEofCid) {
       // The writer exited (or its node died) with bytes still owed.  Put
       // the sentinel back so any later read fails the same way, and raise.
@@ -99,7 +83,7 @@ void Stream::read(void* out, std::size_t n) {
 
 Mesh::Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
            ElementBody body, MeshOptions opt)
-    : k_(k), m_(k.machine()), opt_(opt), rows_(rows), cols_(cols) {
+    : k_(k), m_(k.machine()), rows_(rows), cols_(cols) {
   done_queue_ = k_.make_dual_queue();
   elements_.resize(static_cast<std::size_t>(rows) * cols);
   auto at = [this](std::uint32_t r, std::uint32_t c) -> Element& {
@@ -115,7 +99,7 @@ Mesh::Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
   }
   // Wire the four directions.  out(East) of (r,c) == in(West) of (r,c+1).
   auto connect = [&](Element& from, Direction df, Element& to, Direction dt) {
-    Stream* s = make_stream(to.node_, from.node_);
+    Stream* s = make_stream(to.node_);
     from.out_[static_cast<int>(df)] = s;
     to.in_[static_cast<int>(dt)] = s;
   };
@@ -141,8 +125,8 @@ Mesh::Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
   }
   element_active_.assign(elements_.size(), 1);
   // Crash tier: the mesh hears only broadcast deaths, loud kills and a
-  // failure detector's verdicts.  Otherwise a silent kill reaches it
-  // through a reader's timeout.
+  // failure detector's verdicts.  A silent kill reaches it only through
+  // such a verdict.
   crash_observer_ =
       m_.on_node_crash([this](sim::NodeId n) { handle_node_death(n); });
   for (std::size_t i = 0; i < elements_.size(); ++i) {
@@ -205,10 +189,9 @@ void Mesh::handle_node_death(sim::NodeId n) {
     if (element_active_[i] && elements_[i].node_ == n) element_gone(i);
 }
 
-Stream* Mesh::make_stream(sim::NodeId reader_node, sim::NodeId writer_node) {
-  auto s = std::unique_ptr<Stream>(
-      new Stream(*this, static_cast<std::uint32_t>(streams_.size()),
-                 reader_node, writer_node));
+Stream* Mesh::make_stream(sim::NodeId reader_node) {
+  auto s = std::unique_ptr<Stream>(new Stream(
+      *this, static_cast<std::uint32_t>(streams_.size()), reader_node));
   s->chunk_queue_ = k_.make_dual_queue();
   streams_.push_back(std::move(s));
   return streams_.back().get();

@@ -53,13 +53,11 @@ class Stream {
 
  private:
   friend class Mesh;
-  Stream(Mesh& mesh, std::uint32_t id, sim::NodeId reader_node,
-         sim::NodeId writer_node);
+  Stream(Mesh& mesh, std::uint32_t id, sim::NodeId reader_node);
 
   Mesh& mesh_;
   std::uint32_t id_;
   sim::NodeId reader_node_;
-  sim::NodeId writer_node_;
   chrys::Oid chunk_queue_ = chrys::kNoObject;  // dual queue of chunk ids
   std::deque<std::uint8_t> buffered_;          // reader-side reassembly
   bool broken_ = false;                        // EOF sentinel was seen
@@ -93,12 +91,6 @@ struct MeshOptions {
   bool wrap_rows = false;  ///< torus in the row direction
   bool wrap_cols = false;  ///< cylinder / torus in the column direction
   sim::NodeId base_node = 0;
-  /// When nonzero, a blocked read re-checks the writer's liveness every
-  /// `read_timeout` of simulated time and raises kThrowBrokenStream if the
-  /// writer's node is gone — the reader's own failure detection, needed for
-  /// silent deaths where no EOF sentinel was ever posted.  0 blocks forever
-  /// (and preserves the pre-rescue event stream exactly).
-  sim::Time read_timeout = 0;
 };
 
 /// Builds the mesh (processes plus all streams) and runs an element body on
@@ -137,13 +129,12 @@ class Mesh {
     std::uint32_t len = 0;
   };
 
-  Stream* make_stream(sim::NodeId reader_node, sim::NodeId writer_node);
+  Stream* make_stream(sim::NodeId reader_node);
   void element_gone(std::size_t idx);
   void handle_node_death(sim::NodeId n);
 
   chrys::Kernel& k_;
   sim::Machine& m_;
-  MeshOptions opt_;
   std::uint32_t rows_, cols_;
   std::vector<Element> elements_;
   std::vector<std::unique_ptr<Stream>> streams_;

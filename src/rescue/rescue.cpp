@@ -28,18 +28,14 @@ void Membership::start() {
   started_ = true;
   const std::uint32_t nodes = m_.nodes();
   for (sim::NodeId n = 0; n < nodes; ++n) {
-    if (!k_.node_alive(n)) {
-      // Dead before the service came up: it will never heartbeat, so the
-      // watchdog will declare it after suspect_after — no special case.
-      continue;
-    }
     try {
       k_.create_process(n, [this, n] { daemon_loop(n); },
                         "hb-" + std::to_string(n));
     } catch (const chrys::ThrowSignal& t) {
-      // The node died while its daemon was being built (creation charges
-      // real time, and kills land mid-charge).  Same story as dead-before-
-      // start: no heartbeat will ever come, the watchdog declares it.
+      // The node was dead before the service came up, or died while its
+      // daemon was being built (creation charges real time, and kills land
+      // mid-charge).  No heartbeat will ever come, so the watchdog
+      // declares it after suspect_after — no special case.
       if (t.code == chrys::kThrowNodeDead) continue;
       // Starting mid-cut: the daemon template cannot be shipped across an
       // active partition.  Skip the node rather than aborting the whole

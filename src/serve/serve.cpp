@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 namespace bfly::serve {
 
 namespace {
 constexpr std::uint32_t kNoRid = 0xffffffffu;
 constexpr std::uint32_t kStopJob = 0xffffffffu;
-constexpr std::uint32_t kHealJob = 0xfffffffeu;
 constexpr std::uint32_t kNoReplicaIdx = 0xffffffffu;
 /// What a shed costs the client: the rejected request's round trip.
 constexpr sim::Time kShedCost = 100 * sim::kMicrosecond;
@@ -43,16 +43,10 @@ ReplicatedFs::ReplicatedFs(chrys::Kernel& k, bridge::BridgeFs& fs,
     m_.trace_instant("serve", "excise", n);
     queue_repairs_for_node(n);
   });
-  // Partition tier: when a cut heals, one resync() pass over the open files
-  // brings the replicas the cut left behind up to date.
-  if (m_.faults_possible())
-    heal_observer_ =
-        m_.on_partition_heal([this](std::size_t) { queue_heal(); });
 }
 
 ReplicatedFs::~ReplicatedFs() {
   if (crash_observer_ != 0) m_.remove_crash_observer(crash_observer_);
-  if (heal_observer_ != 0) m_.remove_heal_observer(heal_observer_);
 }
 
 std::uint64_t ReplicatedFs::mix(std::uint64_t f, std::uint64_t b) {
@@ -265,7 +259,8 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
   // Per-arm fate.  A dead arm's server is a corpse: it leaves the quorum's
   // denominator and the repair of the block relocates the replica.  An
   // unreachable arm's server is alive across a cut: it stays in the
-  // denominator and the heal pass brings it up to date.
+  // denominator, and if the write commits elsewhere the block is queued
+  // for repair, which waits for the cut to heal.
   std::vector<std::uint8_t> need(r_count, 1);
   std::uint32_t dead = 0, unreach = 0, committed = 0;
   const auto quorum = [&] { return (r_count - dead) / 2 + 1; };
@@ -355,6 +350,8 @@ Status ReplicatedFs::write(bridge::FileId f, std::uint32_t b,
     if (std::count(need.begin(), need.end(), 1) == 0) break;
   }
   k_.delete_object(dq);
+  // A replica the cut hid from a committed write is stale: repair it.
+  if (committed > 0 && unreach > 0) queue_repair(f, b);
   // The one ack rule: a majority of the non-dead replicas committed.
   if (committed >= quorum()) return Status::kOk;
   if (unreach > 0) {
@@ -419,30 +416,31 @@ void ReplicatedFs::stop_repair() {
     k_.delay(1 * sim::kMillisecond);
 }
 
-void ReplicatedFs::queue_heal() {
-  if (heal_queued_) return;  // the queued pass has not started: it covers us
-  heal_queued_ = true;
-  ++pending_repairs_;
-  // Uncharged: heal observers fire from engine context, not a process.
-  k_.dq_enqueue_uncharged(repair_dq_, kHealJob);
-}
-
 void ReplicatedFs::repair_loop() {
+  // Blocks with a live replica behind a cut wait here, outside the queue
+  // and its try budget.  Once the queue has sat idle for a backoff cap they
+  // go back in to be checked again; an empty list waits untimed.
+  std::vector<RepairJob> waiting;
   while (true) {
-    const std::uint32_t j = k_.dq_dequeue(repair_dq_);
-    if (j == kStopJob) break;
-    if (j == kHealJob) {
-      heal_queued_ = false;
-      for (bridge::FileId f = 0; f < nlogical_.size(); ++f)
-        counters_.reconciled += resync(f);
-      --pending_repairs_;
+    std::uint32_t j;
+    const auto recheck =
+        waiting.empty() ? std::optional<sim::Time>() : cfg_.retry.cap;
+    if (!k_.dq_dequeue_for(repair_dq_, recheck, &j)) {
+      for (const RepairJob& w : waiting) enqueue_repair(w);
+      waiting.clear();
       continue;
     }
+    if (j == kStopJob) break;
     RepairJob job = repair_jobs_[j];
     repair_free_.push_back(j);
+    if (behind_cut(job.file, job.block)) {
+      waiting.push_back(job);
+      continue;
+    }
     {
       sim::TraceSpan span(m_, "serve", "repair", job.block);
       counters_.reconciled += resync_block(job.file, job.block);
+      ++counters_.repaired_blocks;
     }
     const bool settled = live_replicas(job.file, job.block) == cfg_.replicas;
     if (!settled && job.tries + 1 < kRepairMaxTries) {
@@ -458,7 +456,15 @@ void ReplicatedFs::repair_loop() {
     repair_inflight_.erase(key(job.file, job.block));
     --pending_repairs_;
   }
+  // Still pending: a later worker finds them queued.
+  for (const RepairJob& w : waiting) enqueue_repair(w);
   repair_running_ = false;
+}
+
+bool ReplicatedFs::behind_cut(bridge::FileId f, std::uint32_t b) const {
+  for (std::uint32_t r = 0; r < cfg_.replicas; ++r)
+    if (replica_alive(f, b, r) && !replica_reachable(f, b, r)) return true;
+  return false;
 }
 
 void ReplicatedFs::relocate(bridge::FileId f, std::uint32_t b,

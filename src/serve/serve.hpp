@@ -18,8 +18,8 @@
 //     the other arms fail (shed, timeout, unreachable).  A write that
 //     cannot reach such a majority ships nothing.
 //   * One repair rule: resync_block() is the only code that repairs a
-//     block (foreground resync, the heal pass, the repair worker after a
-//     death).  It reads every live replica, keeps the highest version,
+//     block (foreground resync, and the repair worker after a death or a
+//     cut).  It reads every live replica, keeps the highest version,
 //     rewrites stale live replicas and relocates dead ones; Bridge never
 //     lets an older stamp overwrite a newer one, so no repair reverts an
 //     acked write.
@@ -44,12 +44,14 @@
 //     collapsing goodput.
 //   * Partition tolerance: replicas that are alive but *unreachable* (a
 //     FaultPlan partition window, or all switch paths crossing dead cards)
-//     are routed around, not repaired — the node is not a corpse and its
+//     are routed around, not relocated — the node is not a corpse and its
 //     data will return.  The write rule needs nothing more: a client on
-//     the minority side of a split gets kNoQuorum, and when the partition
-//     heals the repair worker runs one resync() pass over the open files,
-//     bringing the replicas the cut left behind up to date.  A read-any
-//     may return a stale replica until then; that is reported, not failed.
+//     the minority side of a split gets kNoQuorum, and a write that
+//     commits while a replica is cut off queues its block for repair like
+//     a dead arm does.  The repair worker holds such a block until every
+//     live replica is reachable from its node again, then resyncs it.  A
+//     read-any may return a stale replica until then; that is reported,
+//     not failed.
 //
 // Everything is driven by the config's seeded PRNG plus the deterministic
 // engine, so a serving run — retries, hedges, sheds and all — is a pure
@@ -118,7 +120,8 @@ struct ServeCounters {
   std::uint64_t lost_blocks = 0;      ///< blocks repair left below strength
   std::uint64_t quorum_rejects = 0;   ///< writes refused on the minority side
   std::uint64_t reconciled = 0;       ///< replicas the repair worker rewrote
-                                      ///< in place (heal passes and repairs)
+                                      ///< in place
+  std::uint64_t repaired_blocks = 0;  ///< blocks the repair worker resynced
 
   /// The serving counters as a braceless JSON fragment (serve_* keys), for
   /// bench rows that append it after sim::MachineStats::fault_json().
@@ -205,20 +208,23 @@ class ReplicatedFs {
   /// Ask the worker to exit once its queue drains, then block (on a
   /// Chrysalis process) until it has — the worker reads this object, so a
   /// teardown that outruns it is a use-after-free.  Skips waiting when the
-  /// worker's node has been killed.
+  /// worker's node has been killed.  Blocks still waiting for a cut to heal
+  /// stay queued for a later worker.  While any wait, the worker wakes
+  /// every retry cap, so a run whose cut never heals ends only here.
   void stop_repair();
-  /// True when no repair jobs are queued or in progress.
+  /// True when no repair jobs are queued, in progress or waiting for a cut
+  /// to heal.
   bool repair_idle() const { return pending_repairs_ == 0; }
 
   /// Foreground convergence pass: resync_block() over every block of `f`.
   /// Returns the number of replicas rewritten in place.  This is the
-  /// restart path (a rebooted machine reloads Bridge's stable store,
+  /// restart path: a rebooted machine reloads Bridge's stable store,
   /// versions included, but blocks written while a replica's server was
-  /// dead are stale there until resync) and the heal path.
+  /// dead are stale there until resync.
   std::uint32_t resync(bridge::FileId f);
 
-  /// Repair one block: the one routine behind resync(), the heal pass and
-  /// the repair worker.  Read every live replica, keep the one with the
+  /// Repair one block: the one routine behind resync() and the repair
+  /// worker.  Read every live replica, keep the one with the
   /// highest version (ties to the lowest replica), rewrite in place each
   /// live replica that differs from it or could not be read, and relocate
   /// each dead one, all stamped with the winner's version.  A write that
@@ -275,6 +281,9 @@ class ReplicatedFs {
     return fs_.server_alive(s) &&
            m_.reachable(m_.current_node(), fs_.server_node(s));
   }
+  /// Some live replica of (f, b) is unreachable from the calling process's
+  /// node: a repair now would miss it.
+  bool behind_cut(bridge::FileId f, std::uint32_t b) const;
   /// The 90th percentile of recent read latencies, floored by hedge_floor
   /// (and just the floor until min_hedge_samples reads have succeeded).
   sim::Time hedge_threshold() const;
@@ -283,9 +292,6 @@ class ReplicatedFs {
   void queue_repair(bridge::FileId f, std::uint32_t b);
   /// Put `job` in a free job slot and hand the slot to the worker.
   void enqueue_repair(const RepairJob& job);
-  /// Hand one resync() pass over the open files to the repair worker
-  /// (idempotent while queued).
-  void queue_heal();
   void repair_loop();
   /// Move dead replica r of (f, b) to the first live server, in hash
   /// rotation order from its home, that holds no other replica: write
@@ -318,19 +324,17 @@ class ReplicatedFs {
   // Repair machinery.
   std::vector<RepairJob> repair_jobs_;      // host-side job slots
   std::vector<std::uint32_t> repair_free_;
-  // (f,b) keys of blocks queued or being repaired — dedups the excise
-  // sweep against per-write dead-arm discoveries.
+  // (f,b) keys of blocks queued, waiting or being repaired — dedups the
+  // excise sweep against per-write dead and cut-off arm discoveries.
   std::unordered_set<std::uint64_t> repair_inflight_;
   chrys::Oid repair_dq_ = chrys::kNoObject;
   std::uint32_t pending_repairs_ = 0;
   bool repair_running_ = false;
   bool repair_stopping_ = false;
   sim::NodeId repair_node_ = 0;  ///< where the worker runs, for the join
-  bool heal_queued_ = false;
 
   ServeCounters counters_;
   std::uint64_t crash_observer_ = 0;
-  std::uint64_t heal_observer_ = 0;
 };
 
 }  // namespace bfly::serve

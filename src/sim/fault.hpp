@@ -190,8 +190,9 @@ struct FaultPlan {
   /// between a node in side_a and a node in side_b raises
   /// NetUnreachableError (after the PNC's charged retry budget).  Nodes on
   /// neither side keep full connectivity to both.  Unlike kills, a
-  /// partition heals: at `heal` cross-cut traffic flows again and
-  /// Machine::on_partition_heal observers fire.
+  /// partition heals: at `heal` cross-cut traffic flows again.  Nothing is
+  /// announced; a layer that routed around the cut checks reachability
+  /// again to find it closed.
   struct Partition {
     std::vector<NodeId> side_a;
     std::vector<NodeId> side_b;
@@ -241,15 +242,6 @@ struct FaultPlan {
   /// until a heartbeat watchdog (or a reference into the corpse) notices.
   FaultPlan& kill_silent(NodeId node, Time at) {
     return add_kill(node, at, true);
-  }
-
-  /// Bringing a dead node back mid-run is not modelled yet: the Uniform
-  /// System pool, stream topology and Bridge stripes all assume kills are
-  /// permanent for the run.  Rejecting loudly beats silently ignoring it.
-  FaultPlan& heal(NodeId node, Time at) {
-    throw SimError("FaultPlan::heal(node " + std::to_string(node) + ", at " +
-                   std::to_string(at) + "): not yet supported — kills are "
-                   "permanent for the run");
   }
 
   /// Degrade `node` for [from, until): every module service there takes

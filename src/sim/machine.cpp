@@ -378,20 +378,6 @@ void Machine::check_reach(NodeId req, NodeId home) {
   throw NetUnreachableError(req, home, "partition window");
 }
 
-std::uint64_t Machine::on_partition_heal(std::function<void(std::size_t)> fn) {
-  const std::uint64_t id = heal_observers_.add(std::move(fn));
-  // Heal events are posted lazily on first subscription: a plan whose heal
-  // lies past the workload's natural end would otherwise keep every
-  // unobserved run alive until the cut closed.
-  if (!heal_events_posted_) {
-    heal_events_posted_ = true;
-    for (std::size_t i = 0; i < cuts_.size(); ++i)
-      if (cuts_[i].heal > engine_.now())
-        engine_.post_at(cuts_[i].heal, [this, i] { heal_observers_.fire(i); });
-  }
-  return id;
-}
-
 void Machine::check_target(NodeId home) {
   if (!node_dead_[home]) return;
   ++stats_.dead_node_refs;

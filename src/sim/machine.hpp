@@ -130,14 +130,6 @@ class Machine {
   /// recovery layers can consult ground truth without perturbing the run.
   bool reachable(NodeId a, NodeId b) const;
 
-  /// Register a callback fired in engine context when a partition window
-  /// heals (argument: index into faults().partitions).  Registering posts
-  /// the plan's heal events, which keeps the engine running until the last
-  /// subscribed heal — layers that reconcile on heal (bfly::serve) want
-  /// exactly that.  Returns a handle for remove_heal_observer.
-  std::uint64_t on_partition_heal(std::function<void(std::size_t)> fn);
-  void remove_heal_observer(std::uint64_t id) { heal_observers_.remove(id); }
-
   /// Gray-failure stretch for `n`'s memory module at the current simulated
   /// time: 1.0 when healthy, the plan's factor inside a slow window.  Layers
   /// that model their own service stages off the memory path (Bridge's disk
@@ -564,8 +556,6 @@ class Machine {
   };
   std::vector<Cut> cuts_;
   bool has_cuts_ = false;
-  Subscribers<std::size_t> heal_observers_;
-  bool heal_events_posted_ = false;
   Subscribers<NodeId> death_observers_;
   Subscribers<NodeId> crash_observers_;
   std::vector<Probe*> probes_;        // attach order

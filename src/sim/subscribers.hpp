@@ -1,4 +1,4 @@
-// An id-keyed callback list: the machine's death, crash and heal observers.
+// An id-keyed callback list: the machine's death and crash observers.
 #pragma once
 
 #include <cstdint>

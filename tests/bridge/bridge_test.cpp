@@ -223,6 +223,44 @@ TEST(BridgeFaults, DeadServerFailsItsStripeOthersKeepServing) {
   EXPECT_EQ(good_reads, 9u);
 }
 
+TEST(BridgeFaults, ServerOnANodeDeadAtConstructionIsLostFromTheStart) {
+  // Node 2 dies before the file system is built.  Its server cannot start,
+  // so it is lost from the start: the constructor returns, stripe 2 throws
+  // kThrowNodeDead, and the servers already started serve the rest.
+  sim::FaultPlan plan;
+  plan.kill(2, 1 * sim::kMillisecond);
+  Machine m(butterfly1(8), plan);
+  chrys::Kernel k(m);
+  bool built = false;
+  std::uint32_t dead_stripe_errors = 0;
+  std::uint32_t good_reads = 0;
+  k.create_process(7, [&] {
+    k.delay(2 * sim::kMillisecond);
+    BridgeFs fs(k, 4);
+    built = true;
+    EXPECT_EQ(fs.servers_lost(), 1u);
+    EXPECT_EQ(fs.servers_alive(), 3u);
+    const FileId f = fs.create("data");
+    std::vector<std::uint8_t> blk, back(kBlockSize);
+    for (std::uint32_t b = 0; b < 8; ++b) {
+      const int err = k.catch_block([&] {
+        fill_block(blk, b);
+        fs.write_block(f, b, blk.data());
+        fs.read_block(f, b, back.data());
+        if (back == blk) ++good_reads;
+      });
+      if (err == chrys::kThrowNodeDead) ++dead_stripe_errors;
+    }
+    fs.shutdown();
+  });
+  m.run();
+  ASSERT_FALSE(m.deadlocked());
+  EXPECT_TRUE(built) << "a dead server node must not fail the constructor";
+  // Blocks 2 and 6 live on the server that never started.
+  EXPECT_EQ(dead_stripe_errors, 2u);
+  EXPECT_EQ(good_reads, 6u);
+}
+
 TEST(BridgeFaults, ToolOpsRunDegradedOnSurvivors) {
   sim::FaultPlan plan;
   plan.kill(1, 300 * sim::kMillisecond);

@@ -253,11 +253,10 @@ TEST(MeshFaults, KillLandingWhileTheReaderIsBlockedWakesIt) {
   EXPECT_LT(woke_at, 21 * sim::kMillisecond);
 }
 
-TEST(MeshFaults, SilentDeathWithoutAReadTimeoutBlocksForever) {
+TEST(MeshFaults, SilentDeathWithoutABroadcastBlocksForever) {
   // Control for the detector tests: a *silent* kill posts no EOF and fires
-  // no crash broadcast, so a reader with no read_timeout waits forever and
-  // the run ends deadlocked.  This is the hole rescue::Membership (or a
-  // read timeout) exists to close.
+  // no crash broadcast, so the reader waits forever and the run ends
+  // deadlocked.  This is the hole rescue::Membership exists to close.
   sim::FaultPlan plan;
   plan.kill_silent(1, 20 * sim::kMillisecond);
   Machine m(sim::butterfly1(4), plan);
@@ -280,47 +279,6 @@ TEST(MeshFaults, SilentDeathWithoutAReadTimeoutBlocksForever) {
   });
   m.run();
   EXPECT_TRUE(m.deadlocked());
-}
-
-TEST(MeshFaults, ReadTimeoutDetectsASilentlyDeadWriter) {
-  // Same silent kill, but the reader re-checks the writer's liveness every
-  // read_timeout: its own failure detection turns the hang into a
-  // broken-stream error, and excising the corpse lets join() finish.
-  sim::FaultPlan plan;
-  plan.kill_silent(1, 20 * sim::kMillisecond);
-  Machine m(sim::butterfly1(4), plan);
-  chrys::Kernel k(m);
-  std::uint32_t first = 0, err = 0;
-  k.create_process(0, [&] {
-    MeshOptions opt;
-    opt.base_node = 1;
-    opt.read_timeout = 5 * sim::kMillisecond;
-    Mesh mesh(
-        k, 1, 2,
-        [&](Element& e) {
-          if (e.col() == 0) {
-            e.out(Direction::kEast)->write_value<std::uint32_t>(7);
-            k.delay(100 * sim::kMillisecond);  // dies silently in here
-            e.out(Direction::kEast)->write_value<std::uint32_t>(8);
-          } else {
-            Stream* in = e.in(Direction::kWest);
-            first = in->read_value<std::uint32_t>();
-            err = k.catch_block(
-                [&] { (void)in->read_value<std::uint32_t>(); });
-            // The reader found the corpse itself; broadcast it, as a
-            // failure detector would, so the dead element's join token
-            // gets posted.
-            m.broadcast_crash(1);
-          }
-        },
-        opt);
-    mesh.join();
-    EXPECT_EQ(mesh.elements_lost(), 1u);
-  });
-  m.run();
-  ASSERT_FALSE(m.deadlocked());
-  EXPECT_EQ(first, 7u);
-  EXPECT_EQ(err, chrys::kThrowBrokenStream);
 }
 
 TEST(MeshFaults, KillDuringConstructionCostsOnlyThatElement) {

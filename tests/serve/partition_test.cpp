@@ -1,8 +1,9 @@
 // Partition tolerance for bfly::serve: majority-quorum writes under a
-// split-brain cut (no minority-side acks), the heal-time resync pass that
-// brings the cut-off replicas up to date, resync()'s highest-version rule
-// against a write landing mid-scan, and Instant Replay log equality across
-// a full cut-and-heal cycle.
+// split-brain cut (no minority-side acks), the repair that brings a block
+// the cut left stale up to date once the worker can reach every replica
+// (and only that block), resync()'s highest-version rule against a write
+// landing mid-scan, and Instant Replay log equality across a full
+// cut-and-heal cycle.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -46,17 +47,17 @@ std::array<sim::NodeId, 3> replica_nodes_of_block0() {
   return nodes;
 }
 
-// --- Quorum refusal, heal-driven resync -------------------------------------
+// --- Quorum refusal, repair after the heal ----------------------------------
 // The cut isolates replica 0 (plus a client on node 4) from replicas 1-2
-// (plus a client on node 5).  The fourth server, the orchestrator (node 7)
-// and the repair worker (node 6) sit on neither side and keep full
+// (plus a client on node 5 and the repair worker on node 6).  The fourth
+// server and the orchestrator (node 7) sit on neither side and keep full
 // connectivity throughout.
 
 TEST(ServePartition, MinoritySideIsRefusedWhileMajorityAcksThenHealReconciles) {
   const auto rep = replica_nodes_of_block0();
   sim::FaultPlan plan;
-  plan.partition({rep[0], 4}, {rep[1], rep[2], 5}, 200 * sim::kMillisecond,
-                 600 * sim::kMillisecond);
+  plan.partition({rep[0], 4}, {rep[1], rep[2], 5, 6},
+                 200 * sim::kMillisecond, 600 * sim::kMillisecond);
   Machine m(butterfly1(8), plan);
   chrys::Kernel k(m);
   Status st_minority = Status::kOk;
@@ -70,8 +71,11 @@ TEST(ServePartition, MinoritySideIsRefusedWhileMajorityAcksThenHealReconciles) {
       ReplicatedFs rfs(k, fs);
       const bridge::FileId f = rfs.open("split", 4);
       std::vector<std::uint8_t> seed, majority_blk, back(bridge::kBlockSize);
-      fill_block(seed, 0, 1);
-      EXPECT_EQ(rfs.write(f, 0, seed.data()), Status::kOk);  // pre-cut: 3-way
+      for (std::uint32_t b = 0; b < 4; ++b) {  // pre-cut: 3-way
+        fill_block(seed, b, 1);
+        EXPECT_EQ(rfs.write(f, b, seed.data()), Status::kOk);
+      }
+      EXPECT_LT(m.now(), 200 * sim::kMillisecond) << "seeded before the cut";
       rfs.start_repair(6);
 
       // Minority client: reaches only replica 0 of a 2-of-3 quorum, so the
@@ -84,7 +88,9 @@ TEST(ServePartition, MinoritySideIsRefusedWhileMajorityAcksThenHealReconciles) {
         ++clients_done;
       });
       // Majority client: replicas 1-2 commit, replica 0 is unreachable —
-      // acked, leaving replica 0 stale until the heal.
+      // acked, leaving replica 0 stale and block 0 queued for repair.  The
+      // worker cannot reach replica 0 either, so the block waits out the
+      // cut.
       k.create_process(5, [&] {
         k.delay(400 * sim::kMillisecond);
         fill_block(majority_blk, 0, 3);
@@ -98,17 +104,23 @@ TEST(ServePartition, MinoritySideIsRefusedWhileMajorityAcksThenHealReconciles) {
       });
       while (clients_done < 2) k.delay(10 * sim::kMillisecond);
       reconciled_mid = rfs.counters().reconciled;
+      EXPECT_FALSE(rfs.repair_idle()) << "block 0 waits for the heal";
+      const std::uint64_t ops_mid = fs.disk_ops();
       while (m.now() < 700 * sim::kMillisecond)
-        k.delay(10 * sim::kMillisecond);  // heal fires at 600 ms
+        k.delay(10 * sim::kMillisecond);  // the cut heals at 600 ms
       for (int i = 0; i < 200 && !rfs.repair_idle(); ++i)
         k.delay(10 * sim::kMillisecond);
       EXPECT_TRUE(rfs.repair_idle());
       EXPECT_EQ(rfs.counters().reconciled, 1u)
-          << "the heal pass rewrote exactly the replica the cut left stale";
+          << "the repair rewrote exactly the replica the cut left stale";
+      EXPECT_EQ(rfs.counters().repaired_blocks, 1u);
+      EXPECT_EQ(fs.disk_ops() - ops_mid, 4u)
+          << "the repair read block 0's three replicas and rewrote one; "
+             "blocks 1-3 missed no write and were not read";
       EXPECT_EQ(rfs.read(f, 0, back.data()), Status::kOk);
       EXPECT_EQ(back, majority_blk) << "the acked write is the survivor";
       EXPECT_EQ(rfs.live_replicas(f, 0), 3u);
-      EXPECT_EQ(rfs.resync(f), 0u) << "the heal pass already converged it";
+      EXPECT_EQ(rfs.resync(f), 0u) << "the repair already converged it";
       EXPECT_EQ(rfs.counters().quorum_rejects, 1u);
       EXPECT_EQ(rfs.counters().lost_blocks, 0u);
       rfs.stop_repair();
@@ -122,6 +134,60 @@ TEST(ServePartition, MinoritySideIsRefusedWhileMajorityAcksThenHealReconciles) {
   EXPECT_TRUE(mid_read_ok);
   EXPECT_TRUE(mid_matches_majority);
   EXPECT_EQ(reconciled_mid, 0u) << "nothing converges before the heal";
+}
+
+// --- A cut that outlasts the repair worker's try budget --------------------
+// The worker (node 6) sits with the majority for a 2 s cut, far longer
+// than kRepairMaxTries backoffs.  A block held by the cut waits outside the
+// try budget, so it ends repaired, not lost.
+
+TEST(ServePartition, ACutOutlastingTheRepairTriesStillEndsRepaired) {
+  const auto rep = replica_nodes_of_block0();
+  sim::FaultPlan plan;
+  plan.partition({rep[0]}, {rep[1], rep[2], 5, 6}, 100 * sim::kMillisecond,
+                 2100 * sim::kMillisecond);
+  Machine m(butterfly1(8), plan);
+  chrys::Kernel k(m);
+  Status majority = Status::kTimeout;
+  k.create_process(7, [&] {
+    bridge::BridgeFs fs(k, 4);
+    {
+      ReplicatedFs rfs(k, fs);
+      const bridge::FileId f = rfs.open("long", 4);
+      std::vector<std::uint8_t> seed, x, back(bridge::kBlockSize);
+      fill_block(seed, 0, 1);
+      fill_block(x, 0, 2);
+      EXPECT_EQ(rfs.write(f, 0, seed.data()), Status::kOk);
+      rfs.start_repair(6);
+      bool done = false;
+      k.create_process(5, [&] {
+        k.delay(150 * sim::kMillisecond);
+        majority = rfs.write(f, 0, x.data());  // replica 0 is cut off
+        done = true;
+      });
+      while (!done) k.delay(10 * sim::kMillisecond);
+      while (m.now() < 2000 * sim::kMillisecond) {
+        EXPECT_FALSE(rfs.repair_idle()) << "held by the cut, not given up";
+        k.delay(100 * sim::kMillisecond);
+      }
+      for (int i = 0; i < 200 && !rfs.repair_idle(); ++i)
+        k.delay(10 * sim::kMillisecond);
+      EXPECT_TRUE(rfs.repair_idle());
+      EXPECT_EQ(rfs.counters().lost_blocks, 0u);
+      EXPECT_EQ(rfs.counters().repaired_blocks, 1u);
+      EXPECT_EQ(rfs.counters().reconciled, 1u);
+      EXPECT_EQ(rfs.resync(f), 0u) << "the repair already converged it";
+      for (int i = 0; i < 3; ++i) {  // read-any: any replica will do
+        ASSERT_EQ(rfs.read(f, 0, back.data()), Status::kOk);
+        EXPECT_EQ(back, x);
+      }
+      rfs.stop_repair();
+    }
+    fs.shutdown();
+  });
+  m.run();
+  ASSERT_FALSE(m.deadlocked());
+  EXPECT_EQ(majority, Status::kOk);
 }
 
 // --- resync() after a cut --------------------------------------------------
@@ -259,8 +325,9 @@ TEST(ServePartition, ResyncNeverRevertsAWriteThatLandsMidScan) {
 // --- Instant Replay log equality across a cut-and-heal cycle --------------
 // Three actors race monitored writes while driving serve traffic through a
 // partition that cuts them off from two of the four servers: quorum
-// refusals and the heal-time resync pass all ride the layer's
-// seeded PRNG, so two runs must produce field-identical record logs.
+// refusals and the repairs of the blocks the cut left stale all ride the
+// layer's seeded PRNG, so two runs must produce field-identical record
+// logs.
 
 struct PartitionReplayRun {
   replay::Log log;
@@ -328,7 +395,7 @@ PartitionReplayRun run_partition_replay_workload() {
       }
       while (live > 0) k.delay(20 * sim::kMillisecond);
       while (m.now() < 750 * sim::kMillisecond)
-        k.delay(20 * sim::kMillisecond);  // the heal (and its resync) fire at 700 ms
+        k.delay(20 * sim::kMillisecond);  // past the heal at 700 ms
       for (int i = 0; i < 200 && !rfs.repair_idle(); ++i)
         k.delay(20 * sim::kMillisecond);
       EXPECT_TRUE(rfs.repair_idle());

@@ -195,12 +195,6 @@ TEST(FaultPlan, DuplicateKillOfSameNodeIsRejected) {
   EXPECT_EQ(plan.node_kills.size(), 1u);  // first kill survives
 }
 
-TEST(FaultPlan, HealIsRejectedAsUnsupported) {
-  FaultPlan plan;
-  plan.kill(1, kMillisecond);
-  EXPECT_THROW(plan.heal(1, 2 * kMillisecond), SimError);
-}
-
 TEST(FaultPlan, SilentKillSkipsCrashObserversButNotDeathObservers) {
   FaultPlan plan;
   plan.kill_silent(1, kMillisecond);
@@ -507,23 +501,6 @@ TEST(FaultPlan, CrossCutReferencesThrowUntilThePartitionHeals) {
   EXPECT_EQ(cross_ok, 2u);
   EXPECT_EQ(cross_cut, 1u);
   EXPECT_EQ(m.stats().net_unreachable_refs, 1u);
-}
-
-TEST(FaultPlan, HealObserversFireAtTheHealInstant) {
-  FaultPlan plan;
-  plan.partition({0}, {1}, kMillisecond, 8 * kMillisecond);
-  Machine m(butterfly1(4), plan);
-  std::vector<std::pair<std::size_t, Time>> fired;
-  const auto id = m.on_partition_heal(
-      [&](std::size_t idx) { fired.push_back({idx, m.now()}); });
-  m.spawn(2, [&] { m.charge(2 * kMillisecond); });
-  // Subscribing posts the heal event, which keeps the engine alive through
-  // the window even though the workload finishes earlier.
-  EXPECT_EQ(m.run(), 8 * kMillisecond);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].first, 0u);
-  EXPECT_EQ(fired[0].second, 8 * kMillisecond);
-  m.remove_heal_observer(id);
 }
 
 TEST(FaultPlan, PartitionedRunIsDeterministic) {
