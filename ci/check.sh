@@ -65,7 +65,11 @@
 #                        workload in smoke mode and checks the output
 #                        contract (named metrics with units, unique keys,
 #                        passing checks, provenance).  Gating
-#   6. asan preset     — ASan+UBSan build, full ctest suite
+#   6. asan preset     — ASan+UBSan build, full ctest suite, then the
+#                        scope smoke's trace_gauss run from the sanitized
+#                        build (all three probes, the tracer's chunked
+#                        series log included), whose trace and metrics
+#                        must match the same ci/trace_gauss.sha256 digests
 #   7. lint            — clang-tidy over src/ against the compile database
 #                        (skips with a notice when clang-tidy isn't installed;
 #                        the `lint` target handles that itself); concurrency-*
@@ -181,6 +185,15 @@ cmake --build --preset asan -j "$JOBS"
 
 step "test (asan preset)"
 ctest --preset asan -j "$JOBS"
+
+step "scope smoke (asan preset, same digests)"
+ASAN_OPTIONS=detect_leaks=0:detect_stack_use_after_return=0 \
+  ./build-asan/tools/trace_gauss build-asan/scope_ci_trace.json \
+  build-asan/scope_ci_metrics.json
+(cd build-asan && sha256sum --quiet -c "$ROOT/ci/trace_gauss.sha256") || {
+  echo "the asan build's trace_gauss output differs from ci/trace_gauss.sha256"
+  exit 1
+}
 
 step "lint (clang-tidy)"
 cmake --build build --target lint

@@ -38,41 +38,31 @@ void Analyzer::join(Clock& into, const Clock& from) {
 }
 
 std::uint32_t Analyzer::actor_of(sim::Fiber* f) {
-  auto it = actor_ids_.find(f);
-  if (it == actor_ids_.end()) {
-    // First sighting of a fiber spawned before we attached: no fork edge
-    // is available, so it starts with an empty (all-zero) clock.
-    const auto id = static_cast<std::uint32_t>(actors_.size());
+  const std::uint64_t slot = f->spawn_index();
+  if (slot >= actor_ids_.size()) actor_ids_.resize(slot + 1, kNoActor);
+  std::uint32_t& id = actor_ids_[slot];
+  if (id == kNoActor) {
+    // First sighting: a clock that knows only the actor itself.  on_spawn
+    // adds the fork edge; a fiber spawned before we attached has none.
+    id = static_cast<std::uint32_t>(actors_.size());
     Actor a;
-    a.fiber = f;
     a.name = f->name();
     a.clock.assign(id + 1, 0);
     a.clock[id] = 1;
     actors_.push_back(std::move(a));
-    actor_ids_.emplace(f, id);
-    return id;
   }
-  return it->second;
+  return id;
 }
 
 void Analyzer::on_spawn(sim::Fiber* parent, sim::Fiber* child) {
-  // Resolve the parent first: actor_of may mint an actor, which must not
-  // collide with the id we hand the child below.
+  // Resolve the parent first: a parent seen for the first time takes the
+  // lower id.
   const std::uint32_t pid = parent != nullptr ? actor_of(parent) : kNoActor;
-  // Always mint a fresh actor: the host may reuse a dead fiber's address.
-  const auto id = static_cast<std::uint32_t>(actors_.size());
-  Actor a;
-  a.fiber = child;
-  a.name = child->name();
-  a.clock.assign(id + 1, 0);
-  if (pid != kNoActor) {
-    join(a.clock, actors_[pid].clock);  // fork edge: child sees parent
-    Actor& p = actors_[pid];
-    ++p.clock[pid];  // parent's later work is a new epoch
-  }
-  a.clock[id] = 1;
-  actors_.push_back(std::move(a));
-  actor_ids_[child] = id;
+  const std::uint32_t id = actor_of(child);
+  if (pid == kNoActor) return;
+  Actor& p = actors_[pid];
+  join(actors_[id].clock, p.clock);  // fork edge: child sees parent
+  ++p.clock[pid];  // parent's later work is a new epoch
 }
 
 void Analyzer::on_free(sim::PhysAddr a, std::size_t bytes) {
@@ -110,12 +100,15 @@ void Analyzer::on_acquire(sim::Fiber* f, std::uint64_t chan) {
 void Analyzer::sync_word_access(std::uint32_t actor, std::uint64_t chan) {
   // The home module serializes word references, so every access to a
   // synchronization cell is totally ordered: model it as acquire + release
-  // on the word's channel.
-  Actor& ac = actors_[actor];
+  // on the word's channel.  Both leave actor and channel at the join of
+  // the two clocks.
+  Clock& ac = actors_[actor].clock;
   Clock& ch = channels_[chan];
-  join(ac.clock, ch);
-  join(ch, ac.clock);
-  ++ac.clock[actor];
+  const std::size_t n = std::max(ac.size(), ch.size());
+  ac.resize(n, 0);
+  ch.resize(n, 0);
+  for (std::size_t i = 0; i < n; ++i) ac[i] = ch[i] = std::max(ac[i], ch[i]);
+  ++ac[actor];
 }
 
 Analyzer::SegmentMap::iterator Analyzer::split(SegmentMap& segs,

@@ -5,9 +5,10 @@
 // reference and every synchronization edge the runtimes publish (see
 // sim/observe.hpp) and maintains
 //
-//   * one vector clock per actor (fiber), advanced FastTrack-style:
-//     a release joins the actor's clock into the channel and bumps the
-//     actor's own component; an acquire joins the channel back;
+//   * one vector clock per actor (fiber, found by its spawn index),
+//     advanced FastTrack-style: a release joins the actor's clock into
+//     the channel and bumps the actor's own component; an acquire joins
+//     the channel back;
 //   * epoch-style shadow state per 32-bit word — the last write epoch and
 //     the set of read epochs not ordered before it;
 //   * a lock-acquisition graph (potential-deadlock lint);
@@ -144,7 +145,6 @@ class Analyzer final : public sim::Probe {
   using Clock = std::vector<std::uint64_t>;  // missing entries read as 0
 
   struct Actor {
-    sim::Fiber* fiber = nullptr;
     std::string name;
     Clock clock;  // clock[self] starts at 1
     std::vector<std::uint64_t> held_locks;
@@ -212,7 +212,8 @@ class Analyzer final : public sim::Probe {
   Options opt_;
 
   std::vector<Actor> actors_;
-  std::unordered_map<sim::Fiber*, std::uint32_t> actor_ids_;
+  // Actor of each fiber by spawn index (never reused, unlike an address).
+  std::vector<std::uint32_t> actor_ids_;
   std::unordered_map<std::uint64_t, Clock> channels_;
   std::vector<SegmentMap> shadow_;  // per node
   // Acquisition-graph edges: held -> newly acquired.

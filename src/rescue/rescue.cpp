@@ -138,7 +138,10 @@ void Membership::watchdog_loop() {
           // until its next heartbeat lands — give it a fresh grace period
           // without booking a false suspicion; the restore happens when the
           // sequence moves.
-          if (!unreachable_[n]) ++m_.stats().false_suspects;
+          if (!unreachable_[n]) {
+            ++m_.stats().false_suspects;
+            m_.trace_instant("rescue", "false_suspect", n);
+          }
           last_move_[n] = m_.now();
         } else if (!unreachable_[n]) {
           mark_unreachable(n);
@@ -156,6 +159,7 @@ void Membership::denounce(sim::NodeId n) {
   if (m_.node_alive(n)) {
     if (m_.reachable(cfg_.monitor_node, n)) {
       ++m_.stats().false_suspects;
+      m_.trace_instant("rescue", "false_suspect", n);
     } else if (!unreachable_[n]) {
       mark_unreachable(n);
     }

@@ -47,6 +47,7 @@ std::string Tracer::chrome_trace() const {
       .end_object();
   w.key("traceEvents").begin_array();
 
+  const std::vector<NodeSeries> series = this->series();
   // Metadata: name the per-node "processes" and per-fiber "threads".
   std::vector<bool> node_named(m_.nodes() + 2, false);
   auto name_process = [&](sim::NodeId node) {
@@ -93,21 +94,21 @@ std::string Tracer::chrome_trace() const {
         .end_object();
   }
   for (sim::NodeId n = 0; n < m_.nodes(); ++n)
-    if (!series_[n].empty()) name_process(n);
+    if (!series[n].empty()) name_process(n);
 
   // The span/instant log is time-ordered by construction; the counter
   // samples are generated in bin order.  Merge the two sorted streams so
   // the whole trace stays monotone.
   const sim::Time now = m_.now();
   std::size_t bin = 0;
-  const std::size_t bins = series_.empty() ? 0 : max_bin_ + 1;
-  std::vector<std::size_t> next(series_.size(), 0);  // per-node cell cursor
+  const std::size_t bins = series.empty() ? 0 : open_bin_ + 1;
+  std::vector<std::size_t> next(series.size(), 0);  // per-node cell cursor
   auto emit_counters_until = [&](sim::Time t) {
     for (; bin < bins && static_cast<sim::Time>(bin) * opt_.bin_ns <= t;
          ++bin) {
       const sim::Time at = static_cast<sim::Time>(bin) * opt_.bin_ns;
       for (sim::NodeId n = 0; n < m_.nodes(); ++n) {
-        const NodeSeries& s = series_[n];
+        const NodeSeries& s = series[n];
         if (next[n] == s.size() || s[next[n]].bin != bin) continue;
         const Cell& c = s[next[n]++];
         const auto occ = static_cast<double>(c.occupancy_ns);
@@ -424,9 +425,10 @@ std::string Tracer::metrics_json() const {
   w.key("series").begin_object();
   w.kv("bin_ns", std::uint64_t{opt_.bin_ns});
   w.key("node").begin_array();
-  const std::size_t bins = max_bin_ + 1;
+  const std::vector<NodeSeries> series = this->series();
+  const std::size_t bins = open_bin_ + 1;
   for (sim::NodeId n = 0; n < m_.nodes(); ++n) {
-    const NodeSeries& s = series_[n];
+    const NodeSeries& s = series[n];
     if (s.empty()) continue;
     w.begin_object().kv("node", std::uint64_t{n});
     auto arr = [&](const char* k, auto field) {

@@ -30,8 +30,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -98,7 +98,6 @@ class Tracer final : public sim::Probe {
   Tracer& operator=(const Tracer&) = delete;
 
   // --- sim::Probe ----------------------------------------------------------
-  void on_spawn(sim::Fiber* parent, sim::Fiber* child) override;
   void on_span_begin(sim::Fiber* f, sim::NodeId node, const char* cat,
                      const char* name, std::uint64_t arg) override;
   void on_span_end(sim::Fiber* f, sim::NodeId node) override;
@@ -141,16 +140,56 @@ class Tracer final : public sim::Probe {
     std::uint32_t open = 0;  // current open-span depth
     std::uint32_t skip = 0;  // begins dropped by the cap, ends owed
   };
-  /// One time bin of one node's series.  A node's cells are in bin order
-  /// and hold only bins that saw traffic; the exporters zero-fill the rest.
-  struct Cell {
-    std::size_t bin = 0;
+  /// One node's sums over one time bin.
+  struct Sums {
     sim::Time occupancy_ns = 0;  // module service time in the bin
     sim::Time queue_ns = 0;      // queue wait absorbed in the bin
     std::uint64_t local_words = 0;
     std::uint64_t remote_words = 0;
   };
+  static constexpr std::uint64_t Sums::*kSums[] = {
+      &Sums::occupancy_ns, &Sums::queue_ns, &Sums::local_words,
+      &Sums::remote_words};
+  /// One time bin of one node's series as the exporters read it.  A node's
+  /// cells are in bin order and hold only bins that saw traffic; the
+  /// exporters zero-fill the rest.
+  struct Cell : Sums {
+    std::size_t bin = 0;
+  };
   using NodeSeries = std::vector<Cell>;
+  /// A node's sums in the open bin; `touched` marks a node the bin saw,
+  /// which yields a cell even when all its sums are zero.
+  struct OpenCell {
+    Sums sums;
+    bool touched = false;
+  };
+  /// Append-only word log of the closed bins.  It grows a fixed-size chunk
+  /// at a time, so an append never copies what is already logged.  Each
+  /// chunk has room for one more record past its nominal end, so a record
+  /// never straddles two chunks and may be written without bounds checks.
+  struct BinLog {
+    static constexpr std::size_t kChunkWords = 4096;
+    static constexpr std::size_t kMaxRecord = 5;  // words
+    std::vector<std::unique_ptr<std::uint64_t[]>> chunks;
+    std::vector<std::size_t> used;  // words written, per full chunk
+    std::uint64_t* next = nullptr;  // first free word of the last chunk
+    std::uint64_t* end = nullptr;   // nominal end of the last chunk
+    /// Where the next record of at most kMaxRecord words goes; the writer
+    /// moves `next` past what it wrote.
+    std::uint64_t* record() {
+      if (next >= end) {
+        if (!chunks.empty())
+          used.push_back(static_cast<std::size_t>(next - chunks.back().get()));
+        chunks.push_back(std::make_unique_for_overwrite<std::uint64_t[]>(
+            kChunkWords + kMaxRecord));
+        next = chunks.back().get();
+        end = next + kChunkWords;
+      }
+      return next;
+    }
+    /// Every logged word, in order.
+    std::vector<std::uint64_t> words() const;
+  };
   struct Span {
     sim::Time begin, end;
     std::uint32_t track;
@@ -159,6 +198,11 @@ class Tracer final : public sim::Probe {
   };
 
   std::uint32_t track_for(sim::Fiber* f, sim::NodeId node);
+  Sums& touch(sim::NodeId node);
+  /// Log the open bin and open the one holding `at`.
+  void advance_bin(sim::Time at);
+  /// Every node's series: the logged bins, then the open one.
+  std::vector<NodeSeries> series() const;
   std::uint32_t chrome_pid(sim::NodeId node) const;
   /// Reconstruct completed spans from the event log (open spans close at
   /// now()).
@@ -167,11 +211,21 @@ class Tracer final : public sim::Probe {
   sim::Machine& m_;
   ScopeOptions opt_;
   std::vector<Event> events_;
-  std::unordered_map<const void*, std::uint32_t> track_ix_;
+  // Track of each context: slot 0 is the host, a fiber's slot is its spawn
+  // index + 1 (never reused, unlike its address).
+  std::vector<std::uint32_t> track_ix_;
   std::vector<Track> tracks_;
   std::vector<std::uint32_t> next_tid_;  // per node (+1 host slot)
-  std::vector<NodeSeries> series_;       // per node, sparse
-  std::size_t max_bin_ = 0;              // highest bin touched, over all nodes
+  // The series: the newest bin touched is open and summed in place; the
+  // older ones are closed and logged.  Per closed bin the log holds
+  // [bin, cells], then per cell [node << 4 | mask] and the sums whose
+  // kSums bit is set in the mask.
+  std::vector<OpenCell> open_;           // per node
+  std::vector<sim::NodeId> touched_;     // the first touched_n_: nodes the
+  std::size_t touched_n_ = 0;            // open bin saw
+  std::size_t open_bin_ = 0;
+  sim::Time open_last_ = 0;              // last nanosecond of the open bin
+  BinLog log_;
 
   std::uint64_t begin_count_ = 0;
   std::uint64_t end_count_ = 0;

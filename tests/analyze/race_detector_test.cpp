@@ -305,6 +305,41 @@ TEST(RaceDetector, FreeClearsShadowState) {
   EXPECT_EQ(an.races_total(), 0u) << an.report();
 }
 
+// Children spawned one after another on one node, each after the previous
+// one finished and was freed: the allocator hands a later child a freed
+// child's address.  Actors are per fiber, never per address, so the later
+// child's read of a word the first child wrote, with nothing ordering the
+// two, is a race.
+TEST(RaceDetector, ReusedFiberAddressIsAFreshActor) {
+  Machine m(butterfly1(2));
+  Analyzer an(m);
+  const sim::PhysAddr word = m.alloc(0, 4);
+  sim::Fiber* writer = nullptr;
+  bool reused = false;
+  m.spawn(1, [&] {
+    constexpr int kTries = 16;
+    for (int i = 0; i < kTries && !reused; ++i) {
+      bool read = false;
+      bool done = false;
+      sim::Fiber* f = m.spawn(0, [&, i] {
+        if (i == 0) m.write<std::uint32_t>(word, 1);
+        if (read) (void)m.read<std::uint32_t>(word);
+        done = true;
+      });
+      if (i == 0) writer = f;
+      reused = i > 0 && f == writer;
+      read = reused || i == kTries - 1;
+      while (!done) m.charge(sim::kMillisecond);
+      m.charge(sim::kMillisecond);  // let the engine reap the child
+    }
+  });
+  m.run();
+#if !defined(__SANITIZE_ADDRESS__)  // ASan quarantines freed memory
+  EXPECT_TRUE(reused);
+#endif
+  EXPECT_EQ(an.races_total(), 1u) << an.report();
+}
+
 // Suppressions drop matching objects from the report but the shadow word
 // still stops re-reporting.
 TEST(RaceDetector, SuppressionSilencesAnObject) {

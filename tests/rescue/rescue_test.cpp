@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "bridge/bridge.hpp"
+#include "scope/scope.hpp"
+#include "scope/trace_check.hpp"
 #include "us/uniform_system.hpp"
 
 namespace bfly::rescue {
@@ -136,6 +138,7 @@ TEST(Membership, VerdictReachesEveryLayerOnceWithNoWiring) {
 
 TEST(Membership, FalseAccusationIsCountedAndChangesNothing) {
   Machine m(butterfly1(8));
+  scope::Tracer tracer(m);
   chrys::Kernel k(m);
   us::UniformSystem us(k);
   std::uint32_t notified = 0;
@@ -154,6 +157,16 @@ TEST(Membership, FalseAccusationIsCountedAndChangesNothing) {
   EXPECT_EQ(notified, 0u);
   EXPECT_EQ(us.nodes_lost(), 0u);
   EXPECT_EQ(us.managers_alive(), 0u);  // terminate() stopped all 8
+  // The false verdict leaves one trace instant naming the accused node.
+  scope::JsonValue trace;
+  ASSERT_TRUE(scope::json_parse(tracer.chrome_trace(), &trace));
+  std::vector<double> accused;
+  for (const scope::JsonValue& e : trace.find("traceEvents")->arr) {
+    const scope::JsonValue* name = e.find("name");
+    if (e.find("ph")->str == "i" && name->str == "false_suspect")
+      accused.push_back(e.find("args")->find("arg")->num);
+  }
+  EXPECT_EQ(accused, (std::vector<double>{3}));
 }
 
 TEST(Membership, DenounceOfAGenuinelyDeadNodeDeclaresImmediately) {

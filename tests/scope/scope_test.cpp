@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -195,6 +196,82 @@ TEST(ScopeExport, RequesterOnlyNodeIsNamedAndZeroFilled) {
   EXPECT_EQ(column(req, "queue_ns"), (std::vector<double>{0, 0, 0}));
   EXPECT_EQ(column(req, "local_words"), (std::vector<double>{0, 0, 0}));
   EXPECT_EQ(column(req, "remote_words"), (std::vector<double>{1, 0, 1}));
+}
+
+// The open bin is summed in place and the older bins are logged as the
+// clock crosses into new ones; an export sees both, whether it runs with a
+// bin still open or after the run.  Bin 0 sees every node of the machine.
+TEST(ScopeExport, SeriesSurviveBinCrossingsAndMidRunExport) {
+  constexpr sim::Time kBin = 100 * sim::kMicrosecond;
+  ScopeOptions opt;
+  opt.bin_ns = kBin;
+  Machine m(butterfly1(3));
+  Tracer tracer(m, opt);
+  const sim::PhysAddr word0 = m.alloc(0, 4);
+  const sim::PhysAddr word1 = m.alloc(1, 4);
+  auto until = [&](sim::Time t) { m.charge(t - m.now()); };
+  std::string mid;
+  // Node 2 only requests: remote reads of node 0's word in bins 0, 3, 7.
+  m.spawn(2, [&] {
+    (void)m.read<std::uint32_t>(word0);
+    until(3 * kBin + kBin / 2);
+    (void)m.read<std::uint32_t>(word0);
+    until(7 * kBin + kBin / 2);
+    (void)m.read<std::uint32_t>(word0);
+    mid = tracer.metrics_json();  // bin 7 is still open
+  });
+  // Node 1 references its own word in bins 0 and 3, then node 0's in bin 9.
+  m.spawn(1, [&] {
+    (void)m.read<std::uint32_t>(word1);
+    until(3 * kBin + kBin / 4);
+    m.write<std::uint32_t>(word1, 1);
+    until(9 * kBin);
+    (void)m.read<std::uint32_t>(word0);
+  });
+  m.run();
+  const std::string end = tracer.metrics_json();
+
+  // One column of metrics_json()'s series, per node.
+  using Columns = std::map<int, std::vector<double>>;
+  auto columns = [](const std::string& metrics, const char* key) {
+    Columns out;
+    JsonValue v;
+    std::string err;
+    EXPECT_TRUE(json_parse(metrics, &v, &err)) << err;
+    for (const JsonValue& node : v.find("series")->find("node")->arr) {
+      auto& col = out[static_cast<int>(node.find("node")->num)];
+      for (const JsonValue& x : node.find(key)->arr) col.push_back(x.num);
+    }
+    return out;
+  };
+  const auto s = static_cast<double>(m.config().module_service_ns);
+  const std::vector<double> zeros8(8, 0.0);
+  EXPECT_EQ(columns(mid, "occupancy_ns"),
+            (Columns{{0, {s, 0, 0, s, 0, 0, 0, s}},
+                     {1, {s, 0, 0, s, 0, 0, 0, 0}},
+                     {2, zeros8}}));
+  EXPECT_EQ(columns(mid, "queue_ns"),
+            (Columns{{0, zeros8}, {1, zeros8}, {2, zeros8}}));
+  EXPECT_EQ(columns(mid, "local_words"),
+            (Columns{{0, zeros8}, {1, {1, 0, 0, 1, 0, 0, 0, 0}}, {2, zeros8}}));
+  EXPECT_EQ(columns(mid, "remote_words"),
+            (Columns{{0, zeros8}, {1, zeros8}, {2, {1, 0, 0, 1, 0, 0, 0, 1}}}));
+
+  const std::vector<double> zeros10(10, 0.0);
+  EXPECT_EQ(columns(end, "occupancy_ns"),
+            (Columns{{0, {s, 0, 0, s, 0, 0, 0, s, 0, s}},
+                     {1, {s, 0, 0, s, 0, 0, 0, 0, 0, 0}},
+                     {2, zeros10}}));
+  EXPECT_EQ(columns(end, "queue_ns"),
+            (Columns{{0, zeros10}, {1, zeros10}, {2, zeros10}}));
+  EXPECT_EQ(columns(end, "local_words"),
+            (Columns{{0, zeros10},
+                     {1, {1, 0, 0, 1, 0, 0, 0, 0, 0, 0}},
+                     {2, zeros10}}));
+  EXPECT_EQ(columns(end, "remote_words"),
+            (Columns{{0, zeros10},
+                     {1, {0, 0, 0, 0, 0, 0, 0, 0, 0, 1}},
+                     {2, {1, 0, 0, 1, 0, 0, 0, 1, 0, 0}}}));
 }
 
 TEST(TraceCheck, ParsesAndRejectsJson) {
