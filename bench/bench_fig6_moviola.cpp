@@ -5,9 +5,14 @@
 // over SMP in which every exchange receives before it sends — the classic
 // message-ordering bug — so the whole family blocks.  The bench prints the
 // Moviola deadlock view (who is blocked on what), then the partial-order
-// graph of a correct run of the same program for contrast.
+// graph of a correct run of the same program for contrast, and gates the
+// shape of all three: the buggy sort wedges every process, the ring's
+// report names exactly the four-sorter cycle, and the correct run's
+// partial order has its fixed size.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "apps/sort.hpp"
 #include "bench_common.hpp"
@@ -20,6 +25,7 @@ int main() {
   using namespace bfly;
   bench::header("FIG6", "Moviola view of deadlock in odd-even merge sort",
                 "receive-before-send bug blocks every process on its mailbox");
+  bench::Report report;
 
   // --- The buggy run -------------------------------------------------------
   {
@@ -37,7 +43,11 @@ int main() {
     }
     std::printf("buggy sort (8 processes, receive-before-send):\n");
     std::printf("  machine deadlocked: %s\n", r.deadlocked ? "YES" : "no");
-    std::printf("  blocked fibers: %zu\n\n", m.blocked_fibers().size());
+    // Every fiber left is stuck: the 8 sorters and the creator joining them.
+    std::printf("  blocked fibers: %zu\n\n", m.live_fibers());
+    report.gate(r.deadlocked && m.live_fibers() == 9,
+                "the buggy sort must deadlock with 9 live fibers (8 sorters "
+                "and the creator)");
   }
   // Use a kernel we still hold to print the full Moviola report.
   {
@@ -66,9 +76,16 @@ int main() {
       }
     });
     m.run();
-    detector.analyze();
+    const auto findings = detector.analyze();
     std::printf("Moviola deadlock view of the wait cycle:\n%s\n",
                 detector.report().c_str());
+    report.gate(findings.size() == 1 &&
+                    findings[0].kind == moviola::StuckKind::kDeadlock &&
+                    findings[0].members ==
+                        std::vector<std::string>{"sorter-0", "sorter-1",
+                                                 "sorter-2", "sorter-3"},
+                "the ring must give exactly one finding: a deadlock of "
+                "sorter-0..3");
   }
 
   // --- A correct run, with its event partial order -------------------------
@@ -103,6 +120,10 @@ int main() {
                 mv.events().size(), mv.cross_actor_edges(),
                 mv.critical_path());
     std::printf("\npartial-order graph (Graphviz):\n%s", mv.to_dot().c_str());
+    report.gate(mv.events().size() == 10 && mv.cross_actor_edges() == 7 &&
+                    mv.critical_path() == 5,
+                "the correct run must have 10 events, 7 cross-process "
+                "dependences and critical path 5");
   }
-  return 0;
+  return report.finish("");
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 
 #include "chrysalis/kernel.hpp"
 #include "sim/fiber.hpp"
@@ -29,29 +30,41 @@ Detector::Detector(sim::Machine& m, chrys::Kernel* kernel)
 
 Detector::~Detector() { m_.detach(this); }
 
+Detector::FiberRec& Detector::rec(sim::Fiber* f) {
+  const std::uint64_t slot = f->spawn_index();
+  if (slot >= fibers_.size()) fibers_.resize(slot + 1);
+  FiberRec& r = fibers_[slot];
+  r.fiber = f;
+  return r;
+}
+
 void Detector::on_block(sim::Fiber* f, std::uint64_t chan,
                         sim::WaitKind kind) {
   if (f == nullptr) return;
-  blocked_[f] = WaitState{chan, kind};
+  FiberRec& r = rec(f);
+  if (!r.blocked) ++blocked_count_;
+  r.blocked = true;
+  r.chan = chan;
   chans_[chan].kind = kind;
   // Blocking-discipline lint: a fiber that blocks in the kernel while
   // holding a spin lock wedges every spinner on that lock until it wakes —
   // and forever, if its wakeup depends on one of those spinners.
-  if (auto it = held_.find(f); it != held_.end() && !it->second.empty()) {
-    for (const std::uint64_t lock : it->second) {
-      lints_.push_back(LintReport{
-          LintReport::Kind::kBlockUnderLock, fiber_name(f),
-          fiber_name(f) + " blocked on " + chan_name(chan) +
-              " while holding spin lock " + chan_name(lock)});
-    }
+  for (const std::uint64_t lock : r.held) {
+    lints_.push_back(LintReport{
+        LintReport::Kind::kBlockUnderLock, fiber_name(f),
+        fiber_name(f) + " blocked on " + chan_name(chan) +
+            " while holding spin lock " + chan_name(lock)});
   }
 }
 
 void Detector::on_wake(sim::Fiber* f, std::uint64_t chan,
                        sim::WakeReason /*why*/) {
   if (f == nullptr) return;
-  auto it = blocked_.find(f);
-  if (it != blocked_.end() && it->second.chan == chan) blocked_.erase(it);
+  FiberRec& r = rec(f);
+  if (r.blocked && r.chan == chan) {
+    r.blocked = false;
+    --blocked_count_;
+  }
 }
 
 void Detector::on_post(sim::Fiber* f, std::uint64_t chan,
@@ -59,33 +72,35 @@ void Detector::on_post(sim::Fiber* f, std::uint64_t chan,
   ChanState& c = chans_[chan];
   if (out == sim::PostOutcome::kOverwrote) ++c.overwrites;
   if (f == nullptr) return;  // engine/host posts carry no wait-for edge
-  if (std::find(c.posters.begin(), c.posters.end(), f) == c.posters.end())
-    c.posters.push_back(f);
+  const std::uint64_t slot = f->spawn_index();
+  if (std::find(c.posters.begin(), c.posters.end(), slot) == c.posters.end())
+    c.posters.push_back(slot);
 }
 
 void Detector::on_spin(sim::Fiber* f, std::uint64_t lock) {
   if (f == nullptr) return;
-  SpinState& s = spin_[f];
-  if (s.lock != lock) s = SpinState{lock, 0};
-  ++s.streak;
+  FiberRec& r = rec(f);
+  if (r.spin_lock != lock) r.spin_streak = 0;
+  r.spin_lock = lock;
+  ++r.spin_streak;
 }
 
 void Detector::on_lock(sim::Fiber* f, std::uint64_t lock, bool held) {
-  if (held) {
-    lock_holder_[lock] = f;
-    if (f != nullptr) {
-      held_[f].insert(lock);
-      // A successful acquisition ends the probe streak.
-      if (auto it = spin_.find(f); it != spin_.end() && it->second.lock == lock)
-        spin_.erase(it);
-    }
-  } else {
-    if (auto it = lock_holder_.find(lock); it != lock_holder_.end())
-      lock_holder_.erase(it);
-    if (f != nullptr) {
-      if (auto it = held_.find(f); it != held_.end()) it->second.erase(lock);
-    }
-  }
+  if (f == nullptr) return;  // spin locks are taken by fibers
+  FiberRec& r = rec(f);
+  std::erase(r.held, lock);
+  if (!held) return;
+  r.held.push_back(lock);
+  // A successful acquisition ends the probe streak.
+  if (r.spin_lock == lock) r.spin_lock = r.spin_streak = 0;
+}
+
+void Detector::on_finish(sim::Fiber* f) {
+  if (f->spawn_index() >= fibers_.size()) return;
+  FiberRec& r = fibers_[f->spawn_index()];
+  // A kill-unwind skips the wake hook: a fiber can die blocked.
+  if (r.blocked) --blocked_count_;
+  r = FiberRec{};  // its locks go with it
 }
 
 std::string Detector::fiber_name(sim::Fiber* f) const {
@@ -132,49 +147,46 @@ std::vector<StuckReport> Detector::analyze() {
   findings_.clear();
   append_charged_hook_lint();
 
-  // Kill-unwinds skip the wake hooks (the fiber dies inside block_self),
-  // so entries can outlive their fibers.  Prune the dead before touching
-  // any Fiber*.
-  std::erase_if(blocked_, [&](const auto& e) { return !m_.fiber_live(e.first); });
-  std::erase_if(spin_, [&](const auto& e) { return !m_.fiber_live(e.first); });
-  std::erase_if(held_, [&](const auto& e) { return !m_.fiber_live(e.first); });
-  std::erase_if(lock_holder_, [&](const auto& e) {
-    return e.second != nullptr && !m_.fiber_live(e.second);
+  // Deterministic order: the stuck fibers sorted by (name, channel), the
+  // spinners by name, ties by spawn index.  Work in node-index space (the
+  // position in `nodes`) from here on.
+  std::vector<std::string> names(fibers_.size());
+  std::vector<std::uint64_t> nodes, spinners;  // spawn indices
+  for (std::uint64_t s = 0; s < fibers_.size(); ++s) {
+    const FiberRec& r = fibers_[s];
+    if (r.fiber == nullptr) continue;
+    names[s] = fiber_name(r.fiber);
+    if (r.blocked) nodes.push_back(s);
+    if (r.spin_streak > 0 && r.spin_streak >= spin_streak_threshold_)
+      spinners.push_back(s);
+  }
+  std::sort(nodes.begin(), nodes.end(), [&](std::uint64_t a, std::uint64_t b) {
+    return std::tie(names[a], fibers_[a].chan, a) <
+           std::tie(names[b], fibers_[b].chan, b);
   });
-
-  // Deterministic node order: unordered_map iteration depends on pointer
-  // hashing, so sort the stuck fibers by (name, channel) first and work in
-  // index space from here on.
-  std::vector<sim::Fiber*> nodes;
-  nodes.reserve(blocked_.size());
-  for (const auto& [f, w] : blocked_) nodes.push_back(f);
-  std::sort(nodes.begin(), nodes.end(), [&](sim::Fiber* a, sim::Fiber* b) {
-    const std::string an = fiber_name(a), bn = fiber_name(b);
-    if (an != bn) return an < bn;
-    return blocked_.at(a).chan < blocked_.at(b).chan;
-  });
-  std::unordered_map<sim::Fiber*, std::size_t> index;
+  std::sort(spinners.begin(), spinners.end(),
+            [&](std::uint64_t a, std::uint64_t b) {
+              return std::tie(names[a], a) < std::tie(names[b], b);
+            });
+  constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> index(fibers_.size(), kUnvisited);
   for (std::size_t i = 0; i < nodes.size(); ++i) index[nodes[i]] = i;
 
   // Wait-for edges: a blocked waiter waits for every *stuck* fiber in the
   // poster history of its channel.  A live (running or runnable) poster
-  // means the wait can still be satisfied — no edge, no knot.
+  // can still satisfy the wait, and a finished one is in no knot: no edge.
   const std::size_t n = nodes.size();
   std::vector<std::vector<std::size_t>> adj(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const WaitState& w = blocked_.at(nodes[i]);
-    auto it = chans_.find(w.chan);
+    auto it = chans_.find(fibers_[nodes[i]].chan);
     if (it == chans_.end()) continue;
-    for (sim::Fiber* p : it->second.posters) {
-      if (p == nodes[i]) continue;
-      if (auto pi = index.find(p); pi != index.end())
-        adj[i].push_back(pi->second);
-    }
+    for (const std::uint64_t p : it->second.posters)
+      if (p != nodes[i] && p < index.size() && index[p] != kUnvisited)
+        adj[i].push_back(index[p]);
   }
 
   // Tarjan SCC, iterative (fixture graphs are tiny, but the explorer can
   // park hundreds of app fibers at once).
-  constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
   std::vector<std::size_t> idx(n, kUnvisited), low(n, 0), comp(n, kUnvisited);
   std::vector<bool> on_stack(n, false);
   std::vector<std::size_t> stack;
@@ -221,9 +233,8 @@ std::vector<StuckReport> Detector::analyze() {
 
   // An SCC of size > 1 is a wait-for cycle.  (Size-1 components cannot
   // self-loop: a fiber's own posts are excluded from its edges.)
-  std::vector<std::vector<std::size_t>> sccs(next_comp);
+  std::vector<std::vector<std::size_t>> sccs(next_comp);  // members ascending
   for (std::size_t i = 0; i < n; ++i) sccs[comp[i]].push_back(i);
-  std::vector<bool> in_cycle(n, false);
 
   auto make_report = [&](StuckKind kind,
                          const std::vector<std::size_t>& members) {
@@ -232,56 +243,46 @@ std::vector<StuckReport> Detector::analyze() {
     std::ostringstream os;
     os << to_string(kind) << ":";
     for (const std::size_t i : members) {
-      sim::Fiber* f = nodes[i];
-      const WaitState& w = blocked_.at(f);
-      r.members.push_back(fiber_name(f));
+      const FiberRec& w = fibers_[nodes[i]];
+      r.members.push_back(names[nodes[i]]);
       r.channels.push_back(w.chan);
-      r.processes.push_back(kernel_ ? kernel_->process_of(f) : 0);
-      os << " " << fiber_name(f) << " waits " << chan_name(w.chan) << ";";
+      r.processes.push_back(kernel_ ? kernel_->process_of(w.fiber) : 0);
+      os << " " << names[nodes[i]] << " waits " << chan_name(w.chan) << ";";
     }
     r.detail = os.str();
     findings_.push_back(std::move(r));
   };
 
-  for (auto& scc : sccs) {
-    if (scc.size() < 2) continue;
-    std::sort(scc.begin(), scc.end());  // Tarjan emits reverse topological
-    for (const std::size_t i : scc) in_cycle[i] = true;
-    make_report(StuckKind::kDeadlock, scc);
-  }
+  for (const auto& scc : sccs)
+    if (scc.size() > 1) make_report(StuckKind::kDeadlock, scc);
 
   // Acyclic stuck fibers: lost wakeup when the channel's history shows an
   // overwrite (the wakeup existed and was destroyed), orphan wait
   // otherwise.
   for (std::size_t i = 0; i < n; ++i) {
-    if (in_cycle[i]) continue;
-    const WaitState& w = blocked_.at(nodes[i]);
-    auto it = chans_.find(w.chan);
+    if (sccs[comp[i]].size() > 1) continue;
+    auto it = chans_.find(fibers_[nodes[i]].chan);
     const bool lost = it != chans_.end() && it->second.overwrites > 0;
     make_report(lost ? StuckKind::kLostWakeup : StuckKind::kOrphanWait, {i});
   }
 
-  // Starving spinners: runnable, so never in blocked_ — report any probe
-  // streak that reached the threshold, with the current holder if known.
-  std::vector<sim::Fiber*> spinners;
-  for (const auto& [f, s] : spin_)
-    if (s.streak >= spin_streak_threshold_) spinners.push_back(f);
-  std::sort(spinners.begin(), spinners.end(),
-            [&](sim::Fiber* a, sim::Fiber* b) {
-              return fiber_name(a) < fiber_name(b);
-            });
-  for (sim::Fiber* f : spinners) {
-    const SpinState& s = spin_.at(f);
+  // Starving spinners: runnable, so never blocked — report any probe
+  // streak that reached the threshold, with the fiber holding the lock.
+  for (const std::uint64_t s : spinners) {
+    const FiberRec& f = fibers_[s];
     StuckReport r;
     r.kind = StuckKind::kStarvation;
-    r.members.push_back(fiber_name(f));
-    r.channels.push_back(s.lock);
-    r.processes.push_back(kernel_ ? kernel_->process_of(f) : 0);
+    r.members.push_back(names[s]);
+    r.channels.push_back(f.spin_lock);
+    r.processes.push_back(kernel_ ? kernel_->process_of(f.fiber) : 0);
     std::ostringstream os;
-    os << "starvation: " << fiber_name(f) << " spun " << s.streak
-       << " probes on " << chan_name(s.lock);
-    if (auto h = lock_holder_.find(s.lock); h != lock_holder_.end())
-      os << " held by " << fiber_name(h->second);
+    os << "starvation: " << names[s] << " spun " << f.spin_streak
+       << " probes on " << chan_name(f.spin_lock);
+    for (std::uint64_t h = 0; h < fibers_.size(); ++h) {
+      const std::vector<std::uint64_t>& held = fibers_[h].held;
+      if (std::find(held.begin(), held.end(), f.spin_lock) != held.end())
+        os << " held by " << names[h];
+    }
     r.detail = os.str();
     findings_.push_back(std::move(r));
   }
@@ -307,7 +308,7 @@ void Detector::arm_watchdog(sim::Time period) {
 void Detector::watchdog_tick() {
   if (fired_ || m_.live_fibers() == 0) return;  // drained or done: disarm
   const std::uint64_t resumes = m_.host_perf().fiber_resumes;
-  if (m_.quiescent() && blocked_.size() == m_.live_fibers() &&
+  if (m_.quiescent() && blocked_count_ == m_.live_fibers() &&
       resumes == last_resumes_) {
     // A full period elapsed with live fibers, no scheduled resumes, and no
     // fiber having run: the heap is down to timers that are not making

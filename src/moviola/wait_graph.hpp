@@ -5,18 +5,19 @@
 // wakeup, post and spin probe the synchronization layers publish (see
 // sim/observe.hpp) and maintains
 //
-//   * the set of currently blocked fibers, each with the channel it waits
-//     on (every Chrysalis event wait, dual-queue dequeue, Bridge
-//     request/reply, net::Stream read and US wait_idle funnels through
-//     those two kernel primitives, so two hook sites cover the stack);
+//   * one record per fiber, found by spawn index and cleared by
+//     on_finish: the channel it is blocked on, if any (every Chrysalis
+//     event wait, dual-queue dequeue, Bridge request/reply, net::Stream
+//     read and US wait_idle funnels through those two kernel primitives,
+//     so two hook sites cover the stack), the spin locks it holds and its
+//     probe streak (spinners are runnable, never blocked — starvation
+//     shows up as an unbounded streak);
 //   * per-channel poster history — the distinct fibers ever observed
 //     feeding each channel, which becomes the wait-for edge heuristic:
 //     a blocked waiter *waits for* the fibers that have historically
 //     satisfied its channel;
 //   * per-channel overwrite counts (an event post that clobbered a
-//     pending datum destroyed a wakeup: binary-semaphore semantics);
-//   * spin-lock holds and per-fiber probe streaks (spinners are runnable,
-//     never blocked — starvation shows up as an unbounded streak).
+//     pending datum destroyed a wakeup: binary-semaphore semantics).
 //
 // analyze() builds the wait-for graph over the stuck fibers and classifies
 // each strongly connected knot:
@@ -40,7 +41,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -98,6 +98,7 @@ class Detector final : public sim::Probe {
   void on_post(sim::Fiber* f, std::uint64_t chan, sim::PostOutcome out) override;
   void on_spin(sim::Fiber* f, std::uint64_t lock) override;
   void on_lock(sim::Fiber* f, std::uint64_t lock, bool held) override;
+  void on_finish(sim::Fiber* f) override;
 
   // --- Analysis ---------------------------------------------------------------
 
@@ -140,24 +141,25 @@ class Detector final : public sim::Probe {
   const std::vector<StuckReport>& findings() const { return findings_; }
 
   // --- Introspection (tests) --------------------------------------------------
-  std::size_t blocked_now() const { return blocked_.size(); }
+  std::size_t blocked_now() const { return blocked_count_; }
   std::uint64_t overwrites(std::uint64_t chan) const;
 
  private:
-  struct WaitState {
-    std::uint64_t chan = 0;
-    sim::WaitKind kind = sim::WaitKind::kEvent;
+  /// One fiber's state; empty (fiber == nullptr) once it has finished.
+  struct FiberRec {
+    sim::Fiber* fiber = nullptr;
+    bool blocked = false;
+    std::uint64_t chan = 0;  ///< what it waits on, while blocked
+    std::vector<std::uint64_t> held;  ///< spin locks, in acquisition order
+    std::uint64_t spin_lock = 0;
+    std::uint64_t spin_streak = 0;  ///< failed probes since last acquisition
   };
   struct ChanState {
-    std::vector<sim::Fiber*> posters;  ///< distinct, in first-post order
+    std::vector<std::uint64_t> posters;  ///< spawn indices, first-post order
     std::uint64_t overwrites = 0;
     sim::WaitKind kind = sim::WaitKind::kEvent;  ///< from the last block
   };
-  struct SpinState {
-    std::uint64_t lock = 0;
-    std::uint64_t streak = 0;  ///< failed probes since last acquisition
-  };
-
+  FiberRec& rec(sim::Fiber* f);
   std::string fiber_name(sim::Fiber* f) const;
   std::string chan_name(std::uint64_t chan) const;
   void append_charged_hook_lint();
@@ -166,11 +168,9 @@ class Detector final : public sim::Probe {
   sim::Machine& m_;
   chrys::Kernel* kernel_ = nullptr;
 
-  std::unordered_map<sim::Fiber*, WaitState> blocked_;
+  std::vector<FiberRec> fibers_;  ///< by spawn index
+  std::size_t blocked_count_ = 0;
   std::unordered_map<std::uint64_t, ChanState> chans_;
-  std::unordered_map<std::uint64_t, sim::Fiber*> lock_holder_;
-  std::unordered_map<sim::Fiber*, std::unordered_set<std::uint64_t>> held_;
-  std::unordered_map<sim::Fiber*, SpinState> spin_;
 
   std::vector<LintReport> lints_;
   std::vector<StuckReport> findings_;

@@ -154,6 +154,7 @@ void Machine::live_unlink(FiberCtl* c) {
 
 void Machine::reap(FiberCtl* c) {
   live_unlink(c);
+  notify([&](Probe& p) { p.on_finish(c->fiber.get()); });
   fibers_.erase(c->fiber.get());  // destroys c and frees the stack
 }
 
@@ -198,14 +199,6 @@ void Machine::schedule_resume(FiberCtl* c, Time at) {
 }
 
 Time Machine::run() { return engine_.run(); }
-
-std::vector<Fiber*> Machine::blocked_fibers() const {
-  std::vector<Fiber*> out;
-  for (FiberCtl* c = live_head_; c != nullptr; c = c->live_next)
-    if (c->fiber->state() == Fiber::State::kBlocked)
-      out.push_back(c->fiber.get());
-  return out;
-}
 
 // --- Time ----------------------------------------------------------------
 

@@ -84,13 +84,6 @@ class Machine {
   /// simulated program deadlocked.  Moviola uses this plus the wait-for
   /// edges recorded by the synchronization layers.
   bool deadlocked() const { return live_count_ != 0; }
-  std::vector<Fiber*> blocked_fibers() const;
-  /// True while `f` has not finished or been reclaimed.  Probes
-  /// hold raw Fiber pointers across kill-unwinds (which skip the wake
-  /// hooks); this lets them prune the dead before dereferencing.  A reused
-  /// address can alias a new fiber — fine for diagnosis, as the new
-  /// fiber's name and state replace the old.
-  bool fiber_live(Fiber* f) const { return fibers_.count(f) != 0; }
 
   /// True when live fibers remain but none has a resume scheduled: the
   /// event heap has quiesced to closure events (timers, watchdogs) only,

@@ -117,6 +117,9 @@ class Probe {
                             MemOp /*op*/, Time /*queue_ns*/, Time /*at*/) {}
   /// A new fiber was created (parent is nullptr for host-spawned fibers).
   virtual void on_spawn(Fiber* /*parent*/, Fiber* /*child*/) {}
+  /// `f` is gone (finished, unwound from a kill, dropped by a kill before
+  /// it ran, or abandoned): once per fiber, while `f` is still valid.
+  virtual void on_finish(Fiber* /*f*/) {}
   /// Physical memory was returned to the allocator; shadow state for the
   /// range is stale (the allocator hands reused addresses to unrelated
   /// code, which must not inherit old epochs).

@@ -109,21 +109,27 @@ Family::Family(chrys::Kernel& k, Topology topo, MemberBody body,
   for (auto& mem : members_) mem->mailbox_ = k_.make_dual_queue();
   for (std::uint32_t i = 0; i < n; ++i) {
     Member* mem = members_[i].get();
-    k_.create_process(
-        mem->node_,
-        [this, mem, body] {
-          body(*mem);
-          mem->cache_.flush();
-          k_.dq_enqueue(done_queue_, mem->index());
-        },
-        "smp-" + std::to_string(i));
+    auto run = [this, mem, body] {
+      body(*mem);
+      mem->cache_.flush();
+      k_.dq_enqueue(done_queue_, mem->index());
+    };
+    try {
+      k_.create_process(mem->node_, run, "smp-" + std::to_string(i));
+      ++started_;
+    } catch (const chrys::ThrowSignal& t) {
+      // A member on a dead or cut-off node never runs; join() skips it.
+      if (t.code != chrys::kThrowNodeDead &&
+          t.code != chrys::kThrowNetUnreachable)
+        throw;
+    }
   }
 }
 
 Family::~Family() = default;
 
 void Family::join() {
-  for (std::uint32_t i = 0; i < size(); ++i) (void)k_.dq_dequeue(done_queue_);
+  for (std::uint32_t i = 0; i < started_; ++i) (void)k_.dq_dequeue(done_queue_);
 }
 
 std::uint32_t Family::put_record(MsgRec rec) {

@@ -138,7 +138,8 @@ class Family {
   const Topology& topology() const { return topo_; }
   chrys::Kernel& kernel() { return k_; }
 
-  /// Block the creator until every member body has returned.
+  /// Block the creator until every started member's body has returned (a
+  /// member whose node was dead or cut off at construction never starts).
   void join();
 
   std::uint64_t messages_sent() const { return messages_sent_; }
@@ -165,6 +166,7 @@ class Family {
   std::deque<MsgRec> records_;
   std::vector<std::uint32_t> record_free_;
   chrys::Oid done_queue_ = chrys::kNoObject;
+  std::uint32_t started_ = 0;  ///< members whose process was created
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
 };

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "chrysalis/kernel.hpp"
 #include "chrysalis/spinlock.hpp"
@@ -228,6 +229,41 @@ TEST(Deadlock, UnnamedFibersAreNamedBySpawnOrderNotAddress) {
       << a;
 }
 
+// Poster history is kept by spawn index, so a finished poster's history
+// does not pass to a later fiber the host allocator gave the same
+// address: a posts dq#100 and exits, b takes a's address and waits on
+// dq#101, which x fed, and x waits on dq#100.  b never fed dq#100, so
+// there is no cycle.
+TEST(Deadlock, FinishedPosterAddressReuseDrawsNoEdge) {
+  Machine m(butterfly1(2));
+  Detector d(m);
+  const std::uint64_t q100 = sim::chan_of_oid(100);
+  const std::uint64_t q101 = sim::chan_of_oid(101);
+  [[maybe_unused]] sim::Fiber* a = m.spawn(
+      0, [&] { m.observe_post(q100, sim::PostOutcome::kQueued); }, "a");
+  m.run();
+  [[maybe_unused]] sim::Fiber* b = m.spawn(0, [&] {
+    m.observe_block(q101, sim::WaitKind::kDualQueue);
+    m.park();
+  }, "b");
+  m.spawn(1, [&] {
+    m.observe_post(q101, sim::PostOutcome::kQueued);
+    m.charge(sim::kMillisecond);
+    m.observe_block(q100, sim::WaitKind::kDualQueue);
+    m.park();
+  }, "x");
+  m.run();
+#if !defined(__SANITIZE_ADDRESS__)  // ASan quarantines freed memory
+  EXPECT_EQ(b, a);
+#endif
+  ASSERT_TRUE(m.deadlocked());
+  EXPECT_EQ(d.blocked_now(), 2u);
+  const auto findings = d.analyze();
+  EXPECT_EQ(findings.size(), 2u) << d.report();
+  for (const StuckReport& r : findings)
+    EXPECT_EQ(r.kind, StuckKind::kOrphanWait) << d.report();
+}
+
 // The Figure 6 view: report() names the blocked process and the dual queue
 // it waits on.
 TEST(Moviola, DeadlockReportNamesTheWaiters) {
@@ -381,6 +417,55 @@ TEST(Watchdog, FiresOnQuiescenceUnderPendingTimers) {
   ASSERT_EQ(d.findings().size(), 1u) << d.report();
   EXPECT_EQ(d.findings()[0].kind, StuckKind::kDeadlock);
   EXPECT_EQ(d.findings()[0].members, (std::vector<std::string>{"x", "y"}));
+}
+
+// A fiber that dies blocked (its node is killed mid-wait, and the
+// kill-unwind skips the wake hook) stops counting as blocked, so the
+// watchdog still sees the survivors' deadlock.  The poll stops the run
+// once the watchdog fires, or at 1 s if it never does.
+TEST(Watchdog, FiresAfterAFiberDiedBlocked) {
+  Machine m(butterfly1(4));
+  Kernel k(m);
+  Detector d(m, &k);
+
+  k.create_process(2, [&] {
+    const Oid ev = k.make_event();
+    (void)k.event_wait(ev);  // dies here with its node at 5 ms
+  }, "victim");
+  m.kill_node(2, 5 * sim::kMillisecond);
+
+  Oid ea = kNoObject, eb = kNoObject;
+  k.create_process(0, [&] {
+    ea = k.make_event();
+    k.delay(10 * sim::kMillisecond);
+    k.event_post(eb, 1);
+    (void)k.event_wait(ea);
+    (void)k.event_wait(ea);  // deadlock
+  }, "x");
+  k.create_process(1, [&] {
+    eb = k.make_event();
+    k.delay(10 * sim::kMillisecond);
+    k.event_post(ea, 1);
+    (void)k.event_wait(eb);
+    (void)k.event_wait(eb);
+  }, "y");
+
+  std::function<void()> poll = [&] {
+    if (d.fired() || m.now() >= sim::kSecond) {
+      m.engine().stop();
+      return;
+    }
+    m.engine().post_in(sim::kMillisecond, poll);
+  };
+  m.engine().post_in(sim::kMillisecond, poll);
+  d.arm_watchdog(2 * sim::kMillisecond);
+  m.run();
+
+  EXPECT_TRUE(d.fired());
+  ASSERT_EQ(d.findings().size(), 1u) << d.report();
+  EXPECT_EQ(d.findings()[0].kind, StuckKind::kDeadlock);
+  EXPECT_EQ(d.findings()[0].members, (std::vector<std::string>{"x", "y"}));
+  EXPECT_LT(m.now(), sim::kSecond);
 }
 
 TEST(Watchdog, StaysQuietOnAHealthyRun) {

@@ -319,7 +319,7 @@ TEST(Fastpath, DeadlockDetectionUnaffected) {
   });
   m.run();
   EXPECT_TRUE(m.deadlocked());
-  ASSERT_EQ(m.blocked_fibers().size(), 1u);
+  ASSERT_EQ(m.live_fibers(), 1u);
 }
 
 TEST(Fastpath, SleepUntilUsesFastPath) {

@@ -5,6 +5,7 @@
 #include <array>
 #include <cfenv>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -281,7 +282,40 @@ TEST(MachineFiber, UnwokenParkIsDeadlock) {
   m.spawn(0, [&] { m.park(); });
   m.run();
   EXPECT_TRUE(m.deadlocked());
-  EXPECT_EQ(m.blocked_fibers().size(), 1u);
+  EXPECT_EQ(m.live_fibers(), 1u);
+}
+
+// on_finish fires exactly once per fiber however it ends: a normal exit,
+// a kill while parked, a kill before it ever ran, and abandon().  Like
+// every hook it is uncharged.
+class FinishCounter final : public Probe {
+ public:
+  explicit FinishCounter(Machine& m) : m_(m) { m_.attach(this); }
+  ~FinishCounter() override { m_.detach(this); }
+  void on_finish(Fiber* f) override { ++finished[f->spawn_index()]; }
+  std::map<std::uint64_t, int> finished;  // spawn index -> reports
+
+ private:
+  Machine& m_;
+};
+
+TEST(MachineFiber, OnFinishFiresOncePerFiberHoweverItEnds) {
+  Machine m(butterfly1(4));
+  FinishCounter probe(m);
+  m.spawn(0, [&] { m.charge(100); });  // normal exit
+  m.spawn(1, [&] { m.park(); });        // killed while parked
+  m.spawn_parked(1, [] {});             // killed before it ever ran
+  Fiber* stuck = m.spawn(2, [&] { m.park(); });  // abandoned
+  m.kill_node(1, kMillisecond);
+  m.run();
+  EXPECT_EQ(probe.finished,
+            (std::map<std::uint64_t, int>{{0, 1}, {1, 1}, {2, 1}}));
+  ASSERT_EQ(m.live_fibers(), 1u);
+  m.abandon(stuck);
+  EXPECT_EQ(probe.finished,
+            (std::map<std::uint64_t, int>{{0, 1}, {1, 1}, {2, 1}, {3, 1}}));
+  EXPECT_EQ(m.live_fibers(), 0u);
+  EXPECT_EQ(m.hook_charges(), 0u);
 }
 
 TEST(MachineFiber, ManyFibersInterleaveDeterministically) {

@@ -422,5 +422,29 @@ TEST(Family, ManyToOneFunnel) {
   });
 }
 
+// A member whose node is already dead when the family is built is lost
+// from the start: the constructor returns instead of throwing out from
+// under the members it has started, they run, and join() waits only for
+// them.
+TEST(FamilyFaults, MemberOnADeadNodeIsLostFromTheStart) {
+  Machine m(butterfly1(4));
+  chrys::Kernel k(m);
+  m.kill_node(2, sim::kMillisecond);
+  std::uint32_t ran = 0;
+  bool joined = false;
+  k.create_process(0, [&] {
+    k.delay(2 * sim::kMillisecond);
+    Family fam(k, Topology::ring(4), [&](Member& me) {
+      if (me.size() == 4) ++ran;
+    });
+    fam.join();
+    joined = true;
+  }, "creator");
+  m.run();
+  EXPECT_TRUE(joined);
+  EXPECT_EQ(ran, 3u);
+  EXPECT_FALSE(m.deadlocked());
+}
+
 }  // namespace
 }  // namespace bfly::smp
