@@ -11,9 +11,8 @@ constexpr sim::Time kStartCost = 60 * sim::kMicrosecond;
 }  // namespace
 
 Colony::Colony(chrys::Kernel& k, std::uint32_t nodes_used)
-    : k_(k), m_(k.machine()) {
+    : k_(k), m_(k.machine()), crew_(k) {
   nodes_ = nodes_used == 0 ? m_.nodes() : std::min(nodes_used, m_.nodes());
-  done_dq_ = k_.make_dual_queue();
   runtimes_.reserve(nodes_);
   for (std::uint32_t n = 0; n < nodes_; ++n) {
     auto rt = std::make_unique<Runtime>();
@@ -23,13 +22,12 @@ Colony::Colony(chrys::Kernel& k, std::uint32_t nodes_used)
   }
   for (std::uint32_t n = 0; n < nodes_; ++n) {
     Runtime* rt = runtimes_[n].get();
-    rt->proc = k_.create_process(
+    crew_.start(
         n,
         [this, rt] {
           rt->wake_event = k_.make_event();
           rt->sched_fiber = sim::Fiber::current();
           scheduler_loop(*rt);
-          k_.dq_enqueue(done_dq_, rt->node);
         },
         "antfarm-rt" + std::to_string(n));
   }
@@ -75,9 +73,7 @@ void Colony::scheduler_loop(Runtime& rt) {
     }
     if (rt.stop) break;
     // Nothing runnable: block the whole process on a Chrysalis event.
-    rt.waiting = true;
     (void)k_.event_wait(rt.wake_event);
-    rt.waiting = false;
   }
 }
 
@@ -134,8 +130,8 @@ void Colony::post_command(Runtime& rt, Command cmd) {
   }
   k_.dq_enqueue(rt.control_dq, cid);
   // Ring the doorbell unconditionally: posting to a non-waiting scheduler
-  // just leaves the event pending (checking `waiting` first would race and
-  // lose the wakeup).
+  // just leaves the event pending (skipping the post for a busy-looking
+  // scheduler would race and lose the wakeup).
   if (rt.wake_event != chrys::kNoObject)
     k_.event_post(rt.wake_event, 0);
 }
@@ -251,7 +247,7 @@ void Colony::join() {
     cmd.kind = Command::kStop;
     post_command(*rt, std::move(cmd));
   }
-  for (std::uint32_t i = 0; i < nodes_; ++i) (void)k_.dq_dequeue(done_dq_);
+  crew_.join();
 }
 
 }  // namespace bfly::antfarm

@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "chrysalis/crew.hpp"
 #include "chrysalis/kernel.hpp"
 
 namespace bfly::antfarm {
@@ -86,7 +87,6 @@ class Colony {
   };
   struct Runtime {
     sim::NodeId node = 0;
-    chrys::Oid proc = chrys::kNoObject;
     chrys::Oid wake_event = chrys::kNoObject;  // owned by the runtime proc
     chrys::Oid control_dq = chrys::kNoObject;  // cross-node commands
     sim::Fiber* sched_fiber = nullptr;
@@ -94,7 +94,6 @@ class Colony {
     std::vector<std::unique_ptr<Thread>> threads;
     std::uint32_t next_local = 0;
     bool stop = false;
-    bool waiting = false;  // scheduler is blocked on wake_event
   };
   // Cross-node command: start a thread or deliver a datum.
   struct Command {
@@ -117,6 +116,7 @@ class Colony {
 
   chrys::Kernel& k_;
   sim::Machine& m_;
+  chrys::Crew crew_;  // member n is node n's runtime process
   std::uint32_t nodes_ = 0;
   std::vector<std::unique_ptr<Runtime>> runtimes_;
   std::unordered_map<sim::Fiber*, std::pair<Runtime*, Thread*>> by_fiber_;
@@ -126,7 +126,6 @@ class Colony {
   std::uint64_t threads_started_ = 0;
   std::uint64_t messages_ = 0;
   std::uint32_t heap_cursor_ = 0;
-  chrys::Oid done_dq_ = chrys::kNoObject;
 };
 
 }  // namespace bfly::antfarm

@@ -114,9 +114,6 @@ class Kernel {
   /// Number of processes that have not exited.
   std::size_t live_processes() const { return live_processes_; }
 
-  /// Cheap liveness bitmap lookup: can `node` still run code and serve
-  /// memory?  (Delegates to the machine's fault state.)
-  bool node_alive(sim::NodeId node) const { return m_.node_alive(node); }
   /// Processes that died with their node.
   std::size_t killed_processes() const { return killed_processes_; }
   /// Snapshot of blocked processes: (name, oid, object waited on), in oid

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "chrysalis/crew.hpp"
+
 namespace bfly::crowd {
 
 namespace {
@@ -11,7 +13,7 @@ struct Ctx {
   std::uint32_t n;
   std::function<void(std::uint32_t)> fn;
   CrowdOptions opt;
-  chrys::Oid done_dq;
+  chrys::Crew crew;
 };
 
 void start_worker(Ctx& ctx, std::uint32_t w);
@@ -23,14 +25,14 @@ void worker_body(Ctx& ctx, std::uint32_t w) {
     start_worker(ctx, c);
   // ...then do this worker's own share.
   ctx.fn(w);
-  ctx.k.dq_enqueue(ctx.done_dq, w);
 }
 
 void start_worker(Ctx& ctx, std::uint32_t w) {
   const sim::NodeId node =
       (ctx.opt.base_node + w) % ctx.k.machine().nodes();
-  ctx.k.create_process(node, [&ctx, w] { worker_body(ctx, w); },
-                       "crowd-" + std::to_string(w));
+  // A worker lost at start takes its subtree with it.
+  ctx.crew.start(node, [&ctx, w] { worker_body(ctx, w); },
+                 "crowd-" + std::to_string(w));
 }
 
 }  // namespace
@@ -39,10 +41,9 @@ sim::Time spread(chrys::Kernel& k, std::uint32_t n,
                  std::function<void(std::uint32_t)> fn, CrowdOptions opt) {
   if (n == 0) return 0;
   const sim::Time t0 = k.now();
-  Ctx ctx{k, n, std::move(fn), opt, k.make_dual_queue()};
+  Ctx ctx{k, n, std::move(fn), opt, chrys::Crew(k)};
   start_worker(ctx, 0);
-  for (std::uint32_t i = 0; i < n; ++i) (void)k.dq_dequeue(ctx.done_dq);
-  k.delete_object(ctx.done_dq);
+  ctx.crew.join();
   return k.now() - t0;
 }
 
@@ -51,19 +52,12 @@ sim::Time spread_serial(chrys::Kernel& k, std::uint32_t n,
                         CrowdOptions opt) {
   if (n == 0) return 0;
   const sim::Time t0 = k.now();
-  const chrys::Oid done = k.make_dual_queue();
+  chrys::Crew crew(k);
   for (std::uint32_t w = 0; w < n; ++w) {
     const sim::NodeId node = (opt.base_node + w) % k.machine().nodes();
-    k.create_process(
-        node,
-        [&fn, &k, done, w] {
-          fn(w);
-          k.dq_enqueue(done, w);
-        },
-        "serial-" + std::to_string(w));
+    crew.start(node, [&fn, w] { fn(w); }, "serial-" + std::to_string(w));
   }
-  for (std::uint32_t i = 0; i < n; ++i) (void)k.dq_dequeue(done);
-  k.delete_object(done);
+  crew.join();
   return k.now() - t0;
 }
 

@@ -27,7 +27,8 @@ struct CrowdOptions {
 
 /// Run `fn(worker_index)` on `n` worker processes spread over the machine,
 /// created through a fan-out tree.  Blocks the calling process until every
-/// worker has finished.  Returns the elapsed simulated time.
+/// worker has finished or is lost with its node (a worker lost at start
+/// takes its subtree with it).  Returns the elapsed simulated time.
 sim::Time spread(chrys::Kernel& k, std::uint32_t n,
                  std::function<void(std::uint32_t)> fn,
                  CrowdOptions opt = {});

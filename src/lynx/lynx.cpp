@@ -12,9 +12,7 @@ constexpr sim::Time kDispatchCost = 150 * sim::kMicrosecond;
 constexpr sim::Time kMoveEndCost = 500 * sim::kMicrosecond;
 }  // namespace
 
-Runtime::Runtime(chrys::Kernel& k) : k_(k), m_(k.machine()) {
-  done_dq_ = k_.make_dual_queue();
-}
+Runtime::Runtime(chrys::Kernel& k) : k_(k), m_(k.machine()), crew_(k) {}
 
 Runtime::~Runtime() = default;
 
@@ -26,7 +24,6 @@ std::uint32_t Runtime::spawn(sim::NodeId node, ProcBody body) {
   ps->inbox = k_.make_dual_queue();
   ProcState* p = ps.get();
   procs_.push_back(std::move(ps));
-  ++live_bodies_;
 
   // The body is the process's initial thread.
   auto t0 = std::make_unique<Thread>();
@@ -34,7 +31,7 @@ std::uint32_t Runtime::spawn(sim::NodeId node, ProcBody body) {
   p->threads.push_back(std::move(t0));
   p->runnable.push_back(p->threads.back().get());
 
-  if (started_)
+  if (launched_)
     launch(index);
   else
     held_.push_back(index);
@@ -43,20 +40,19 @@ std::uint32_t Runtime::spawn(sim::NodeId node, ProcBody body) {
 
 void Runtime::launch(std::uint32_t index) {
   ProcState* p = procs_[index].get();
-  k_.create_process(
+  crew_.start(
       p->node,
-      [this, p, index] {
+      [this, p] {
         p->wake_event = k_.make_event();
         p->sched_fiber = sim::Fiber::current();
         scheduler_loop(*p);
-        k_.dq_enqueue(done_dq_, index);
       },
       "lynx-p" + std::to_string(index));
 }
 
 void Runtime::start() {
-  if (started_) return;
-  started_ = true;
+  if (launched_) return;
+  launched_ = true;
   for (std::uint32_t i : held_) launch(i);
   held_.clear();
 }
@@ -85,7 +81,6 @@ void Runtime::scheduler_loop(ProcState& ps) {
         if (!ps.acceptors.empty()) {
           Thread* t = ps.acceptors.front();
           ps.acceptors.pop_front();
-          t->awaiting_request = false;
           t->pending = std::move(req);
           t->request_ready = true;
           ps.runnable.push_back(t);
@@ -97,7 +92,6 @@ void Runtime::scheduler_loop(ProcState& ps) {
         if (it != tokens_.end()) {
           Thread* t = it->second.second;
           tokens_.erase(it);
-          t->awaiting_reply = false;
           t->reply_data = std::move(w.data);
           t->reply_ready = true;
           ps.runnable.push_back(t);
@@ -112,9 +106,7 @@ void Runtime::scheduler_loop(ProcState& ps) {
       continue;
     }
     if (live_threads() == 0) break;  // process terminates with its threads
-    ps.waiting = true;
     (void)k_.event_wait(ps.wake_event);
-    ps.waiting = false;
   }
 }
 
@@ -127,7 +119,6 @@ void Runtime::dispatch(ProcState& ps, Thread* t) {
       try {
         t->fn();
       } catch (const chrys::ThrowSignal&) {
-        ++faulted_threads_;
       }
       t->finished = true;
       m_.wakeup(ps.sched_fiber);
@@ -175,8 +166,8 @@ void Runtime::post_wire(std::uint32_t proc, Wire w) {
   }
   k_.dq_enqueue(target.inbox, wid);
   // Ring the doorbell unconditionally: posting to a non-waiting scheduler
-  // just leaves the event pending (checking `waiting` first would race and
-  // lose the wakeup).
+  // just leaves the event pending (skipping the post for a busy-looking
+  // scheduler would race and lose the wakeup).
   if (target.wake_event != chrys::kNoObject)
     k_.event_post(target.wake_event, 0);
 }
@@ -209,7 +200,7 @@ std::uint32_t Runtime::holder_of(End e) const { return end_holder_[e.id]; }
 
 void Runtime::join() {
   start();
-  for (std::uint32_t i = 0; i < live_bodies_; ++i) (void)k_.dq_dequeue(done_dq_);
+  crew_.join();
 }
 
 // --- Proc API ------------------------------------------------------------------
@@ -245,7 +236,6 @@ std::vector<std::uint8_t> Proc::call(End e, const void* data, std::size_t n) {
                 static_cast<const std::uint8_t*>(data) + n);
   rt.post_wire(dest, std::move(w));
 
-  t->awaiting_reply = true;
   t->reply_ready = false;
   rt.back_to_scheduler(ps);
   assert(t->reply_ready);
@@ -262,7 +252,6 @@ Request Proc::accept() {
     ps.backlog.pop_front();
     return req;
   }
-  t->awaiting_request = true;
   t->request_ready = false;
   ps.acceptors.push_back(t);
   rt.back_to_scheduler(ps);

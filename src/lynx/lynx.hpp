@@ -23,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "chrysalis/crew.hpp"
 #include "chrysalis/kernel.hpp"
 
 namespace bfly::lynx {
@@ -121,7 +122,7 @@ class Runtime {
   std::uint32_t holder_of(End e) const;
 
   /// Wait (from the creating Chrysalis process) for all Lynx processes to
-  /// finish their bodies.
+  /// finish their bodies, or to be lost with their node (chrys::Crew).
   void join();
 
   std::uint64_t calls_completed() const { return calls_completed_; }
@@ -135,11 +136,9 @@ class Runtime {
     std::function<void()> fn;
     bool finished = false;
     // RPC state
-    bool awaiting_reply = false;
-    bool awaiting_request = false;
     std::vector<std::uint8_t> reply_data;
     bool reply_ready = false;
-    Request pending;  // delivered request when awaiting_request
+    Request pending;  // delivered request, once request_ready
     bool request_ready = false;
   };
   struct ProcState {
@@ -152,8 +151,6 @@ class Runtime {
     std::deque<Thread*> runnable;
     std::deque<Request> backlog;          // requests with no acceptor yet
     std::deque<Thread*> acceptors;        // threads blocked in accept()
-    bool waiting = false;
-    bool body_done = false;
   };
   struct Wire {  // a message on the wire between processes
     enum Kind { kRequest, kReply } kind = kRequest;
@@ -173,6 +170,7 @@ class Runtime {
 
   chrys::Kernel& k_;
   sim::Machine& m_;
+  chrys::Crew crew_;  // one member per process
   std::vector<std::unique_ptr<ProcState>> procs_;
   std::unordered_map<sim::Fiber*, std::pair<ProcState*, Thread*>> by_fiber_;
   std::vector<std::uint32_t> end_holder_;  // end id -> process index
@@ -182,11 +180,8 @@ class Runtime {
   std::unordered_map<std::uint64_t, std::pair<ProcState*, Thread*>> tokens_;
   std::uint64_t next_token_ = 1;
   std::uint64_t calls_completed_ = 0;
-  chrys::Oid done_dq_ = chrys::kNoObject;
-  std::uint32_t live_bodies_ = 0;
-  bool started_ = false;
+  bool launched_ = false;
   std::vector<std::uint32_t> held_;  // spawned before start()
-  std::uint32_t faulted_threads_ = 0;
 };
 
 }  // namespace bfly::lynx

@@ -83,8 +83,13 @@ void Stream::read(void* out, std::size_t n) {
 
 Mesh::Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
            ElementBody body, MeshOptions opt)
-    : k_(k), m_(k.machine()), rows_(rows), cols_(cols) {
-  done_queue_ = k_.make_dual_queue();
+    : k_(k), m_(k.machine()), rows_(rows), cols_(cols),
+      // An element that ends, however it ends, writes nothing more: its
+      // readers get EOF (uncharged, like all crash handling).
+      crew_(k, [this](std::uint32_t i) {
+        for (Stream* s : elements_[i].out_)
+          if (s != nullptr) k_.dq_enqueue_uncharged(s->chunk_queue_, kEofCid);
+      }) {
   elements_.resize(static_cast<std::size_t>(rows) * cols);
   auto at = [this](std::uint32_t r, std::uint32_t c) -> Element& {
     return elements_[static_cast<std::size_t>(r) * cols_ + c];
@@ -123,70 +128,9 @@ Mesh::Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
       }
     }
   }
-  element_active_.assign(elements_.size(), 1);
-  // Crash tier: the mesh hears only broadcast deaths, loud kills and a
-  // failure detector's verdicts.  A silent kill reaches it only through
-  // such a verdict.
-  crash_observer_ =
-      m_.on_node_crash([this](sim::NodeId n) { handle_node_death(n); });
-  for (std::size_t i = 0; i < elements_.size(); ++i) {
-    Element* ep = &elements_[i];
-    // A kill landing during construction may have excised this element
-    // already (the observer above fires mid-charge); and a node found dead
-    // at creation time must cost us the element, not the whole mesh.
-    if (!element_active_[i]) continue;
-    try {
-      k_.create_process(
-          ep->node_,
-          [this, ep, body, i] {
-            // A body that throws must still release its obligations: its
-            // readers get EOF instead of a silent hang, and join() still
-            // gets this element's completion token.
-            try {
-              body(*ep);
-            } catch (const chrys::ThrowSignal&) {
-              ++elements_faulted_;
-            } catch (const sim::NodeDeadError&) {
-              ++elements_faulted_;
-            } catch (const sim::NetUnreachableError&) {
-              ++elements_faulted_;
-            } catch (const sim::MemoryFaultError&) {
-              ++elements_faulted_;
-            }
-            for (Stream* s : ep->out_)
-              if (s != nullptr)
-                k_.dq_enqueue_uncharged(s->chunk_queue_, kEofCid);
-            k_.dq_enqueue(done_queue_, 0);
-            element_active_[i] = 0;
-          },
-          "net-" + std::to_string(ep->row_) + "," + std::to_string(ep->col_));
-    } catch (const chrys::ThrowSignal& t) {
-      if (t.code != chrys::kThrowNodeDead &&
-          t.code != chrys::kThrowNetUnreachable)
-        throw;
-      if (element_active_[i]) element_gone(i);
-    }
-  }
-}
-
-Mesh::~Mesh() {
-  if (crash_observer_ != 0) m_.remove_crash_observer(crash_observer_);
-}
-
-void Mesh::element_gone(std::size_t idx) {
-  element_active_[idx] = 0;
-  ++elements_lost_;
-  Element& e = elements_[idx];
-  // The dead element will never write again nor report done; do both on
-  // its behalf (uncharged — the PNC's crash handling, not the dead node).
-  for (Stream* s : e.out_)
-    if (s != nullptr) k_.dq_enqueue_uncharged(s->chunk_queue_, kEofCid);
-  k_.dq_enqueue_uncharged(done_queue_, 0);
-}
-
-void Mesh::handle_node_death(sim::NodeId n) {
-  for (std::size_t i = 0; i < elements_.size(); ++i)
-    if (element_active_[i] && elements_[i].node_ == n) element_gone(i);
+  for (Element& e : elements_)
+    crew_.start(e.node_, [&e, body] { body(e); },
+                "net-" + std::to_string(e.row_) + "," + std::to_string(e.col_));
 }
 
 Stream* Mesh::make_stream(sim::NodeId reader_node) {
@@ -195,11 +139,6 @@ Stream* Mesh::make_stream(sim::NodeId reader_node) {
   s->chunk_queue_ = k_.make_dual_queue();
   streams_.push_back(std::move(s));
   return streams_.back().get();
-}
-
-void Mesh::join() {
-  for (std::size_t i = 0; i < elements_.size(); ++i)
-    (void)k_.dq_dequeue(done_queue_);
 }
 
 }  // namespace bfly::net

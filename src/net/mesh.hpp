@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "chrysalis/crew.hpp"
 #include "chrysalis/kernel.hpp"
 
 namespace bfly::net {
@@ -100,7 +101,6 @@ class Mesh {
  public:
   Mesh(chrys::Kernel& k, std::uint32_t rows, std::uint32_t cols,
        ElementBody body, MeshOptions opt = {});
-  ~Mesh();
 
   Mesh(const Mesh&) = delete;
   Mesh& operator=(const Mesh&) = delete;
@@ -110,19 +110,19 @@ class Mesh {
 
   /// Wait for every element body to return — or for its node to die; a
   /// mesh on a faulty machine still joins (degraded, never deadlocked).
-  void join();
+  void join() { crew_.join(); }
 
   std::uint64_t bytes_streamed() const { return bytes_streamed_; }
   /// Elements whose body ended in an uncaught throw (e.g. a broken stream).
-  std::uint64_t elements_faulted() const { return elements_faulted_; }
+  std::uint64_t elements_faulted() const { return crew_.faulted(); }
   /// Elements lost outright to node deaths.
-  std::uint64_t elements_lost() const { return elements_lost_; }
+  std::uint64_t elements_lost() const { return crew_.lost(); }
 
  private:
   friend class Stream;
   /// Sentinel chunk id: "this stream's writer is gone".  Posted uncharged
-  /// on writer exit or node death so a blocked reader errors out instead of
-  /// waiting forever; never collides with a real chunk id.
+  /// when an element ends, however it ends, so a blocked reader errors out
+  /// instead of waiting forever; never collides with a real chunk id.
   static constexpr std::uint32_t kEofCid = 0xffffffffu;
   struct Chunk {
     sim::PhysAddr buf{};
@@ -130,22 +130,16 @@ class Mesh {
   };
 
   Stream* make_stream(sim::NodeId reader_node);
-  void element_gone(std::size_t idx);
-  void handle_node_death(sim::NodeId n);
 
   chrys::Kernel& k_;
   sim::Machine& m_;
   std::uint32_t rows_, cols_;
+  chrys::Crew crew_;  // member i is element i
   std::vector<Element> elements_;
   std::vector<std::unique_ptr<Stream>> streams_;
   std::deque<Chunk> chunks_;
   std::vector<std::uint32_t> chunk_free_;
-  chrys::Oid done_queue_ = chrys::kNoObject;
   std::uint64_t bytes_streamed_ = 0;
-  std::vector<std::uint8_t> element_active_;  // body still owes its streams
-  std::uint64_t elements_faulted_ = 0;
-  std::uint64_t elements_lost_ = 0;
-  std::uint64_t crash_observer_ = 0;
 };
 
 }  // namespace bfly::net

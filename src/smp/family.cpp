@@ -96,9 +96,8 @@ Message Member::deliver(std::uint32_t id) {
 
 Family::Family(chrys::Kernel& k, Topology topo, MemberBody body,
                FamilyOptions opt)
-    : k_(k), m_(k.machine()), topo_(topo), opt_(opt) {
+    : k_(k), m_(k.machine()), topo_(topo), opt_(opt), crew_(k) {
   const std::uint32_t n = topo_.size();
-  done_queue_ = k_.make_dual_queue();
   members_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const sim::NodeId node = (opt_.base_node + i) % m_.nodes();
@@ -109,27 +108,14 @@ Family::Family(chrys::Kernel& k, Topology topo, MemberBody body,
   for (auto& mem : members_) mem->mailbox_ = k_.make_dual_queue();
   for (std::uint32_t i = 0; i < n; ++i) {
     Member* mem = members_[i].get();
-    auto run = [this, mem, body] {
-      body(*mem);
-      mem->cache_.flush();
-      k_.dq_enqueue(done_queue_, mem->index());
-    };
-    try {
-      k_.create_process(mem->node_, run, "smp-" + std::to_string(i));
-      ++started_;
-    } catch (const chrys::ThrowSignal& t) {
-      // A member on a dead or cut-off node never runs; join() skips it.
-      if (t.code != chrys::kThrowNodeDead &&
-          t.code != chrys::kThrowNetUnreachable)
-        throw;
-    }
+    crew_.start(
+        mem->node_,
+        [mem, body] {
+          body(*mem);
+          mem->cache_.flush();
+        },
+        "smp-" + std::to_string(i));
   }
-}
-
-Family::~Family() = default;
-
-void Family::join() {
-  for (std::uint32_t i = 0; i < started_; ++i) (void)k_.dq_dequeue(done_queue_);
 }
 
 std::uint32_t Family::put_record(MsgRec rec) {

@@ -19,6 +19,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "chrysalis/crew.hpp"
 #include "chrysalis/kernel.hpp"
 #include "smp/sar_cache.hpp"
 #include "smp/topology.hpp"
@@ -129,7 +130,6 @@ class Family {
   /// creator pays the per-process creation costs serially).
   Family(chrys::Kernel& k, Topology topo, MemberBody body,
          FamilyOptions opt = {});
-  ~Family();
 
   Family(const Family&) = delete;
   Family& operator=(const Family&) = delete;
@@ -138,9 +138,9 @@ class Family {
   const Topology& topology() const { return topo_; }
   chrys::Kernel& kernel() { return k_; }
 
-  /// Block the creator until every started member's body has returned (a
-  /// member whose node was dead or cut off at construction never starts).
-  void join();
+  /// Block the creator until every member has ended: its body returned or
+  /// threw, or it was lost to a dead or cut-off node (chrys::Crew).
+  void join() { crew_.join(); }
 
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -162,11 +162,10 @@ class Family {
   sim::Machine& m_;
   Topology topo_;
   FamilyOptions opt_;
+  chrys::Crew crew_;
   std::vector<std::unique_ptr<Member>> members_;
   std::deque<MsgRec> records_;
   std::vector<std::uint32_t> record_free_;
-  chrys::Oid done_queue_ = chrys::kNoObject;
-  std::uint32_t started_ = 0;  ///< members whose process was created
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
 };

@@ -113,7 +113,8 @@ void UniformSystem::initialize() {
         managers_[w] = k_.create_process(
             w, [this, w] { manager_loop(w); }, "us-mgr" + std::to_string(w));
       } catch (const chrys::ThrowSignal& t) {
-        if (t.code != chrys::kThrowNodeDead) throw;
+        if (t.code != chrys::kThrowNodeDead &&
+            t.code != chrys::kThrowNetUnreachable) throw;
         mark_manager_dead(w);
       }
     }
@@ -138,7 +139,8 @@ void UniformSystem::start_manager_tree(std::uint32_t w) {
           "us-mgr" + std::to_string(w));
       return;
     } catch (const chrys::ThrowSignal& t) {
-      if (t.code != chrys::kThrowNodeDead) throw;
+      if (t.code != chrys::kThrowNodeDead &&
+          t.code != chrys::kThrowNetUnreachable) throw;
       mark_manager_dead(w);
     }
   }
@@ -148,9 +150,9 @@ void UniformSystem::start_manager_tree(std::uint32_t w) {
 }
 
 void UniformSystem::mark_manager_dead(std::uint32_t w) {
-  // A node found dead at manager-creation time.  If the death observer
-  // already saw it die (registered before the creation loop), everything
-  // below happened there.
+  // A node found dead or cut off at manager-creation time.  If the crash
+  // observer already saw it die (registered before the creation loop),
+  // everything below happened there.
   if (!manager_alive_[w]) return;
   manager_alive_[w] = 0;
   --managers_alive_;

@@ -203,7 +203,7 @@ TEST(BridgeFaults, DeadServerFailsItsStripeOthersKeepServing) {
     }
     // Wait out the kill, then read everything back: the dead server's
     // stripe fails, the rest is intact.
-    while (k.node_alive(2)) k.delay(50 * sim::kMillisecond);
+    while (m.node_alive(2)) k.delay(50 * sim::kMillisecond);
     for (std::uint32_t b = 0; b < 12; ++b) {
       const int err = k.catch_block([&] {
         fs.read_block(f, b, back.data());
@@ -273,7 +273,7 @@ TEST(BridgeFaults, ToolOpsRunDegradedOnSurvivors) {
     // 8 blocks at ~26 ms each: done well before the kill at 300 ms.
     for (std::uint32_t b = 0; b < 8; ++b) fs.write_block(f, b, blk.data());
     // Wait out the kill, then search: it runs on the 3 survivors only.
-    while (k.node_alive(1)) k.delay(50 * sim::kMillisecond);
+    while (m.node_alive(1)) k.delay(50 * sim::kMillisecond);
     const std::uint64_t hits = fs.tool_search(f, 0xAB);
     // 6 of 8 blocks are on surviving servers (blocks 1 and 5 are lost).
     EXPECT_EQ(hits, 6u * kBlockSize);
@@ -361,7 +361,7 @@ TEST(BridgeFaults, SilentlyDeadServerIsExcisedByAFailureDetector) {
     // A stand-in detector on another node: notices the death (ground truth
     // here; rescue::Membership in real use) and reports it a while later.
     k.create_process(2, [&] {
-      while (k.node_alive(0)) k.delay(20 * sim::kMillisecond);
+      while (m.node_alive(0)) k.delay(20 * sim::kMillisecond);
       k.delay(50 * sim::kMillisecond);
       m.broadcast_crash(0);
     });

@@ -354,7 +354,7 @@ TEST(ServeChaos, KillDuringCheckpointRestartsAndResyncsToFullStrength) {
           ASSERT_EQ(rfs.write(f, b, blk.data()), Status::kOk);
         }
         cp.take_checkpoint();  // healthy: lands fully in ckpt.a
-        while (k.node_alive(2)) k.delay(50 * sim::kMillisecond);
+        while (m.node_alive(2)) k.delay(50 * sim::kMillisecond);
         // Rewrites while a server is down: each block whose stripe set
         // includes server 2 commits on 2 replicas, leaving a stale third
         // copy on the dead node's platters.

@@ -92,14 +92,14 @@ TEST(Serve, ServiceSurvivesALoudReplicaKill) {
   plan.kill(1, 800 * sim::kMillisecond);
   with_serve(
       8, 4, quiet_cfg(), plan,
-      [](chrys::Kernel& k, Machine&, bridge::BridgeFs&, ReplicatedFs& rfs) {
+      [](chrys::Kernel& k, Machine& m, bridge::BridgeFs&, ReplicatedFs& rfs) {
         const bridge::FileId f = rfs.open("data", 16);
         std::vector<std::uint8_t> blk, back(bridge::kBlockSize);
         for (std::uint32_t b = 0; b < 8; ++b) {
           fill_block(blk, b);
           ASSERT_EQ(rfs.write(f, b, blk.data()), Status::kOk);
         }
-        while (k.node_alive(1)) k.delay(50 * sim::kMillisecond);
+        while (m.node_alive(1)) k.delay(50 * sim::kMillisecond);
         std::uint32_t degraded = 0;
         for (std::uint32_t b = 0; b < 8; ++b) {
           ASSERT_EQ(rfs.read(f, b, back.data()), Status::kOk) << "block " << b;
@@ -127,7 +127,7 @@ TEST(Serve, RepairWorkerRestoresFullReplication) {
   plan.kill(2, 600 * sim::kMillisecond);
   with_serve(
       8, 4, quiet_cfg(), plan,
-      [](chrys::Kernel& k, Machine&, bridge::BridgeFs&, ReplicatedFs& rfs) {
+      [](chrys::Kernel& k, Machine& m, bridge::BridgeFs&, ReplicatedFs& rfs) {
         const bridge::FileId f = rfs.open("data", 16);
         std::vector<std::uint8_t> blk, back(bridge::kBlockSize);
         for (std::uint32_t b = 0; b < 8; ++b) {
@@ -135,7 +135,7 @@ TEST(Serve, RepairWorkerRestoresFullReplication) {
           ASSERT_EQ(rfs.write(f, b, blk.data()), Status::kOk);
         }
         rfs.start_repair(6);  // a client node, not a server
-        while (k.node_alive(2)) k.delay(50 * sim::kMillisecond);
+        while (m.node_alive(2)) k.delay(50 * sim::kMillisecond);
         // The crash broadcast queued re-replication of everything server 2
         // held; wait for the worker to drain it.
         for (int i = 0; i < 400 && !rfs.repair_idle(); ++i)
@@ -268,7 +268,7 @@ TEST(Serve, RepairCopiesTheNewestSurvivor) {
         const auto kill_and_repair = [&](std::uint32_t r) {
           const sim::NodeId n = fs.server_node(rfs.replica_server(f, 0, r));
           m.kill_node(n, m.now() + sim::kMillisecond);
-          while (k.node_alive(n)) k.delay(10 * sim::kMillisecond);
+          while (m.node_alive(n)) k.delay(10 * sim::kMillisecond);
           for (int i = 0; i < 400 && !rfs.repair_idle(); ++i)
             k.delay(20 * sim::kMillisecond);
           ASSERT_TRUE(rfs.repair_idle());

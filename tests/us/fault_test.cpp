@@ -1,6 +1,8 @@
 // Failure-injection tests for the Uniform System.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "us/uniform_system.hpp"
 
 namespace bfly::us {
@@ -211,6 +213,26 @@ TEST(UsFaults, TreeInitAdoptsTheSubtreeOfADeadNode) {
   // The dead node's children still joined the pool.
   EXPECT_GT(ran_on[3], 0u);
   EXPECT_GT(ran_on[4], 0u);
+}
+
+TEST(UsFaults, ManagerNodeCutOffAtInitIsLostFromTheStart) {
+  // The machine is split {0-3} | {4-7} from the first nanosecond, so
+  // us-main on node 0 cannot ship a process template across the cut.  A
+  // manager node cut off at creation is lost like a dead one: the Uniform
+  // System comes up on its own side and every task still runs there.
+  sim::FaultPlan plan;
+  plan.partition({0, 1, 2, 3}, {4, 5, 6, 7}, 1, sim::kSecond * 1000);
+  Machine m(butterfly1(8), plan);
+  chrys::Kernel k(m);
+  UniformSystem us(k);
+  std::vector<std::uint32_t> ran_on(8, 0);
+  us.run_main([&] {
+    us.for_all(0, 8, [&](TaskCtx& c) { ++ran_on[c.node]; });
+  });
+  EXPECT_FALSE(m.deadlocked());
+  EXPECT_EQ(us.nodes_lost(), 4u);
+  EXPECT_EQ(std::accumulate(ran_on.begin(), ran_on.end(), 0u), 8u);
+  for (sim::NodeId n = 4; n < 8; ++n) EXPECT_EQ(ran_on[n], 0u) << n;
 }
 
 }  // namespace
