@@ -20,6 +20,9 @@
 // The Chrome-trace export is timed on its own, since exporting happens
 // once at the end rather than inside the run.
 //
+// The tracer's footprint is reported beside its cost: the bytes its log
+// retains for the traced run (log_bytes), per span and per time-bin cell.
+//
 // Output: a human-readable table plus one JSON line for scraping.
 
 #include <algorithm>
@@ -87,6 +90,7 @@ int main() {
   std::uint64_t spans = 0;
   std::uint64_t refs = 0;
   std::size_t trace_bytes = 0;
+  scope::Tracer::LogBytes log;
   for (int i = 0; i < reps; ++i) {
     for (Config& c : configs) {
       sim::MachineConfig mc = sim::butterfly1(8);
@@ -109,6 +113,7 @@ int main() {
       if (c.probes == kTracer) {
         spans = tracer->spans_begun();
         refs = tracer->references_seen();
+        log = tracer->log_bytes();
         const auto t1 = std::chrono::steady_clock::now();
         const std::string trace = tracer->chrome_trace();
         export_best = std::min(export_best, host_seconds_since(t1));
@@ -135,6 +140,17 @@ int main() {
   std::printf("%11.1f%% %10.3f %10.2f %9s\n", total * 100.0, export_best,
               static_cast<double>(trace_bytes) / (1024.0 * 1024.0),
               uncharged ? "yes" : "NO");
+  // The tracer's retained log: span events, and the cells of the closed
+  // time bins.  A span's bytes are its begin and end records (and a share
+  // of the instants).
+  auto per = [](std::size_t bytes, std::uint64_t n) {
+    return n == 0 ? 0.0 : static_cast<double>(bytes) / static_cast<double>(n);
+  };
+  const double per_span = per(log.spans, spans);
+  const double per_cell = per(log.bins, log.cells);
+  std::printf("\n%12s %10s %10s\n", "log(KB)", "B/span", "B/cell");
+  std::printf("%12.1f %10.2f %10.2f\n",
+              static_cast<double>(log.total()) / 1024.0, per_span, per_cell);
 
   sim::json::Writer jw;
   jw.begin_object()
@@ -150,6 +166,9 @@ int main() {
       .kv("fastpath_forfeit_pct", forfeit * 100.0)
       .kv("export_host_s", export_best)
       .kv("trace_bytes", static_cast<std::uint64_t>(trace_bytes))
+      .kv("log_bytes", static_cast<std::uint64_t>(log.total()))
+      .kv("log_bytes_per_span", per_span)
+      .kv("log_bytes_per_cell", per_cell)
       .kv("spans", spans)
       .kv("references", refs)
       .kv("sim_elapsed_ns", bare_elapsed)

@@ -27,6 +27,12 @@ Colony::Colony(chrys::Kernel& k, std::uint32_t nodes_used)
         [this, rt] {
           rt->wake_event = k_.make_event();
           rt->sched_fiber = sim::Fiber::current();
+          // The machine frees the fiber when the scheduler ends, which a
+          // node kill may make happen before its threads have unwound.
+          struct Gone {
+            Runtime* rt;
+            ~Gone() { rt->sched_fiber = nullptr; }
+          } gone{rt};
           scheduler_loop(*rt);
         },
         "antfarm-rt" + std::to_string(n));
@@ -97,12 +103,16 @@ void Colony::dispatch(Runtime& rt, Thread* t) {
 void Colony::thread_trampoline(Runtime& rt, Thread* t) {
   t->fn();
   t->finished = true;
-  m_.wakeup(rt.sched_fiber);
+  wake_scheduler(rt);
   // Fall off: the fiber finishes and the machine reaps it.
 }
 
+void Colony::wake_scheduler(Runtime& rt) {
+  if (rt.sched_fiber != nullptr) m_.wakeup(rt.sched_fiber);
+}
+
 void Colony::back_to_scheduler(Runtime& rt) {
-  m_.wakeup(rt.sched_fiber);
+  wake_scheduler(rt);
   m_.park();
 }
 

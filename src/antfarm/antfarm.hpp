@@ -89,7 +89,7 @@ class Colony {
     sim::NodeId node = 0;
     chrys::Oid wake_event = chrys::kNoObject;  // owned by the runtime proc
     chrys::Oid control_dq = chrys::kNoObject;  // cross-node commands
-    sim::Fiber* sched_fiber = nullptr;
+    sim::Fiber* sched_fiber = nullptr;  // null once the scheduler ended
     std::deque<Thread*> runnable;
     std::vector<std::unique_ptr<Thread>> threads;
     std::uint32_t next_local = 0;
@@ -106,6 +106,8 @@ class Colony {
   void scheduler_loop(Runtime& rt);
   void dispatch(Runtime& rt, Thread* t);
   void thread_trampoline(Runtime& rt, Thread* t);
+  /// Wake the runtime's scheduler, unless it has ended.
+  void wake_scheduler(Runtime& rt);
   /// Switch from a running thread back to its runtime's scheduler.
   void back_to_scheduler(Runtime& rt);
   void make_runnable(Runtime& rt, Thread* t);

@@ -19,7 +19,8 @@ CoroutineSystem::CoroutineSystem(chrys::Kernel& k)
 CoroutineSystem::~CoroutineSystem() {
   // Suspended coroutines die with the system (Modula-2 semantics: they are
   // just stacks inside the process).  Abandon their fibers so the machine
-  // does not count them as deadlocked.
+  // does not count them as deadlocked.  A finished coroutine's fiber is
+  // already gone.
   for (auto& c : coros_)
     if (c->started_ && !c->finished_ && c->fiber_ != nullptr)
       m_.abandon(c->fiber_);
@@ -47,8 +48,14 @@ void CoroutineSystem::transfer(Coroutine* to) {
     to->started_ = true;
     Coroutine* tp = to;
     to->fiber_ = m_.spawn_parked(node_, [this, tp] {
+      // However the body ends (returning, or unwound by a node kill), the
+      // machine frees the fiber with it: mark the coroutine finished so
+      // that nothing wakes or abandons the fiber again.
+      struct Finish {
+        Coroutine* c;
+        ~Finish() { c->finished_ = true; }
+      } finish{tp};
       tp->body();
-      tp->finished_ = true;
       // Falling off the end returns control to main (Modula-2 would crash
       // the program; returning to main is the friendlier convention).
       current_ = &main_;

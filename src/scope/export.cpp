@@ -1,6 +1,7 @@
 // Exporters and the critical-path / Amdahl analysis for bfly::scope.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -15,10 +16,13 @@ namespace {
 // monotone because no floating-point rounding is involved.
 void ts_us(sim::json::Writer& w, sim::Time ns) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  w.key("ts").raw(buf);
+  char* p = std::to_chars(buf, buf + sizeof buf, ns / 1000).ptr;
+  const auto frac = static_cast<unsigned>(ns % 1000);
+  *p++ = '.';
+  *p++ = static_cast<char>('0' + frac / 100);
+  *p++ = static_cast<char>('0' + frac / 10 % 10);
+  *p++ = static_cast<char>('0' + frac % 10);
+  w.key("ts").raw(std::string_view(buf, static_cast<std::size_t>(p - buf)));
 }
 
 bool is(const char* s, const char* lit) {
@@ -111,7 +115,7 @@ std::string Tracer::chrome_trace() const {
         const NodeSeries& s = series[n];
         if (next[n] == s.size() || s[next[n]].bin != bin) continue;
         const Cell& c = s[next[n]++];
-        const auto occ = static_cast<double>(c.occupancy_ns);
+        const auto occ = static_cast<double>(occupancy_ns(c));
         const auto que = static_cast<double>(c.queue_ns);
         const auto loc = static_cast<double>(c.local_words);
         const auto rem = static_cast<double>(c.remote_words);
@@ -138,13 +142,15 @@ std::string Tracer::chrome_trace() const {
   };
 
   std::vector<std::uint32_t> open(tracks_.size(), 0);
-  for (const Event& e : events_) {
+  Reader in(*this);
+  for (Record e; in.next(e);) {
+    if (e.kind == Record::kCell) continue;
     emit_counters_until(e.at);
     const Track& t = tracks_[e.track];
     const std::uint64_t pid = chrome_pid(t.node);
     const std::uint64_t tid = t.tid;
     switch (e.kind) {
-      case Event::kBegin:
+      case Record::kBegin:
         w.begin_object()
             .kv("ph", "B")
             .kv("pid", pid)
@@ -156,13 +162,13 @@ std::string Tracer::chrome_trace() const {
         w.end_object();
         ++open[e.track];
         break;
-      case Event::kEnd:
+      case Record::kEnd:
         w.begin_object().kv("ph", "E").kv("pid", pid).kv("tid", tid);
         ts_us(w, e.at);
         w.end_object();
         --open[e.track];
         break;
-      case Event::kInstant:
+      case Record::kInstant:
         w.begin_object()
             .kv("ph", "i")
             .kv("s", "t")
@@ -173,6 +179,8 @@ std::string Tracer::chrome_trace() const {
         ts_us(w, e.at);
         w.key("args").begin_object().kv("arg", e.arg).end_object();
         w.end_object();
+        break;
+      case Record::kCell:  // skipped above
         break;
     }
   }
@@ -431,20 +439,20 @@ std::string Tracer::metrics_json() const {
     const NodeSeries& s = series[n];
     if (s.empty()) continue;
     w.begin_object().kv("node", std::uint64_t{n});
-    auto arr = [&](const char* k, auto field) {
+    auto arr = [&](const char* k, auto value) {
       w.key(k).begin_array();
       auto c = s.begin();
       for (std::size_t b = 0; b < bins; ++b) {
         std::uint64_t v = 0;
-        if (c != s.end() && c->bin == b) v = (*c++).*field;
+        if (c != s.end() && c->bin == b) v = value(*c++);
         w.value(v);
       }
       w.end_array();
     };
-    arr("occupancy_ns", &Cell::occupancy_ns);
-    arr("queue_ns", &Cell::queue_ns);
-    arr("local_words", &Cell::local_words);
-    arr("remote_words", &Cell::remote_words);
+    arr("occupancy_ns", [&](const Cell& c) { return occupancy_ns(c); });
+    arr("queue_ns", [](const Cell& c) { return c.queue_ns; });
+    arr("local_words", [](const Cell& c) { return c.local_words; });
+    arr("remote_words", [](const Cell& c) { return c.remote_words; });
     w.end_object();
   }
   w.end_array();

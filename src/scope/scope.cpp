@@ -43,16 +43,44 @@ std::uint32_t Tracer::track_for(sim::Fiber* f, sim::NodeId node) {
   return ix;
 }
 
+std::uint32_t Tracer::intern(const char* cat, const char* name) {
+  const auto [it, added] = name_ix_.try_emplace(
+      Name{cat, name}, static_cast<std::uint32_t>(names_.size()));
+  if (added) names_.push_back(Name{cat, name});
+  return it->second;
+}
+
+std::uint8_t* Tracer::log_span_event(Record::Kind kind, std::uint32_t track) {
+  const sim::Time at = m_.now();
+  const std::uint64_t dt = at - last_at_;
+  last_at_ = at;
+  const unsigned cdt = len_code(dt);
+  const unsigned ctr = len_code(track);
+  std::uint8_t* p = log_.record();
+  p[0] = static_cast<std::uint8_t>(kind | cdt << 2 | ctr << 5);
+  return put_value(put_value(p + 1, dt, cdt), track, ctr);
+}
+
+void Tracer::log_named(Record::Kind kind, std::uint32_t track,
+                       const char* cat, const char* name, std::uint64_t arg) {
+  std::uint8_t* p = log_span_event(kind, track);
+  const std::uint32_t nm = intern(cat, name);
+  const unsigned cnm = len_code(nm);
+  const unsigned carg = len_code(arg);
+  p[0] = static_cast<std::uint8_t>(cnm | carg << 3);
+  log_.commit(put_value(put_value(p + 1, nm, cnm), arg, carg));
+}
+
 void Tracer::on_span_begin(sim::Fiber* f, sim::NodeId node, const char* cat,
                            const char* name, std::uint64_t arg) {
   const std::uint32_t ix = track_for(f, node);
   Track& t = tracks_[ix];
-  if (events_.size() >= opt_.max_events) {
+  if (begin_count_ + end_count_ + instant_count_ >= opt_.max_events) {
     ++t.skip;
     ++dropped_;
     return;
   }
-  events_.push_back(Event{m_.now(), Event::kBegin, ix, cat, name, arg});
+  log_named(Record::kBegin, ix, cat, name, arg);
   ++t.open;
   ++begin_count_;
 }
@@ -67,7 +95,7 @@ void Tracer::on_span_end(sim::Fiber* f, sim::NodeId node) {
     return;
   }
   if (t.open == 0) return;  // unmatched end (kill-unwinding): ignore
-  events_.push_back(Event{m_.now(), Event::kEnd, ix, nullptr, nullptr, 0});
+  log_.commit(log_span_event(Record::kEnd, ix));
   --t.open;
   ++end_count_;
 }
@@ -75,11 +103,11 @@ void Tracer::on_span_end(sim::Fiber* f, sim::NodeId node) {
 void Tracer::on_instant(sim::Fiber* f, sim::NodeId node, const char* cat,
                         const char* name, std::uint64_t arg) {
   const std::uint32_t ix = track_for(f, node);
-  if (events_.size() >= opt_.max_events) {
+  if (begin_count_ + end_count_ + instant_count_ >= opt_.max_events) {
     ++dropped_;
     return;
   }
-  events_.push_back(Event{m_.now(), Event::kInstant, ix, cat, name, arg});
+  log_named(Record::kInstant, ix, cat, name, arg);
   ++instant_count_;
 }
 
@@ -91,11 +119,10 @@ void Tracer::on_reference(sim::Fiber* /*f*/, sim::NodeId requester,
   // References arrive in time order (the engine clock never moves
   // backwards), so only one past the open bin's end starts a new bin.
   if (at > open_last_) advance_bin(at);
-  // The home module is busy words * service time; queueing is charged to
-  // the module the traffic piled up at.
+  // The home module serves the words (it is busy words * service time);
+  // queueing is charged to the module the traffic piled up at.
   Sums& h = touch(home);
-  h.occupancy_ns +=
-      static_cast<sim::Time>(words) * m_.config().module_service_ns;
+  h.home_words += words;
   h.queue_ns += queue_ns;
   // Locality mix is the requester's view.
   Sums& r = touch(requester);
@@ -116,26 +143,33 @@ Tracer::Sums& Tracer::touch(sim::NodeId node) {
 
 void Tracer::advance_bin(sim::Time at) {
   if (touched_n_ != 0) {
-    std::uint64_t* w = log_.record();
-    w[0] = open_bin_;
-    w[1] = touched_n_;
-    log_.next = w + 2;
+    const std::uint64_t gap = open_bin_ - last_bin_ - 1;
+    const unsigned cgap = len_code(gap);
+    std::uint8_t* p = log_.record();
+    p[0] = static_cast<std::uint8_t>(Record::kCell | cgap << 2);
+    log_.commit(put_value(p + 1, gap, cgap));
+    last_bin_ = open_bin_;
+    std::int64_t prev = 0;
     for (std::size_t t = 0; t < touched_n_; ++t) {
       const sim::NodeId n = touched_[t];
-      // Written without branches: each sum is stored, and the cursor moves
-      // past it only if it is non-zero.
+      // Written without branches: a zero sum's code is 0, so the cursor
+      // does not move past the word stored for it.
+      const std::uint64_t dn = zigzag(std::int64_t{n} - prev);
+      prev = n;
       const Sums& s = open_[n].sums;
-      w = log_.record();
-      std::uint64_t* v = w + 1;
-      std::uint64_t mask = 0;
+      std::uint8_t* w = log_.record();
+      unsigned head = len_code(dn);
+      std::uint8_t* v = put_value(w + 2, dn, head);
       for (std::size_t i = 0; i < std::size(kSums); ++i) {
         const std::uint64_t x = s.*kSums[i];
-        *v = x;
-        v += x != 0;
-        mask |= std::uint64_t{x != 0} << i;
+        const unsigned c = len_code(x);
+        v = put_value(v, x, c);
+        head |= c << (3 + 3 * i);
       }
-      w[0] = std::uint64_t{n} << 4 | mask;
-      log_.next = v;
+      head |= unsigned{t + 1 == touched_n_} << 15;  // the bin's last cell
+      w[0] = static_cast<std::uint8_t>(head);
+      w[1] = static_cast<std::uint8_t>(head >> 8);
+      log_.commit(v);
       open_[n] = OpenCell{};
     }
     touched_n_ = 0;
@@ -146,29 +180,74 @@ void Tracer::advance_bin(sim::Time at) {
   open_last_ = start + std::min(opt_.bin_ns - 1, ~sim::Time{0} - start);
 }
 
-std::vector<std::uint64_t> Tracer::BinLog::words() const {
-  std::vector<std::uint64_t> out;
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    const std::uint64_t* w = chunks[c].get();
-    out.insert(out.end(), w, c < used.size() ? w + used[c] : next);
+bool Tracer::Reader::next(Record& r) {
+  const std::uint8_t* p = in_.record();
+  if (p == nullptr) return false;
+  const std::uint8_t* const first = p;
+  r.bytes = 0;
+  if (!in_bin_ && (p[0] & 3) == Record::kCell) {
+    // A closed bin's head; at least one cell follows.
+    ++p;
+    bin_ += get_value(p, first[0] >> 2 & 7) + 1;
+    in_bin_ = true;
+    node_ = 0;
+    r.bytes = static_cast<std::size_t>(p - first);
+    in_.commit(p);
+    p = in_.record();
+  }
+  if (in_bin_) {
+    const unsigned head = p[0] | unsigned{p[1]} << 8;
+    const std::uint8_t* v = p + 2;
+    node_ += unzigzag(get_value(v, head & 7));
+    r.kind = Record::kCell;
+    r.node = static_cast<sim::NodeId>(node_);
+    r.cell = Cell{};
+    r.cell.bin = bin_;
+    for (std::size_t i = 0; i < std::size(kSums); ++i)
+      r.cell.*kSums[i] = get_value(v, head >> (3 + 3 * i) & 7);
+    r.bytes += static_cast<std::size_t>(v - p);
+    in_bin_ = (head >> 15) == 0;
+    in_.commit(v);
+    return true;
+  }
+  r.kind = static_cast<Record::Kind>(p[0] & 3);
+  const std::uint8_t* v = p + 1;
+  at_ += get_value(v, p[0] >> 2 & 7);
+  r.at = at_;
+  r.track = static_cast<std::uint32_t>(get_value(v, p[0] >> 5));
+  r.cat = r.name = nullptr;
+  r.arg = 0;
+  if (r.kind != Record::kEnd) {
+    const unsigned head = *v++;
+    const Name& nm = t_.names_[get_value(v, head & 7)];
+    r.cat = nm.cat;
+    r.name = nm.name;
+    r.arg = get_value(v, head >> 3 & 7);
+  }
+  r.bytes = static_cast<std::size_t>(v - p);
+  in_.commit(v);
+  return true;
+}
+
+Tracer::LogBytes Tracer::log_bytes() const {
+  LogBytes out;
+  Reader in(*this);
+  for (Record r; in.next(r);) {
+    if (r.kind == Record::kCell) {
+      out.bins += r.bytes;
+      ++out.cells;
+    } else {
+      out.spans += r.bytes;
+    }
   }
   return out;
 }
 
 std::vector<Tracer::NodeSeries> Tracer::series() const {
   std::vector<NodeSeries> out(m_.nodes());
-  const std::vector<std::uint64_t> log = log_.words();
-  for (std::size_t i = 0; i < log.size();) {
-    const std::size_t bin = log[i++];
-    for (std::uint64_t cells = log[i++]; cells > 0; --cells) {
-      const std::uint64_t head = log[i++];
-      Cell c;
-      c.bin = bin;
-      for (std::size_t k = 0; k < std::size(kSums); ++k)
-        if (head >> k & 1) c.*kSums[k] = log[i++];
-      out[head >> 4].push_back(c);
-    }
-  }
+  Reader in(*this);
+  for (Record r; in.next(r);)
+    if (r.kind == Record::kCell) out[r.node].push_back(r.cell);
   for (std::size_t t = 0; t < touched_n_; ++t) {
     const sim::NodeId n = touched_[t];
     out[n].push_back(Cell{open_[n].sums, open_bin_});
@@ -180,13 +259,14 @@ std::vector<Tracer::Span> Tracer::completed_spans() const {
   std::vector<Span> out;
   out.reserve(end_count_ + tracks_.size());
   std::vector<std::vector<std::size_t>> stacks(tracks_.size());
-  for (const Event& e : events_) {
+  Reader in(*this);
+  for (Record e; in.next(e);) {
     switch (e.kind) {
-      case Event::kBegin:
+      case Record::kBegin:
         stacks[e.track].push_back(out.size());
         out.push_back(Span{e.at, e.at, e.track, e.cat, e.name});
         break;
-      case Event::kEnd: {
+      case Record::kEnd: {
         auto& st = stacks[e.track];
         // The log never records an unmatched end, but stay defensive.
         if (!st.empty()) {
@@ -195,7 +275,8 @@ std::vector<Tracer::Span> Tracer::completed_spans() const {
         }
         break;
       }
-      case Event::kInstant:
+      case Record::kInstant:
+      case Record::kCell:
         break;
     }
   }

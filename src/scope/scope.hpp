@@ -24,16 +24,22 @@
 //                        speedup bound; report() renders it as text.
 //
 // Span categories/names arrive as string literals from the annotation sites
-// and are borrowed, not copied (see sim::Probe).  The event log is
-// time-ordered by construction — the simulation engine's clock never moves
-// backwards — which is what makes the exported trace's timestamps monotone.
+// and are borrowed, not copied (see sim::Probe); the log holds an index
+// into a table of the distinct pairs.  Span events and closed time bins go
+// to one compact byte log (log.hpp) that the exporters decode.  The span
+// events are time-ordered by construction — the simulation engine's clock
+// never moves backwards — which is what makes the exported trace's
+// timestamps monotone and lets the log store times as deltas.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "scope/log.hpp"
 #include "sim/machine.hpp"
 #include "sim/observe.hpp"
 #include "sim/time.hpp"
@@ -115,6 +121,15 @@ class Tracer final : public sim::Probe {
   std::uint64_t dropped_events() const { return dropped_; }
   std::size_t tracks() const { return tracks_.size(); }
 
+  /// What the log holds, per stream.
+  struct LogBytes {
+    std::size_t spans = 0;    ///< span and instant records
+    std::size_t bins = 0;     ///< closed bins: their heads and cells
+    std::uint64_t cells = 0;  ///< cells of the closed bins
+    std::size_t total() const { return spans + bins; }
+  };
+  LogBytes log_bytes() const;
+
   // --- Exports -------------------------------------------------------------
   /// Chrome trace-event JSON (open in Perfetto or chrome://tracing).
   std::string chrome_trace() const;
@@ -125,14 +140,6 @@ class Tracer final : public sim::Probe {
   std::string report() const;
 
  private:
-  struct Event {
-    sim::Time at;
-    enum Kind : std::uint8_t { kBegin, kEnd, kInstant } kind;
-    std::uint32_t track;
-    const char* cat;  // borrowed literals; null on kEnd
-    const char* name;
-    std::uint64_t arg;
-  };
   struct Track {
     sim::NodeId node;    // kTraceHostNode for engine/host context
     std::uint32_t tid;   // thread index within the node's trace "process"
@@ -142,13 +149,15 @@ class Tracer final : public sim::Probe {
   };
   /// One node's sums over one time bin.
   struct Sums {
-    sim::Time occupancy_ns = 0;  // module service time in the bin
+    // Words the node's module served in the bin: its occupancy is
+    // home_words * module_service_ns, which the exporters report.
+    std::uint64_t home_words = 0;
     sim::Time queue_ns = 0;      // queue wait absorbed in the bin
     std::uint64_t local_words = 0;
     std::uint64_t remote_words = 0;
   };
   static constexpr std::uint64_t Sums::*kSums[] = {
-      &Sums::occupancy_ns, &Sums::queue_ns, &Sums::local_words,
+      &Sums::home_words, &Sums::queue_ns, &Sums::local_words,
       &Sums::remote_words};
   /// One time bin of one node's series as the exporters read it.  A node's
   /// cells are in bin order and hold only bins that saw traffic; the
@@ -163,32 +172,34 @@ class Tracer final : public sim::Probe {
     Sums sums;
     bool touched = false;
   };
-  /// Append-only word log of the closed bins.  It grows a fixed-size chunk
-  /// at a time, so an append never copies what is already logged.  Each
-  /// chunk has room for one more record past its nominal end, so a record
-  /// never straddles two chunks and may be written without bounds checks.
-  struct BinLog {
-    static constexpr std::size_t kChunkWords = 4096;
-    static constexpr std::size_t kMaxRecord = 5;  // words
-    std::vector<std::unique_ptr<std::uint64_t[]>> chunks;
-    std::vector<std::size_t> used;  // words written, per full chunk
-    std::uint64_t* next = nullptr;  // first free word of the last chunk
-    std::uint64_t* end = nullptr;   // nominal end of the last chunk
-    /// Where the next record of at most kMaxRecord words goes; the writer
-    /// moves `next` past what it wrote.
-    std::uint64_t* record() {
-      if (next >= end) {
-        if (!chunks.empty())
-          used.push_back(static_cast<std::size_t>(next - chunks.back().get()));
-        chunks.push_back(std::make_unique_for_overwrite<std::uint64_t[]>(
-            kChunkWords + kMaxRecord));
-        next = chunks.back().get();
-        end = next + kChunkWords;
-      }
-      return next;
-    }
-    /// Every logged word, in order.
-    std::vector<std::uint64_t> words() const;
+  /// One record of the log as the readers see it: a span event, or one
+  /// cell of a closed bin.
+  struct Record {
+    enum Kind : std::uint8_t { kBegin, kEnd, kInstant, kCell } kind;
+    sim::Time at = 0;  // span events
+    std::uint32_t track = 0;
+    const char* cat = nullptr;  // borrowed literals; null on kEnd
+    const char* name = nullptr;
+    std::uint64_t arg = 0;
+    sim::NodeId node = 0;  // kCell
+    Cell cell;
+    std::size_t bytes = 0;  // logged bytes (a bin's head counts with its
+                            // first cell)
+  };
+  /// Decodes the log front to back.
+  class Reader {
+   public:
+    explicit Reader(const Tracer& t) : t_(t), in_(t.log_) {}
+    /// The next record, or false past the last one.
+    bool next(Record& r);
+
+   private:
+    const Tracer& t_;
+    ByteLog::Cursor in_;
+    sim::Time at_ = 0;
+    std::size_t bin_ = ~std::size_t{0};
+    bool in_bin_ = false;  // the next record is a cell
+    std::int64_t node_ = 0;
   };
   struct Span {
     sim::Time begin, end;
@@ -196,36 +207,73 @@ class Tracer final : public sim::Probe {
     const char* cat;
     const char* name;
   };
+  struct Name {
+    const char* cat;
+    const char* name;
+    bool operator==(const Name&) const = default;
+  };
+  struct NameHash {
+    std::size_t operator()(const Name& n) const {
+      return std::hash<const char*>{}(n.cat) * 31 ^
+             std::hash<const char*>{}(n.name);
+    }
+  };
 
   std::uint32_t track_for(sim::Fiber* f, sim::NodeId node);
+  /// Index of the (cat, name) literal pair in names_, added if new.
+  std::uint32_t intern(const char* cat, const char* name);
+  /// Start a span event's record on `track`, at now(): its first byte, dt
+  /// and track.  Returns where the rest goes; an end has no more.
+  std::uint8_t* log_span_event(Record::Kind kind, std::uint32_t track);
+  /// Log a begin or an instant on `track`, at now().
+  void log_named(Record::Kind kind, std::uint32_t track, const char* cat,
+                 const char* name, std::uint64_t arg);
   Sums& touch(sim::NodeId node);
   /// Log the open bin and open the one holding `at`.
   void advance_bin(sim::Time at);
   /// Every node's series: the logged bins, then the open one.
   std::vector<NodeSeries> series() const;
   std::uint32_t chrome_pid(sim::NodeId node) const;
+  sim::Time occupancy_ns(const Cell& c) const {
+    return c.home_words * m_.config().module_service_ns;
+  }
   /// Reconstruct completed spans from the event log (open spans close at
   /// now()).
   std::vector<Span> completed_spans() const;
 
   sim::Machine& m_;
   ScopeOptions opt_;
-  std::vector<Event> events_;
   // Track of each context: slot 0 is the host, a fiber's slot is its spawn
   // index + 1 (never reused, unlike its address).
   std::vector<std::uint32_t> track_ix_;
   std::vector<Track> tracks_;
   std::vector<std::uint32_t> next_tid_;  // per node (+1 host slot)
+  // Interned (cat, name) pairs, by index and by the pair's pointers.
+  std::vector<Name> names_;
+  std::unordered_map<Name, std::uint32_t, NameHash> name_ix_;
   // The series: the newest bin touched is open and summed in place; the
-  // older ones are closed and logged.  Per closed bin the log holds
-  // [bin, cells], then per cell [node << 4 | mask] and the sums whose
-  // kSums bit is set in the mask.
+  // older ones are closed and logged.
   std::vector<OpenCell> open_;           // per node
   std::vector<sim::NodeId> touched_;     // the first touched_n_: nodes the
   std::size_t touched_n_ = 0;            // open bin saw
   std::size_t open_bin_ = 0;
   sim::Time open_last_ = 0;              // last nanosecond of the open bin
-  BinLog log_;
+  // The log of both streams, in the order they were appended.  Every value
+  // is a length-coded integer (log.hpp); its 3-bit code sits in the
+  // record's head.  Byte 0 is the record's kind in bits 0-1.
+  //   span event:     [kind | dt << 2 | track << 5] dt, track, and for a
+  //                   begin or an instant [name | arg << 3] name, arg
+  //   closed bin:     [kCell | gap << 2] gap, then per cell a 2-byte head
+  //                   [node delta | sum i << 3 + 3i | last << 15], the
+  //                   zigzag node delta and the four sums (a zero sum
+  //                   takes no bytes)
+  // dt is the time since the previous span event, name the interned pair,
+  // gap the bins skipped since the previous closed bin, and a bin's node
+  // deltas run from 0 over its cells in touch order; `last` marks the
+  // bin's last cell.
+  ByteLog log_;
+  sim::Time last_at_ = 0;                 // the last span event's time
+  std::size_t last_bin_ = ~std::size_t{0};  // the last bin logged (none)
 
   std::uint64_t begin_count_ = 0;
   std::uint64_t end_count_ = 0;

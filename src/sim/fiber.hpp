@@ -84,6 +84,11 @@ class Fiber {
   void* owner() const { return owner_; }
   void set_owner(void* o) { owner_ = o; }
 
+  /// One opaque word for the Machine that runs this fiber: its control
+  /// block, set at spawn and cleared when the machine lets go of it.
+  void* ctl() const { return ctl_; }
+  void set_ctl(void* c) { ctl_ = c; }
+
  private:
   [[noreturn]] static void entry(Fiber* self);
 #if !defined(__x86_64__)
@@ -98,6 +103,7 @@ class Fiber {
   char* stack_;
   std::size_t stack_bytes_;
   void* owner_ = nullptr;
+  void* ctl_ = nullptr;
   // ASan bookkeeping: the fake-stack handle saved while this fiber is
   // switched out (see the fiber-switch annotations in fiber.cpp).  Unused
   // (but harmless) in non-sanitized builds.

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -130,27 +131,27 @@ class Writer {
     out_ += v ? "true" : "false";
     return *this;
   }
+  // Numbers go through std::to_chars: the same bytes as printf's "%.9g",
+  // "%llu" and "%lld" (to_chars with a precision is specified as printf),
+  // without printf's format parsing and locale.
   Writer& value(double v) {
     comma();
     if (!std::isfinite(v)) v = 0.0;
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    out_ += buf;
+    append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                              std::chars_format::general, 9));
     return *this;
   }
   Writer& value(std::uint64_t v) {
     comma();
     char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(v));
-    out_ += buf;
+    append(buf, std::to_chars(buf, buf + sizeof buf, v));
     return *this;
   }
   Writer& value(std::int64_t v) {
     comma();
     char buf[24];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    out_ += buf;
+    append(buf, std::to_chars(buf, buf + sizeof buf, v));
     return *this;
   }
   Writer& value(std::uint32_t v) { return value(std::uint64_t{v}); }
@@ -173,6 +174,10 @@ class Writer {
   std::string take() { return std::move(out_); }
 
  private:
+  void append(const char* buf, std::to_chars_result r) {
+    assert(r.ec == std::errc{});
+    out_.append(buf, static_cast<std::size_t>(r.ptr - buf));
+  }
   void open() {
     stack_.push_back(false);
 #ifndef NDEBUG

@@ -73,7 +73,13 @@ Machine::Machine(MachineConfig cfg, FaultPlan faults)
   }
 }
 
-Machine::~Machine() = default;
+Machine::~Machine() {
+  while (live_head_ != nullptr) {
+    FiberCtl* c = live_head_;
+    live_head_ = c->live_next;
+    delete c;  // frees the fiber and its stack
+  }
+}
 
 // --- Fibers -------------------------------------------------------------
 
@@ -88,24 +94,15 @@ Fiber* Machine::spawn_parked(NodeId node, std::function<void()> body,
                              std::string name) {
   if (node >= cfg_.nodes) throw SimError("spawn: bad node id");
   if (fault_checks_ && node_dead_[node]) throw NodeDeadError(node);
-  auto fiber = std::make_unique<Fiber>(std::move(body),
-                                       cfg_.fiber_stack_bytes,
-                                       std::move(name), fibers_spawned_++);
-  Fiber* f = fiber.get();
-  FiberCtl c;
-  c.fiber = std::move(fiber);
-  c.node = node;
-  auto [it, ok] = fibers_.emplace(f, std::move(c));
-  assert(ok);
-  (void)ok;
-  live_link(&it->second);
-  notify([&](Probe& p) { p.on_spawn(Fiber::current(), f); });
+  auto c = std::make_unique<FiberCtl>(FiberCtl{this, nullptr});
+  c->fiber = std::make_unique<Fiber>(std::move(body), cfg_.fiber_stack_bytes,
+                                     std::move(name), fibers_spawned_++);
+  c->node = node;
+  Fiber* f = c->fiber.get();
+  f->set_ctl(c.get());
+  live_link(c.release());
+  notify_self([&](Probe& p, Fiber* self) { p.on_spawn(self, f); });
   return f;
-}
-
-Machine::FiberCtl* Machine::ctl(Fiber* f) {
-  auto it = fibers_.find(f);
-  return it == fibers_.end() ? nullptr : &it->second;
 }
 
 NodeId Machine::current_node() const {
@@ -115,15 +112,9 @@ NodeId Machine::current_node() const {
 }
 
 NodeId Machine::node_of(Fiber* f) const {
-  if (cur_ctl_ != nullptr && cur_ctl_->fiber.get() == f) return cur_ctl_->node;
-  auto it = fibers_.find(f);
-  if (it == fibers_.end()) throw SimError("node_of: unknown fiber");
-  return it->second.node;
-}
-
-NodeId Machine::trace_node() const {
-  FiberCtl* c = current_ctl();
-  return c == nullptr ? kTraceHostNode : c->node;
+  const FiberCtl* c = ctl(f);
+  if (c == nullptr) throw SimError("node_of: unknown fiber");
+  return c->node;
 }
 
 void Machine::live_link(FiberCtl* c) {
@@ -155,7 +146,12 @@ void Machine::live_unlink(FiberCtl* c) {
 void Machine::reap(FiberCtl* c) {
   live_unlink(c);
   notify([&](Probe& p) { p.on_finish(c->fiber.get()); });
-  fibers_.erase(c->fiber.get());  // destroys c and frees the stack
+  c->fiber->set_ctl(nullptr);
+  if (c->held) {
+    c->reaped = true;  // do_kill frees it
+    return;
+  }
+  delete c;  // frees the fiber and its stack
 }
 
 void Machine::fiber_event(void* machine, void* payload) {
@@ -279,7 +275,7 @@ void Machine::park() {
 
 void Machine::wakeup(Fiber* f, Time delay) {
   FiberCtl* c = ctl(f);
-  if (c == nullptr) return;  // already finished
+  if (c == nullptr) return;  // reaped, or not this machine's
   if (c->killed) return;     // doomed; it unwinds through its own path
   if (c->resume_pending ||
       (f->state() == Fiber::State::kRunning && !c->parking)) {
@@ -311,20 +307,23 @@ void Machine::do_kill(NodeId n, bool silent) {
   // layers stay oblivious until a failure detector broadcasts its verdict
   // or a doomed reference finds the corpse.
   if (!silent) broadcast_crash(n);
-  // Now tear down the node's fibers, in spawn order.  Victims are collected
-  // as Fiber* and re-validated through the map: one victim's unwind may
-  // reap another (a destructor calling abandon()).
-  std::vector<Fiber*> victims;
-  for (FiberCtl* c = live_head_; c != nullptr; c = c->live_next)
-    if (c->node == n) victims.push_back(c->fiber.get());
-  for (Fiber* f : victims) {
-    FiberCtl* c = ctl(f);
-    if (c == nullptr) continue;
+  // Now tear down the node's fibers, in spawn order.  Every victim is held
+  // until the end and re-validated before its turn: one victim's unwind may
+  // reap another (a destructor calling abandon()), which then stays
+  // allocated, marked reaped.
+  std::vector<FiberCtl*> victims;
+  for (FiberCtl* c = live_head_; c != nullptr; c = c->live_next) {
+    if (c->node != n) continue;
+    c->held = true;
+    victims.push_back(c);
+  }
+  for (FiberCtl* c : victims) {
+    if (c->reaped) continue;
     c->killed = true;
     // A fiber with a resume already queued unwinds when that event fires
     // (charge() re-checks killed on wakeup).
     if (c->resume_pending) continue;
-    if (f->state() == Fiber::State::kRunnable) {
+    if (c->fiber->state() == Fiber::State::kRunnable) {
       // Never ran: nothing on its stack to unwind, drop it outright.
       reap(c);
       continue;
@@ -332,6 +331,10 @@ void Machine::do_kill(NodeId n, bool silent) {
     // Parked: resume it so park() raises FiberKill and the stack unwinds
     // through run_body, running destructors along the way.
     do_resume(c);
+  }
+  for (FiberCtl* c : victims) {
+    c->held = false;
+    if (c->reaped) delete c;
   }
 }
 
@@ -389,7 +392,7 @@ void Machine::maybe_mem_fault(NodeId home) {
 
 void Machine::abandon(Fiber* f) {
   FiberCtl* c = ctl(f);
-  if (c == nullptr) return;  // already finished
+  if (c == nullptr) return;  // reaped, or not this machine's
   assert(!c->resume_pending && f->state() != Fiber::State::kRunning);
   reap(c);
 }

@@ -24,7 +24,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -202,11 +201,16 @@ class Machine {
   /// Block the calling fiber until another fiber calls wakeup() on it.
   void park();
   /// Make a parked fiber runnable after `delay`.  Safe to call from the
-  /// engine or any fiber; no-op if the fiber already finished.
+  /// engine or any fiber; no-op if the fiber is not parked or is dying of
+  /// a node kill.  `f` must not have finished: the machine frees a fiber
+  /// when it finishes, so a caller that may hold a finished one checks its
+  /// own state first (as Chrysalis does for an exited process).
   void wakeup(Fiber* f, Time delay = 0);
 
   /// Discard a parked fiber that will never run again (e.g. a suspended
-  /// coroutine at teardown).  The fiber must not have a pending resume.
+  /// coroutine at teardown).  The fiber must not have a pending resume,
+  /// and, as for wakeup(), must not have finished: the caller tracks how
+  /// its fibers end (a node kill may unwind one before the caller does).
   void abandon(Fiber* f);
 
   // --- Physical memory --------------------------------------------------------
@@ -285,14 +289,14 @@ class Machine {
   /// calling context.  Synchronization layers call these from the fiber
   /// performing the operation.
   void observe_release(std::uint64_t chan) {
-    notify([&](Probe& p) { p.on_release(Fiber::current(), chan); });
+    notify_self([&](Probe& p, Fiber* self) { p.on_release(self, chan); });
   }
   void observe_acquire(std::uint64_t chan) {
-    notify([&](Probe& p) { p.on_acquire(Fiber::current(), chan); });
+    notify_self([&](Probe& p, Fiber* self) { p.on_acquire(self, chan); });
   }
   /// The calling fiber acquired (`held`) or released spin lock `lock`.
   void observe_lock(std::uint64_t lock, bool held) {
-    notify([&](Probe& p) { p.on_lock(Fiber::current(), lock, held); });
+    notify_self([&](Probe& p, Fiber* self) { p.on_lock(self, lock, held); });
   }
   /// Name a range of physical memory for diagnostic reports.
   void label_memory(PhysAddr a, std::size_t bytes, const std::string& name) {
@@ -307,35 +311,37 @@ class Machine {
   }
   /// The calling fiber is about to block on `chan`.
   void observe_block(std::uint64_t chan, WaitKind kind) {
-    notify([&](Probe& p) { p.on_block(Fiber::current(), chan, kind); });
+    notify_self([&](Probe& p, Fiber* self) { p.on_block(self, chan, kind); });
   }
   /// The calling fiber returned from a blocking wait on `chan`.
   void observe_wake(std::uint64_t chan, WakeReason why) {
-    notify([&](Probe& p) { p.on_wake(Fiber::current(), chan, why); });
+    notify_self([&](Probe& p, Fiber* self) { p.on_wake(self, chan, why); });
   }
   /// A post to `chan` with the given delivery outcome.
   void observe_post(std::uint64_t chan, PostOutcome out) {
-    notify([&](Probe& p) { p.on_post(Fiber::current(), chan, out); });
+    notify_self([&](Probe& p, Fiber* self) { p.on_post(self, chan, out); });
   }
   /// One failed spin probe on `lock` by the calling fiber.
   void observe_spin(std::uint64_t lock) {
-    notify([&](Probe& p) { p.on_spin(Fiber::current(), lock); });
+    notify_self([&](Probe& p, Fiber* self) { p.on_spin(self, lock); });
   }
   /// Open a span on the calling context's track.
   void trace_begin(const char* cat, const char* name, std::uint64_t arg = 0) {
-    notify([&](Probe& p) {
-      p.on_span_begin(Fiber::current(), trace_node(), cat, name, arg);
+    notify_self([&](Probe& p, Fiber* self) {
+      p.on_span_begin(self, trace_node(self), cat, name, arg);
     });
   }
   /// Close the innermost open span on the calling context's track.
   void trace_end() {
-    notify([&](Probe& p) { p.on_span_end(Fiber::current(), trace_node()); });
+    notify_self([&](Probe& p, Fiber* self) {
+      p.on_span_end(self, trace_node(self));
+    });
   }
   /// A point event on the calling context's track.
   void trace_instant(const char* cat, const char* name,
                      std::uint64_t arg = 0) {
-    notify([&](Probe& p) {
-      p.on_instant(Fiber::current(), trace_node(), cat, name, arg);
+    notify_self([&](Probe& p, Fiber* self) {
+      p.on_instant(self, trace_node(self), cat, name, arg);
     });
   }
 
@@ -385,13 +391,27 @@ class Machine {
     HookScope h(this);
     for (Probe* p : probes_) call(*p);
   }
+  /// As notify(), passing each probe the calling fiber as well (nullptr
+  /// from engine context), looked up once for all of them.
+  template <typename Call>
+  void notify_self(Call call) {
+    if (probes_.empty()) return;
+    Fiber* const self = Fiber::current();
+    notify([&](Probe& p) { call(p, self); });
+  }
 
   struct FiberCtl {
+    const Machine* machine;  // the machine running the fiber
     std::unique_ptr<Fiber> fiber;
     NodeId node = 0;
     bool resume_pending = false;
     bool killed = false;  // node died; unwind via FiberKill at next yield
     bool parking = false;  // in park(), firing due timers before it yields
+    // do_kill holds its victims until it has gone through all of them: one
+    // victim's unwind may reap another, and reap() then marks a held block
+    // `reaped` and leaves freeing it to do_kill.
+    bool held = false;
+    bool reaped = false;
     // Intrusive links for the live list (spawned and not yet finished), in
     // spawn order.  O(1) reap instead of the O(live) vector erase; order is
     // part of the deterministic contract (do_kill unwinds in spawn order).
@@ -453,32 +473,36 @@ class Machine {
   /// (uncharged).  Fires before the requester is charged.
   void observe_reference(NodeId requester, PhysAddr a, std::uint32_t words,
                          MemOp op, Time queue_ns) {
-    notify([&](Probe& p) {
-      p.on_reference(Fiber::current(), requester, a, words, op, queue_ns,
-                     engine_.now());
+    notify_self([&](Probe& p, Fiber* self) {
+      p.on_reference(self, requester, a, words, op, queue_ns, engine_.now());
     });
   }
-  /// Node of the calling context for trace events (kTraceHostNode when no
-  /// fiber is running).
-  NodeId trace_node() const;
+  /// Node of `self`, the calling context, for trace events (kTraceHostNode
+  /// when no fiber is running).
+  NodeId trace_node(Fiber* self) const {
+    const FiberCtl* c = self == nullptr ? nullptr : ctl(self);
+    return c == nullptr ? kTraceHostNode : c->node;
+  }
 
   /// Backing bytes of [a, a + n), grown on demand (node_ is mutable).
   std::uint8_t* raw(PhysAddr a, std::size_t n) const;
   void ensure_backing(Node& nd, std::size_t end) const;
 
-  FiberCtl* ctl(Fiber* f);
+  /// Control block of `f`, a fiber that has not been reaped, or nullptr
+  /// when this machine does not run it (a fiber of another Machine, or one
+  /// driven outside this engine).  The fiber carries the pointer.
+  FiberCtl* ctl(Fiber* f) const {
+    auto* c = static_cast<FiberCtl*>(f->ctl());
+    return c != nullptr && c->machine == this ? c : nullptr;
+  }
   /// Control block of the currently executing fiber, or nullptr from engine
   /// context.  One pointer compare on the hot path: cur_ctl_ is maintained
-  /// around every resume and handoff, and the map lookup only backstops
-  /// foreign fibers (a fiber of another Machine, or one driven outside this
-  /// engine).
+  /// around every resume and handoff.
   FiberCtl* current_ctl() const {
     Fiber* f = Fiber::current();
     if (f == nullptr) return nullptr;
     if (cur_ctl_ != nullptr && cur_ctl_->fiber.get() == f) return cur_ctl_;
-    auto it = fibers_.find(f);
-    return it == fibers_.end() ? nullptr
-                               : const_cast<FiberCtl*>(&it->second);
+    return ctl(f);
   }
   void schedule_resume(FiberCtl* c, Time at);
   /// Trampoline for the engine's typed fiber events (see Engine::
@@ -520,11 +544,9 @@ class Machine {
   Rng fault_rng_;
   MachineStats stats_;
   mutable std::vector<Node> node_;
-  // Fiber* -> control block.  unordered_map gives the pointer stability the
-  // engine's typed events and cur_ctl_ rely on; the hot paths never touch
-  // it (current_ctl() caches, typed events carry the FiberCtl* directly).
-  std::unordered_map<Fiber*, FiberCtl> fibers_;
-  FiberCtl* live_head_ = nullptr;  // live fibers, intrusive, spawn order
+  // The live fibers' control blocks, owned through this intrusive list (in
+  // spawn order) and freed at reap; each fiber points at its own.
+  FiberCtl* live_head_ = nullptr;
   FiberCtl* live_tail_ = nullptr;
   std::size_t live_count_ = 0;
   std::uint64_t fibers_spawned_ = 0;  // next Fiber::spawn_index

@@ -176,5 +176,37 @@ TEST(AntFarm, ThreadSwitchIsMuchCheaperThanProcessCreation) {
       << "lightweight threads must be far cheaper than Chrysalis processes";
 }
 
+TEST(AntFarm, ThreadYieldingWhileItsNodeDiesDoesNotWakeTheDeadScheduler) {
+  // The thread is charging when node 1 dies, so the kill unwinds the
+  // parked scheduler first and the machine frees its fiber.  The thread
+  // unwinds when its resume fires, and a destructor on its stack yields:
+  // that must not wake the freed scheduler fiber.
+  Machine m(butterfly1(4));
+  chrys::Kernel k(m);
+  bool unwound = false;
+  k.create_process(0, [&] {
+    Colony col(k, 2);
+    col.start(1, [&] {
+      struct YieldOnUnwind {
+        Colony& col;
+        bool& unwound;
+        ~YieldOnUnwind() {
+          unwound = true;
+          col.yield();
+        }
+      } guard{col, unwound};
+      for (;;) m.charge(sim::kMillisecond);
+    });
+    m.charge(100 * sim::kMillisecond);
+    // The colony cannot be joined: its thread on node 1 never finishes.
+    m.engine().stop();
+  });
+  m.kill_node(1, 50 * sim::kMillisecond);
+  m.run();
+  EXPECT_TRUE(unwound);
+  EXPECT_TRUE(m.node_alive(0));
+  EXPECT_FALSE(m.node_alive(1));
+}
+
 }  // namespace
 }  // namespace bfly::antfarm

@@ -110,5 +110,37 @@ TEST(Coroutines, ManyCoroutinesRoundRobin) {
   });
 }
 
+TEST(Coroutines, NodeKillWhileMainChargesWithACoroutineParked) {
+  // The kill unwinds the parked coroutine first (main's resume is already
+  // queued), and the machine frees its fiber.  Main unwinds next, and
+  // ~CoroutineSystem must not abandon the freed fiber.
+  Machine m(butterfly1(4));
+  chrys::Kernel k(m);
+  bool parked = false;
+  bool coroutine_unwound = false;
+  bool main_unwound = false;
+  k.create_process(0, [&] {
+    struct Unwound {
+      bool& flag;
+      ~Unwound() { flag = true; }
+    } main_guard{main_unwound};
+    CoroutineSystem cs(k);
+    Coroutine* c = cs.new_coroutine([&] {
+      Unwound guard{coroutine_unwound};
+      cs.transfer(cs.main());  // parks here for good
+    });
+    cs.transfer(c);
+    parked = true;
+    for (;;) m.charge(sim::kMillisecond);
+  });
+  m.kill_node(0, 50 * sim::kMillisecond);
+  m.run();
+  EXPECT_TRUE(parked);
+  EXPECT_TRUE(coroutine_unwound);
+  EXPECT_TRUE(main_unwound);
+  EXPECT_FALSE(m.deadlocked());
+  EXPECT_EQ(m.live_fibers(), 0u);
+}
+
 }  // namespace
 }  // namespace bfly::m2

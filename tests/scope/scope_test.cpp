@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -272,6 +273,235 @@ TEST(ScopeExport, SeriesSurviveBinCrossingsAndMidRunExport) {
             (Columns{{0, zeros10},
                      {1, {0, 0, 0, 0, 0, 0, 0, 0, 0, 1}},
                      {2, {1, 0, 0, 1, 0, 0, 0, 1, 0, 0}}}));
+}
+
+// --- The log's edge cases ----------------------------------------------------
+// The tracer keeps span events and closed time bins in one byte log of
+// length-coded deltas (scope/log.hpp); these runs push each field past the
+// widths a small run exercises and check the exported values exactly.
+
+// The trace's span and instant events (metadata and counters left out), as
+// "ph pid/tid name@ts(arg)" lines.
+std::vector<std::string> span_events(const std::string& trace) {
+  JsonValue v;
+  std::string err;
+  EXPECT_TRUE(json_parse(trace, &v, &err)) << err;
+  std::vector<std::string> out;
+  for (const JsonValue& e : v.find("traceEvents")->arr) {
+    const std::string& ph = e.find("ph")->str;
+    if (ph != "B" && ph != "E" && ph != "i") continue;
+    char buf[160];
+    const JsonValue* name = e.find("name");
+    const JsonValue* args = e.find("args");
+    std::snprintf(buf, sizeof buf, "%s %.0f/%.0f %s@%.3f(%.0f)", ph.c_str(),
+                  e.find("pid")->num, e.find("tid")->num,
+                  name != nullptr ? name->str.c_str() : "",
+                  e.find("ts")->num,
+                  args != nullptr ? args->find("arg")->num : -1.0);
+    out.emplace_back(buf);
+  }
+  return out;
+}
+
+TEST(ScopeLog, BinSumsPast32BitsExportExactly) {
+  Machine m(butterfly1(2));
+  Tracer tracer(m);
+  constexpr sim::Time kBig = (sim::Time{1} << 33) + 5;
+  constexpr sim::Time kHuge = (sim::Time{1} << 40) + 1;
+  const sim::PhysAddr home{0, 0};
+  // Node 1 reads node 0's memory in bins 0, 2 and 5; the last reference
+  // closes bin 2, so bins 0 and 2 are in the log and bin 5 is open.
+  tracer.on_reference(nullptr, 1, home, 3, sim::MemOp::kRead, kBig, 0);
+  tracer.on_reference(nullptr, 1, home, 1, sim::MemOp::kRead, kHuge,
+                      2 * kMillisecond);
+  tracer.on_reference(nullptr, 1, home, 2, sim::MemOp::kRead, 0,
+                      5 * kMillisecond + 7);
+  // The trace's counters run up to the machine's clock.
+  m.spawn(0, [&] { m.charge(6 * kMillisecond); });
+  m.run();
+  const std::string metrics = tracer.metrics_json();
+  auto times = [&](int words) {
+    return std::to_string(words * m.config().module_service_ns);
+  };
+  EXPECT_NE(metrics.find("{\"node\":0,\"occupancy_ns\":[" + times(3) +
+                         ",0," + times(1) + ",0,0," + times(2) + "]," +
+                         "\"queue_ns\":[8589934597,0,1099511627777,0,0,0],"
+                         "\"local_words\":[0,0,0,0,0,0],"
+                         "\"remote_words\":[0,0,0,0,0,0]}"),
+            std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("{\"node\":1,\"occupancy_ns\":[0,0,0,0,0,0],"
+                         "\"queue_ns\":[0,0,0,0,0,0],"
+                         "\"local_words\":[0,0,0,0,0,0],"
+                         "\"remote_words\":[3,0,1,0,0,2]}"),
+            std::string::npos)
+      << metrics;
+  const std::string trace = tracer.chrome_trace();
+  EXPECT_NE(trace.find("{\"ph\":\"C\",\"name\":\"module\",\"pid\":1,"
+                       "\"ts\":2000.000,\"args\":{\"busy_frac\":0.0005,"
+                       "\"queue_frac\":1099511.63}}"),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"queue_frac\":8589.9346}"), std::string::npos);
+  // The closed bins' bytes: bin 0's head (its gap is 0) and cells of 8
+  // (node 0: head, 3 words, a 5-byte queue sum) and 4 bytes (node 1:
+  // head, node delta, 3 remote words); bin 2's head with its gap of 1,
+  // and cells of 9 and 4 bytes.
+  const Tracer::LogBytes log = tracer.log_bytes();
+  EXPECT_EQ(log.cells, 4u);
+  EXPECT_EQ(log.bins, 1u + 8 + 4 + 2 + 9 + 4);
+  EXPECT_EQ(log.spans, 0u);
+}
+
+TEST(ScopeLog, SpanArgsPast32BitsExportExactly) {
+  Machine m(butterfly1(2));
+  Tracer tracer(m);
+  m.spawn(1, [&] {
+    m.trace_begin("t", "wide", (std::uint64_t{1} << 40) + 7);
+    m.charge(kMillisecond);
+    m.trace_end();
+    m.trace_instant("t", "max", ~std::uint64_t{0});
+  });
+  m.run();
+  const std::string trace = tracer.chrome_trace();
+  EXPECT_NE(trace.find("\"cat\":\"t\",\"name\":\"wide\",\"ts\":0.000,"
+                       "\"args\":{\"arg\":1099511627783}}"),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"name\":\"max\",\"ts\":1000.000,"
+                       "\"args\":{\"arg\":18446744073709551615}}"),
+            std::string::npos)
+      << trace;
+}
+
+TEST(ScopeLog, MoreThan65536Tracks) {
+  constexpr std::uint64_t kFibers = 65537;
+  Machine m(butterfly1(2));
+  Tracer tracer(m);
+  // Each fiber is made, annotated and freed in turn, so their stacks are
+  // recycled; only the spawn index tells them apart.
+  for (std::uint64_t i = 0; i < kFibers; ++i) {
+    sim::Fiber f([] {}, m.config().fiber_stack_bytes, {}, i);
+    const sim::NodeId node = static_cast<sim::NodeId>(i % 2);
+    tracer.on_span_begin(&f, node, "t", "s", i);
+    tracer.on_span_end(&f, node);
+  }
+  EXPECT_EQ(tracer.tracks(), kFibers);
+  EXPECT_EQ(tracer.spans_completed(), kFibers);
+  const std::vector<std::string> events = span_events(tracer.chrome_trace());
+  ASSERT_EQ(events.size(), 2 * kFibers);
+  EXPECT_EQ(events[0], "B 1/1 s@0.000(0)");
+  EXPECT_EQ(events[1], "E 1/1 @0.000(-1)");
+  EXPECT_EQ(events[2 * kFibers - 4], "B 2/32768 s@0.000(65535)");
+  EXPECT_EQ(events[2 * kFibers - 2], "B 1/32769 s@0.000(65536)");
+  EXPECT_EQ(events[2 * kFibers - 1], "E 1/32769 @0.000(-1)");
+}
+
+TEST(ScopeLog, EventsMoreThan2To32NanosecondsApart) {
+  constexpr sim::Time kGap = (sim::Time{1} << 32) + 777;  // 4294968.073 us
+  Machine m(butterfly1(2));
+  Tracer tracer(m);
+  m.spawn(0, [&] {
+    sim::TraceSpan s(m, "t", "long", 1);
+    m.trace_instant("t", "a", 2);
+    m.charge(kGap);
+    m.trace_instant("t", "b", 3);
+    m.charge(kGap);
+  });
+  m.run();
+  EXPECT_EQ(span_events(tracer.chrome_trace()),
+            (std::vector<std::string>{"B 1/1 long@0.000(1)",
+                                      "i 1/1 a@0.000(2)",
+                                      "i 1/1 b@4294968.073(3)",
+                                      "E 1/1 @8589936.146(-1)"}));
+  const CriticalPathReport r = tracer.critical_path();
+  EXPECT_EQ(r.elapsed, 2 * kGap);
+}
+
+TEST(ScopeLog, EventCapDropsNestedSpansBalanced) {
+  ScopeOptions opt;
+  opt.max_events = 3;
+  Machine m(butterfly1(2));
+  Tracer tracer(m, opt);
+  m.spawn(0, [&] {
+    sim::TraceSpan a(m, "t", "a", 1);
+    m.charge(kMillisecond);
+    {
+      sim::TraceSpan b(m, "t", "b", 2);
+      m.trace_instant("t", "x", 3);  // the third event fills the cap
+      m.charge(kMillisecond);
+      sim::TraceSpan c(m, "t", "c", 4);  // dropped, and so is its end
+      m.trace_instant("t", "y", 5);      // dropped
+      m.charge(kMillisecond);
+    }
+    sim::TraceSpan d(m, "t", "d", 6);  // dropped
+    m.charge(kMillisecond);
+  });
+  m.run();
+  EXPECT_EQ(tracer.spans_begun(), 2u);
+  EXPECT_EQ(tracer.spans_completed(), 2u);
+  EXPECT_EQ(tracer.instants_recorded(), 1u);
+  EXPECT_EQ(tracer.dropped_events(), 3u);
+  // Ends are never capped: b and a still close where they did.
+  EXPECT_EQ(span_events(tracer.chrome_trace()),
+            (std::vector<std::string>{"B 1/1 a@0.000(1)", "B 1/1 b@1000.000(2)",
+                                      "i 1/1 x@1000.000(3)",
+                                      "E 1/1 @3000.000(-1)",
+                                      "E 1/1 @4000.000(-1)"}));
+}
+
+TEST(ScopeLog, HostContextEventsGetTheLastPid) {
+  Machine m(butterfly1(2));
+  Tracer tracer(m);
+  // From the engine context (no fiber running): the host track.
+  m.trace_begin("h", "setup", 9);
+  m.trace_instant("h", "boot", 3);
+  m.spawn(1, [&] { m.trace_instant("t", "fiber", 4); });
+  m.engine().post_at(2 * kMillisecond, [&] { m.trace_end(); });
+  m.run();
+  const std::string trace = tracer.chrome_trace();
+  EXPECT_NE(trace.find("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":3,"
+                       "\"args\":{\"name\":\"host\"}}"),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":3,"
+                       "\"tid\":1,\"args\":{\"name\":\"host\"}}"),
+            std::string::npos)
+      << trace;
+  EXPECT_EQ(span_events(trace),
+            (std::vector<std::string>{"B 3/1 setup@0.000(9)",
+                                      "i 3/1 boot@0.000(3)",
+                                      "i 2/1 fiber@0.000(4)",
+                                      "E 3/1 @2000.000(-1)"}));
+}
+
+TEST(ScopeLog, EmptyRunExports) {
+  Machine m(butterfly1(2));
+  Tracer tracer(m);
+  EXPECT_EQ(tracer.chrome_trace(),
+            "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"tool\":"
+            "\"bfly::scope\",\"nodes\":2,\"elapsed_ns\":0,"
+            "\"dropped_events\":0},\"traceEvents\":[]}");
+  const std::string metrics = tracer.metrics_json();
+  EXPECT_EQ(metrics.rfind("{\"bench\":\"scope\",\"elapsed_ns\":0,\"nodes\":2,"
+                          "\"spans\":0,\"instants\":0,\"dropped\":0,"
+                          "\"references\":0,\"refs\":{\"local\":0,"
+                          "\"remote\":0,\"queue_ns\":0},",
+                          0),
+            0u)
+      << metrics;
+  EXPECT_NE(metrics.find(
+                "\"series\":{\"bin_ns\":1000000,\"node\":[]},"
+                "\"critical_path\":{\"tasks\":0,\"workers\":0,"
+                "\"task_busy_ns\":0,\"serial_ns\":0,\"serial_fraction\":0,"
+                "\"avg_parallelism\":0,\"critical_path_ns\":0,"
+                "\"speedup_bound\":0,\"phases\":1,\"capacity_ns\":0,"
+                "\"compute_ns\":0,\"mem_wait_ns\":0,\"contention_ns\":0,"
+                "\"idle_ns\":0}}"),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(tracer.log_bytes().total(), 0u);
+  EXPECT_EQ(tracer.log_bytes().cells, 0u);
 }
 
 TEST(TraceCheck, ParsesAndRejectsJson) {

@@ -318,6 +318,39 @@ TEST(MachineFiber, OnFinishFiresOncePerFiberHoweverItEnds) {
   EXPECT_EQ(m.hook_charges(), 0u);
 }
 
+// A kill unwinds its victims in spawn order, and one victim's unwind may
+// reap another: here a destructor on the first victim's stack abandons the
+// second, parked on the same node.  The kill must skip the reaped victim
+// (under ASan, touching it is a heap-use-after-free) and still reach the
+// third.
+TEST(MachineFiber, KillSkipsAVictimThatAnEarlierUnwindReaped) {
+  Machine m(butterfly1(4));
+  FinishCounter probe(m);
+  struct AbandonOnUnwind {
+    Machine& m;
+    Fiber*& f;
+    ~AbandonOnUnwind() { m.abandon(f); }
+  };
+  Fiber* second = nullptr;
+  bool second_ran_on = false;
+  m.spawn(1, [&] {
+    AbandonOnUnwind guard{m, second};
+    m.park();
+  });
+  second = m.spawn(1, [&] {
+    m.park();
+    second_ran_on = true;
+  });
+  m.spawn(1, [&] { m.park(); });
+  m.kill_node(1, kMillisecond);
+  m.run();
+  EXPECT_FALSE(second_ran_on);
+  EXPECT_EQ(probe.finished,
+            (std::map<std::uint64_t, int>{{0, 1}, {1, 1}, {2, 1}}));
+  EXPECT_EQ(m.live_fibers(), 0u);
+  EXPECT_FALSE(m.deadlocked());
+}
+
 TEST(MachineFiber, ManyFibersInterleaveDeterministically) {
   Machine m(butterfly1(16));
   std::vector<int> order;
